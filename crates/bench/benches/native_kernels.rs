@@ -52,7 +52,7 @@ fn bench_fold_paths(c: &mut Criterion) {
     g.finish();
 }
 
-/// Nonlinear (tape-interpreted) kernel throughput.
+/// Nonlinear (tape tier: row-vectorised register program) kernel throughput.
 fn bench_tape(c: &mut Criterion) {
     let n = [1 << 16, 1, 1];
     let fold = Fold::new(8, 1, 1);

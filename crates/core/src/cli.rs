@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
 use yasksite_grid::Fold;
-use yasksite_stencil::{builders, paper_suite, Stencil};
+use yasksite_stencil::{builders, Stencil};
 
 use crate::telemetry::{Level, Telemetry};
 use crate::{ServeConfig, ToolError, TrialBudget, TrialConfig, TuneRequest, TuneStrategy};
@@ -72,7 +72,7 @@ pub fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, Stri
 /// `"box-3d-r2"`, `"star-2d-r2"`, `"heat-3d-vc"`).
 #[must_use]
 pub fn stencil_by_name(name: &str) -> Option<Stencil> {
-    if let Some(s) = paper_suite().into_iter().find(|s| s.name() == name) {
+    if let Some(s) = builders::suite_stencil(name) {
         return Some(s);
     }
     // Parametric families not in the fixed suite.
@@ -576,6 +576,17 @@ mod tests {
         assert!(stencil_by_name("wave-2d").is_some());
         assert!(stencil_by_name("heat-3d-vc").is_some());
         assert!(stencil_by_name("nope").is_none());
+    }
+
+    #[test]
+    fn every_suite_name_round_trips_to_an_equal_stencil() {
+        for s in yasksite_stencil::paper_suite() {
+            assert_eq!(stencil_by_name(s.name()), Some(s));
+        }
+        // The suite's star-3d-r2 carries its own coefficients; the
+        // parametric family only answers for radii outside the suite.
+        let r5 = stencil_by_name("star-3d-r5").expect("parametric family");
+        assert_eq!(r5, builders::star3d(5, &[0.5; 6]));
     }
 
     #[test]

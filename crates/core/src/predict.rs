@@ -2,9 +2,20 @@
 //! wavefront adjustment the plain ECM model does not know about.
 
 use yasksite_arch::Machine;
-use yasksite_ecm::{EcmModel, EcmPrediction, KernelDesc, OverlapPolicy};
-use yasksite_engine::{plan_tier, Tier, TuningParams};
+use yasksite_ecm::{EcmModel, EcmPrediction, Issue, KernelDesc, OverlapPolicy};
+use yasksite_engine::{plan_tier, CompiledStencil, Tier, TuningParams};
 use yasksite_stencil::Stencil;
+
+/// `f64` lanes the compiler vectorises plain loops with in this build.
+/// The tape tier's instruction loops are ordinary compiled code, so their
+/// width is the build's SIMD baseline, whatever the machine's widest ISA.
+const BUILD_LANES: usize = if cfg!(target_feature = "avx512f") {
+    8
+} else if cfg!(target_feature = "avx") {
+    4
+} else {
+    2
+};
 
 /// An analytic performance prediction for one `(params, cores)` point.
 #[derive(Debug, Clone)]
@@ -52,19 +63,30 @@ pub fn predict_params_resident(
     cores: usize,
     resident_bytes: Option<f64>,
 ) -> PredictedPerf {
-    // Tier-aware in-core issue: when the engine's planner would run this
-    // configuration on the generic per-point tier (no vectorised kernel
-    // is eligible), the model must not credit it with SIMD throughput.
-    // Linear row-major configurations plan onto the folded/scalar tiers,
-    // so their predictions are unchanged; the tape tier keeps the
-    // vectorised model because its threaded interpreter still streams
-    // whole rows.
+    // Tier-aware in-core issue: the model credits a configuration only
+    // with the kernel the engine's planner would run it on. Linear
+    // row-major configurations plan onto the folded/scalar tiers and keep
+    // the vectorised, FMA-fused model unchanged. The generic per-point
+    // tier is charged scalar issue. The tape tier is charged for its
+    // register program: one loop per instruction left after value
+    // numbering, each reading two operand rows and writing one.
     let (tier, _) = plan_tier(stencil, params);
+    let issue = match tier {
+        Tier::Folded | Tier::Scalar => Issue::Vector,
+        Tier::Generic => Issue::Scalar,
+        Tier::Tape => match CompiledStencil::compile(stencil) {
+            CompiledStencil::Tape(tape) => Issue::Program {
+                instructions: tape.instructions(),
+                lanes: BUILD_LANES.min(machine.lanes()),
+            },
+            CompiledStencil::Linear { .. } => unreachable!("the tape tier implies a tape"),
+        },
+    };
     let mut desc = KernelDesc::new(stencil, domain)
         .tile(params.clipped_block(domain))
         .fold(params.fold)
         .streaming_stores(params.streaming_stores)
-        .scalar_issue(tier == Tier::Generic);
+        .issue(issue);
     if let Some(r) = resident_bytes {
         desc = desc.resident_bytes(r);
     }

@@ -49,44 +49,87 @@ pub const UNALIGNED_LOAD_COST: f64 = 1.5;
 ///   every non-brick-aligned offset costs a permute on the shuffle port.
 #[must_use]
 pub fn incore(info: &StencilInfo, ports: &PortModel, fold: Fold) -> InCore {
-    incore_with_issue(info, ports, fold, false)
+    incore_with_issue(info, ports, fold, Issue::Vector)
 }
 
-/// Like [`incore`], but with an explicit issue regime.
-///
-/// `scalar_issue = true` models a kernel that executes one lattice point
-/// per instruction (the engine's generic per-point tier, selected when no
-/// vectorised kernel is eligible): every offset is one scalar load, every
-/// update one scalar store, and the unit of work takes `lanes` times as
-/// many iterations — no alignment penalties and no fold permutes, because
-/// scalar accesses never straddle lanes. Used by the tier-aware predictor
-/// so configurations the engine cannot vectorise are not credited with
-/// SIMD throughput.
+/// How the kernel that runs a configuration issues its work — which rung
+/// of the engine's tier ladder the in-core model prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Issue {
+    /// Explicitly vectorised kernels (the folded and scalar-row tiers):
+    /// one FMA-fused vector iteration per `lanes` updates.
+    #[default]
+    Vector,
+    /// One lattice point per instruction (the engine's generic per-point
+    /// tier, selected when no vectorised kernel is eligible): every offset
+    /// is one scalar load, every update one scalar store, and the unit of
+    /// work takes `lanes` times as many iterations — no alignment
+    /// penalties and no fold permutes, because scalar accesses never
+    /// straddle lanes.
+    Scalar,
+    /// The tape tier's register program: `instructions` arithmetic
+    /// instructions per point (after value numbering), each its own loop
+    /// over a row chunk that reads two operand rows and writes one result
+    /// row in L1 — nothing is fused into an FMA and no value stays in a
+    /// register between instructions. The loops are plain compiled code,
+    /// so `lanes` is the SIMD width of the *build*, not of the machine.
+    Program {
+        /// Instructions per point.
+        instructions: usize,
+        /// `f64` lanes per auto-vectorised loop iteration.
+        lanes: usize,
+    },
+}
+
+/// Like [`incore`], but for an explicit [`Issue`] regime, so the
+/// tier-aware predictor credits a configuration only with the throughput
+/// of the kernel the engine would actually run.
 #[must_use]
 pub fn incore_with_issue(
     info: &StencilInfo,
     ports: &PortModel,
     fold: Fold,
-    scalar_issue: bool,
+    issue: Issue,
 ) -> InCore {
-    if scalar_issue {
-        // One scalar iteration per lattice update: vec_iters becomes the
-        // full unit of work, one aligned load per offset, no shuffles.
-        let iters = UPDATES_PER_UNIT;
-        let loads = info.offsets.len() as f64;
-        let stores = 1.0;
-        let arith = ports.arith_cycles(
-            info.fmas as f64,
-            (info.adds_rem + info.negs) as f64,
-            info.muls_rem as f64,
-        );
-        return InCore {
-            t_ol: arith * iters,
-            t_nol: ports.mem_cycles(loads, stores) * iters,
-            loads: loads * iters,
-            stores: stores * iters,
-            permutes: 0.0,
-        };
+    match issue {
+        Issue::Vector => {}
+        Issue::Scalar => {
+            // One scalar iteration per lattice update: vec_iters becomes
+            // the full unit of work, one aligned load per offset, no
+            // shuffles.
+            let iters = UPDATES_PER_UNIT;
+            let loads = info.offsets.len() as f64;
+            let stores = 1.0;
+            let arith = ports.arith_cycles(
+                info.fmas as f64,
+                (info.adds_rem + info.negs) as f64,
+                info.muls_rem as f64,
+            );
+            return InCore {
+                t_ol: arith * iters,
+                t_nol: ports.mem_cycles(loads, stores) * iters,
+                loads: loads * iters,
+                stores: stores * iters,
+                permutes: 0.0,
+            };
+        }
+        Issue::Program {
+            instructions,
+            lanes,
+        } => {
+            let iters = UPDATES_PER_UNIT / lanes as f64;
+            let n = instructions as f64;
+            // Priced on the FMA ports (where multiplies must go and adds
+            // may); either way the two loads and one store per
+            // instruction are what bind.
+            return InCore {
+                t_ol: ports.arith_cycles(0.0, 0.0, n) * iters,
+                t_nol: ports.mem_cycles(2.0 * n, n) * iters,
+                loads: 2.0 * n * iters,
+                stores: n * iters,
+                permutes: 0.0,
+            };
+        }
     }
     let lanes = ports.simd.lanes_f64() as f64;
     // Vector iterations per unit of work (a 512-bit machine does one
@@ -219,14 +262,38 @@ mod tests {
         let m = Machine::cascade_lake();
         let s = heat3d(1);
         let vec = incore(&s.info(), &m.ports, Fold::new(8, 1, 1));
-        let scalar = incore_with_issue(&s.info(), &m.ports, Fold::new(8, 1, 1), false);
+        let scalar = incore_with_issue(&s.info(), &m.ports, Fold::new(8, 1, 1), Issue::Vector);
         assert_eq!(vec, scalar, "flag off is the plain model");
-        let generic = incore_with_issue(&s.info(), &m.ports, Fold::new(8, 1, 1), true);
+        let generic = incore_with_issue(&s.info(), &m.ports, Fold::new(8, 1, 1), Issue::Scalar);
         assert!(generic.t_ol > vec.t_ol * 4.0);
         assert!(generic.t_nol > vec.t_nol);
         assert_eq!(generic.permutes, 0.0);
         // 7 offsets × 8 iterations, one aligned load each.
         assert!((generic.loads - 56.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn register_program_pays_two_loads_and_a_store_per_instruction() {
+        let m = Machine::cascade_lake();
+        let info = heat3d(1).info(); // ignored: the program is the kernel
+        let at = |instructions, lanes| {
+            let issue = Issue::Program {
+                instructions,
+                lanes,
+            };
+            incore_with_issue(&info, &m.ports, Fold::new(8, 1, 1), issue)
+        };
+        // 6 instructions at 8 lanes, one iteration per unit of work:
+        // 12 loads / 2 ports = 6 stores / 1 port = 6 cy; 6 ops / 2 = 3 cy.
+        let wide = at(6, 8);
+        assert!((wide.t_nol - 6.0).abs() < 1e-12);
+        assert!((wide.t_ol - 3.0).abs() < 1e-12);
+        assert!((wide.loads - 12.0).abs() < 1e-12 && (wide.stores - 6.0).abs() < 1e-12);
+        assert_eq!(wide.permutes, 0.0);
+        // A 2-lane build runs four iterations per unit of work; the cost
+        // is linear in the instruction count.
+        assert!((at(6, 2).t_nol - 24.0).abs() < 1e-12);
+        assert!((at(18, 2).t_nol - 72.0).abs() < 1e-12);
     }
 
     #[test]

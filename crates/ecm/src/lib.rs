@@ -51,7 +51,7 @@ pub mod traffic;
 mod model;
 
 pub use drift::{drift_fraction, DriftStats, DRIFT_SUSPECT_THRESHOLD};
-pub use incore::InCore;
+pub use incore::{InCore, Issue};
 pub use layer::{LayerStatus, LcReport};
 pub use model::{EcmModel, EcmPrediction, KernelDesc, OverlapPolicy};
 pub use roofline::roofline_mlups;

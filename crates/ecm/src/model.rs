@@ -4,7 +4,7 @@ use yasksite_arch::{Machine, MachineKind};
 use yasksite_grid::Fold;
 use yasksite_stencil::{Stencil, StencilInfo};
 
-use crate::incore::{incore_with_issue, InCore, UPDATES_PER_UNIT};
+use crate::incore::{incore_with_issue, InCore, Issue, UPDATES_PER_UNIT};
 use crate::traffic::{traffic_resident, TrafficModel};
 
 /// How data-transfer terms combine with each other and the core.
@@ -45,10 +45,9 @@ pub struct KernelDesc {
     pub fold: Fold,
     /// Whether stores bypass the cache (non-temporal).
     pub streaming_stores: bool,
-    /// Whether the kernel issues one lattice point per instruction (the
-    /// engine's generic per-point tier) instead of vectorised kernels;
-    /// see [`crate::incore::incore_with_issue`].
-    pub scalar_issue: bool,
+    /// How the kernel that runs this configuration issues its work (the
+    /// engine tier the in-core model prices); see [`Issue`].
+    pub issue: Issue,
     /// Steady-state resident-set bytes of the kernel's whole working data
     /// (defaults to all of its grids); boundaries below a level that can
     /// hold this carry no steady-state traffic.
@@ -70,7 +69,7 @@ impl KernelDesc {
             tile: domain,
             fold: Fold::new(8, 1, 1),
             streaming_stores: false,
-            scalar_issue: false,
+            issue: Issue::Vector,
             resident_bytes,
         }
     }
@@ -96,13 +95,12 @@ impl KernelDesc {
         self
     }
 
-    /// Marks the kernel as executing on the generic per-point tier
-    /// (scalar issue, no SIMD credit). The tier-aware predictor sets this
-    /// from the engine's tier planner; it defaults to off, so vectorised
-    /// configurations are modelled exactly as before.
+    /// Sets the issue regime. The tier-aware predictor derives it from
+    /// the engine's tier planner; the default, [`Issue::Vector`], models
+    /// the vectorised kernels.
     #[must_use]
-    pub fn scalar_issue(mut self, on: bool) -> Self {
-        self.scalar_issue = on;
+    pub fn issue(mut self, issue: Issue) -> Self {
+        self.issue = issue;
         self
     }
 
@@ -229,7 +227,7 @@ impl EcmModel {
     #[must_use]
     pub fn predict_at(&self, desc: &KernelDesc, cores: usize) -> EcmPrediction {
         let m = &self.machine;
-        let ic = incore_with_issue(&desc.info, &m.ports, desc.fold, desc.scalar_issue);
+        let ic = incore_with_issue(&desc.info, &m.ports, desc.fold, desc.issue);
         let tr = if self.pessimistic_traffic {
             crate::traffic::traffic_pessimistic(&desc.info, m, desc.streaming_stores)
         } else {

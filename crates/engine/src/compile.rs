@@ -6,125 +6,182 @@ use yasksite_stencil::{Expr, GridId, Stencil};
 /// One access slot: input grid and offset.
 pub type Access = (GridId, [i32; 3]);
 
-/// A flattened, post-order representation of an expression; evaluated with
-/// a small value stack over pre-fetched access values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tape {
-    ops: Vec<TapeOp>,
-    accesses: Vec<Access>,
-    max_stack: usize,
+/// Where an instruction reads an operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// A constant register, by index into `Tape::consts`.
+    Const(usize),
+    /// The source row of an access slot, by index into `Tape::accesses`.
+    Slot(usize),
+    /// The result of an earlier instruction, by index into `Tape::instrs`.
+    Reg(usize),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TapeOp {
-    Const(f64),
-    Load(u16),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
     Add,
     Sub,
     Mul,
     Neg,
 }
 
+/// `reg = a <kind> b` (`Neg` reads `a` only and carries `b == a`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Instr {
+    kind: OpKind,
+    a: Operand,
+    b: Operand,
+}
+
+/// A non-linear expression lowered to a register program by value
+/// numbering: every distinct operation of the tree is one instruction,
+/// identical subtrees share a register, constants are keyed by bit
+/// pattern, and nothing is reassociated or commuted — so each point sees
+/// exactly the IEEE operation sequence of the recursive reference
+/// evaluator. [`Tape::run`] evaluates the program a row chunk at a time,
+/// one tight loop per instruction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tape {
+    /// Distinct constants, as bit patterns (`+0.0` and `-0.0` differ).
+    consts: Vec<u64>,
+    accesses: Vec<Access>,
+    /// In dependency order: operands only name earlier instructions.
+    instrs: Vec<Instr>,
+    /// The program's value: the last instruction, or a leaf.
+    root: Operand,
+}
+
 impl Tape {
     fn from_expr(expr: &Expr) -> Tape {
-        let mut ops = Vec::new();
-        let mut accesses: Vec<Access> = Vec::new();
-        fn walk(e: &Expr, ops: &mut Vec<TapeOp>, accesses: &mut Vec<Access>) {
-            match e {
-                Expr::Const(v) => ops.push(TapeOp::Const(*v)),
-                Expr::At { grid, dx, dy, dz } => {
-                    let key = (*grid, [*dx, *dy, *dz]);
-                    let slot = accesses.iter().position(|a| *a == key).unwrap_or_else(|| {
-                        accesses.push(key);
-                        accesses.len() - 1
-                    });
-                    ops.push(TapeOp::Load(
-                        u16::try_from(slot).expect("tape slot overflow"),
-                    ));
-                }
-                Expr::Add(a, b) => {
-                    walk(a, ops, accesses);
-                    walk(b, ops, accesses);
-                    ops.push(TapeOp::Add);
-                }
-                Expr::Sub(a, b) => {
-                    walk(a, ops, accesses);
-                    walk(b, ops, accesses);
-                    ops.push(TapeOp::Sub);
-                }
-                Expr::Mul(a, b) => {
-                    walk(a, ops, accesses);
-                    walk(b, ops, accesses);
-                    ops.push(TapeOp::Mul);
-                }
-                Expr::Neg(a) => {
-                    walk(a, ops, accesses);
-                    ops.push(TapeOp::Neg);
-                }
-            }
-        }
-        walk(expr, &mut ops, &mut accesses);
-        let mut depth = 0usize;
-        let mut max_stack = 0usize;
-        for op in &ops {
-            match op {
-                TapeOp::Const(_) | TapeOp::Load(_) => depth += 1,
-                TapeOp::Add | TapeOp::Sub | TapeOp::Mul => depth -= 1,
-                TapeOp::Neg => {}
-            }
-            max_stack = max_stack.max(depth);
-        }
-        Tape {
-            ops,
-            accesses,
-            max_stack,
-        }
+        let mut tape = Tape {
+            consts: Vec::new(),
+            accesses: Vec::new(),
+            instrs: Vec::new(),
+            root: Operand::Const(0),
+        };
+        tape.root = tape.lower(expr);
+        // A tree cannot repeat inside itself, so its root operation is
+        // never shared: it is the last instruction, the one `run` lets
+        // write the output row.
+        debug_assert!(match tape.root {
+            Operand::Reg(r) => r + 1 == tape.instrs.len(),
+            _ => tape.instrs.is_empty(),
+        });
+        tape
     }
 
-    /// The access slots the tape reads; the caller pre-fetches these into
-    /// the `values` argument of [`Tape::eval`].
+    /// Value-numbers `e`, appending whatever it needs that the program
+    /// does not hold yet. The tables are searched linearly: programs are
+    /// tens of instructions, and an instruction can only repeat *after*
+    /// its newest register operand, so the scan for the common
+    /// fresh-operand case is empty.
+    fn lower(&mut self, e: &Expr) -> Operand {
+        let (kind, a, b) = match e {
+            Expr::Const(v) => {
+                let bits = v.to_bits();
+                let at = self.consts.iter().position(|&c| c == bits);
+                return Operand::Const(at.unwrap_or_else(|| {
+                    self.consts.push(bits);
+                    self.consts.len() - 1
+                }));
+            }
+            Expr::At { grid, dx, dy, dz } => {
+                let key = (*grid, [*dx, *dy, *dz]);
+                let at = self.accesses.iter().position(|a| *a == key);
+                return Operand::Slot(at.unwrap_or_else(|| {
+                    self.accesses.push(key);
+                    self.accesses.len() - 1
+                }));
+            }
+            Expr::Add(a, b) => (OpKind::Add, self.lower(a), self.lower(b)),
+            Expr::Sub(a, b) => (OpKind::Sub, self.lower(a), self.lower(b)),
+            Expr::Mul(a, b) => (OpKind::Mul, self.lower(a), self.lower(b)),
+            Expr::Neg(a) => {
+                let a = self.lower(a);
+                (OpKind::Neg, a, a)
+            }
+        };
+        let instr = Instr { kind, a, b };
+        let after = |o: Operand| match o {
+            Operand::Reg(r) => r + 1,
+            _ => 0,
+        };
+        let first = after(a).max(after(b));
+        let at = self.instrs[first..].iter().position(|i| *i == instr);
+        Operand::Reg(at.map_or_else(
+            || {
+                self.instrs.push(instr);
+                self.instrs.len() - 1
+            },
+            |p| first + p,
+        ))
+    }
+
+    /// The access slots the program reads.
     #[must_use]
     pub fn accesses(&self) -> &[Access] {
         &self.accesses
     }
 
-    /// Evaluates the tape over pre-fetched access values.
-    ///
-    /// # Panics
-    /// Panics if `values.len() < accesses().len()`.
+    /// Arithmetic instructions per point after value numbering — what the
+    /// performance model prices this tier by.
     #[must_use]
-    #[inline]
-    pub fn eval(&self, values: &[f64]) -> f64 {
-        let mut stack = [0.0f64; 64];
-        debug_assert!(self.max_stack <= stack.len());
-        let mut sp = 0usize;
-        for op in &self.ops {
-            match *op {
-                TapeOp::Const(v) => {
-                    stack[sp] = v;
-                    sp += 1;
-                }
-                TapeOp::Load(slot) => {
-                    stack[sp] = values[slot as usize];
-                    sp += 1;
-                }
-                TapeOp::Add => {
-                    sp -= 1;
-                    stack[sp - 1] += stack[sp];
-                }
-                TapeOp::Sub => {
-                    sp -= 1;
-                    stack[sp - 1] -= stack[sp];
-                }
-                TapeOp::Mul => {
-                    sp -= 1;
-                    stack[sp - 1] *= stack[sp];
-                }
-                TapeOp::Neg => stack[sp - 1] = -stack[sp - 1],
+    pub fn instructions(&self) -> usize {
+        self.instrs.len()
+    }
+
+    /// A register file for chunks of up to `width` points: one
+    /// `width`-wide row per constant (filled here, never written again)
+    /// followed by one per instruction.
+    pub(crate) fn registers(&self, width: usize) -> Vec<f64> {
+        let mut regs = vec![0.0; (self.consts.len() + self.instrs.len()) * width];
+        for (row, &bits) in regs.chunks_exact_mut(width).zip(&self.consts) {
+            row.fill(f64::from_bits(bits));
+        }
+        regs
+    }
+
+    /// Evaluates `out.len()` (≤ `width`) consecutive points: instruction
+    /// by instruction, each one tight loop over the chunk, the last one
+    /// writing `out`. `row(slot)` yields the chunk's source values of an
+    /// access slot; `regs` comes from [`Tape::registers`] with the same
+    /// `width`. A short remainder chunk runs the same instruction list.
+    pub(crate) fn run<'a>(
+        &self,
+        regs: &mut [f64],
+        width: usize,
+        row: impl Fn(usize) -> &'a [f64],
+        out: &mut [f64],
+    ) {
+        let len = out.len();
+        let nc = self.consts.len();
+        let last = self.instrs.len().wrapping_sub(1);
+        for (n, instr) in self.instrs.iter().enumerate() {
+            let (done, rest) = regs.split_at_mut((nc + n) * width);
+            let read = |o: Operand| match o {
+                Operand::Const(c) => &done[c * width..][..len],
+                Operand::Slot(s) => &row(s)[..len],
+                Operand::Reg(r) => &done[(nc + r) * width..][..len],
+            };
+            let (a, b) = (read(instr.a), read(instr.b));
+            let dst = if n == last {
+                &mut *out
+            } else {
+                &mut rest[..len]
+            };
+            let lanes = dst.iter_mut().zip(a).zip(b);
+            match instr.kind {
+                OpKind::Add => lanes.for_each(|((d, x), y)| *d = x + y),
+                OpKind::Sub => lanes.for_each(|((d, x), y)| *d = x - y),
+                OpKind::Mul => lanes.for_each(|((d, x), y)| *d = x * y),
+                OpKind::Neg => lanes.for_each(|((d, x), _)| *d = -x),
             }
         }
-        debug_assert_eq!(sp, 1);
-        stack[0]
+        match self.root {
+            Operand::Reg(_) => {} // the last instruction wrote `out`
+            Operand::Const(c) => out.fill(f64::from_bits(self.consts[c])),
+            Operand::Slot(s) => out.copy_from_slice(&row(s)[..len]),
+        }
     }
 }
 
@@ -185,7 +242,7 @@ fn linearize(e: &Expr) -> Option<LinForm> {
 
 /// A stencil lowered for fast evaluation: either an affine combination of
 /// grid accesses (the common case, auto-vectorisable in the native fast
-/// path) or a general post-order tape.
+/// path) or a general register program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledStencil {
     /// `out = Σ coeff·access + constant`.
@@ -195,7 +252,7 @@ pub enum CompiledStencil {
         /// Additive constant.
         constant: f64,
     },
-    /// General expression tape.
+    /// General expression as a value-numbered register program.
     Tape(Tape),
 }
 
@@ -229,25 +286,57 @@ impl CompiledStencil {
     }
 
     /// Evaluates at a point through the grid API (layout-agnostic slow
-    /// path; the native executor specialises the linear case further).
+    /// path; the native executor specialises both forms further). A tape
+    /// runs its register program at width 1.
     #[must_use]
     pub fn eval_at(&self, inputs: &[&Grid3], i: isize, j: isize, k: isize) -> f64 {
+        self.eval_at_in(&mut self.point_scratch(), inputs, i, j, k)
+    }
+
+    /// Scratch for [`CompiledStencil::eval_at_in`], so per-point loops
+    /// allocate once: a tape's fetched access values followed by its
+    /// width-1 register file (empty for the linear form).
+    pub(crate) fn point_scratch(&self) -> Vec<f64> {
+        match self {
+            CompiledStencil::Linear { .. } => Vec::new(),
+            CompiledStencil::Tape(t) => {
+                let mut scratch = vec![0.0; t.accesses().len()];
+                scratch.extend(t.registers(1));
+                scratch
+            }
+        }
+    }
+
+    /// [`CompiledStencil::eval_at`] over caller-held scratch from
+    /// [`CompiledStencil::point_scratch`].
+    pub(crate) fn eval_at_in(
+        &self,
+        scratch: &mut [f64],
+        inputs: &[&Grid3],
+        i: isize,
+        j: isize,
+        k: isize,
+    ) -> f64 {
+        let fetch = |(g, o): &Access| {
+            inputs[*g].get(i + o[0] as isize, j + o[1] as isize, k + o[2] as isize)
+        };
         match self {
             CompiledStencil::Linear { terms, constant } => {
                 let mut acc = *constant;
-                for ((g, o), c) in terms {
-                    acc +=
-                        c * inputs[*g].get(i + o[0] as isize, j + o[1] as isize, k + o[2] as isize);
+                for (access, c) in terms {
+                    acc += c * fetch(access);
                 }
                 acc
             }
             CompiledStencil::Tape(t) => {
-                let mut vals = [0.0f64; 256];
-                for (s, (g, o)) in t.accesses().iter().enumerate() {
-                    vals[s] =
-                        inputs[*g].get(i + o[0] as isize, j + o[1] as isize, k + o[2] as isize);
+                let (vals, regs) = scratch.split_at_mut(t.accesses().len());
+                for (v, access) in vals.iter_mut().zip(t.accesses()) {
+                    *v = fetch(access);
                 }
-                t.eval(&vals[..t.accesses().len()])
+                let vals = &*vals;
+                let mut out = [0.0];
+                t.run(regs, 1, |s| &vals[s..=s], &mut out);
+                out[0]
             }
         }
     }
@@ -328,5 +417,77 @@ mod tests {
         let mut u = Grid3::new("u", [2, 1, 1], [0, 0, 0], Fold::unit());
         u.fill_all(2.0);
         assert!((cs.eval_at(&[&u], 0, 0, 0) - 20.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn value_numbering_shares_identical_subtrees() {
+        // The inverter chain: 13 tree nodes, 6 distinct operations.
+        let rhs = inverter_chain_rhs(5.0, 1.0, 2.0);
+        let t = Tape::from_expr(rhs.expr());
+        assert_eq!(t.instructions(), 6);
+        assert_eq!(t.accesses().len(), 2);
+        assert_eq!(t.consts.len(), 3);
+        // A shared subtree costs its operations once, however often and
+        // however deep it recurs.
+        let y = || at(0, 0, 0, 0) + c(0.5) * at(1, 0, 0, 0);
+        let e = (y() * y()) * (y() - at(0, -1, 0, 0)) + (-(y() * y()));
+        let t = Tape::from_expr(&e);
+        // mul, add (y); y*y; y - u(-1); product; neg; sum.
+        assert_eq!(t.instructions(), 7, "{t:?}");
+    }
+
+    #[test]
+    fn value_numbering_never_merges_distinct_operations() {
+        let (a, b) = (|| at(0, 0, 0, 0), || at(0, 1, 0, 0));
+        // Operand order, operation kind, constant bit pattern, grid and
+        // offset all separate values: every pair below is two
+        // instructions (or two leaves), never one.
+        let pairs: Vec<(Expr, Expr)> = vec![
+            (a() - b(), b() - a()),
+            (a() + b(), b() + a()),
+            (a() * b(), b() * a()),
+            (a() + b(), a() - b()),
+            (a() * b(), a() + b()),
+            (-a(), a() * c(-1.0)),
+            (-(a() * b()), -(b() * a())),
+            (a() * c(0.0), a() * c(-0.0)),
+            (a() * c(1.0), a() * c(1.0 + f64::EPSILON)),
+            (a() * a(), a() * at(1, 0, 0, 0)),
+            (a() * a(), a() * at(0, 0, 1, 0)),
+            ((a() + b()) + a(), a() + (b() + a())),
+        ];
+        for (x, y) in pairs {
+            let ops = |e: &Expr| Tape::from_expr(e).instructions();
+            let (nx, ny) = (ops(&x), ops(&y));
+            // `x * y` is non-linear, keeps both operands and adds one mul.
+            let both = Tape::from_expr(&(x.clone() * y.clone()));
+            assert_eq!(both.instructions(), nx + ny + 1, "{x} vs {y}: {both:?}");
+        }
+        // …while a repeated operation is one instruction.
+        let both = Tape::from_expr(&((a() - b()) * (a() - b())));
+        assert_eq!(both.instructions(), 2);
+    }
+
+    #[test]
+    fn signed_zero_constants_keep_their_sign() {
+        // (u·0)·u² + u·(−0): for u < 0 the terms are −0 and +0 and sum to
+        // +0; were the two zeros one constant, both would be −0 and so
+        // would the sum.
+        let u0 = || at(0, 0, 0, 0);
+        let e = (u0() * c(0.0)) * (u0() * u0()) + u0() * c(-0.0);
+        let s = Stencil::new("z", 1, 1, e);
+        let cs = CompiledStencil::compile(&s);
+        assert!(!cs.is_linear());
+        let mut u = Grid3::new("u", [1, 1, 1], [0, 0, 0], Fold::unit());
+        for v in [3.0, -3.0] {
+            u.fill_all(v);
+            let want = s.eval(&[&u], 0, 0, 0);
+            assert_eq!(want.to_bits(), 0.0f64.to_bits());
+            assert_eq!(
+                cs.eval_at(&[&u], 0, 0, 0).to_bits(),
+                want.to_bits(),
+                "u = {v}"
+            );
+        }
     }
 }

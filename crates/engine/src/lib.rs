@@ -11,7 +11,8 @@
 //! * **native** ([`SweepRequest::apply`], [`SweepRequest::run_wavefront`]):
 //!   really runs the kernel on the host through a specialisation ladder —
 //!   the explicitly vectorised folded tier, the scalar row kernels, the
-//!   compiled tape interpreter, or the layout-agnostic generic path —
+//!   row-vectorised register program of a non-linear expression (the
+//!   tape tier), or the layout-agnostic generic path —
 //!   and reports which tier executed; used for host measurements and as
 //!   the correctness oracle's subject.
 //! * **simulated** ([`apply_simulated`], [`run_wavefront_simulated`]):

@@ -557,10 +557,17 @@ fn linear_fast_path(
     used
 }
 
+/// Points per evaluation chunk of the tape tier: wide enough that the
+/// per-instruction dispatch is amortised over a vectorisable loop, small
+/// enough that the register file of a fused ODE stage (tens of
+/// instructions) stays cache-resident.
+const TAPE_CHUNK: usize = 256;
+
 /// Tape stencils on row-major storage: the same z-slab threading as the
-/// linear path, with the interpreter fed through direct row addressing
-/// instead of per-point `Grid3::get`. Per-slab scratch (access bases and
-/// values) is allocated once per job, outside the loops.
+/// linear path; each row segment is evaluated [`TAPE_CHUNK`] points at a
+/// time by the register program, loading straight from the source row
+/// slices. The per-slab register file and access bases are allocated
+/// once per job, outside the loops.
 fn tape_fast_path(
     pool: &ExecPool,
     tape: &Tape,
@@ -572,6 +579,8 @@ fn tape_fast_path(
     let n = out.n();
     let block = params.clipped_block(n);
     let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
+    // No row segment is longer than a block.
+    let width = TAPE_CHUNK.min(block[0]);
     // Per access slot: geometry, element offset, source slice.
     let slots: Vec<(Geom, isize, &[f64])> = tape
         .accesses()
@@ -591,7 +600,7 @@ fn tape_fast_path(
             Box::new(move || {
                 let t0 = prof.start();
                 let mut bases = vec![0usize; slots.len()];
-                let mut vals = vec![0.0f64; slots.len()];
+                let mut regs = tape.registers(width);
                 let win = slab.win;
                 blocked_nest(
                     (slab.k0, slab.k1),
@@ -600,16 +609,14 @@ fn tape_fast_path(
                     block,
                     sub,
                     |k, j, i0, i1| {
-                        for (s, &(ge, off, _)) in slots.iter().enumerate() {
-                            bases[s] = (ge.row_base(j as isize, k as isize) + off) as usize;
+                        for (base, &(ge, off, _)) in bases.iter_mut().zip(slots) {
+                            *base = (ge.row_base(j as isize, k as isize) + off) as usize;
                         }
                         let ob =
                             (out_geom.row_base(j as isize, k as isize) - slab.win_base) as usize;
-                        for i in i0..i1 {
-                            for (s, &(_, _, src)) in slots.iter().enumerate() {
-                                vals[s] = src[bases[s] + i];
-                            }
-                            win[ob + i] = tape.eval(&vals);
+                        for (c, dst) in win[ob + i0..ob + i1].chunks_mut(width).enumerate() {
+                            let i = i0 + c * width;
+                            tape.run(&mut regs, width, |s| &slots[s].2[bases[s] + i..], dst);
                         }
                     },
                 );
@@ -633,6 +640,7 @@ fn generic_path(
 ) {
     let n = out.n();
     let block = params.clipped_block(n);
+    let mut scratch = compiled.point_scratch();
     for kb in (0..n[2]).step_by(block[2]) {
         let kz1 = (kb + block[2]).min(n[2]);
         for jb in (0..n[1]).step_by(block[1]) {
@@ -642,8 +650,9 @@ fn generic_path(
                 for k in kb..kz1 {
                     for j in jb..jy1 {
                         for i in ib..ix1 {
-                            let v = compiled.eval_at(inputs, i as isize, j as isize, k as isize);
-                            out.set(i as isize, j as isize, k as isize, v);
+                            let (i, j, k) = (i as isize, j as isize, k as isize);
+                            let v = compiled.eval_at_in(&mut scratch, inputs, i, j, k);
+                            out.set(i, j, k, v);
                         }
                     }
                 }
@@ -895,6 +904,47 @@ mod tests {
             let run = sweep(&s, &[&u], &mut many, &p, TierPolicy::Auto);
             assert!(run.threads_used > 1, "tape path must thread over slabs");
             assert_eq!(one.max_abs_diff(&many).unwrap(), 0.0, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn deep_and_wide_expressions_run_on_the_tape_and_generic_tiers() {
+        // Registers and access slots are sized from the expression: a
+        // 100-deep right-nested chain and a 300-access stencil (past the
+        // 64-value stack and 256-access buffer of a fixed-size evaluator)
+        // sweep on both tiers that evaluate tapes, bit for bit like the
+        // reference.
+        use yasksite_stencil::{at, c};
+        let mut deep = at(0, 0, 0, 0);
+        for d in 0..100 {
+            deep = (at(0, 0, 0, 0) + c(f64::from(d) * 0.01)) * deep;
+        }
+        let offsets = (-3..=3)
+            .flat_map(|dz| (-3..=3).flat_map(move |dy| (-3..=3).map(move |dx| (dx, dy, dz))))
+            .take(300);
+        let wide = offsets.fold(c(0.0), |sum, (dx, dy, dz)| {
+            sum + at(0, dx, dy, dz) * at(0, dx, dy, dz)
+        });
+        for (name, expr, accesses) in [("deep", deep, 1), ("wide", wide, 300)] {
+            let s = Stencil::new(name, 3, 1, expr);
+            let CompiledStencil::Tape(tape) = CompiledStencil::compile(&s) else {
+                panic!("{name} is non-linear");
+            };
+            assert_eq!(tape.accesses().len(), accesses, "{name}");
+            assert!(tape.instructions() >= 100, "{name}");
+            let n = [11, 3, 3];
+            for (fold, tier) in [
+                (Fold::new(4, 1, 1), Tier::Tape),
+                (Fold::new(2, 2, 1), Tier::Generic),
+            ] {
+                let u = filled("u", n, [3, 3, 3], fold);
+                let mut out = Grid3::new("o", n, [3, 3, 3], fold);
+                let p = TuningParams::new([8, 2, 2], fold).threads(2);
+                let run = sweep(&s, &[&u], &mut out, &p, TierPolicy::Auto);
+                assert_eq!(run.tier, tier, "{name} on {fold}");
+                let r = reference(&s, &[&u], n);
+                assert_eq!(out.max_abs_diff(&r).unwrap(), 0.0, "{name} on {fold}");
+            }
         }
     }
 

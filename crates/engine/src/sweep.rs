@@ -52,8 +52,10 @@ pub enum Tier {
     /// The scalar specialised row kernels (monomorphised by arity, with
     /// a dynamic-arity fallback) on row-major storage.
     Scalar,
-    /// The threaded tape interpreter for non-linear stencils on
-    /// row-major storage.
+    /// The row-vectorised register program for non-linear stencils on
+    /// row-major storage: the expression is value-numbered into one
+    /// instruction per distinct operation and evaluated a row chunk at a
+    /// time, threaded over z-slabs like the linear tiers.
     Tape,
     /// The layout-agnostic per-point path (single-threaded).
     Generic,
@@ -129,7 +131,7 @@ pub(crate) enum Plan {
     Brick(usize),
     /// Scalar specialised row kernels.
     Scalar,
-    /// Threaded tape interpreter.
+    /// Row-vectorised register program.
     Tape,
     /// Per-point generic path.
     Generic,
@@ -163,7 +165,10 @@ pub(crate) fn plan_spatial(
 ) -> (Plan, &'static str) {
     if !compiled.is_linear() {
         return if params.row_major() {
-            (Plan::Tape, "non-linear stencil: threaded tape interpreter")
+            (
+                Plan::Tape,
+                "non-linear stencil: row-vectorised register program",
+            )
         } else {
             (
                 Plan::Generic,

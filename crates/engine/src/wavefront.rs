@@ -141,6 +141,7 @@ pub(crate) fn execute_wavefront(
     let (lanes, tier, reason) = plan_wavefront(&compiled, layouts_match, params, policy);
     let zmax = n[2] + (wf - 1) * shift;
     let mut widest = 1usize;
+    let mut scratch = compiled.point_scratch();
     prof.pool_window(pool.stats());
     let t_wavefront = prof.start();
     for zt in 0..zmax {
@@ -164,7 +165,7 @@ pub(crate) fn execute_wavefront(
             } else {
                 for j in 0..n[1] as isize {
                     for i in 0..n[0] as isize {
-                        let v = compiled.eval_at(&[src], i, j, z as isize);
+                        let v = compiled.eval_at_in(&mut scratch, &[src], i, j, z as isize);
                         dst.set(i, j, z as isize, v);
                     }
                 }

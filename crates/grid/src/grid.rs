@@ -302,10 +302,15 @@ impl Grid3 {
     }
 
     /// Whether every domain (non-halo) value is finite — the divergence
-    /// check integrators run after a step. A plain `f64::max` scan would
-    /// silently skip NaN, so each element is tested individually.
+    /// check integrators run after a step. The whole storage is scanned
+    /// first as one slice (halo and fold padding included, so this never
+    /// misses an interior value); only when that finds something does the
+    /// exact point-by-point walk decide whether it lies in the interior.
     #[must_use]
     pub fn interior_all_finite(&self) -> bool {
+        if all_finite(&self.data) {
+            return true;
+        }
         for k in 0..self.n[2] as isize {
             for j in 0..self.n[1] as isize {
                 for i in 0..self.n[0] as isize {
@@ -333,6 +338,25 @@ impl Grid3 {
     }
 }
 
+/// Whether every value of `vals` is finite, without a branch per element:
+/// `x * 0.0` is `±0` for finite `x` and NaN for NaN or `±inf`, and a NaN
+/// survives any sum. Eight independent accumulators keep the adds off one
+/// dependency chain so the loop vectorises.
+fn all_finite(vals: &[f64]) -> bool {
+    let mut acc = [0.0f64; 8];
+    let chunks = vals.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a += v * 0.0;
+        }
+    }
+    for (a, v) in acc.iter_mut().zip(tail) {
+        *a += v * 0.0;
+    }
+    !acc.iter().sum::<f64>().is_nan()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,16 +372,57 @@ mod tests {
 
     #[test]
     fn interior_finiteness_check_sees_nan_and_inf() {
-        let mut g = Grid3::new("u", [4, 4, 2], [1, 1, 1], Fold::unit());
-        g.fill_all(1.0);
-        assert!(g.interior_all_finite());
-        // Halo values do not count.
-        g.set(-1, 0, 0, f64::NAN);
-        assert!(g.interior_all_finite());
-        g.set(2, 3, 1, f64::NAN);
-        assert!(!g.interior_all_finite());
-        g.set(2, 3, 1, f64::INFINITY);
-        assert!(!g.interior_all_finite());
+        // Row-major and folded layouts; [5, 4, 2] + halo pads to the fold
+        // in every folded case, so there is padding outside the halo too.
+        for fold in [
+            Fold::unit(),
+            Fold::new(8, 1, 1),
+            Fold::new(4, 2, 1),
+            Fold::new(2, 2, 2),
+        ] {
+            let mut g = Grid3::new("u", [5, 4, 2], [1, 1, 1], fold);
+            g.fill_all(1.0);
+            assert!(g.interior_all_finite(), "{fold}");
+            // Halo and padding values do not count.
+            g.set(-1, 0, 0, f64::NAN);
+            g.set(5, 4, 2, f64::INFINITY);
+            assert!(g.interior_all_finite(), "halo, {fold}");
+            let interior: Vec<usize> = (0..2)
+                .flat_map(|k| (0..4).flat_map(move |j| (0..5).map(move |i| (i, j, k))))
+                .map(|(i, j, k)| g.idx(i, j, k))
+                .collect();
+            let halo: Vec<usize> = (-1..3)
+                .flat_map(|k| (-1..5).flat_map(move |j| (-1..6).map(move |i| (i, j, k))))
+                .map(|(i, j, k)| g.idx(i, j, k))
+                .collect();
+            if let Some(pad) = (0..g.len()).find(|s| !interior.contains(s) && !halo.contains(s)) {
+                g.as_mut_slice()[pad] = f64::NAN;
+                assert!(g.interior_all_finite(), "padding, {fold}");
+            }
+            // Every interior point is seen, NaN and both infinities.
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for &s in &interior {
+                    g.as_mut_slice()[s] = bad;
+                    assert!(!g.interior_all_finite(), "{bad} at slot {s}, {fold}");
+                    g.as_mut_slice()[s] = 1.0;
+                }
+            }
+            assert!(g.interior_all_finite(), "restored, {fold}");
+        }
+    }
+
+    #[test]
+    fn slice_finiteness_scan_handles_tails_and_signed_zero() {
+        for len in 0..20 {
+            let mut v = vec![-0.0f64; len];
+            assert!(all_finite(&v), "len {len}");
+            for at in 0..len {
+                v[at] = f64::NEG_INFINITY;
+                assert!(!all_finite(&v), "len {len} at {at}");
+                v[at] = f64::MAX;
+                assert!(all_finite(&v), "len {len} at {at}");
+            }
+        }
     }
 
     #[test]

@@ -442,6 +442,32 @@ mod tests {
     }
 
     #[test]
+    fn divergence_is_reported_on_the_step_a_point_walk_finds_it() {
+        // The guard scans grid storage as slices; it must fire on exactly
+        // the step the former point-by-point interior walk fired on.
+        let ivp = Heat2d::new(15);
+        let h = 1.0;
+        let p = default_params(ivp.domain());
+        let build = || {
+            let plan = erk_plan(&Tableau::euler(), &ivp, h, Variant::A);
+            Integrator::new(&ivp, plan, h, p.clone()).unwrap()
+        };
+        let Err(OdeError::Diverged { step: reported }) = build().run(500) else {
+            panic!("h = 1.0 must diverge");
+        };
+        let mut twin = build();
+        let walked = (1..=500u64).find(|_| {
+            let outcome = twin.step();
+            let s = twin.state(0);
+            let finite = (0..15).all(|j| (0..15).all(|i| s.get(i, j, 0).is_finite()));
+            assert_eq!(outcome.is_ok(), finite, "guard and walk disagree");
+            !finite
+        });
+        assert_eq!(Some(reported), walked);
+        assert_eq!(reported, 99, "the step the point-by-point guard reported");
+    }
+
+    #[test]
     fn stable_step_size_does_not_trip_the_guard() {
         let ivp = Heat2d::new(15);
         let h = 5e-4; // well inside the stability region

@@ -6,12 +6,23 @@ use yasksite_engine::{apply_simulated, SimContext, TuningParams};
 use yasksite_grid::Grid3;
 use yasksite_ode::StepPlan;
 
+/// Core cycles one sweep costs before its first lattice update and after
+/// its last: binding and parameter checks, lowering the expression, tier
+/// planning, slab split and pool hand-off in the engine, plus the
+/// stepper's grid bookkeeping around the call. Measured on the host as
+/// the per-sweep cost of RK4 steps on a 16-point chain (0.7–1.8 µs, mean
+/// ≈ 1.1 µs ≈ 3000 cycles; EXPERIMENTS.md E16). It does not depend on the
+/// domain, so it decides the ranking of variants on cache-resident
+/// systems and vanishes on memory-bound ones.
+const SWEEP_DISPATCH_CYCLES: f64 = 3000.0;
+
 /// Predicted cost of one method step.
 #[derive(Debug, Clone)]
 pub struct PlanPrediction {
     /// Predicted seconds per step (sum over sweeps).
     pub seconds_per_step: f64,
-    /// Per-op predictions `(label, seconds)`.
+    /// Per-op predictions `(label, seconds)`: the kernel's ECM time plus
+    /// the fixed per-sweep dispatch term.
     pub per_op: Vec<(String, f64)>,
     /// Per-op predictions served from the prediction cache.
     pub cache_hits: usize,
@@ -30,8 +41,10 @@ pub struct PlanMeasurement {
 
 /// Predicts one step of `plan` on `machine` analytically: each sweep is
 /// predicted by the YaskSite ECM layer with the given tuning parameters
-/// and core count, and the sweep times add up (the sweeps are globally
-/// synchronised, as in the generated OpenMP code).
+/// and core count plus a fixed per-sweep dispatch term (≈ 3000 core
+/// cycles), and the sweep times add up (the sweeps are globally
+/// synchronised, as in the generated OpenMP code) — so a variant that
+/// trades fewer sweeps for heavier ones ranks as it runs.
 ///
 /// Predictions are served through the process-wide
 /// [`PredictionCache::global`] — ERK plans reuse the same handful of
@@ -67,6 +80,7 @@ pub fn predict_plan_cached(
         * (plan.domain[2] + 2 * plan.halo[2]) as f64
         * 8.0;
     let resident = plan.num_grids as f64 * grid_bytes;
+    let dispatch = SWEEP_DISPATCH_CYCLES / (machine.freq_ghz * 1e9);
     for op in &plan.ops {
         let sol = Solution::new(op.stencil.clone(), plan.domain, machine.clone());
         let (pred, hit) = cache.predict_resident(&sol, params, cores, resident);
@@ -75,8 +89,9 @@ pub fn predict_plan_cached(
         } else {
             cache_misses += 1;
         }
-        per_op.push((op.label.clone(), pred.seconds_per_sweep));
-        total += pred.seconds_per_sweep;
+        let seconds = pred.seconds_per_sweep + dispatch;
+        per_op.push((op.label.clone(), seconds));
+        total += seconds;
     }
     PlanPrediction {
         seconds_per_step: total,
@@ -169,6 +184,40 @@ mod tests {
         let sum: f64 = p.per_op.iter().map(|(_, s)| s).sum();
         assert!((sum - p.seconds_per_step).abs() < 1e-12);
         assert!(p.seconds_per_step > 0.0);
+    }
+
+    #[test]
+    fn cache_resident_chain_ranks_by_instructions_and_sweeps() {
+        // InverterChain(4096) runs on the tape tier out of L2: a fused
+        // sweep saves dispatches, but every instruction of the fused
+        // expression still costs its own pass over the row. Measured, the
+        // fully fused E is the slowest or second slowest of the four and
+        // the unfused A the fastest, so E must not be the pick and A must
+        // not be priced above it.
+        use yasksite_ode::ivps::InverterChain;
+        let ivp = InverterChain::new(4096, 5.0, 1.0, 0.5);
+        let params = TuningParams::new([4096, 1, 1], Fold::new(8, 1, 1));
+        let host = Machine::host();
+        let dispatch = SWEEP_DISPATCH_CYCLES / (host.freq_ghz * 1e9);
+        let mut steps = Vec::new();
+        for v in Variant::all() {
+            let plan = erk_plan(&Tableau::rk4(), &ivp, 1e-3, v);
+            let p = predict_plan_cached(&plan, &host, &params, 1, &PredictionCache::new());
+            assert_eq!(p.per_op.len(), plan.ops.len());
+            let sum: f64 = p.per_op.iter().map(|(_, s)| s).sum();
+            assert!((sum - p.seconds_per_step).abs() < 1e-12, "variant {v}");
+            assert!(p.per_op.iter().all(|(_, s)| *s > dispatch), "variant {v}");
+            steps.push((v, p.seconds_per_step));
+        }
+        let time = |v: Variant| steps.iter().find(|(x, _)| *x == v).unwrap().1;
+        let pick = steps.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
+        assert_ne!(pick, Variant::E, "predicted steps {steps:?}");
+        assert!(time(Variant::A) <= time(Variant::E), "{steps:?}");
+        // The tape sweeps carry the step: a fused RK4 stage holds more
+        // instructions than the bare right-hand side and must cost more.
+        let d = erk_plan(&Tableau::rk4(), &ivp, 1e-3, Variant::D);
+        let p = predict_plan_cached(&d, &host, &params, 1, &PredictionCache::new());
+        assert!(p.per_op[1].1 > p.per_op[0].1, "{:?}", p.per_op);
     }
 
     #[test]

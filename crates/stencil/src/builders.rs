@@ -192,22 +192,37 @@ pub fn heat2d_varcoeff() -> Stencil {
     Stencil::new("heat-2d-vc", 2, 2, u + kappa * lap)
 }
 
+/// Builds one suite stencil.
+type Builder = fn() -> Stencil;
+
+/// The paper suite as name → builder rows, in table order. One table
+/// serves [`paper_suite`] (build every row) and [`suite_stencil`] (build
+/// one), so a lookup by name never constructs the other eight.
+const PAPER_SUITE: [(&str, Builder); 9] = [
+    ("heat-3d-r1", || heat3d(1)),
+    ("star-3d-r2", || star3d(2, &[0.5, 0.1, 0.05])),
+    ("star-3d-r3", || star3d(3, &[0.5, 0.1, 0.05, 0.025])),
+    ("star-3d-r4", || star3d(4, &[0.5, 0.1, 0.05, 0.025, 0.0125])),
+    ("box-3d-r1", || box3d(1)),
+    ("heat-2d-r1", || heat2d(1)),
+    ("star-2d-r2", || star2d(2, &[0.6, 0.15, 0.05])),
+    ("wave-2d", || wave2d(0.35)),
+    ("heat-3d-vc", heat3d_varcoeff),
+];
+
 /// The stencil test set used by the E1 table and the single-stencil
 /// experiments: short- and long-range stars, a dense box, 2-D kernels and
 /// the two-time-level wave kernel.
 #[must_use]
 pub fn paper_suite() -> Vec<Stencil> {
-    vec![
-        heat3d(1),
-        star3d(2, &[0.5, 0.1, 0.05]),
-        star3d(3, &[0.5, 0.1, 0.05, 0.025]),
-        star3d(4, &[0.5, 0.1, 0.05, 0.025, 0.0125]),
-        box3d(1),
-        heat2d(1),
-        star2d(2, &[0.6, 0.15, 0.05]),
-        wave2d(0.35),
-        heat3d_varcoeff(),
-    ]
+    PAPER_SUITE.iter().map(|(_, build)| build()).collect()
+}
+
+/// The [`paper_suite`] stencil called `name`, if there is one.
+#[must_use]
+pub fn suite_stencil(name: &str) -> Option<Stencil> {
+    let (_, build) = PAPER_SUITE.iter().find(|(n, _)| *n == name)?;
+    Some(build())
 }
 
 #[cfg(test)]
@@ -315,6 +330,15 @@ mod tests {
         // the engine's tape path.
         let s = heat2d_varcoeff();
         assert!(s.info().muls >= 2);
+    }
+
+    #[test]
+    fn suite_table_names_match_the_stencils_they_build() {
+        for ((name, _), built) in PAPER_SUITE.iter().zip(paper_suite()) {
+            assert_eq!(*name, built.name());
+            assert_eq!(suite_stencil(name), Some(built));
+        }
+        assert_eq!(suite_stencil("heat-3d-r2"), None);
     }
 
     #[test]

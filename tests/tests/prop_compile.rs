@@ -1,6 +1,6 @@
-//! Property tests of the expression compiler: the tape interpreter and
-//! the linear fast form must agree with the recursive reference evaluator
-//! for arbitrary (including nonlinear) expressions.
+//! Property tests of the expression compiler: the register program (run
+//! at width 1) and the linear fast form must agree with the recursive
+//! reference evaluator for arbitrary (including nonlinear) expressions.
 
 use proptest::prelude::*;
 use xtests::seeded_grid;

@@ -1,10 +1,11 @@
-//! Property-based bitwise-identity suite for the vector-folded tier:
+//! Property-based bitwise-identity suite for the engine's tier matrix:
 //! for arbitrary stencils (radius 1 and 2, specialised and dynamic
 //! arity), fold shapes, thread counts and profiled/unprofiled runs, the
-//! folded tier must reproduce the scalar tier *bit for bit*. Every tier
-//! computes each output point with the identical FP op order
-//! (`acc = constant; for each term: acc += coeff * src`), so all
-//! comparisons here are exact (`== 0.0`), never epsilon-based.
+//! folded tier must reproduce the scalar tier *bit for bit*, and for
+//! arbitrary non-linear expressions the row-vectorised tape tier must
+//! reproduce the recursive reference evaluator and the generic per-point
+//! tier. Every tier computes each output point with the identical FP op
+//! order, so all comparisons here are exact, never epsilon-based.
 
 use proptest::prelude::*;
 use xtests::seeded_grid;
@@ -37,6 +38,51 @@ fn arb_linear_stencil(
     })
 }
 
+/// Strategy: an arbitrary expression over `grids` inputs with offsets in
+/// `[-2, 2] × [-1, 1]²`; constants include both signed zeros.
+fn arb_expr(grids: usize) -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        (-3.0f64..3.0).prop_map(c),
+        Just(c(0.0)),
+        Just(c(-0.0)),
+        (0..grids, -2i32..=2, -1i32..=1, -1i32..=1).prop_map(|(g, x, y, z)| at(g, x, y, z)),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
+            inner.prop_map(|a| -a),
+        ]
+    })
+}
+
+/// Strategy: a non-linear stencil over 1–3 inputs built so that value
+/// numbering has something to do and something it must not do. `p` and
+/// `q` recur as shared subtrees, `p - q` sits beside `q - p`, a product
+/// is negated, a constant-only subtree multiplies an access, and the
+/// square keeps the whole expression off the linear path. Every third
+/// stencil is instead `(p·0)·u² + p·(−0)`, whose value is `−0` wherever
+/// the two zero constants would be treated as one and `+0` otherwise.
+fn arb_nonlinear_stencil() -> impl Strategy<Value = Stencil> {
+    (1usize..=3).prop_flat_map(|grids| {
+        (arb_expr(grids), arb_expr(grids), -2.0f64..2.0, 0usize..3).prop_map(
+            move |(p, q, k, form)| {
+                let square = at(grids - 1, 0, 0, 0) * at(grids - 1, 0, 0, 0);
+                let expr = if form == 0 {
+                    (p.clone() * c(0.0)) * square + p * c(-0.0)
+                } else {
+                    let shared =
+                        (p.clone() - q.clone()) * (q.clone() - p.clone()) + (-(p.clone() * q));
+                    let konst = (c(k) + c(0.5)) * c(-0.0) - c(k);
+                    shared + konst * p + square
+                };
+                Stencil::new("prop_tape", 3, grids, expr)
+            },
+        )
+    })
+}
+
 /// Row-major folds with a supported lane count (the folded lane tier).
 fn arb_lane_fold() -> impl Strategy<Value = Fold> {
     prop_oneof![
@@ -57,6 +103,15 @@ fn arb_brick_fold() -> impl Strategy<Value = Fold> {
         Just(Fold::new(1, 2, 1)),
         Just(Fold::new(4, 4, 1)),
     ]
+}
+
+/// Whether two grids hold the same bits at every domain point (so `+0.0`
+/// and `-0.0` differ, unlike under `max_abs_diff`).
+fn same_bits(a: &Grid3, b: &Grid3) -> bool {
+    let n = a.n().map(|e| e as isize);
+    (0..n[2]).all(|k| {
+        (0..n[1]).all(|j| (0..n[0]).all(|i| a.get(i, j, k).to_bits() == b.get(i, j, k).to_bits()))
+    })
 }
 
 /// Runs one sweep under `policy`, optionally profiled, returning the
@@ -188,5 +243,51 @@ proptest! {
         prop_assert_eq!(t_s, Tier::Scalar);
         prop_assert_eq!(t_f, Tier::Folded);
         prop_assert_eq!(folded.max_abs_diff(&scalar).unwrap(), 0.0);
+    }
+
+    /// Vectorised tape tier == `Stencil::eval` == generic per-point tier,
+    /// bit for bit, across expression shape × input count × row length
+    /// (below, at, above and not a multiple of the 256-point chunk) ×
+    /// block and sub-block × threads.
+    #[test]
+    fn tape_tier_is_bitwise_identical_to_reference_and_generic_tier(
+        (stencil, nx, bx, sub, threads, ny, nz) in (
+            arb_nonlinear_stencil(),
+            prop_oneof![Just(5usize), Just(255), Just(256), Just(257), Just(300), Just(512), Just(600)],
+            prop_oneof![Just(1024usize), Just(256), Just(100)],
+            prop_oneof![Just(None), Just(Some([64usize, 1, 1])), Just(Some([300, 2, 1]))],
+            prop_oneof![Just(1usize), Just(2), Just(4)],
+            1usize..4,
+            1usize..5,
+        ),
+    ) {
+        let n = [nx, ny, nz];
+        let halo = [2, 1, 1];
+        let run = |fold: Fold| {
+            let grids: Vec<Grid3> = (0..stencil.num_inputs())
+                .map(|g| {
+                    let mut u = seeded_grid("u", n, halo, fold, 37 + g as u64);
+                    u.fill_halo(0.25 * (g as f64 + 1.0));
+                    u
+                })
+                .collect();
+            let inputs: Vec<&Grid3> = grids.iter().collect();
+            let mut params = TuningParams::new([bx, 2, 2], fold).threads(threads);
+            params.sub_block = sub;
+            let mut out = Grid3::new("o", n, halo, fold);
+            let report = SweepRequest::new(&params)
+                .tier(TierPolicy::Auto)
+                .apply(&stencil, &inputs, &mut out)
+                .unwrap();
+            let mut reference = Grid3::new("r", n, halo, fold);
+            stencil.apply_reference(&inputs, &mut reference).unwrap();
+            (out, reference, report.tier)
+        };
+        let (tape, reference, t_t) = run(Fold::new(4, 1, 1));
+        let (generic, _, t_g) = run(Fold::new(2, 2, 1));
+        prop_assert_eq!(t_t, Tier::Tape);
+        prop_assert_eq!(t_g, Tier::Generic);
+        prop_assert!(same_bits(&tape, &reference), "tape vs Stencil::eval");
+        prop_assert!(same_bits(&tape, &generic), "tape vs generic tier");
     }
 }
