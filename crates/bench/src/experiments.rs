@@ -186,13 +186,16 @@ pub fn e4_scaling(machine: &Machine, scale: Scale) -> String {
     ]);
     let mut max_err: f64 = 0.0;
     let mut tuned = sol
-        .tune_space(&space, TuneStrategy::Analytic, 1)
+        .tune_space_with(&space, &TuneRequest::new(TuneStrategy::Analytic))
         .expect("tuning succeeds")
         .best;
     for cores in scale.core_counts(machine) {
         // Re-tune analytically at each core count, as the paper does.
         let params = sol
-            .tune_space(&space, TuneStrategy::Analytic, cores)
+            .tune_space_with(
+                &space,
+                &TuneRequest::new(TuneStrategy::Analytic).cores(cores),
+            )
             .expect("tuning succeeds")
             .best;
         tuned = params;
@@ -497,7 +500,7 @@ pub fn e8_speedups(machine: &Machine, scale: Scale) -> String {
         (&inv as &dyn Ivp, 1e-4),
     ] {
         let r = offsite
-            .evaluate(ivp, &methods, h)
+            .evaluate_with(ivp, &methods, h, &EvalOptions::default())
             .expect("evaluation succeeds");
         for (m, sp) in &r.speedups {
             t.row(vec![ivp.name().to_string(), m.clone(), format!("{sp:.2}x")]);

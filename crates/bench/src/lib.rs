@@ -11,7 +11,6 @@
 
 pub mod experiments;
 mod fmt;
-pub mod kernels;
 pub mod manifest;
 
 pub use experiments::Scale;

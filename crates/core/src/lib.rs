@@ -39,9 +39,6 @@
 //! // bitwise-identical winner and ranking.
 //! # Ok::<(), yasksite::ToolError>(())
 //! ```
-//!
-//! The legacy `sol.tune(TuneStrategy::Analytic, 4)` form still works as a
-//! thin wrapper over the same engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

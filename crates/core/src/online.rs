@@ -393,60 +393,29 @@ impl OnlineTuner {
     }
 
     /// Drives the tuner to convergence against `backend`, measuring every
-    /// suggestion as a robust trial with `sol`'s analytic prediction as
-    /// the fallback. Returns the tuned parameters.
+    /// suggestion as a robust trial with `sol`'s analytic prediction
+    /// (served through `cache`) as the fallback. Returns the tuned
+    /// parameters.
     ///
-    /// Fallback predictions are served through the process-wide
-    /// [`PredictionCache::global`]; use
-    /// [`OnlineTuner::run_to_convergence_cached`] to supply a private
-    /// cache.
+    /// The climb itself is inherently sequential (each suggestion depends
+    /// on the previous record), so the cache is where repeated online
+    /// sessions save their model work.
     ///
     /// This is the fault-tolerant entry point: under an all-failures
     /// backend every lattice point degrades to its ECM prediction and the
     /// climb still terminates with a valid configuration.
     ///
+    /// The climb is recorded into `telemetry`: one `tune_session` span for
+    /// the whole climb, a `trial` child per lattice point (with `predict`
+    /// and `measure` grandchildren) and the same `tune.*` counters the
+    /// offline tuner maintains. Telemetry is purely observational — the
+    /// climb, its winner and its trial count are identical with a
+    /// [`Telemetry::disabled`] handle.
+    ///
     /// # Errors
     /// [`ToolError::Measurement`] only if a fallback prediction itself is
     /// non-finite (a corrupt machine model).
     pub fn run_to_convergence(
-        &mut self,
-        sol: &Solution,
-        backend: &mut dyn MeasureBackend,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> Result<TuningParams, ToolError> {
-        self.run_to_convergence_cached(sol, backend, cfg, budget, PredictionCache::global())
-    }
-
-    /// [`OnlineTuner::run_to_convergence`] with an explicit
-    /// [`PredictionCache`] for the analytic fallback predictions. The
-    /// climb itself is inherently sequential (each suggestion depends on
-    /// the previous record), so the cache is where repeated online
-    /// sessions save their model work.
-    ///
-    /// # Errors
-    /// As [`OnlineTuner::run_to_convergence`].
-    pub fn run_to_convergence_cached(
-        &mut self,
-        sol: &Solution,
-        backend: &mut dyn MeasureBackend,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-        cache: &PredictionCache,
-    ) -> Result<TuningParams, ToolError> {
-        self.run_to_convergence_observed(sol, backend, cfg, budget, cache, &Telemetry::disabled())
-    }
-
-    /// [`OnlineTuner::run_to_convergence_cached`] recording the climb into
-    /// `telemetry`: one `tune_session` span for the whole climb, a `trial`
-    /// child per lattice point (with `predict` and `measure` grandchildren)
-    /// and the same `tune.*` counters the offline tuner maintains.
-    /// Telemetry is purely observational — the climb, its winner and its
-    /// trial count are identical with a disabled handle.
-    ///
-    /// # Errors
-    /// As [`OnlineTuner::run_to_convergence`].
-    pub fn run_to_convergence_observed(
         &mut self,
         sol: &Solution,
         backend: &mut dyn MeasureBackend,
@@ -642,12 +611,13 @@ mod tests {
         let mut plain = OnlineTuner::new(&space, template.clone()).unwrap();
         let mut backend = SolutionBackend::new(&sol);
         let plain_best = plain
-            .run_to_convergence_cached(
+            .run_to_convergence(
                 &sol,
                 &mut backend,
                 &cfg,
                 &mut TrialBudget::unlimited(),
                 &PredictionCache::new(),
+                &Telemetry::disabled(),
             )
             .unwrap();
 
@@ -656,7 +626,7 @@ mod tests {
         let mut observed = OnlineTuner::new(&space, template).unwrap();
         let mut backend = SolutionBackend::new(&sol);
         let observed_best = observed
-            .run_to_convergence_observed(
+            .run_to_convergence(
                 &sol,
                 &mut backend,
                 &cfg,
@@ -811,6 +781,8 @@ mod tests {
                 &mut backend,
                 &TrialConfig::default(),
                 &mut TrialBudget::unlimited(),
+                PredictionCache::global(),
+                &Telemetry::disabled(),
             )
             .expect("terminates with a valid config");
         assert!(best.block[1] > 0 && best.block[2] > 0);

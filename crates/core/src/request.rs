@@ -18,10 +18,6 @@
 //! let result = sol.tune_with(&req).unwrap();
 //! assert!(result.best_score > 0.0);
 //! ```
-//!
-//! The legacy entry points (`tune`, `tune_space`, `tune_space_trials`,
-//! `tune_space_with_backend`) remain as thin wrappers that build the
-//! equivalent request internally.
 
 use std::sync::Arc;
 

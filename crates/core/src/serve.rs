@@ -1252,19 +1252,25 @@ pub fn serve_unix(
         };
         let mut reader = io::BufReader::new(peer);
         let mut out = stream;
-        let mut buf = String::new();
+        // Bytes, not a `String`: a read that times out mid-line keeps
+        // what it already appended, even when the cut falls inside a
+        // multi-byte character, and the next read continues the line.
+        let mut buf = Vec::new();
         loop {
-            buf.clear();
-            match reader.read_line(&mut buf) {
+            match reader.read_until(b'\n', &mut buf) {
                 Ok(0) => break, // connection closed
                 Ok(_) => {
-                    if let Some(resp) = state.handle_line(&buf) {
+                    let Ok(line) = std::str::from_utf8(&buf) else {
+                        break;
+                    };
+                    if let Some(resp) = state.handle_line(line) {
                         let _ = writeln!(out, "{resp}");
                         let _ = out.flush();
                     }
                     if state.shutdown_requested() {
                         break 'daemon;
                     }
+                    buf.clear();
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -1681,5 +1687,53 @@ mod tests {
         assert_eq!(responses.len(), 3);
         assert_eq!(field(&responses[0], "draining"), &Json::Bool(true));
         assert_eq!(field(&responses[1], "ok"), &Json::Bool(true));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn socket_request_straddling_the_read_timeout_is_answered_once() {
+        use std::os::unix::net::UnixStream;
+
+        let dir = tmp_dir("straddle");
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("ys.sock");
+        let line =
+            r#"{"id":"pé","op":"predict","stencil":"heat-2d-r1","domain":"64x64x1","cores":2}"#;
+        // Cut inside the two-byte 'é', so the first half is not even
+        // valid UTF-8 on its own.
+        let cut = line.find('é').unwrap() + 1;
+        let shutdown = AtomicBool::new(false);
+        let (stats, reply) = std::thread::scope(|s| {
+            let daemon = s.spawn(|| serve_unix(ServeConfig::default(), &socket, &shutdown));
+            let mut stream = loop {
+                match UnixStream::connect(&socket) {
+                    Ok(stream) => break stream,
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            stream.write_all(&line.as_bytes()[..cut]).unwrap();
+            // Longer than the 50 ms accept poll plus the daemon's 100 ms
+            // read timeout: its read of the first half has timed out at
+            // least once before the rest arrives.
+            std::thread::sleep(Duration::from_millis(300));
+            stream.write_all(&line.as_bytes()[cut..]).unwrap();
+            stream.write_all(b"\n").unwrap();
+            let mut reply = String::new();
+            io::BufReader::new(&stream).read_line(&mut reply).unwrap();
+            shutdown.store(true, Ordering::Relaxed);
+            drop(stream);
+            let stats = daemon.join().expect("daemon thread").expect("daemon runs");
+            (stats, reply)
+        });
+        let reply = parse(&reply).expect("reply is JSON");
+        assert_eq!(field(&reply, "ok"), &Json::Bool(true), "{reply:?}");
+        assert_eq!(field(&reply, "id").as_str(), Some("pé"));
+        assert_eq!(stats.received, 1, "one line, one request");
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.rejected_bad, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

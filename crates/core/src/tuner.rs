@@ -37,7 +37,7 @@ use crate::solution::{Solution, ToolError};
 use crate::space::SearchSpace;
 use crate::trial::{
     run_trial_observed, FaultyBackend, MeasureBackend, Provenance, SolutionBackend, TrialBudget,
-    TrialConfig, TrialSummary,
+    TrialSummary,
 };
 
 /// How to pick the best point in the search space.
@@ -212,23 +212,6 @@ fn rank_analytic(
 }
 
 impl Solution {
-    /// Tunes over the standard search space at `cores` active cores.
-    ///
-    /// Compatibility wrapper kept for existing callers; it is equivalent
-    /// to `tune_with(&TuneRequest::new(strategy).cores(cores)
-    /// .trial(TrialConfig::single_shot()))`. New code should prefer
-    /// [`Solution::tune_with`], which exposes the full knob set (jobs,
-    /// trial protocol, budget, fault injection, cache choice); this
-    /// wrapper may be removed in a future major revision.
-    ///
-    /// # Errors
-    /// Fails only on an empty search space; measurement failures degrade
-    /// to analytic predictions (see [`TuneResult::provenances`]).
-    pub fn tune(&self, strategy: TuneStrategy, cores: usize) -> Result<TuneResult, ToolError> {
-        let space = SearchSpace::standard(self.stencil(), self.domain(), self.machine());
-        self.tune_space(&space, strategy, cores)
-    }
-
     /// Tunes over the standard search space as configured by `req` — the
     /// canonical entry point.
     ///
@@ -256,15 +239,14 @@ impl Solution {
         space: &SearchSpace,
         req: &TuneRequest,
     ) -> Result<TuneResult, ToolError> {
-        let mut budget = req.budget;
         match req.faults {
             Some(plan) => {
                 let mut backend = FaultyBackend::new(SolutionBackend::new(self), plan);
-                self.tune_engine(&mut backend, space, req, &mut budget)
+                self.tune_engine(&mut backend, space, req)
             }
             None => {
                 let mut backend = SolutionBackend::new(self);
-                self.tune_engine(&mut backend, space, req, &mut budget)
+                self.tune_engine(&mut backend, space, req)
             }
         }
     }
@@ -282,80 +264,19 @@ impl Solution {
         space: &SearchSpace,
         req: &TuneRequest,
     ) -> Result<TuneResult, ToolError> {
-        let mut budget = req.budget;
-        self.tune_engine(backend, space, req, &mut budget)
+        self.tune_engine(backend, space, req)
     }
 
-    /// Tunes over an explicit search space with the legacy single-shot
-    /// protocol (one run per measured candidate, no retries, no budget).
-    /// Compatibility wrapper over [`Solution::tune_space_with`].
-    ///
-    /// # Errors
-    /// Fails on an empty space.
-    pub fn tune_space(
-        &self,
-        space: &SearchSpace,
-        strategy: TuneStrategy,
-        cores: usize,
-    ) -> Result<TuneResult, ToolError> {
-        self.tune_space_trials(
-            space,
-            strategy,
-            cores,
-            &TrialConfig::single_shot(),
-            &mut TrialBudget::unlimited(),
-        )
-    }
-
-    /// Tunes over an explicit search space under the robust trial
-    /// protocol `cfg`, drawing on `budget`. Compatibility wrapper; new
-    /// code should carry the protocol in a [`TuneRequest`].
-    ///
-    /// # Errors
-    /// Fails on an empty space.
-    pub fn tune_space_trials(
-        &self,
-        space: &SearchSpace,
-        strategy: TuneStrategy,
-        cores: usize,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> Result<TuneResult, ToolError> {
-        let mut backend = SolutionBackend::new(self);
-        self.tune_space_with_backend(&mut backend, space, strategy, cores, cfg, budget)
-    }
-
-    /// [`Solution::tune_space_trials`] against an arbitrary measurement
-    /// backend. Compatibility wrapper that mutates the caller's `budget`
-    /// in place.
-    ///
-    /// # Errors
-    /// Fails on an empty space.
-    pub fn tune_space_with_backend(
-        &self,
-        backend: &mut dyn MeasureBackend,
-        space: &SearchSpace,
-        strategy: TuneStrategy,
-        cores: usize,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> Result<TuneResult, ToolError> {
-        let req = TuneRequest::new(strategy).cores(cores).trial(*cfg);
-        let r = self.tune_engine(backend, space, &req, budget)?;
-        Ok(r)
-    }
-
-    /// The tuning engine every entry point funnels into. `budget` is
-    /// mutated in place (legacy callers hand in their own; request-based
-    /// callers hand in a copy and read [`TuneResult::budget`]).
+    /// The tuning engine every entry point funnels into. The request's
+    /// budget is copied in; its final state is [`TuneResult::budget`].
     fn tune_engine(
         &self,
         backend: &mut dyn MeasureBackend,
         space: &SearchSpace,
         req: &TuneRequest,
-        budget: &mut TrialBudget,
     ) -> Result<TuneResult, ToolError> {
         let start = Instant::now();
+        let mut budget = req.budget;
         let cores = req.cores;
         let cfg = &req.trial;
         let cache = req.cache_ref();
@@ -478,7 +399,7 @@ impl Solution {
             }
             TuneStrategy::Empirical => {
                 for p in candidates {
-                    entries.push(measure(p, &mut cost, &mut trials, &mut ledger, budget));
+                    entries.push(measure(p, &mut cost, &mut trials, &mut ledger, &mut budget));
                 }
             }
             TuneStrategy::Hybrid { shortlist } => {
@@ -493,7 +414,7 @@ impl Solution {
                 pre.sort_by(|a, b| b.1.total_cmp(&a.1));
                 let k = shortlist.max(1).min(pre.len());
                 for (p, _) in pre.drain(..k) {
-                    entries.push(measure(p, &mut cost, &mut trials, &mut ledger, budget));
+                    entries.push(measure(p, &mut cost, &mut trials, &mut ledger, &mut budget));
                 }
             }
         }
@@ -675,7 +596,7 @@ impl Solution {
             provenances,
             trials,
             cost,
-            budget: *budget,
+            budget,
             drift: ledger,
             profile: profile_report,
             tier: winner_tier,
@@ -687,7 +608,7 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::{FaultPlan, FaultyBackend};
+    use crate::trial::{FaultPlan, TrialConfig};
     use std::sync::Arc;
     use yasksite_arch::Machine;
     use yasksite_stencil::builders::heat3d;
@@ -696,9 +617,18 @@ mod tests {
         Solution::new(heat3d(1), [64, 32, 32], Machine::cascade_lake())
     }
 
+    fn analytic_at(cores: usize) -> TuneRequest {
+        TuneRequest::new(TuneStrategy::Analytic).cores(cores)
+    }
+
+    /// One run per measured candidate, no retries, unlimited budget.
+    fn single_shot(strategy: TuneStrategy) -> TuneRequest {
+        TuneRequest::new(strategy).trial(TrialConfig::single_shot())
+    }
+
     #[test]
     fn analytic_runs_nothing() {
-        let r = solution().tune(TuneStrategy::Analytic, 2).unwrap();
+        let r = solution().tune_with(&analytic_at(2)).unwrap();
         assert_eq!(r.cost.engine_runs, 0);
         assert!(r.cost.model_evals > 10);
         assert!(r.best_score > 0.0);
@@ -712,7 +642,7 @@ mod tests {
 
     #[test]
     fn winner_carries_its_tier() {
-        let r = solution().tune(TuneStrategy::Analytic, 2).unwrap();
+        let r = solution().tune_with(&analytic_at(2)).unwrap();
         assert!(!r.tier_reason.is_empty());
         // The reason string and the degraded classifier must agree with
         // a direct planner query for the same winner.
@@ -727,7 +657,9 @@ mod tests {
     fn empirical_runs_everything() {
         let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
-        let r = sol.tune_space(&space, TuneStrategy::Empirical, 1).unwrap();
+        let r = sol
+            .tune_space_with(&space, &single_shot(TuneStrategy::Empirical))
+            .unwrap();
         assert_eq!(r.cost.engine_runs, space.len());
         assert_eq!(r.cost.model_evals, 0);
         assert!(r.cost.target_seconds > 0.0);
@@ -741,7 +673,7 @@ mod tests {
         let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
         let r = sol
-            .tune_space(&space, TuneStrategy::Hybrid { shortlist: 3 }, 1)
+            .tune_space_with(&space, &single_shot(TuneStrategy::Hybrid { shortlist: 3 }))
             .unwrap();
         assert_eq!(r.cost.engine_runs, 3);
         assert_eq!(r.cost.model_evals, space.len());
@@ -754,8 +686,10 @@ mod tests {
         // close to the empirically best one.
         let sol = Solution::new(heat3d(1), [64, 64, 64], Machine::cascade_lake());
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
-        let analytic = sol.tune_space(&space, TuneStrategy::Analytic, 1).unwrap();
-        let empirical = sol.tune_space(&space, TuneStrategy::Empirical, 1).unwrap();
+        let analytic = sol.tune_space_with(&space, &analytic_at(1)).unwrap();
+        let empirical = sol
+            .tune_space_with(&space, &single_shot(TuneStrategy::Empirical))
+            .unwrap();
         let chosen_measured = sol.measure(&analytic.best).unwrap().mlups;
         assert!(
             chosen_measured >= 0.7 * empirical.best_score,
@@ -772,13 +706,10 @@ mod tests {
         let mut backend =
             FaultyBackend::new(SolutionBackend::new(&sol), FaultPlan::always_fail(11));
         let r = sol
-            .tune_space_with_backend(
+            .tune_space_with_backend_req(
                 &mut backend,
                 &space,
-                TuneStrategy::Empirical,
-                1,
-                &TrialConfig::default(),
-                &mut TrialBudget::unlimited(),
+                &TuneRequest::new(TuneStrategy::Empirical),
             )
             .unwrap();
         // Every candidate fell back to its prediction, the ranking equals
@@ -786,7 +717,7 @@ mod tests {
         assert_eq!(r.fallback_count(), space.len());
         assert!(r.best_provenance.unwrap().is_fallback());
         assert_eq!(r.trials.fallbacks, space.len());
-        let analytic = sol.tune_space(&space, TuneStrategy::Analytic, 1).unwrap();
+        let analytic = sol.tune_space_with(&space, &analytic_at(1)).unwrap();
         assert_eq!(r.best.block, analytic.best.block);
         assert!(r.best_score > 0.0 && r.best_score.is_finite());
     }
@@ -796,22 +727,14 @@ mod tests {
         let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
         // Enough budget for roughly half the candidates.
-        let mut budget = TrialBudget::runs(space.len() / 2);
-        let r = sol
-            .tune_space_trials(
-                &space,
-                TuneStrategy::Empirical,
-                1,
-                &TrialConfig::single_shot(),
-                &mut budget,
-            )
-            .unwrap();
+        let req = single_shot(TuneStrategy::Empirical).budget(TrialBudget::runs(space.len() / 2));
+        let r = sol.tune_space_with(&space, &req).unwrap();
         assert_eq!(r.ranked.len(), space.len(), "every candidate is ranked");
         assert!(
             r.fallback_count() >= space.len() / 2,
             "candidates past the budget must fall back"
         );
-        assert!(budget.exhausted());
+        assert!(!req.budget.exhausted(), "the request's budget is copied");
         assert!(r.budget.exhausted(), "result carries the final budget");
         assert!(r.best_score.is_finite());
     }
@@ -822,13 +745,10 @@ mod tests {
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
         let mut backend = FaultyBackend::new(SolutionBackend::new(&sol), FaultPlan::noisy(5));
         let r = sol
-            .tune_space_with_backend(
+            .tune_space_with_backend_req(
                 &mut backend,
                 &space,
-                TuneStrategy::Empirical,
-                1,
-                &TrialConfig::default(),
-                &mut TrialBudget::unlimited(),
+                &TuneRequest::new(TuneStrategy::Empirical),
             )
             .unwrap();
         assert!(r.best_score.is_finite() && r.best_score > 0.0);
@@ -840,7 +760,9 @@ mod tests {
     fn empirical_sessions_populate_the_drift_ledger() {
         let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
         let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), sol.machine());
-        let r = sol.tune_space(&space, TuneStrategy::Empirical, 1).unwrap();
+        let r = sol
+            .tune_space_with(&space, &single_shot(TuneStrategy::Empirical))
+            .unwrap();
         assert_eq!(r.drift.len(), space.len(), "one record per measured trial");
         assert_eq!(r.cost.drift_records, space.len());
         let per = r.drift.per_stencil();
@@ -859,7 +781,7 @@ mod tests {
 
     #[test]
     fn analytic_sessions_have_an_empty_drift_ledger() {
-        let r = solution().tune(TuneStrategy::Analytic, 2).unwrap();
+        let r = solution().tune_with(&analytic_at(2)).unwrap();
         assert!(r.drift.is_empty());
         assert_eq!(r.cost.drift_records, 0);
         assert_eq!(r.cost.drift_suspects, 0);
@@ -970,17 +892,5 @@ mod tests {
             .cache(Arc::new(PredictionCache::new()));
         let r = sol.tune_space_with(&space, &req).unwrap();
         assert_eq!(r.fallback_count(), space.len());
-    }
-
-    #[test]
-    fn legacy_tune_matches_request_equivalent() {
-        let sol = solution();
-        let legacy = sol.tune(TuneStrategy::Analytic, 2).unwrap();
-        let req = TuneRequest::new(TuneStrategy::Analytic)
-            .cores(2)
-            .trial(TrialConfig::single_shot());
-        let modern = sol.tune_with(&req).unwrap();
-        assert_eq!(legacy.best, modern.best);
-        assert_eq!(legacy.best_score.to_bits(), modern.best_score.to_bits());
     }
 }

@@ -57,7 +57,6 @@ mod native;
 mod params;
 mod pool;
 mod profile;
-mod rank;
 mod simulate;
 mod sweep;
 mod wavefront;
@@ -65,11 +64,9 @@ mod wavefront;
 pub use codegen::{codegen, CodegenOutput};
 pub use compile::CompiledStencil;
 pub use error::EngineError;
-pub use native::NativeRun;
 pub use params::TuningParams;
 pub use pool::{ExecPool, PoolStats, ScopedJob};
 pub use profile::{IntervalStats, PhaseStat, PoolWindow, ProfileReport, SweepProfiler};
-pub use rank::{predict_multirank, Interconnect, MultiRankPrediction, RankDecomposition};
 pub use simulate::{apply_simulated, SimContext, SimulatedRun};
 pub use sweep::{
     plan_tier, plan_tier_with, tier_reason_degraded, SweepReport, SweepRequest, Tier, TierPolicy,

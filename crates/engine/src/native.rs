@@ -21,26 +21,19 @@ use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
 use crate::sweep::{plan_spatial, Plan, Tier, TierPolicy};
 
-/// Result of one native kernel application.
+/// Result of one native kernel application; [`crate::SweepReport`]
+/// carries these fields to the caller.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NativeRun {
+pub(crate) struct NativeRun {
     /// Wall time of the sweep.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Achieved million lattice updates per second.
-    pub mlups: f64,
+    pub(crate) mlups: f64,
     /// Lattice updates performed.
-    pub updates: u64,
-    /// Threads that actually received work: the number of non-empty
-    /// slabs the sweep was decomposed into (≤ `params.threads`; small
-    /// domains produce fewer slabs than requested threads). Row-major
-    /// layouts split into z-plane slabs, the folded brick tier into
-    /// brick-z slabs.
-    ///
-    /// The layout-generic path reports `1` deliberately: it walks the
-    /// grid through per-point accessors with no contiguous storage
-    /// window to hand each worker, so it runs single-threaded and says
-    /// so rather than echoing `params.threads` back.
-    pub threads_used: usize,
+    pub(crate) updates: u64,
+    /// Non-empty slabs the sweep was decomposed into (see
+    /// [`crate::SweepReport::threads_used`]).
+    pub(crate) threads_used: usize,
 }
 
 /// Validates that all grids carry the fold the parameters assume.
@@ -631,7 +624,7 @@ fn tape_fast_path(
 /// Generic path: blocked loops through the layout-agnostic accessors.
 /// Single-threaded by design — folded layouts scatter a row across
 /// bricks, so there is no contiguous storage window to hand each worker
-/// (see [`NativeRun::threads_used`]).
+/// (see [`crate::SweepReport::threads_used`]).
 fn generic_path(
     compiled: &CompiledStencil,
     inputs: &[&Grid3],

@@ -32,7 +32,7 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::{execute_apply, NativeRun};
+use crate::native::execute_apply;
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
@@ -433,8 +433,17 @@ pub struct SweepReport {
     pub mlups: f64,
     /// Lattice updates performed (`domain × wavefront_depth`).
     pub updates: u64,
-    /// Threads that actually received work (non-empty slabs / widest
-    /// per-plane chunk count; `1` on the generic tier).
+    /// Threads that actually received work: the number of non-empty
+    /// slabs the sweep was decomposed into, or the widest per-plane chunk
+    /// count of a wavefront run (≤ `params.threads`; small domains
+    /// produce fewer slabs than requested threads). Row-major layouts
+    /// split into z-plane slabs, the folded brick tier into brick-z
+    /// slabs.
+    ///
+    /// The layout-generic path reports `1` deliberately: it walks the
+    /// grid through per-point accessors with no contiguous storage
+    /// window to hand each worker, so it runs single-threaded and says
+    /// so rather than echoing `params.threads` back.
     pub threads_used: usize,
     /// The specialisation-ladder rung that executed.
     pub tier: Tier,
@@ -451,17 +460,6 @@ impl SweepReport {
     #[must_use]
     pub fn degraded(&self) -> bool {
         tier_reason_degraded(self.tier_reason)
-    }
-
-    /// The legacy [`NativeRun`] view of this report.
-    #[must_use]
-    pub fn native_run(&self) -> NativeRun {
-        NativeRun {
-            seconds: self.seconds,
-            mlups: self.mlups,
-            updates: self.updates,
-            threads_used: self.threads_used,
-        }
     }
 }
 

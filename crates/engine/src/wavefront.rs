@@ -105,9 +105,8 @@ fn plan_wavefront(
     }
 }
 
-/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`]
-/// and the deprecated free functions. Performs `params.wavefront` time
-/// steps in one skewed sweep and returns
+/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`].
+/// Performs `params.wavefront` time steps in one skewed sweep and returns
 /// `(widest chunk count, executed tier, reason)`.
 ///
 /// Linear stencils on matching row-major layouts take the fast path:

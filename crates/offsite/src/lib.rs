@@ -14,19 +14,20 @@
 //!    validation, every candidate) can then be *measured* on the
 //!    simulated target hierarchy ([`measure_plan`]);
 //! 4. reports quantify prediction error, ranking quality, speedup over a
-//!    naive baseline, and tuning cost ([`Offsite::evaluate`]).
+//!    naive baseline, and tuning cost ([`Offsite::evaluate_with`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use offsite::{MethodSpec, Offsite};
+//! use offsite::{EvalOptions, MethodSpec, Offsite};
 //! use yasksite_arch::Machine;
 //! use yasksite_ode::ivps::Heat2d;
 //!
 //! let offsite = Offsite::new(Machine::cascade_lake(), 2);
 //! let ivp = Heat2d::new(64);
+//! let methods = [MethodSpec::erk(yasksite_ode::Tableau::heun2())];
 //! let report = offsite
-//!     .evaluate(&ivp, &[MethodSpec::erk(yasksite_ode::Tableau::heun2())], 1e-5)
+//!     .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
 //!     .unwrap();
 //! assert!(!report.candidates.is_empty());
 //! ```

@@ -54,9 +54,8 @@ impl Default for EvalOptions {
 }
 
 impl EvalOptions {
-    /// Options with the defaults of [`Offsite::evaluate`]: single-shot
-    /// trials, unlimited budget, automatic jobs, no extra faults, the
-    /// global cache.
+    /// The default options: single-shot trials, unlimited budget,
+    /// automatic jobs, no extra faults, the global cache.
     #[must_use]
     pub fn new() -> Self {
         EvalOptions::default()
@@ -298,51 +297,12 @@ impl Offsite {
     /// and reports prediction accuracy, ranking quality, per-method
     /// speedups over the naive baseline, and both cost ledgers.
     ///
-    /// Each measurement is a single-shot trial with an unlimited budget;
-    /// use [`Offsite::evaluate_with`] for the full knob set.
-    ///
-    /// # Errors
-    /// Returns [`ToolError::InvalidInput`] for an empty method list and
-    /// propagates tool errors from parameter tuning. Measurement failures
-    /// do *not* error — the candidate degrades to its analytic prediction
-    /// with [`Provenance::PredictedFallback`].
-    pub fn evaluate(
-        &self,
-        ivp: &dyn Ivp,
-        methods: &[MethodSpec],
-        h: f64,
-    ) -> Result<EvalReport, ToolError> {
-        self.evaluate_with(ivp, methods, h, &EvalOptions::default())
-    }
-
-    /// [`Offsite::evaluate`] with an explicit trial protocol.
-    /// Compatibility wrapper over [`Offsite::evaluate_with`] that mutates
-    /// the caller's `budget` in place; new code should carry the protocol
-    /// in an [`EvalOptions`].
-    ///
-    /// # Errors
-    /// As [`Offsite::evaluate_with`].
-    pub fn evaluate_trials(
-        &self,
-        ivp: &dyn Ivp,
-        methods: &[MethodSpec],
-        h: f64,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> Result<EvalReport, ToolError> {
-        let opts = EvalOptions::default().trial(*cfg).budget(*budget);
-        let r = self.evaluate_with(ivp, methods, h, &opts)?;
-        *budget = r.budget;
-        Ok(r)
-    }
-
-    /// The canonical evaluation entry point: every plan measurement
-    /// (candidates and naive baselines) runs under the options' trial
-    /// protocol against the options' budget, falling back to the analytic
-    /// prediction when sampling fails or the budget runs out. The
-    /// analytic tuning phase fans out over the options' worker count and
-    /// serves predictions from the options' cache; the report is
-    /// identical for every worker count.
+    /// Every plan measurement (candidates and naive baselines) runs under
+    /// the options' trial protocol against the options' budget, falling
+    /// back to the analytic prediction when sampling fails or the budget
+    /// runs out. The analytic tuning phase fans out over the options'
+    /// worker count and serves predictions from the options' cache; the
+    /// report is identical for every worker count.
     ///
     /// # Errors
     /// Returns [`ToolError::InvalidInput`] for an empty method list or a
@@ -609,7 +569,9 @@ mod tests {
         let offsite = Offsite::new(Machine::cascade_lake(), 1);
         let ivp = Heat2d::new(48);
         let methods = [MethodSpec::erk(Tableau::heun2())];
-        let r = offsite.evaluate(&ivp, &methods, 1e-5).unwrap();
+        let r = offsite
+            .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
+            .unwrap();
         assert_eq!(r.candidates.len(), 4); // variants A, B, D, E
         assert!(r.mean_rel_err.is_finite());
         assert!(r.rank_of_pick < 3);
@@ -676,7 +638,9 @@ mod tests {
     fn empty_inputs_are_errors_not_panics() {
         let offsite = Offsite::new(Machine::cascade_lake(), 1);
         let ivp = Heat2d::new(16);
-        let err = offsite.evaluate(&ivp, &[], 1e-5).unwrap_err();
+        let err = offsite
+            .evaluate_with(&ivp, &[], 1e-5, &EvalOptions::default())
+            .unwrap_err();
         assert!(matches!(err, ToolError::InvalidInput(_)), "{err}");
         let methods = [MethodSpec::erk(Tableau::euler())];
         let err = offsite.rank_by_tolerance(&ivp, &[], 1e-3, 1.0).unwrap_err();
@@ -694,7 +658,7 @@ mod tests {
         let eval = |seed: u64| {
             Offsite::new(Machine::cascade_lake(), 1)
                 .with_faults(FaultPlan::always_fail(seed))
-                .evaluate(&ivp, &methods, 1e-5)
+                .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
                 .unwrap()
         };
         let r = eval(7);
@@ -813,11 +777,8 @@ mod tests {
         let offsite = Offsite::new(Machine::cascade_lake(), 1).with_faults(FaultPlan::noisy(42));
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
-        let cfg = TrialConfig::default();
-        let mut budget = TrialBudget::unlimited();
-        let r = offsite
-            .evaluate_trials(&ivp, &methods, 1e-5, &cfg, &mut budget)
-            .unwrap();
+        let opts = EvalOptions::default().trial(TrialConfig::default());
+        let r = offsite.evaluate_with(&ivp, &methods, 1e-5, &opts).unwrap();
         assert_eq!(r.candidates.len(), 4);
         for c in &r.candidates {
             assert!(c.measured_s.is_finite() && c.measured_s > 0.0);

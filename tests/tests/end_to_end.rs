@@ -1,8 +1,8 @@
 //! End-to-end pipeline tests spanning all crates: model ↔ simulator
 //! agreement, tuner quality, and the Offsite integration.
 
-use offsite::{MethodSpec, Offsite};
-use yasksite::{SearchSpace, Solution, TuneStrategy};
+use offsite::{EvalOptions, MethodSpec, Offsite};
+use yasksite::{SearchSpace, Solution, TrialConfig, TuneRequest, TuneStrategy};
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
 use yasksite_grid::Fold;
@@ -57,9 +57,15 @@ fn hybrid_tuning_cost_quality_tradeoff() {
     let sol = Solution::new(heat3d(1), [48, 48, 48], m.clone());
     let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), &m);
     let hybrid = sol
-        .tune_space(&space, TuneStrategy::Hybrid { shortlist: 3 }, 1)
+        .tune_space_with(
+            &space,
+            &TuneRequest::new(TuneStrategy::Hybrid { shortlist: 3 })
+                .trial(TrialConfig::single_shot()),
+        )
         .unwrap();
-    let analytic = sol.tune_space(&space, TuneStrategy::Analytic, 1).unwrap();
+    let analytic = sol
+        .tune_space_with(&space, &TuneRequest::new(TuneStrategy::Analytic))
+        .unwrap();
     let hybrid_meas = sol.measure(&hybrid.best).unwrap().mlups;
     let analytic_meas = sol.measure(&analytic.best).unwrap().mlups;
     assert!(hybrid_meas >= 0.95 * analytic_meas);
@@ -78,7 +84,9 @@ fn offsite_pipeline_on_heat2d() {
         MethodSpec::erk(Tableau::heun2()),
         MethodSpec::erk(Tableau::rk4()),
     ];
-    let r = offsite.evaluate(&ivp, &methods, 1e-6).unwrap();
+    let r = offsite
+        .evaluate_with(&ivp, &methods, 1e-6, &EvalOptions::default())
+        .unwrap();
     assert_eq!(r.candidates.len(), 8);
     assert!(
         r.rank_of_pick <= 2,
@@ -100,7 +108,9 @@ fn codegen_reflects_tuning() {
     let m = Machine::rome();
     let sol = Solution::new(heat3d(1), [64, 64, 64], m.clone());
     let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), &m);
-    let r = sol.tune_space(&space, TuneStrategy::Analytic, 4).unwrap();
+    let r = sol
+        .tune_space_with(&space, &TuneRequest::new(TuneStrategy::Analytic).cores(4))
+        .unwrap();
     let code = sol.codegen(&r.best);
     assert!(code.source.contains(&format!("kb += {}", r.best.block[2])));
     assert!(code

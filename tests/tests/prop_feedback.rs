@@ -14,6 +14,7 @@
 //!    under the threshold.
 
 use proptest::prelude::*;
+use yasksite::telemetry::Telemetry;
 use yasksite::{
     KeyCorrection, MeasureBackend, OnlineTuner, PredictionCache, SearchSpace, Solution, ToolError,
     TrialBudget, TrialConfig, TrialRng,
@@ -73,12 +74,13 @@ fn climb(
         rng: TrialRng::new(seed),
     };
     let best = tuner
-        .run_to_convergence_cached(
+        .run_to_convergence(
             sol,
             &mut backend,
             &TrialConfig::default(),
             &mut TrialBudget::unlimited(),
             &PredictionCache::new(),
+            &Telemetry::disabled(),
         )
         .expect("climb is total");
     (

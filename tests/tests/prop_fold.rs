@@ -5,12 +5,15 @@
 //! arbitrary non-linear expressions the row-vectorised tape tier must
 //! reproduce the recursive reference evaluator and the generic per-point
 //! tier. Every tier computes each output point with the identical FP op
-//! order, so all comparisons here are exact, never epsilon-based.
+//! order, so all comparisons between tiers are exact, never
+//! epsilon-based. One table-driven test runs the same matrix over every
+//! named stencil of the paper suite.
 
 use proptest::prelude::*;
 use xtests::seeded_grid;
 use yasksite_engine::{SweepProfiler, SweepRequest, Tier, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
+use yasksite_stencil::builders::{box3d, paper_suite};
 use yasksite_stencil::{at, c, Expr, Stencil};
 
 /// Strategy: a random linear stencil with offsets within `radius` and
@@ -118,20 +121,82 @@ fn same_bits(a: &Grid3, b: &Grid3) -> bool {
 /// output grid and the tier that actually executed.
 fn run_tier(
     stencil: &Stencil,
-    u: &Grid3,
+    inputs: &[&Grid3],
     params: &TuningParams,
     policy: TierPolicy,
     profiled: bool,
 ) -> (Grid3, Tier) {
-    let n = u.n();
+    let n = inputs[0].n();
     let mut out = Grid3::new("o", n, stencil.info().radius, params.fold);
     let prof = SweepProfiler::enabled();
     let mut request = SweepRequest::new(params).tier(policy);
     if profiled {
         request = request.profiler(&prof);
     }
-    let report = request.apply(stencil, &[u], &mut out).unwrap();
+    let report = request.apply(stencil, inputs, &mut out).unwrap();
     (out, report.tier)
+}
+
+/// Every native tier agrees on every named stencil — the nine
+/// `paper_suite()` rows (two-input `wave-2d` and the non-linear
+/// `heat-3d-vc` included) plus `box3d(2)` — at 1 and 3 threads, on a
+/// domain whose rows leave a remainder under every fold. Linear stencils:
+/// scalar rows, lane kernel, brick kernel and the generic per-point path
+/// produce the same bits; the non-linear one: tape tier and generic path
+/// do. Those bits are within 1e-12 of `Stencil::apply_reference` (the
+/// linear kernels merge coefficients, so that comparison is not exact).
+/// The executed tier is asserted so a silent degrade cannot pass.
+#[test]
+fn every_tier_agrees_on_every_named_stencil() {
+    let lane = Fold::new(8, 1, 1);
+    let brick = Fold::new(4, 2, 1);
+    let odd = Fold::new(3, 3, 1); // 9 elements: no folded kernel takes it
+    let linear_rows = [
+        (lane, TierPolicy::ForceScalar, Tier::Scalar),
+        (lane, TierPolicy::ForceFolded, Tier::Folded),
+        (brick, TierPolicy::ForceFolded, Tier::Folded),
+        (odd, TierPolicy::Auto, Tier::Generic),
+    ];
+    let nonlinear_rows = [
+        (lane, TierPolicy::Auto, Tier::Tape),
+        (odd, TierPolicy::Auto, Tier::Generic),
+    ];
+    let mut stencils = paper_suite();
+    stencils.push(box3d(2));
+    assert_eq!(stencils.len(), 10);
+    for stencil in &stencils {
+        let name = stencil.name();
+        let rows: &[_] = if name == "heat-3d-vc" {
+            &nonlinear_rows
+        } else {
+            &linear_rows
+        };
+        let halo = stencil.info().radius;
+        let n = [19, 7, if stencil.dims() == 2 { 1 } else { 5 }];
+        let mut first: Option<Grid3> = None;
+        for threads in [1, 3] {
+            for &(fold, policy, tier) in rows {
+                let grids: Vec<Grid3> = (0..stencil.num_inputs())
+                    .map(|g| seeded_grid("u", n, halo, fold, 41 + g as u64))
+                    .collect();
+                let inputs: Vec<&Grid3> = grids.iter().collect();
+                let params = TuningParams::new([n[0], 4, 4], fold).threads(threads);
+                let (out, ran) = run_tier(stencil, &inputs, &params, policy, false);
+                let what = format!("{name}, fold {fold}, {policy:?}, {threads} threads");
+                assert_eq!(ran, tier, "{what}");
+                match &first {
+                    Some(first) => assert!(same_bits(&out, first), "{what}"),
+                    None => {
+                        let mut reference = Grid3::new("r", n, halo, fold);
+                        stencil.apply_reference(&inputs, &mut reference).unwrap();
+                        let err = out.max_abs_diff(&reference).unwrap();
+                        assert!(err <= 1e-12, "{what}: {err:e} from the reference");
+                        first = Some(out);
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -157,8 +222,8 @@ proptest! {
         let u = seeded_grid("u", n, halo, fold, 21);
         let params = TuningParams::new([n[0], 4, 4], fold).threads(threads);
 
-        let (scalar, t_s) = run_tier(&stencil, &u, &params, TierPolicy::ForceScalar, profiled);
-        let (folded, t_f) = run_tier(&stencil, &u, &params, TierPolicy::ForceFolded, profiled);
+        let (scalar, t_s) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceScalar, profiled);
+        let (folded, t_f) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceFolded, profiled);
 
         prop_assert_eq!(t_s, Tier::Scalar);
         prop_assert_eq!(t_f, Tier::Folded);
@@ -185,8 +250,8 @@ proptest! {
         let u = seeded_grid("u", n, halo, fold, 23);
         let params = TuningParams::new([n[0], 4, 4], fold).threads(threads);
 
-        let (generic, t_g) = run_tier(&stencil, &u, &params, TierPolicy::ForceScalar, profiled);
-        let (brick, t_b) = run_tier(&stencil, &u, &params, TierPolicy::ForceFolded, profiled);
+        let (generic, t_g) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceScalar, profiled);
+        let (brick, t_b) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceFolded, profiled);
 
         prop_assert_eq!(t_g, Tier::Generic);
         prop_assert_eq!(t_b, Tier::Folded);
@@ -208,8 +273,8 @@ proptest! {
         let p1 = TuningParams::new([19, 4, 4], fold).threads(1);
         let pt = TuningParams::new([19, 4, 4], fold).threads(threads);
 
-        let (one, _) = run_tier(&stencil, &u, &p1, TierPolicy::ForceFolded, false);
-        let (many, _) = run_tier(&stencil, &u, &pt, TierPolicy::ForceFolded, false);
+        let (one, _) = run_tier(&stencil, &[&u], &p1, TierPolicy::ForceFolded, false);
+        let (many, _) = run_tier(&stencil, &[&u], &pt, TierPolicy::ForceFolded, false);
         prop_assert_eq!(many.max_abs_diff(&one).unwrap(), 0.0);
     }
 

@@ -4,9 +4,11 @@
 //! every result with accurate provenance.
 
 use proptest::prelude::*;
+use yasksite::telemetry::Telemetry;
 use yasksite::{
-    run_trial, FallbackReason, FaultPlan, FaultyBackend, MeasureBackend, OnlineTuner, Provenance,
-    SearchSpace, Solution, ToolError, TrialBudget, TrialConfig, TuneStrategy,
+    run_trial, FallbackReason, FaultPlan, FaultyBackend, MeasureBackend, OnlineTuner,
+    PredictionCache, Provenance, SearchSpace, Solution, ToolError, TrialBudget, TrialConfig,
+    TuneRequest, TuneStrategy,
 };
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
@@ -129,7 +131,14 @@ proptest! {
         let mut backend = FaultyBackend::new(Synthetic, plan);
         let mut budget = TrialBudget::unlimited();
         let best = tuner
-            .run_to_convergence(&sol, &mut backend, &cfg, &mut budget)
+            .run_to_convergence(
+                &sol,
+                &mut backend,
+                &cfg,
+                &mut budget,
+                PredictionCache::global(),
+                &Telemetry::disabled(),
+            )
             .expect("tuning is total under faults");
 
         // The pick is a real lattice point.
@@ -159,16 +168,9 @@ proptest! {
         let cfg = TrialConfig { samples: 2, ..TrialConfig::default() };
         let once = |()| {
             let mut backend = FaultyBackend::new(Synthetic, plan);
-            let mut budget = TrialBudget::unlimited();
-            sol.tune_space_with_backend(
-                &mut backend,
-                &space,
-                TuneStrategy::Empirical,
-                1,
-                &cfg,
-                &mut budget,
-            )
-            .expect("tuning is total under faults")
+            let req = TuneRequest::new(TuneStrategy::Empirical).trial(cfg);
+            sol.tune_space_with_backend_req(&mut backend, &space, &req)
+                .expect("tuning is total under faults")
         };
         let r = once(());
         prop_assert_eq!(r.ranked.len(), space.len());
@@ -191,21 +193,14 @@ proptest! {
     fn budget_exhaustion_degrades_gracefully(plan in arb_plan(), max_runs in 1usize..30) {
         let (sol, space, _) = small_setup();
         let mut backend = FaultyBackend::new(Synthetic, plan);
-        let mut budget = TrialBudget::runs(max_runs);
+        let req = TuneRequest::new(TuneStrategy::Empirical).budget(TrialBudget::runs(max_runs));
         let r = sol
-            .tune_space_with_backend(
-                &mut backend,
-                &space,
-                TuneStrategy::Empirical,
-                1,
-                &TrialConfig::default(),
-                &mut budget,
-            )
+            .tune_space_with_backend_req(&mut backend, &space, &req)
             .expect("tuning is total under budgets");
         prop_assert_eq!(r.ranked.len(), space.len());
         for (_, score) in &r.ranked {
             prop_assert!(score.is_finite() && *score > 0.0);
         }
-        prop_assert!(budget.runs_used <= max_runs);
+        prop_assert!(r.budget.runs_used <= max_runs);
     }
 }

@@ -14,7 +14,7 @@ use yasksite::{
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
 use yasksite_grid::Fold;
-use yasksite_stencil::builders::{heat2d, heat3d};
+use yasksite_stencil::builders::heat2d;
 
 fn setup() -> (Solution, SearchSpace) {
     let m = Machine::cascade_lake();
@@ -131,20 +131,6 @@ fn warm_cache_changes_counters_but_not_the_answer() {
     assert!(cold.cost.cache_misses > 0);
     assert_eq!(warm.cost.cache_misses, 0);
     assert_eq!(warm.cost.cache_hits, cold.cost.cache_misses);
-}
-
-#[test]
-fn legacy_tune_agrees_with_the_request_form() {
-    let m = Machine::cascade_lake();
-    let sol = Solution::new(heat3d(1), [48, 24, 24], m);
-    let legacy = sol.tune(TuneStrategy::Analytic, 2).expect("legacy tune");
-    let req = TuneRequest::new(TuneStrategy::Analytic)
-        .cores(2)
-        .trial(TrialConfig::single_shot())
-        .cache(Arc::new(PredictionCache::new()));
-    let modern = sol.tune_with(&req).expect("request tune");
-    assert_eq!(legacy.best, modern.best);
-    assert_eq!(legacy.best_score.to_bits(), modern.best_score.to_bits());
 }
 
 fn arb_params() -> impl Strategy<Value = TuningParams> {
