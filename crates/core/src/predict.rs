@@ -2,20 +2,9 @@
 //! wavefront adjustment the plain ECM model does not know about.
 
 use yasksite_arch::Machine;
-use yasksite_ecm::{EcmModel, EcmPrediction, Issue, KernelDesc, OverlapPolicy};
-use yasksite_engine::{plan_tier, CompiledStencil, Tier, TuningParams};
+use yasksite_ecm::{EcmModel, EcmPrediction, KernelDesc, OverlapPolicy};
+use yasksite_engine::{plan_kernel, TierPolicy, TuningParams};
 use yasksite_stencil::Stencil;
-
-/// `f64` lanes the compiler vectorises plain loops with in this build.
-/// The tape tier's instruction loops are ordinary compiled code, so their
-/// width is the build's SIMD baseline, whatever the machine's widest ISA.
-const BUILD_LANES: usize = if cfg!(target_feature = "avx512f") {
-    8
-} else if cfg!(target_feature = "avx") {
-    4
-} else {
-    2
-};
 
 /// An analytic performance prediction for one `(params, cores)` point.
 #[derive(Debug, Clone)]
@@ -63,25 +52,13 @@ pub fn predict_params_resident(
     cores: usize,
     resident_bytes: Option<f64>,
 ) -> PredictedPerf {
-    // Tier-aware in-core issue: the model credits a configuration only
-    // with the kernel the engine's planner would run it on. Linear
-    // row-major configurations plan onto the folded/scalar tiers and keep
-    // the vectorised, FMA-fused model unchanged. The generic per-point
-    // tier is charged scalar issue. The tape tier is charged for its
-    // register program: one loop per instruction left after value
-    // numbering, each reading two operand rows and writing one.
-    let (tier, _) = plan_tier(stencil, params);
-    let issue = match tier {
-        Tier::Folded | Tier::Scalar => Issue::Vector,
-        Tier::Generic => Issue::Scalar,
-        Tier::Tape => match CompiledStencil::compile(stencil) {
-            CompiledStencil::Tape(tape) => Issue::Program {
-                instructions: tape.instructions(),
-                lanes: BUILD_LANES.min(machine.lanes()),
-            },
-            CompiledStencil::Linear { .. } => unreachable!("the tape tier implies a tape"),
-        },
-    };
+    // The model charges the kernel the engine's planner would run these
+    // parameters on — spatial or wavefront — through the engine's one
+    // kernel → issue mapping, which the simulated backend prices by too.
+    // One lowering of the stencil serves the plan and the price.
+    let issue = plan_kernel(stencil, params, TierPolicy::Auto)
+        .kernel
+        .issue(machine);
     let mut desc = KernelDesc::new(stencil, domain)
         .tile(params.clipped_block(domain))
         .fold(params.fold)

@@ -34,6 +34,15 @@ const PERMUTE_THROUGHPUT: f64 = 2.0;
 /// the linear layout (it straddles two cache lines half the time).
 pub const UNALIGNED_LOAD_COST: f64 = 1.5;
 
+/// Address-generation cycles one access through `Grid3::idx` costs on the
+/// per-point path: three divisions and three modulos by run-time fold
+/// extents ahead of every load and store. Sized from the host measurement
+/// of heat-3d-r1 at 256³ on that path, 52 ns per update (EXPERIMENTS.md
+/// E17): 140 cycles at the host model's 2.7 GHz, of which the scalar
+/// loads, arithmetic and memory transfers already priced account for
+/// about 6, spread over the update's 7 loads and 1 store.
+pub const IDX_CYCLES_PER_ACCESS: f64 = 17.0;
+
 /// Computes the in-core model for `info` executed with SIMD `fold` on a
 /// core described by `ports`.
 ///
@@ -47,6 +56,9 @@ pub const UNALIGNED_LOAD_COST: f64 = 1.5;
 ///   whole aligned bricks. Offsets mapping into the same bricks *share*
 ///   loads (the folding pay-off, dramatic for dense box stencils), but
 ///   every non-brick-aligned offset costs a permute on the shuffle port.
+///   This branch is the reference for what a true fold kernel would earn;
+///   the engine's brick-gather kernel does not assemble operands from
+///   whole bricks, and the predictor charges it [`Issue::Scalar`].
 #[must_use]
 pub fn incore(info: &StencilInfo, ports: &PortModel, fold: Fold) -> InCore {
     incore_with_issue(info, ports, fold, Issue::Vector)
@@ -60,13 +72,22 @@ pub enum Issue {
     /// one FMA-fused vector iteration per `lanes` updates.
     #[default]
     Vector,
-    /// One lattice point per instruction (the engine's generic per-point
-    /// tier, selected when no vectorised kernel is eligible): every offset
-    /// is one scalar load, every update one scalar store, and the unit of
-    /// work takes `lanes` times as many iterations — no alignment
-    /// penalties and no fold permutes, because scalar accesses never
-    /// straddle lanes.
+    /// One lattice point per instruction: every offset is one scalar
+    /// load, every update one scalar store, and the unit of work takes
+    /// `lanes` times as many iterations — no alignment penalties and no
+    /// fold permutes, because scalar accesses never straddle lanes. This
+    /// is what the engine's brick-gather kernel executes on a
+    /// multi-dimensional fold (one table-addressed scalar load and one
+    /// scalar multiply-add per term and lane); the shared-brick loads the
+    /// [`Issue::Vector`] branch credits such a fold with are what a kernel
+    /// assembling its operands from whole bricks would earn.
     Scalar,
+    /// [`Issue::Scalar`] through the layout-agnostic grid accessors (the
+    /// engine's per-point generic path): every load and store additionally
+    /// computes its folded storage index — a divide and a modulo per
+    /// dimension — costing [`IDX_CYCLES_PER_ACCESS`] non-overlapping
+    /// cycles each.
+    PerPoint,
     /// The tape tier's register program: `instructions` arithmetic
     /// instructions per point (after value numbering), each its own loop
     /// over a row chunk that reads two operand rows and writes one result
@@ -93,7 +114,7 @@ pub fn incore_with_issue(
 ) -> InCore {
     match issue {
         Issue::Vector => {}
-        Issue::Scalar => {
+        Issue::Scalar | Issue::PerPoint => {
             // One scalar iteration per lattice update: vec_iters becomes
             // the full unit of work, one aligned load per offset, no
             // shuffles.
@@ -105,9 +126,14 @@ pub fn incore_with_issue(
                 (info.adds_rem + info.negs) as f64,
                 info.muls_rem as f64,
             );
+            let addressing = if issue == Issue::PerPoint {
+                IDX_CYCLES_PER_ACCESS * (loads + stores)
+            } else {
+                0.0
+            };
             return InCore {
                 t_ol: arith * iters,
-                t_nol: ports.mem_cycles(loads, stores) * iters,
+                t_nol: (ports.mem_cycles(loads, stores) + addressing) * iters,
                 loads: loads * iters,
                 stores: stores * iters,
                 permutes: 0.0,
@@ -270,6 +296,23 @@ mod tests {
         assert_eq!(generic.permutes, 0.0);
         // 7 offsets × 8 iterations, one aligned load each.
         assert!((generic.loads - 56.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_point_issue_adds_index_arithmetic_to_every_access() {
+        let m = Machine::cascade_lake();
+        let info = heat3d(1).info();
+        let fold = Fold::new(4, 2, 1);
+        let scalar = incore_with_issue(&info, &m.ports, fold, Issue::Scalar);
+        let point = incore_with_issue(&info, &m.ports, fold, Issue::PerPoint);
+        // 7 loads + 1 store per update, 8 updates per unit of work.
+        let extra = IDX_CYCLES_PER_ACCESS * 8.0 * UPDATES_PER_UNIT;
+        assert!((point.t_nol - scalar.t_nol - extra).abs() < 1e-9);
+        assert_eq!(point.t_ol, scalar.t_ol);
+        assert_eq!((point.loads, point.stores), (scalar.loads, scalar.stores));
+        // The reference fold model stays what a whole-brick kernel earns.
+        let ideal = incore(&info, &m.ports, fold);
+        assert!(ideal.t_nol < scalar.t_nol && scalar.t_nol < point.t_nol);
     }
 
     #[test]

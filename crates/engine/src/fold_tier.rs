@@ -39,6 +39,7 @@
 
 use yasksite_grid::Grid3;
 
+use crate::native::FiniteScan;
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
@@ -76,7 +77,9 @@ fn gather_deltas<const E: usize>(o: [i32; 3], f: [usize; 3], folds: [usize; 3]) 
 
 /// Applies a linear stencil over the full domain of `out` through the
 /// brick kernel, threading over brick-z slabs on `pool`. Returns the
-/// number of slabs that received work (= threads used).
+/// number of slabs that received work (= threads used). An enabled `scan`
+/// sees each brick's accumulators as they are stored, domain lanes only,
+/// so halo and padding lanes of the output never count.
 ///
 /// Preconditions (checked by the planner): `E == fold.elems()`, every
 /// input shares `alloc`/`halo`/`fold` with `out`, halos cover the
@@ -90,6 +93,7 @@ pub(crate) fn brick_fast_path<const E: usize>(
     out: &mut Grid3,
     params: &TuningParams,
     prof: &SweepProfiler,
+    scan: &FiniteScan,
 ) -> usize {
     let n = out.n();
     let halo = out.halo();
@@ -151,6 +155,10 @@ pub(crate) fn brick_fast_path<const E: usize>(
             Box::new(move || {
                 let t0 = prof.start();
                 let win = slab.win;
+                // `x * 0.0` is NaN exactly for NaN and ±inf, and a NaN
+                // survives any sum: one poison accumulator per lane,
+                // handed to the scan once per slab.
+                let mut poison = [0.0f64; E];
                 for bz in slab.bz0..slab.bz1 {
                     let (lz, hz) = lane_range(bz, f[2], halo[2], n[2]);
                     if lz >= hz {
@@ -183,6 +191,11 @@ pub(crate) fn brick_fast_path<const E: usize>(
                                     }
                                 }
                                 win[wb..wb + E].copy_from_slice(&acc);
+                                if scan.on() {
+                                    for (p, a) in poison.iter_mut().zip(&acc) {
+                                        *p += a * 0.0;
+                                    }
+                                }
                             } else {
                                 // Edge brick: touch only the domain
                                 // lanes, same per-point op order.
@@ -196,6 +209,9 @@ pub(crate) fn brick_fast_path<const E: usize>(
                                                     * srcs[t][(base + deltas[t][e]) as usize];
                                             }
                                             win[wb + e] = acc;
+                                            if scan.on() {
+                                                poison[e] += acc * 0.0;
+                                            }
                                         }
                                     }
                                 }
@@ -203,6 +219,7 @@ pub(crate) fn brick_fast_path<const E: usize>(
                         }
                     }
                 }
+                scan.check(&poison);
                 prof.chunk_done(t0);
             }) as ScopedJob<'_>
         })

@@ -8,9 +8,10 @@
 //! vectorise. Threading goes through the persistent [`ExecPool`] instead
 //! of spawning OS threads per sweep.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use yasksite_grid::Grid3;
+use yasksite_grid::{all_finite, Grid3};
 use yasksite_stencil::Stencil;
 
 use crate::compile::{CompiledStencil, Tape};
@@ -19,7 +20,7 @@ use crate::fold_tier::brick_fast_path;
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
-use crate::sweep::{plan_spatial, Plan, Tier, TierPolicy};
+use crate::sweep::{plan_spatial, Kernel, PlannedKernel, TierPolicy};
 
 /// Result of one native kernel application; [`crate::SweepReport`]
 /// carries these fields to the caller.
@@ -34,6 +35,50 @@ pub(crate) struct NativeRun {
     /// Non-empty slabs the sweep was decomposed into (see
     /// [`crate::SweepReport::threads_used`]).
     pub(crate) threads_used: usize,
+    /// Whether every value written was finite; `true` when the request
+    /// did not ask for the scan.
+    pub(crate) finite: bool,
+}
+
+/// The opt-in "is every written value finite" scan of one sweep
+/// ([`crate::SweepRequest::report_finite`]), shared by the sweep's jobs.
+/// Kernels hand it each row segment or brick right after producing it,
+/// while it is still in L1; a disabled scan costs one predicted branch.
+pub(crate) struct FiniteScan {
+    on: bool,
+    // Relaxed is enough: the flag publishes no other data, only ever
+    // turns `true`, and is read after `ExecPool::run` has joined the jobs.
+    nonfinite: AtomicBool,
+}
+
+impl FiniteScan {
+    pub(crate) fn new(on: bool) -> FiniteScan {
+        FiniteScan {
+            on,
+            nonfinite: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether kernels that pre-aggregate (the brick kernel's per-lane
+    /// accumulators) need to do so.
+    #[inline]
+    pub(crate) fn on(&self) -> bool {
+        self.on
+    }
+
+    /// Records whether `written` — values a kernel has just stored — are
+    /// all finite.
+    #[inline]
+    pub(crate) fn check(&self, written: &[f64]) {
+        if self.on && !all_finite(written) {
+            self.nonfinite.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether every checked value was finite (`true` when off).
+    pub(crate) fn all_finite(&self) -> bool {
+        !self.nonfinite.load(Ordering::Relaxed)
+    }
 }
 
 /// Validates that all grids carry the fold the parameters assume.
@@ -62,6 +107,11 @@ fn check_folds(inputs: &[&Grid3], out: &Grid3, params: &TuningParams) -> Result<
 /// honour `params.threads` with a decomposition that depends only on
 /// `(domain, params.threads)`, never on the pool width, so results are
 /// bitwise identical for any pool.
+///
+/// With `scan` every kernel checks the values it writes for NaN/±inf as
+/// it produces them (per row segment or brick, all slabs combined into
+/// [`NativeRun::finite`]); the values themselves are untouched.
+#[allow(clippy::too_many_arguments)] // internal executor; one call site
 pub(crate) fn execute_apply(
     pool: &ExecPool,
     stencil: &Stencil,
@@ -70,7 +120,8 @@ pub(crate) fn execute_apply(
     params: &TuningParams,
     prof: &SweepProfiler,
     policy: TierPolicy,
-) -> Result<(NativeRun, Tier, &'static str), EngineError> {
+    scan: bool,
+) -> Result<(NativeRun, PlannedKernel), EngineError> {
     stencil.check_bindings(inputs, out)?;
     params
         .validate(out.n())
@@ -83,38 +134,44 @@ pub(crate) fn execute_apply(
     let geometry_shared = inputs
         .iter()
         .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
-    let (plan, reason) = plan_spatial(&compiled, geometry_shared, params, policy);
+    let planned = plan_spatial(&compiled, geometry_shared, params, policy);
     let updates = out.domain_points() as u64;
     prof.pool_window(pool.stats());
     let t_sweep = prof.start();
     let start = Instant::now();
-    let threads_used = match plan {
-        Plan::Lanes(lanes) => {
-            let (terms, constant) = compiled.linear_terms().expect("lane plan implies linear");
-            linear_fast_path(pool, terms, constant, inputs, out, params, prof, lanes)
+    let scan = &FiniteScan::new(scan);
+    let linear = || {
+        compiled
+            .linear_terms()
+            .expect("planner picked a linear kernel")
+    };
+    let threads_used = match planned.kernel {
+        Kernel::LaneRows(lanes) => {
+            let (t, c) = linear();
+            linear_fast_path(pool, t, c, inputs, out, params, prof, lanes, scan)
         }
-        Plan::Scalar => {
-            let (terms, constant) = compiled.linear_terms().expect("scalar plan implies linear");
-            linear_fast_path(pool, terms, constant, inputs, out, params, prof, 0)
+        Kernel::ScalarRows => {
+            let (t, c) = linear();
+            linear_fast_path(pool, t, c, inputs, out, params, prof, 0, scan)
         }
-        Plan::Brick(elems) => {
-            let (terms, constant) = compiled.linear_terms().expect("brick plan implies linear");
+        Kernel::BrickGather(elems) => {
+            let (t, c) = linear();
             match elems {
-                2 => brick_fast_path::<2>(pool, terms, constant, inputs, out, params, prof),
-                4 => brick_fast_path::<4>(pool, terms, constant, inputs, out, params, prof),
-                8 => brick_fast_path::<8>(pool, terms, constant, inputs, out, params, prof),
-                16 => brick_fast_path::<16>(pool, terms, constant, inputs, out, params, prof),
+                2 => brick_fast_path::<2>(pool, t, c, inputs, out, params, prof, scan),
+                4 => brick_fast_path::<4>(pool, t, c, inputs, out, params, prof, scan),
+                8 => brick_fast_path::<8>(pool, t, c, inputs, out, params, prof, scan),
+                16 => brick_fast_path::<16>(pool, t, c, inputs, out, params, prof, scan),
                 _ => unreachable!("planner only emits supported brick sizes"),
             }
         }
-        Plan::Tape => {
+        Kernel::TapeProgram(_) => {
             let CompiledStencil::Tape(tape) = &compiled else {
                 unreachable!("tape plan implies tape stencil")
             };
-            tape_fast_path(pool, tape, inputs, out, params, prof)
+            tape_fast_path(pool, tape, inputs, out, params, prof, scan)
         }
-        Plan::Generic => {
-            generic_path(&compiled, inputs, out, params);
+        Kernel::PerPoint => {
+            generic_path(&compiled, inputs, out, params, scan);
             1
         }
     };
@@ -127,9 +184,9 @@ pub(crate) fn execute_apply(
             mlups: updates as f64 / seconds.max(1e-12) / 1e6,
             updates,
             threads_used,
+            finite: scan.all_finite(),
         },
-        plan.tier(),
-        reason,
+        planned,
     ))
 }
 
@@ -232,9 +289,17 @@ impl<'a> LinearKernel<'a> {
     /// set a lane width, else the monomorphised scalar kernel for the
     /// common arities, the dynamic loop otherwise. The dispatch is a
     /// perfectly predicted branch per row; the inner loops carry no
-    /// allocation and no bounds checks.
+    /// allocation and no bounds checks. A scanning sink then checks the
+    /// segment just written, still in L1.
     #[inline]
     fn row(&self, sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
+        self.row_values(sink, k, j, i0, i1);
+        let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize;
+        sink.scan.check(&sink.win[ob + i0..ob + i1]);
+    }
+
+    #[inline]
+    fn row_values(&self, sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
         match self.lanes {
             2 => self.row_lanes::<2>(sink, k, j, i0, i1),
             4 => self.row_lanes::<4>(sink, k, j, i0, i1),
@@ -413,11 +478,12 @@ impl<'a> LinearKernel<'a> {
 /// The output window a kernel job writes into: a contiguous slice of
 /// output storage, the absolute storage index of its first element, and
 /// the full output geometry (row addressing stays absolute; `base` maps
-/// it into the window).
+/// it into the window), plus the sweep's scan of what gets written.
 pub(crate) struct Sink<'w> {
     pub(crate) win: &'w mut [f64],
     pub(crate) base: isize,
     pub(crate) geom: Geom,
+    pub(crate) scan: &'w FiniteScan,
 }
 
 /// The YASK block / sub-block loop nest over `kr × jr × ir`, invoking
@@ -515,6 +581,7 @@ fn linear_fast_path(
     params: &TuningParams,
     prof: &SweepProfiler,
     lanes: usize,
+    scan: &FiniteScan,
 ) -> usize {
     let n = out.n();
     let block = params.clipped_block(n);
@@ -533,6 +600,7 @@ fn linear_fast_path(
                     win: slab.win,
                     base: slab.win_base,
                     geom: out_geom,
+                    scan,
                 };
                 kernel.apply_blocked(
                     &mut sink,
@@ -568,6 +636,7 @@ fn tape_fast_path(
     out: &mut Grid3,
     params: &TuningParams,
     prof: &SweepProfiler,
+    scan: &FiniteScan,
 ) -> usize {
     let n = out.n();
     let block = params.clipped_block(n);
@@ -610,6 +679,7 @@ fn tape_fast_path(
                         for (c, dst) in win[ob + i0..ob + i1].chunks_mut(width).enumerate() {
                             let i = i0 + c * width;
                             tape.run(&mut regs, width, |s| &slots[s].2[bases[s] + i..], dst);
+                            scan.check(dst);
                         }
                     },
                 );
@@ -630,6 +700,7 @@ fn generic_path(
     inputs: &[&Grid3],
     out: &mut Grid3,
     params: &TuningParams,
+    scan: &FiniteScan,
 ) {
     let n = out.n();
     let block = params.clipped_block(n);
@@ -646,6 +717,7 @@ fn generic_path(
                             let (i, j, k) = (i as isize, j as isize, k as isize);
                             let v = compiled.eval_at_in(&mut scratch, inputs, i, j, k);
                             out.set(i, j, k, v);
+                            scan.check(&[v]);
                         }
                     }
                 }

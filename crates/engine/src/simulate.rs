@@ -2,13 +2,14 @@
 //! the exact iteration order of the blocked kernel.
 
 use yasksite_arch::Machine;
-use yasksite_ecm::incore::incore;
+use yasksite_ecm::incore::{incore_with_issue, InCore};
 use yasksite_grid::Grid3;
 use yasksite_memsim::{compose_time, CoreWork, HierarchyStats, MemHierarchy, TimeBreakdown};
 use yasksite_stencil::Stencil;
 
 use crate::error::EngineError;
 use crate::params::TuningParams;
+use crate::sweep::{plan_shared_layout, TierPolicy};
 
 /// A simulation context: the machine's cache hierarchy plus bookkeeping
 /// that persists across kernel applications (so multi-sweep workloads see
@@ -52,6 +53,14 @@ impl SimContext {
     #[must_use]
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+
+    /// Non-overlapping in-core cycles accumulated per core so far: units
+    /// of work times the `T_nOL` of the kernel the planner picks for each
+    /// application (see [`crate::Kernel::issue`]).
+    #[must_use]
+    pub fn incore_cycles(&self) -> &[f64] {
+        &self.incore_cycles
     }
 
     /// Accounts per-core in-core cycles for `units[c]` units of work.
@@ -106,6 +115,25 @@ pub struct SimulatedRun {
     pub updates: u64,
     /// Estimated MLUP/s.
     pub mlups: f64,
+}
+
+/// In-core cycles per unit of work of a simulated spatial or wavefront
+/// sweep: the simulated backends charge the kernel the native planner
+/// would run, through the same [`crate::Kernel::issue`] the analytic
+/// predictor uses.
+pub(crate) fn planned_incore(
+    stencil: &Stencil,
+    wavefront: bool,
+    params: &TuningParams,
+    machine: &Machine,
+) -> InCore {
+    let kernel = plan_shared_layout(stencil, wavefront, params, TierPolicy::Auto).kernel;
+    incore_with_issue(
+        &stencil.info(),
+        &machine.ports,
+        params.fold,
+        kernel.issue(machine),
+    )
 }
 
 /// Read groups: per distinct `(grid, dy, dz)` row, the x-extent accessed.
@@ -212,8 +240,7 @@ pub fn apply_simulated(
     let n = out.n();
     let block = params.clipped_block(n);
     let groups = Groups::of(stencil);
-    let info = stencil.info();
-    let ic = incore(&info, &ctx.hierarchy.machine().ports, params.fold);
+    let ic = planned_incore(stencil, false, params, ctx.machine());
 
     // Split the block list into contiguous per-core chunks (OpenMP static
     // schedule over the collapsed block loops): keeps each core's blocks

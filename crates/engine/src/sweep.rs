@@ -27,6 +27,8 @@
 
 use std::time::Instant;
 
+use yasksite_arch::Machine;
+use yasksite_ecm::Issue;
 use yasksite_grid::Grid3;
 use yasksite_stencil::Stencil;
 
@@ -121,36 +123,123 @@ impl TierPolicy {
     }
 }
 
-/// The concrete kernel the planner picked (internal; collapses to
-/// [`Tier`] for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Plan {
+/// `f64` lanes the compiler vectorises plain loops with in this build.
+/// The tape tier's instruction loops are ordinary compiled code, so their
+/// width is the build's SIMD baseline, whatever the machine's widest ISA.
+const BUILD_LANES: usize = if cfg!(target_feature = "avx512f") {
+    8
+} else if cfg!(target_feature = "avx") {
+    4
+} else {
+    2
+};
+
+/// The concrete kernel the planner picks for a sweep — one rung finer
+/// than [`Tier`], which it collapses to for reporting. This is what the
+/// executors dispatch on and what the performance model and the simulator
+/// price ([`Kernel::issue`]): a configuration is credited with the
+/// instruction stream that would run it, never with its fold's ideal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kernel {
     /// Folded lane kernel on row-major storage with this many x-lanes.
-    Lanes(usize),
-    /// Folded brick-gather kernel with this many elements per brick.
-    Brick(usize),
-    /// Scalar specialised row kernels.
-    Scalar,
-    /// Row-vectorised register program.
-    Tape,
-    /// Per-point generic path.
-    Generic,
+    LaneRows(usize),
+    /// Scalar specialised row kernels on row-major storage.
+    ScalarRows,
+    /// Folded brick-gather kernel with this many elements per brick: one
+    /// table-addressed scalar load and one scalar multiply-add per term
+    /// and lane, one vector store per brick.
+    BrickGather(usize),
+    /// Row-vectorised register program of this many instructions per
+    /// point (after value numbering).
+    TapeProgram(usize),
+    /// Per-point path through the layout-agnostic grid accessors.
+    PerPoint,
 }
 
-impl Plan {
-    pub(crate) fn tier(self) -> Tier {
+impl Kernel {
+    /// The specialisation-ladder rung this kernel reports as.
+    #[must_use]
+    pub fn tier(self) -> Tier {
         match self {
-            Plan::Lanes(_) | Plan::Brick(_) => Tier::Folded,
-            Plan::Scalar => Tier::Scalar,
-            Plan::Tape => Tier::Tape,
-            Plan::Generic => Tier::Generic,
+            Kernel::LaneRows(_) | Kernel::BrickGather(_) => Tier::Folded,
+            Kernel::ScalarRows => Tier::Scalar,
+            Kernel::TapeProgram(_) => Tier::Tape,
+            Kernel::PerPoint => Tier::Generic,
+        }
+    }
+
+    /// The in-core issue regime this kernel is charged on `machine` —
+    /// the one mapping both the analytic predictor and the simulated
+    /// backend price a configuration through. Lane and scalar rows are
+    /// vector loops (LLVM vectorises the scalar rows); the brick-gather
+    /// kernel is charged the scalar loads and multiply-adds it executes,
+    /// not the whole-brick loads of an ideal fold kernel; the tape its
+    /// register program at the build's SIMD width; the per-point path
+    /// scalar issue plus `Grid3::idx`'s address arithmetic per access.
+    #[must_use]
+    pub fn issue(self, machine: &Machine) -> Issue {
+        match self {
+            Kernel::LaneRows(_) | Kernel::ScalarRows => Issue::Vector,
+            Kernel::BrickGather(_) => Issue::Scalar,
+            Kernel::TapeProgram(instructions) => Issue::Program {
+                instructions,
+                lanes: BUILD_LANES.min(machine.lanes()),
+            },
+            Kernel::PerPoint => Issue::PerPoint,
         }
     }
 }
 
+/// A planner decision: the kernel and the one-line reason for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedKernel {
+    /// The kernel the sweep runs on.
+    pub kernel: Kernel,
+    /// Why the planner picked it — in particular, why a fold or a forced
+    /// policy was degraded.
+    pub reason: &'static str,
+}
+
+impl PlannedKernel {
+    /// The tier [`PlannedKernel::kernel`] reports as.
+    #[must_use]
+    pub fn tier(&self) -> Tier {
+        self.kernel.tier()
+    }
+
+    /// Whether the pick is a degradation (see [`tier_reason_degraded`]).
+    #[must_use]
+    pub fn degraded(&self) -> bool {
+        tier_reason_degraded(self.reason)
+    }
+}
+
 /// Lane counts the hand-unrolled kernels are monomorphised for.
-pub(crate) fn lane_count_supported(lanes: usize) -> bool {
+fn lane_count_supported(lanes: usize) -> bool {
     matches!(lanes, 2 | 4 | 8 | 16)
+}
+
+/// Row-major linear sweeps: the lane kernel when the fold's x-lane count
+/// is supported and the policy allows it, the scalar rows otherwise.
+/// Shared by the spatial and the wavefront planner.
+fn plan_rows(params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
+    let lanes = params.fold.x;
+    let (kernel, reason) = match policy {
+        TierPolicy::ForceScalar => (Kernel::ScalarRows, "tier forced to scalar"),
+        _ if lane_count_supported(lanes) => (
+            Kernel::LaneRows(lanes),
+            "row-major fold: folded lane kernel",
+        ),
+        TierPolicy::ForceFolded => (
+            Kernel::ScalarRows,
+            "folded tier forced but fold.x has no supported lane count: scalar row kernels",
+        ),
+        TierPolicy::Auto => (
+            Kernel::ScalarRows,
+            "fold.x has no supported lane count: scalar row kernels",
+        ),
+    };
+    PlannedKernel { kernel, reason }
 }
 
 /// Picks the kernel for a spatial sweep. `geometry_shared` says whether
@@ -162,97 +251,139 @@ pub(crate) fn plan_spatial(
     geometry_shared: bool,
     params: &TuningParams,
     policy: TierPolicy,
-) -> (Plan, &'static str) {
-    if !compiled.is_linear() {
+) -> PlannedKernel {
+    if let CompiledStencil::Tape(tape) = compiled {
         return if params.row_major() {
-            (
-                Plan::Tape,
-                "non-linear stencil: row-vectorised register program",
-            )
+            PlannedKernel {
+                kernel: Kernel::TapeProgram(tape.instructions()),
+                reason: "non-linear stencil: row-vectorised register program",
+            }
         } else {
-            (
-                Plan::Generic,
-                "non-linear stencil on a multi-dimensional fold: per-point generic path",
-            )
+            PlannedKernel {
+                kernel: Kernel::PerPoint,
+                reason: "non-linear stencil on a multi-dimensional fold: per-point generic path",
+            }
         };
     }
     if params.row_major() {
-        let lanes = params.fold.x;
-        match policy {
-            TierPolicy::ForceScalar => (Plan::Scalar, "tier forced to scalar"),
-            _ if lane_count_supported(lanes) => {
-                (Plan::Lanes(lanes), "row-major fold: folded lane kernel")
-            }
-            TierPolicy::ForceFolded => (
-                Plan::Scalar,
-                "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-            ),
-            TierPolicy::Auto => (
-                Plan::Scalar,
-                "fold.x has no supported lane count: scalar row kernels",
-            ),
-        }
+        return plan_rows(params, policy);
+    }
+    let elems = params.fold.elems();
+    let eligible = lane_count_supported(elems) && geometry_shared;
+    let (kernel, reason) = match policy {
+        TierPolicy::ForceScalar => (
+            Kernel::PerPoint,
+            "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
+        ),
+        _ if eligible => (
+            Kernel::BrickGather(elems),
+            "multi-dimensional fold: folded brick kernel",
+        ),
+        _ => (
+            Kernel::PerPoint,
+            "multi-dimensional fold ineligible for the brick kernel \
+             (unsupported lane count or mismatched grid layouts): generic path",
+        ),
+    };
+    PlannedKernel { kernel, reason }
+}
+
+/// Picks the kernel for the skewed plane updates of a wavefront sweep.
+/// The wavefront fast path hands each pool job a contiguous window of
+/// plane rows, so it needs a linear stencil on identically laid-out
+/// **row-major** buffers. Multi-dimensional folds scatter rows across
+/// bricks and fall back to the per-point loop (the brick kernel sweeps
+/// whole grids, not single planes), and so does the tape.
+pub(crate) fn plan_wavefront(
+    compiled: &CompiledStencil,
+    layouts_match: bool,
+    params: &TuningParams,
+    policy: TierPolicy,
+) -> PlannedKernel {
+    let per_point = |reason| PlannedKernel {
+        kernel: Kernel::PerPoint,
+        reason,
+    };
+    if !compiled.is_linear() {
+        per_point("non-linear stencil: per-point generic wavefront")
+    } else if !layouts_match {
+        per_point("ping-pong buffers have mismatched layouts: per-point generic wavefront")
+    } else if !params.row_major() {
+        per_point("wavefront folded tier requires a row-major fold: per-point generic wavefront")
     } else {
-        let elems = params.fold.elems();
-        let eligible = lane_count_supported(elems) && geometry_shared;
-        match policy {
-            TierPolicy::ForceScalar => (
-                Plan::Generic,
-                "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
-            ),
-            _ if eligible => (
-                Plan::Brick(elems),
-                "multi-dimensional fold: folded brick kernel",
-            ),
-            _ => (
-                Plan::Generic,
-                "multi-dimensional fold ineligible for the brick kernel \
-                 (unsupported lane count or mismatched grid layouts): generic path",
-            ),
-        }
+        plan_rows(params, policy)
     }
 }
 
-/// A-priori tier query for the tuner and the ECM model: which tier
-/// *would* a spatial sweep of `stencil` under `params` run on, assuming
-/// identically laid-out grids (as `Solution::allocate_grids` produces)
-/// and the [`TierPolicy::Auto`] policy?
+/// A-priori kernel query for the tuner, the ECM model and the simulator:
+/// which kernel *would* a sweep of `stencil` under `params` run on under
+/// `policy`, assuming identically laid-out grids (as
+/// `Solution::allocate_grids` produces)? Parameters with a wavefront
+/// depth above 1 are planned as the wavefront sweep they ask for, all
+/// others as a spatial sweep — the same two planners the executors call,
+/// on one lowering of the stencil.
 ///
 /// Execution may still degrade (and [`SweepReport::tier`] records the
 /// truth) when actual grid layouts differ.
+#[must_use]
+pub fn plan_kernel(stencil: &Stencil, params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
+    plan_shared_layout(stencil, params.wavefront > 1, params, policy)
+}
+
+/// The planner's pick for a wavefront or a spatial sweep on identically
+/// laid-out grids — [`plan_kernel`] with the kind of sweep stated by the
+/// caller (the simulated backends know which one they are walking).
+pub(crate) fn plan_shared_layout(
+    stencil: &Stencil,
+    wavefront: bool,
+    params: &TuningParams,
+    policy: TierPolicy,
+) -> PlannedKernel {
+    let compiled = CompiledStencil::compile(stencil);
+    if wavefront {
+        plan_wavefront(&compiled, true, params, policy)
+    } else {
+        plan_spatial(&compiled, true, params, policy)
+    }
+}
+
+/// [`plan_kernel`] under [`TierPolicy::Auto`], collapsed to the tier.
 #[must_use]
 pub fn plan_tier(stencil: &Stencil, params: &TuningParams) -> (Tier, &'static str) {
     plan_tier_with(stencil, params, TierPolicy::Auto)
 }
 
-/// [`plan_tier`] under an explicit [`TierPolicy`] — what the daemon and
-/// CLI use to report the tier a winner would execute on under the live
-/// policy (e.g. a `YASKSITE_FORCE_TIER` override).
+/// [`plan_kernel`] collapsed to the tier — what the daemon and CLI use to
+/// report the tier a winner would execute on under the live policy (e.g.
+/// a `YASKSITE_FORCE_TIER` override).
 #[must_use]
 pub fn plan_tier_with(
     stencil: &Stencil,
     params: &TuningParams,
     policy: TierPolicy,
 ) -> (Tier, &'static str) {
-    let compiled = CompiledStencil::compile(stencil);
-    let (plan, reason) = plan_spatial(&compiled, true, params, policy);
-    (plan.tier(), reason)
+    let planned = plan_kernel(stencil, params, policy);
+    (planned.tier(), planned.reason)
 }
 
 /// The planner reasons that mean a sweep ran *below* the tier its fold
 /// or policy asked for (as opposed to simply naming the natural pick).
-/// Kept in lock-step with the literals in [`plan_spatial`]; the
-/// observability layer turns these into `tier.degraded` counters.
-const DEGRADED_REASONS: [&str; 5] = [
+/// Kept in lock-step with the literals in [`plan_rows`], [`plan_spatial`]
+/// and [`plan_wavefront`]; the observability layer turns these into
+/// `tier.degraded` counters.
+const DEGRADED_REASONS: [&str; 8] = [
     "non-linear stencil on a multi-dimensional fold: per-point generic path",
     "folded tier forced but fold.x has no supported lane count: scalar row kernels",
     "fold.x has no supported lane count: scalar row kernels",
     "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
     "multi-dimensional fold ineligible for the brick kernel \
      (unsupported lane count or mismatched grid layouts): generic path",
+    "non-linear stencil: per-point generic wavefront",
+    "ping-pong buffers have mismatched layouts: per-point generic wavefront",
+    "wavefront folded tier requires a row-major fold: per-point generic wavefront",
 ];
 
-/// Whether a planner reason (from [`plan_tier`] or
+/// Whether a planner reason (from [`plan_kernel`] or
 /// [`SweepReport::tier_reason`]) records a degradation.
 #[must_use]
 pub fn tier_reason_degraded(reason: &str) -> bool {
@@ -272,6 +403,7 @@ pub struct SweepRequest<'a> {
     pool: Option<&'a ExecPool>,
     profiler: Option<&'a SweepProfiler>,
     tier: TierPolicy,
+    report_finite: bool,
 }
 
 impl<'a> SweepRequest<'a> {
@@ -285,6 +417,7 @@ impl<'a> SweepRequest<'a> {
             pool: None,
             profiler: None,
             tier: TierPolicy::from_env(),
+            report_finite: false,
         }
     }
 
@@ -312,6 +445,18 @@ impl<'a> SweepRequest<'a> {
     #[must_use]
     pub fn tier(mut self, policy: TierPolicy) -> Self {
         self.tier = policy;
+        self
+    }
+
+    /// Asks the sweep to report whether every value it writes is finite
+    /// ([`SweepReport::finite`]). Each kernel scans a row segment or
+    /// brick right after producing it, while it is still in L1, so a
+    /// caller that must detect divergence (the ODE stepper) needs no
+    /// second pass over the output grid. Off by default: a sweep that
+    /// does not ask pays nothing, and results never depend on it.
+    #[must_use]
+    pub fn report_finite(mut self) -> Self {
+        self.report_finite = true;
         self
     }
 
@@ -356,7 +501,7 @@ impl<'a> SweepRequest<'a> {
                 &disabled
             }
         };
-        let (run, tier, tier_reason) = execute_apply(
+        let (run, planned) = execute_apply(
             self.pool_ref(),
             stencil,
             inputs,
@@ -364,15 +509,17 @@ impl<'a> SweepRequest<'a> {
             &self.params,
             prof,
             self.tier,
+            self.report_finite,
         )?;
         Ok(SweepReport {
             seconds: run.seconds,
             mlups: run.mlups,
             updates: run.updates,
             threads_used: run.threads_used,
-            tier,
-            tier_reason,
+            tier: planned.tier(),
+            tier_reason: planned.reason,
             wavefront_depth: 1,
+            finite: self.report_finite.then_some(run.finite),
         })
     }
 
@@ -400,7 +547,7 @@ impl<'a> SweepRequest<'a> {
         };
         let updates = (a.domain_points() * self.params.wavefront) as u64;
         let start = Instant::now();
-        let (widest, tier, tier_reason) = execute_wavefront(
+        let (widest, finite, planned) = execute_wavefront(
             self.pool_ref(),
             stencil,
             a,
@@ -408,6 +555,7 @@ impl<'a> SweepRequest<'a> {
             &self.params,
             prof,
             self.tier,
+            self.report_finite,
         )?;
         let seconds = start.elapsed().as_secs_f64();
         Ok(SweepReport {
@@ -415,9 +563,10 @@ impl<'a> SweepRequest<'a> {
             mlups: updates as f64 / seconds.max(1e-12) / 1e6,
             updates,
             threads_used: widest,
-            tier,
-            tier_reason,
+            tier: planned.tier(),
+            tier_reason: planned.reason,
             wavefront_depth: self.params.wavefront,
+            finite: self.report_finite.then_some(finite),
         })
     }
 }
@@ -452,6 +601,11 @@ pub struct SweepReport {
     pub tier_reason: &'static str,
     /// Time steps fused in this sweep (`1` for spatial sweeps).
     pub wavefront_depth: usize,
+    /// Whether every value the sweep wrote is finite — `None` unless the
+    /// request asked ([`SweepRequest::report_finite`]). Only written
+    /// values count: halo and fold padding of the output are never read.
+    /// A wavefront sweep covers every time level it wrote.
+    pub finite: Option<bool>,
 }
 
 impl SweepReport {
@@ -546,21 +700,25 @@ mod tests {
         let compiled = CompiledStencil::compile(&s);
         // Scalar forced on a row-major fold: honoured.
         let row = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1));
-        let (plan, _) = plan_spatial(&compiled, true, &row, TierPolicy::ForceScalar);
-        assert_eq!(plan, Plan::Scalar);
+        let plan = plan_spatial(&compiled, true, &row, TierPolicy::ForceScalar);
+        assert_eq!(plan.kernel, Kernel::ScalarRows);
         // Scalar forced on a multi-dim fold: no scalar row kernel exists,
         // degrade to generic and say why.
         let folded = TuningParams::new([8, 8, 8], Fold::new(4, 2, 1));
-        let (plan, reason) = plan_spatial(&compiled, true, &folded, TierPolicy::ForceScalar);
-        assert_eq!(plan, Plan::Generic);
-        assert!(reason.contains("row-major"), "reason: {reason}");
+        let plan = plan_spatial(&compiled, true, &folded, TierPolicy::ForceScalar);
+        assert_eq!(plan.kernel, Kernel::PerPoint);
+        assert!(plan.reason.contains("row-major"), "reason: {}", plan.reason);
         // Folded forced on a unit fold: no lanes to vectorise.
         let unit = TuningParams::new([8, 8, 8], Fold::unit());
-        let (plan, reason) = plan_spatial(&compiled, true, &unit, TierPolicy::ForceFolded);
-        assert_eq!(plan, Plan::Scalar);
-        assert!(reason.contains("lane count"), "reason: {reason}");
+        let plan = plan_spatial(&compiled, true, &unit, TierPolicy::ForceFolded);
+        assert_eq!(plan.kernel, Kernel::ScalarRows);
+        assert!(
+            plan.reason.contains("lane count"),
+            "reason: {}",
+            plan.reason
+        );
         // Brick kernel needs shared grid geometry.
-        let (plan, _) = plan_spatial(&compiled, false, &folded, TierPolicy::Auto);
-        assert_eq!(plan, Plan::Generic);
+        let plan = plan_spatial(&compiled, false, &folded, TierPolicy::Auto);
+        assert_eq!(plan.kernel, Kernel::PerPoint);
     }
 }

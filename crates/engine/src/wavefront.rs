@@ -23,12 +23,12 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::{Geom, LinearKernel, Sink};
+use crate::native::{FiniteScan, Geom, LinearKernel, Sink};
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
-use crate::simulate::{apply_simulated, touch_row, Groups, RowAccess, SimContext};
-use crate::sweep::{lane_count_supported, Tier, TierPolicy};
+use crate::simulate::{apply_simulated, planned_incore, touch_row, Groups, RowAccess, SimContext};
+use crate::sweep::{plan_wavefront, Kernel, PlannedKernel, TierPolicy};
 
 fn wavefront_checks(
     stencil: &Stencil,
@@ -51,63 +51,10 @@ fn wavefront_checks(
     Ok((params.wavefront, shift))
 }
 
-/// Picks the kernel tier for the skewed plane updates. The wavefront
-/// fast path hands each pool job a contiguous window of plane rows, so
-/// it needs a linear stencil on identically laid-out **row-major**
-/// buffers; the folded lane kernel additionally needs a supported x-lane
-/// count. Multi-dimensional folds scatter rows across bricks and fall
-/// back to the per-point generic loop (the brick kernel sweeps whole
-/// grids, not single planes).
-fn plan_wavefront(
-    compiled: &CompiledStencil,
-    layouts_match: bool,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> (Option<usize>, Tier, &'static str) {
-    if !compiled.is_linear() {
-        return (
-            None,
-            Tier::Generic,
-            "non-linear stencil: per-point generic wavefront",
-        );
-    }
-    if !layouts_match {
-        return (
-            None,
-            Tier::Generic,
-            "ping-pong buffers have mismatched layouts: per-point generic wavefront",
-        );
-    }
-    if !params.row_major() {
-        return (
-            None,
-            Tier::Generic,
-            "wavefront folded tier requires a row-major fold: per-point generic wavefront",
-        );
-    }
-    match policy {
-        TierPolicy::ForceScalar => (Some(0), Tier::Scalar, "tier forced to scalar"),
-        _ if lane_count_supported(params.fold.x) => (
-            Some(params.fold.x),
-            Tier::Folded,
-            "row-major fold: folded lane kernel",
-        ),
-        TierPolicy::ForceFolded => (
-            Some(0),
-            Tier::Scalar,
-            "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-        ),
-        TierPolicy::Auto => (
-            Some(0),
-            Tier::Scalar,
-            "fold.x has no supported lane count: scalar row kernels",
-        ),
-    }
-}
-
 /// The wavefront executor behind [`crate::SweepRequest::run_wavefront`].
 /// Performs `params.wavefront` time steps in one skewed sweep and returns
-/// `(widest chunk count, executed tier, reason)`.
+/// `(widest chunk count, every written value finite, planned kernel)`;
+/// the finiteness covers every time level and is `true` without `scan`.
 ///
 /// Linear stencils on matching row-major layouts take the fast path:
 /// each plane update is tiled in x/y by `params.block` and its rows are
@@ -117,6 +64,7 @@ fn plan_wavefront(
 /// per-point generic loop. Halo values of both buffers are left
 /// untouched (fixed-value boundary), matching how the plain steppers
 /// treat them.
+#[allow(clippy::too_many_arguments)] // internal executor; one call site
 pub(crate) fn execute_wavefront(
     pool: &ExecPool,
     stencil: &Stencil,
@@ -125,7 +73,8 @@ pub(crate) fn execute_wavefront(
     params: &TuningParams,
     prof: &SweepProfiler,
     policy: TierPolicy,
-) -> Result<(usize, Tier, &'static str), EngineError> {
+    scan: bool,
+) -> Result<(usize, bool, PlannedKernel), EngineError> {
     let (wf, shift) = wavefront_checks(stencil, a, b, params)?;
     let t_compile = prof.start();
     let compiled = CompiledStencil::compile(stencil);
@@ -137,7 +86,14 @@ pub(crate) fn execute_wavefront(
         && b.fold() == params.fold
         && a.halo() == b.halo()
         && a.alloc() == b.alloc();
-    let (lanes, tier, reason) = plan_wavefront(&compiled, layouts_match, params, policy);
+    let planned = plan_wavefront(&compiled, layouts_match, params, policy);
+    // Lane width of the row kernels (`0` = scalar rows), `None` per point.
+    let lanes = match planned.kernel {
+        Kernel::LaneRows(lanes) => Some(lanes),
+        Kernel::ScalarRows => Some(0),
+        _ => None,
+    };
+    let scan = &FiniteScan::new(scan);
     let zmax = n[2] + (wf - 1) * shift;
     let mut widest = 1usize;
     let mut scratch = compiled.point_scratch();
@@ -159,13 +115,16 @@ pub(crate) fn execute_wavefront(
             let t_plane = prof.start();
             if let Some(lanes) = lanes {
                 let (terms, constant) = compiled.linear_terms().expect("fast implies linear");
-                let used = wavefront_plane(pool, terms, constant, src, dst, z, params, prof, lanes);
+                let used = wavefront_plane(
+                    pool, terms, constant, src, dst, z, params, prof, lanes, scan,
+                );
                 widest = widest.max(used);
             } else {
                 for j in 0..n[1] as isize {
                     for i in 0..n[0] as isize {
                         let v = compiled.eval_at_in(&mut scratch, &[src], i, j, z as isize);
                         dst.set(i, j, z as isize, v);
+                        scan.check(&[v]);
                     }
                 }
             }
@@ -177,7 +136,7 @@ pub(crate) fn execute_wavefront(
     if wf % 2 == 1 {
         a.swap_data(b).expect("ping-pong pair has identical layout");
     }
-    Ok((widest, tier, reason))
+    Ok((widest, scan.all_finite(), planned))
 }
 
 /// One skewed plane update `dst[·,·,z] = stencil(src)` through the
@@ -197,6 +156,7 @@ fn wavefront_plane(
     params: &TuningParams,
     prof: &SweepProfiler,
     lanes: usize,
+    scan: &FiniteScan,
 ) -> usize {
     let n = dst.n();
     let block = params.clipped_block(n);
@@ -233,6 +193,7 @@ fn wavefront_plane(
                 win,
                 base: win_base,
                 geom: out_geom,
+                scan,
             };
             kernel.apply_blocked(&mut sink, (z, z + 1), (j0, j1), (0, n[0]), block, sub);
             prof.chunk_done(t0);
@@ -273,8 +234,7 @@ pub fn run_wavefront_simulated(
         });
     }
     let groups = Groups::of(stencil);
-    let info = stencil.info();
-    let ic = yasksite_ecm::incore::incore(&info, &ctx.machine().ports, params.fold);
+    let ic = planned_incore(stencil, true, params, ctx.machine());
     let n = a.n();
     let cores = ctx.cores();
     let zmax = n[2] + (wf - 1) * shift;
@@ -332,7 +292,7 @@ pub fn run_wavefront_simulated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRequest;
+    use crate::sweep::{SweepRequest, Tier};
     use yasksite_arch::Machine;
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{heat3d, wave2d};
@@ -473,6 +433,40 @@ mod tests {
         let chunks = r.chunks.expect("chunk timings recorded");
         assert!(chunks.count >= planes.count);
         assert!(r.pool.is_some());
+    }
+
+    #[test]
+    fn wavefront_finite_scan_covers_every_level_on_rows_and_per_point() {
+        let s = heat3d(1);
+        let n = [16, 6, 10];
+        for (fold, tier) in [
+            (Fold::new(8, 1, 1), Tier::Folded),
+            (Fold::new(4, 2, 1), Tier::Generic),
+        ] {
+            let run = |bad: Option<f64>, scan: bool| {
+                let mut a = Grid3::new("a", n, [1, 1, 1], fold);
+                a.fill_with(|i, j, k| ((i * 3 + j * 5 + k * 7) % 11) as f64 * 0.1);
+                if let Some(bad) = bad {
+                    a.set(15, 5, 9, bad);
+                }
+                let mut b = a.clone();
+                let p = TuningParams::new([16, 3, 4], fold).wavefront(3).threads(2);
+                let mut request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+                if scan {
+                    request = request.report_finite();
+                }
+                let report = request.run_wavefront(&s, &mut a, &mut b).unwrap();
+                assert_eq!(report.tier, tier);
+                (a, report.finite)
+            };
+            let (plain, unasked) = run(None, false);
+            let (scanned, finite) = run(None, true);
+            assert_eq!((unasked, finite), (None, Some(true)), "{fold}");
+            assert_eq!(plain.max_abs_diff(&scanned).unwrap(), 0.0, "{fold}");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(run(Some(bad), true).1, Some(false), "{fold} {bad}");
+            }
+        }
     }
 
     #[test]

@@ -228,38 +228,37 @@ impl Grid3 {
     }
 
     /// Sets all halo points to `v` (e.g. 0 for Dirichlet boundaries).
+    /// Only halo cells are visited; on row-major folds each run of them
+    /// is one slice fill.
     pub fn fill_halo(&mut self, v: f64) {
-        let n = self.n.map(|e| e as isize);
-        let h = self.halo.map(|e| e as isize);
-        for k in -h[2]..n[2] + h[2] {
-            for j in -h[1]..n[1] + h[1] {
-                for i in -h[0]..n[0] + h[0] {
-                    let inside = i >= 0 && i < n[0] && j >= 0 && j < n[1] && k >= 0 && k < n[2];
-                    if !inside {
-                        self.set(i, j, k, v);
-                    }
+        let row_major = self.fold.y == 1 && self.fold.z == 1;
+        let (a, h) = (self.alloc, self.halo.map(|e| e as isize));
+        for_each_halo_run(self.n, self.halo, |i0, i1, j, k| {
+            if row_major {
+                // Storage is plain row-major when only x is folded: no
+                // `idx` divisions, one slice fill per run.
+                let row = (k + h[2]) as usize * a[1] + (j + h[1]) as usize;
+                let start = row * a[0] + (i0 + h[0]) as usize;
+                self.data[start..start + (i1 - i0) as usize].fill(v);
+            } else {
+                for i in i0..i1 {
+                    self.set(i, j, k, v);
                 }
             }
-        }
+        });
     }
 
     /// Copies domain edge values into the halo periodically (wrap-around
-    /// boundary), used by the wave IVP.
+    /// boundary), used by the wave IVP. Only halo cells are visited.
     pub fn fill_halo_periodic(&mut self) {
         let n = self.n.map(|e| e as isize);
-        let h = self.halo.map(|e| e as isize);
         let wrap = |c: isize, n: isize| ((c % n) + n) % n;
-        for k in -h[2]..n[2] + h[2] {
-            for j in -h[1]..n[1] + h[1] {
-                for i in -h[0]..n[0] + h[0] {
-                    let inside = i >= 0 && i < n[0] && j >= 0 && j < n[1] && k >= 0 && k < n[2];
-                    if !inside {
-                        let v = self.get(wrap(i, n[0]), wrap(j, n[1]), wrap(k, n[2]));
-                        self.set(i, j, k, v);
-                    }
-                }
+        for_each_halo_run(self.n, self.halo, |i0, i1, j, k| {
+            for i in i0..i1 {
+                let v = self.get(wrap(i, n[0]), wrap(j, n[1]), wrap(k, n[2]));
+                self.set(i, j, k, v);
             }
-        }
+        });
     }
 
     /// Maximum absolute difference over the domain between two grids of the
@@ -301,8 +300,11 @@ impl Grid3 {
         Ok(())
     }
 
-    /// Whether every domain (non-halo) value is finite — the divergence
-    /// check integrators run after a step. The whole storage is scanned
+    /// Whether every domain (non-halo) value is finite — the whole-grid
+    /// divergence check: the integrators' fallback for a new-state grid no
+    /// sweep of the step wrote (the engine otherwise scans the values as
+    /// the final sweep produces them), and the oracle the fused scan is
+    /// tested against. The whole storage is scanned
     /// first as one slice (halo and fold padding included, so this never
     /// misses an interior value); only when that finds something does the
     /// exact point-by-point walk decide whether it lies in the interior.
@@ -338,11 +340,38 @@ impl Grid3 {
     }
 }
 
+/// Calls `run(i0, i1, j, k)` for every maximal x-run `i0..i1` of halo
+/// cells in row `(j, k)` of a grid with domain `n` and halo widths `halo`:
+/// whole rows of the z- and y-halo slabs, the two x-halo stubs of every
+/// domain row. Six slabs that together cover each halo cell once and
+/// nothing else — no domain cell, no fold padding.
+fn for_each_halo_run(
+    n: [usize; 3],
+    halo: [usize; 3],
+    mut run: impl FnMut(isize, isize, isize, isize),
+) {
+    let n = n.map(|e| e as isize);
+    let h = halo.map(|e| e as isize);
+    for k in -h[2]..n[2] + h[2] {
+        let z_halo = k < 0 || k >= n[2];
+        for j in -h[1]..n[1] + h[1] {
+            if z_halo || j < 0 || j >= n[1] {
+                run(-h[0], n[0] + h[0], j, k);
+            } else if h[0] > 0 {
+                run(-h[0], 0, j, k);
+                run(n[0], n[0] + h[0], j, k);
+            }
+        }
+    }
+}
+
 /// Whether every value of `vals` is finite, without a branch per element:
 /// `x * 0.0` is `±0` for finite `x` and NaN for NaN or `±inf`, and a NaN
 /// survives any sum. Eight independent accumulators keep the adds off one
-/// dependency chain so the loop vectorises.
-fn all_finite(vals: &[f64]) -> bool {
+/// dependency chain so the loop vectorises. The engine's kernels run it
+/// over each row segment they have just written.
+#[must_use]
+pub fn all_finite(vals: &[f64]) -> bool {
     let mut acc = [0.0f64; 8];
     let chunks = vals.chunks_exact(8);
     let tail = chunks.remainder();
@@ -520,7 +549,63 @@ mod tests {
         assert!(a.max_abs_diff(&b).unwrap() > 0.0);
     }
 
+    /// The former full-box walk (every allocated coordinate, an `inside`
+    /// test per point), kept as the oracle for the slab-wise fills.
+    fn halo_walk_oracle(g: &mut Grid3, periodic: bool, v: f64) {
+        let n = g.n().map(|e| e as isize);
+        let h = g.halo().map(|e| e as isize);
+        let wrap = |c: isize, n: isize| ((c % n) + n) % n;
+        for k in -h[2]..n[2] + h[2] {
+            for j in -h[1]..n[1] + h[1] {
+                for i in -h[0]..n[0] + h[0] {
+                    let inside = i >= 0 && i < n[0] && j >= 0 && j < n[1] && k >= 0 && k < n[2];
+                    if !inside {
+                        let v = if periodic {
+                            g.get(wrap(i, n[0]), wrap(j, n[1]), wrap(k, n[2]))
+                        } else {
+                            v
+                        };
+                        g.set(i, j, k, v);
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// The slab-wise halo fills leave storage bitwise equal to the
+        /// full-box walk: same halo values, domain and fold padding
+        /// (pre-set to a sentinel) untouched — 2-D and 3-D grids, zero
+        /// halos in any dimension, row-major and multi-dimensional folds.
+        #[test]
+        fn halo_fills_match_the_full_box_walk(
+            nx in 1usize..11, ny in 1usize..7, nz in 1usize..5,
+            hx in 0usize..3, hy in 0usize..3, hz in 0usize..3,
+            fold_pick in 0usize..4, flat in any::<bool>(),
+        ) {
+            let fold = [Fold::unit(), Fold::new(8, 1, 1), Fold::new(4, 2, 1), Fold::new(2, 2, 2)]
+                [fold_pick];
+            let (nz, hz) = if flat { (1, 0) } else { (nz, hz) };
+            let mut base = Grid3::new("p", [nx, ny, nz], [hx, hy, hz], fold);
+            base.fill_all(-77.0); // sentinel: padding must keep it
+            base.fill_with(|i, j, k| (1 + i + 10 * j + 100 * k) as f64);
+            for periodic in [false, true] {
+                let (mut got, mut want) = (base.clone(), base.clone());
+                if periodic {
+                    got.fill_halo_periodic();
+                } else {
+                    got.fill_halo(0.5);
+                }
+                halo_walk_oracle(&mut want, periodic, 0.5);
+                let same = got
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                prop_assert!(same, "periodic {} on {}", periodic, fold);
+            }
+        }
+
         /// The layout map (i,j,k) -> idx is injective and in-bounds for
         /// arbitrary shapes, halos and folds.
         #[test]

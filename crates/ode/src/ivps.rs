@@ -32,13 +32,24 @@ pub trait Ivp {
     }
 }
 
+/// `sin(π·x(i))` at the `n` interior points `x(i) = (i + 1)·h` of one axis
+/// of the unit interval. The sine-product IVPs take their factors from
+/// this table — built once in `new`, the same expression per entry the
+/// closed form evaluates — so `initial`/`exact` cost a multiply per axis
+/// rather than a `sin` call per axis and point.
+fn sin_pi_x(n: usize, h: f64) -> Vec<f64> {
+    (0..n)
+        .map(|i| (std::f64::consts::PI * ((i as f64 + 1.0) * h)).sin())
+        .collect()
+}
+
 /// 2-D heat equation `u' = Δu` on the unit square with homogeneous
 /// Dirichlet boundaries, discretised with `n×n` interior points.
 /// Exact solution: `sin(πx)·sin(πy)·e^(−2π²t)`.
 #[derive(Debug, Clone)]
 pub struct Heat2d {
     n: usize,
-    h: f64,
+    sin: Vec<f64>,
 }
 
 impl Heat2d {
@@ -47,12 +58,8 @@ impl Heat2d {
     pub fn new(n: usize) -> Self {
         Heat2d {
             n,
-            h: 1.0 / (n as f64 + 1.0),
+            sin: sin_pi_x(n, 1.0 / (n as f64 + 1.0)),
         }
-    }
-
-    fn x(&self, i: usize) -> f64 {
-        (i as f64 + 1.0) * self.h
     }
 }
 
@@ -70,12 +77,11 @@ impl Ivp for Heat2d {
         builders::heat2d_rhs(self.n)
     }
     fn initial(&self, _field: usize, i: usize, j: usize, _k: usize) -> f64 {
-        let pi = std::f64::consts::PI;
-        (pi * self.x(i)).sin() * (pi * self.x(j)).sin()
+        self.sin[i] * self.sin[j]
     }
     fn exact(&self, _field: usize, i: usize, j: usize, _k: usize, t: f64) -> Option<f64> {
         let pi = std::f64::consts::PI;
-        Some((pi * self.x(i)).sin() * (pi * self.x(j)).sin() * (-2.0 * pi * pi * t).exp())
+        Some(self.sin[i] * self.sin[j] * (-2.0 * pi * pi * t).exp())
     }
 }
 
@@ -84,7 +90,7 @@ impl Ivp for Heat2d {
 #[derive(Debug, Clone)]
 pub struct Heat3d {
     n: usize,
-    h: f64,
+    sin: Vec<f64>,
 }
 
 impl Heat3d {
@@ -93,12 +99,8 @@ impl Heat3d {
     pub fn new(n: usize) -> Self {
         Heat3d {
             n,
-            h: 1.0 / (n as f64 + 1.0),
+            sin: sin_pi_x(n, 1.0 / (n as f64 + 1.0)),
         }
-    }
-
-    fn x(&self, i: usize) -> f64 {
-        (i as f64 + 1.0) * self.h
     }
 }
 
@@ -116,17 +118,11 @@ impl Ivp for Heat3d {
         builders::heat3d_rhs(self.n)
     }
     fn initial(&self, _field: usize, i: usize, j: usize, k: usize) -> f64 {
-        let pi = std::f64::consts::PI;
-        (pi * self.x(i)).sin() * (pi * self.x(j)).sin() * (pi * self.x(k)).sin()
+        self.sin[i] * self.sin[j] * self.sin[k]
     }
     fn exact(&self, _field: usize, i: usize, j: usize, k: usize, t: f64) -> Option<f64> {
         let pi = std::f64::consts::PI;
-        Some(
-            (pi * self.x(i)).sin()
-                * (pi * self.x(j)).sin()
-                * (pi * self.x(k)).sin()
-                * (-3.0 * pi * pi * t).exp(),
-        )
+        Some(self.sin[i] * self.sin[j] * self.sin[k] * (-3.0 * pi * pi * t).exp())
     }
 }
 
@@ -138,21 +134,20 @@ pub struct Wave2d {
     n: usize,
     h: f64,
     speed: f64,
+    sin: Vec<f64>,
 }
 
 impl Wave2d {
     /// `n` interior points per dimension, wave speed `speed`.
     #[must_use]
     pub fn new(n: usize, speed: f64) -> Self {
+        let h = 1.0 / (n as f64 + 1.0);
         Wave2d {
             n,
-            h: 1.0 / (n as f64 + 1.0),
+            h,
             speed,
+            sin: sin_pi_x(n, h),
         }
-    }
-
-    fn x(&self, i: usize) -> f64 {
-        (i as f64 + 1.0) * self.h
     }
 
     fn omega(&self) -> f64 {
@@ -186,16 +181,14 @@ impl Ivp for Wave2d {
         }
     }
     fn initial(&self, field: usize, i: usize, j: usize, _k: usize) -> f64 {
-        let pi = std::f64::consts::PI;
         if field == 0 {
-            (pi * self.x(i)).sin() * (pi * self.x(j)).sin()
+            self.sin[i] * self.sin[j]
         } else {
             0.0
         }
     }
     fn exact(&self, field: usize, i: usize, j: usize, _k: usize, t: f64) -> Option<f64> {
-        let pi = std::f64::consts::PI;
-        let space = (pi * self.x(i)).sin() * (pi * self.x(j)).sin();
+        let space = self.sin[i] * self.sin[j];
         Some(if field == 0 {
             space * (self.omega() * t).cos()
         } else {
@@ -380,6 +373,38 @@ mod tests {
         let info = p.rhs(0).info();
         assert_eq!(info.read_grids, 2);
         assert!(info.muls >= 3, "needs the u²v term");
+    }
+
+    #[test]
+    fn sine_tables_reproduce_the_closed_forms_bit_for_bit() {
+        // The closed forms as written before the per-axis table: one
+        // `sin` per axis and point, factors multiplied left to right.
+        let n = 9;
+        let pi = std::f64::consts::PI;
+        let s = |i: usize| (pi * ((i as f64 + 1.0) * (1.0 / (n as f64 + 1.0)))).sin();
+        let (h2, h3, w) = (Heat2d::new(n), Heat3d::new(n), Wave2d::new(n, 1.5));
+        let omega = std::f64::consts::SQRT_2 * pi * 1.5;
+        let t = 0.37;
+        for j in 0..n {
+            for i in 0..n {
+                assert_eq!(h2.initial(0, i, j, 0), s(i) * s(j));
+                let decay = (-2.0 * pi * pi * t).exp();
+                assert_eq!(h2.exact(0, i, j, 0, t), Some(s(i) * s(j) * decay));
+                assert_eq!(w.initial(0, i, j, 0), s(i) * s(j));
+                assert_eq!(w.initial(1, i, j, 0), 0.0);
+                let space = s(i) * s(j);
+                assert_eq!(w.exact(0, i, j, 0, t), Some(space * (omega * t).cos()));
+                assert_eq!(
+                    w.exact(1, i, j, 0, t),
+                    Some(-space * omega * (omega * t).sin())
+                );
+                for k in 0..n {
+                    assert_eq!(h3.initial(0, i, j, k), s(i) * s(j) * s(k));
+                    let decay = (-3.0 * pi * pi * t).exp();
+                    assert_eq!(h3.exact(0, i, j, k, t), Some(s(i) * s(j) * s(k) * decay));
+                }
+            }
+        }
     }
 
     #[test]

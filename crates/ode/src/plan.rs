@@ -21,7 +21,11 @@ pub struct StepOp {
 /// Pool layout conventions are fixed by the plan builders; consumers only
 /// need `state_grids` (current solution fields, read by the step) and
 /// `next_grids` (where the step leaves the new solution; the integrator
-/// swaps them afterwards).
+/// swaps them afterwards). The builders hand out compacted plans
+/// ([`StepPlan::compacted`]): every pool index is one some op, the state
+/// rotation or the scratch list touches, so whoever sizes memory from
+/// `num_grids` — the integrator, the step predictor's resident set, a
+/// simulated or bare-sweep replay — allocates nothing a step never uses.
 #[derive(Debug, Clone)]
 pub struct StepPlan {
     /// The sweeps, in execution order.
@@ -52,6 +56,59 @@ impl StepPlan {
         self.ops.len() as u64 * (self.domain[0] * self.domain[1] * self.domain[2]) as u64
     }
 
+    /// Which pool indices anything touches: an op's input or output, the
+    /// state rotation, the scratch list.
+    #[must_use]
+    pub fn touched_grids(&self) -> Vec<bool> {
+        let mut touched = vec![false; self.num_grids];
+        let ops = self
+            .ops
+            .iter()
+            .flat_map(|op| op.inputs.iter().chain(std::iter::once(&op.output)));
+        let lists = [&self.state_grids, &self.next_grids, &self.scratch_grids];
+        for &g in ops.chain(lists.into_iter().flatten()) {
+            touched[g] = true;
+        }
+        touched
+    }
+
+    /// Drops every pool index nothing touches and renumbers the rest in
+    /// order (a fused variant leaves the stage-scratch and last-stage
+    /// slots of the common layout unused: rk4/E 7 → 5 grids, rk4/D
+    /// 7 → 6). Ops, stencils and execution order are untouched, so a
+    /// compacted plan integrates bit for bit like the original.
+    ///
+    /// # Panics
+    /// Panics if an index is out of range (see [`StepPlan::validate`]).
+    #[must_use]
+    pub fn compacted(mut self) -> StepPlan {
+        let touched = self.touched_grids();
+        // New index of a kept grid: how many kept grids precede it.
+        let mut kept = 0;
+        let renumbered: Vec<usize> = touched
+            .iter()
+            .map(|&t| {
+                let new = kept;
+                kept += usize::from(t);
+                new
+            })
+            .collect();
+        let ops = self
+            .ops
+            .iter_mut()
+            .flat_map(|op| op.inputs.iter_mut().chain(std::iter::once(&mut op.output)));
+        let lists = [
+            &mut self.state_grids,
+            &mut self.next_grids,
+            &mut self.scratch_grids,
+        ];
+        for g in ops.chain(lists.into_iter().flatten()) {
+            *g = renumbered[*g];
+        }
+        self.num_grids = kept;
+        self
+    }
+
     /// Validates internal consistency: every op's arity matches its
     /// stencil, indices are in range, and no op reads its own output.
     ///
@@ -74,10 +131,9 @@ impl StepPlan {
                 return Err(format!("op {n} '{}': output aliases an input", op.label));
             }
         }
-        for &g in self.state_grids.iter().chain(&self.next_grids) {
-            if g >= self.num_grids {
-                return Err("state/next grid out of range".into());
-            }
+        let lists = [&self.state_grids, &self.next_grids, &self.scratch_grids];
+        if lists.into_iter().flatten().any(|&g| g >= self.num_grids) {
+            return Err("state/next/scratch grid out of range".into());
         }
         Ok(())
     }

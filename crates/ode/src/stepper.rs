@@ -55,6 +55,12 @@ pub struct Integrator {
     pool: Vec<RefCell<Grid3>>,
     params: TuningParams,
     exec: Option<Arc<ExecPool>>,
+    /// Per op: whether it is the last one writing some `next` grid, so
+    /// its sweep reports on the finiteness of the new state it produces.
+    scans_new_state: Vec<bool>,
+    /// Fields whose `next` grid no op writes; their new state gets the
+    /// whole-grid scan instead.
+    unswept_fields: Vec<usize>,
     t: f64,
     h: f64,
     steps_done: u64,
@@ -109,11 +115,21 @@ impl Integrator {
                 .borrow_mut()
                 .fill_with(|i, j, k| ivp.initial(fl, i, j, k));
         }
+        let mut scans_new_state = vec![false; plan.ops.len()];
+        let mut unswept_fields = Vec::new();
+        for (fl, &next) in plan.next_grids.iter().enumerate() {
+            match plan.ops.iter().rposition(|op| op.output == next) {
+                Some(last_writer) => scans_new_state[last_writer] = true,
+                None => unswept_fields.push(fl),
+            }
+        }
         Ok(Integrator {
             plan,
             pool,
             params,
             exec: None,
+            scans_new_state,
+            unswept_fields,
             t: 0.0,
             h,
             steps_done: 0,
@@ -161,14 +177,23 @@ impl Integrator {
     /// Panics if the plan aliases an op's output with an input (prevented
     /// by validation).
     pub fn step(&mut self) -> Result<(), OdeError> {
-        for op in &self.plan.ops {
+        // Divergence guard: an unstable step size turns the state
+        // non-finite; detect it on this step instead of letting NaN/inf
+        // propagate into downstream error norms and comparisons. The
+        // sweep that writes a field's new state checks it as it goes, so
+        // the state is not streamed from memory a second time.
+        let mut finite = true;
+        for (op, &scan) in self.plan.ops.iter().zip(&self.scans_new_state) {
             let borrowed: Vec<std::cell::Ref<'_, Grid3>> =
                 op.inputs.iter().map(|&g| self.pool[g].borrow()).collect();
             let refs: Vec<&Grid3> = borrowed.iter().map(|r| &**r).collect();
             let mut out = self.pool[op.output].borrow_mut();
-            SweepRequest::new(&self.params)
-                .pool(self.exec_pool())
-                .apply(&op.stencil, &refs, &mut out)?;
+            let mut request = SweepRequest::new(&self.params).pool(self.exec_pool());
+            if scan {
+                request = request.report_finite();
+            }
+            let report = request.apply(&op.stencil, &refs, &mut out)?;
+            finite &= report.finite != Some(false);
         }
         for (&s, &n) in self.plan.state_grids.iter().zip(&self.plan.next_grids) {
             let mut a = self.pool[s].borrow_mut();
@@ -178,17 +203,17 @@ impl Integrator {
         }
         self.t += self.h;
         self.steps_done += 1;
-        // Divergence guard: an unstable step size turns the state
-        // non-finite; detect it here instead of letting NaN/inf propagate
-        // into downstream error norms and comparisons.
-        for &s in &self.plan.state_grids {
-            if !self.pool[s].borrow().interior_all_finite() {
-                return Err(OdeError::Diverged {
-                    step: self.steps_done,
-                });
-            }
+        for &fl in &self.unswept_fields {
+            let state = self.pool[self.plan.state_grids[fl]].borrow();
+            finite &= state.interior_all_finite();
         }
-        Ok(())
+        if finite {
+            Ok(())
+        } else {
+            Err(OdeError::Diverged {
+                step: self.steps_done,
+            })
+        }
     }
 
     /// Runs `n` steps.
@@ -465,6 +490,78 @@ mod tests {
         });
         assert_eq!(Some(reported), walked);
         assert_eq!(reported, 99, "the step the point-by-point guard reported");
+    }
+
+    #[test]
+    fn two_field_divergence_fires_on_the_step_the_whole_grid_scan_finds_it() {
+        // Each field's new state is checked by the last sweep writing it;
+        // every variant must report the step on which a whole-grid scan
+        // of both fields first finds a non-finite value.
+        let ivp = Wave2d::new(15, 1.0);
+        let h = 0.5; // far outside RK4's stability region
+        let p = default_params(ivp.domain()).threads(3);
+        for v in Variant::all() {
+            let build = || {
+                let plan = erk_plan(&Tableau::rk4(), &ivp, h, v);
+                Integrator::new(&ivp, plan, h, p.clone()).unwrap()
+            };
+            let Err(OdeError::Diverged { step: reported }) = build().run(500) else {
+                panic!("h = 0.5 must diverge ({v})");
+            };
+            let mut twin = build();
+            let scanned = (1..=500u64).find(|_| {
+                let outcome = twin.step();
+                let finite = (0..2).all(|f| twin.state(f).interior_all_finite());
+                assert_eq!(outcome.is_ok(), finite, "guard and scan disagree ({v})");
+                !finite
+            });
+            assert_eq!(Some(reported), scanned, "variant {v}");
+        }
+    }
+
+    #[test]
+    fn a_next_grid_no_sweep_writes_gets_the_whole_grid_scan() {
+        use crate::plan::{lincomb_stencil, StepOp};
+        use yasksite_stencil::Stencil;
+        struct NanStart;
+        impl Ivp for NanStart {
+            fn name(&self) -> &str {
+                "nan-start"
+            }
+            fn domain(&self) -> [usize; 3] {
+                [8, 2, 1]
+            }
+            fn halo(&self) -> [usize; 3] {
+                [0, 0, 0]
+            }
+            fn rhs(&self, _field: usize) -> Stencil {
+                lincomb_stencil("id", &[1.0])
+            }
+            fn initial(&self, _field: usize, _i: usize, _j: usize, _k: usize) -> f64 {
+                f64::NAN
+            }
+        }
+        // The only op writes a side grid, so the rotation just alternates
+        // the NaN start and the zeroed `next` grid as "new state".
+        let plan = StepPlan {
+            ops: vec![StepOp {
+                stencil: lincomb_stencil("copy", &[1.0]),
+                inputs: vec![0],
+                output: 2,
+                label: "side copy".into(),
+            }],
+            num_grids: 3,
+            state_grids: vec![0],
+            next_grids: vec![1],
+            scratch_grids: vec![],
+            domain: [8, 2, 1],
+            halo: [0, 0, 0],
+            name: "unswept".into(),
+        };
+        let p = default_params([8, 2, 1]);
+        let mut integ = Integrator::new(&NanStart, plan, 1.0, p).unwrap();
+        integ.step().expect("the zeroed next grid is finite");
+        assert!(matches!(integ.step(), Err(OdeError::Diverged { step: 2 })));
     }
 
     #[test]

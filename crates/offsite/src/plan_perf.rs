@@ -167,7 +167,7 @@ mod tests {
     use super::*;
     use yasksite_grid::Fold;
     use yasksite_ode::ivps::Heat2d;
-    use yasksite_ode::{erk_plan, Tableau, Variant};
+    use yasksite_ode::{erk_plan, Ivp, Tableau, Variant};
 
     fn setup() -> (Heat2d, StepPlan, TuningParams, Machine) {
         let ivp = Heat2d::new(64);
@@ -218,6 +218,32 @@ mod tests {
         let d = erk_plan(&Tableau::rk4(), &ivp, 1e-3, Variant::D);
         let p = predict_plan_cached(&d, &host, &params, 1, &PredictionCache::new());
         assert!(p.per_op[1].1 > p.per_op[0].1, "{:?}", p.per_op);
+    }
+
+    #[test]
+    fn memory_resident_heat3d_ranks_variants_as_measured() {
+        // Heat3d(192) on the host, naive parameters: 60 MB per grid, every
+        // sweep streams from memory. Measured steps (EXPERIMENTS.md E17):
+        // E 110.7 ms < D 120.8 < A 135.8 < B 161.1 — fewer passes over
+        // memory win, and the model must rank them the same way.
+        use yasksite_ode::ivps::Heat3d;
+        let ivp = Heat3d::new(192);
+        let host = Machine::host();
+        let naive = TuningParams::new(ivp.domain(), Fold::new(host.lanes(), 1, 1));
+        let step = |v: Variant| {
+            let plan = erk_plan(&Tableau::rk4(), &ivp, 1e-6, v);
+            predict_plan_cached(&plan, &host, &naive, 1, &PredictionCache::new()).seconds_per_step
+        };
+        let (a, b, d, e) = (
+            step(Variant::A),
+            step(Variant::B),
+            step(Variant::D),
+            step(Variant::E),
+        );
+        assert!(
+            e < d && d < a && a < b,
+            "A {a:.4} B {b:.4} D {d:.4} E {e:.4}"
+        );
     }
 
     #[test]

@@ -356,3 +356,92 @@ proptest! {
         prop_assert!(same_bits(&tape, &generic), "tape vs generic tier");
     }
 }
+
+/// The fused finiteness scan (`SweepRequest::report_finite`) on every
+/// kernel — lane rows, scalar rows, tape program, brick gather (4x2x1),
+/// per-point (3x3x1) — with 1 and 3 threads: one NaN / +inf / −inf input
+/// value feeding the first row, the last row or a remainder column makes
+/// the report say non-finite, a clean run says finite, a run that does
+/// not ask reports nothing, and the scan never changes an output bit.
+/// Only written values count: the output grid starts as all-NaN storage
+/// (halo and fold padding stay NaN) and a clean run is still finite.
+#[test]
+fn fused_finite_scan_sees_exactly_the_written_values_on_every_tier() {
+    use yasksite_stencil::builders::{heat3d, suite_stencil};
+
+    let varcoeff = suite_stencil("heat-3d-vc").unwrap();
+    let rows = [
+        (
+            heat3d(1),
+            Fold::new(8, 1, 1),
+            TierPolicy::ForceFolded,
+            Tier::Folded,
+        ),
+        (
+            heat3d(1),
+            Fold::new(8, 1, 1),
+            TierPolicy::ForceScalar,
+            Tier::Scalar,
+        ),
+        (varcoeff, Fold::new(8, 1, 1), TierPolicy::Auto, Tier::Tape),
+        (
+            heat3d(1),
+            Fold::new(4, 2, 1),
+            TierPolicy::Auto,
+            Tier::Folded,
+        ),
+        (
+            heat3d(1),
+            Fold::new(3, 3, 1),
+            TierPolicy::Auto,
+            Tier::Generic,
+        ),
+    ];
+    let n = [19, 7, 5]; // 19 = two 8-lane chunks and a remainder of 3
+    let spots = [(3, 0, 0), (3, 6, 4), (18, 3, 2)];
+    for (stencil, fold, policy, tier) in rows {
+        let halo = stencil.info().radius;
+        for threads in [1usize, 3] {
+            let params = TuningParams::new([n[0], 4, 2], fold).threads(threads);
+            let sweep = |inputs: &[&Grid3], scan: bool| {
+                let mut out = Grid3::new("o", n, halo, fold);
+                out.fill_all(f64::NAN);
+                let mut request = SweepRequest::new(&params).tier(policy);
+                if scan {
+                    request = request.report_finite();
+                }
+                let report = request.apply(&stencil, inputs, &mut out).unwrap();
+                assert_eq!(report.tier, tier, "{fold} {policy:?}");
+                (out, report.finite)
+            };
+            let what = format!(
+                "{}, fold {fold}, {policy:?}, {threads} threads",
+                stencil.name()
+            );
+            let mut grids: Vec<Grid3> = (0..stencil.num_inputs())
+                .map(|g| seeded_grid("u", n, halo, fold, 7 + g as u64))
+                .collect();
+            let clean: Vec<&Grid3> = grids.iter().collect();
+            let (plain, unasked) = sweep(&clean, false);
+            let (scanned, finite) = sweep(&clean, true);
+            assert_eq!(unasked, None, "{what}");
+            assert_eq!(finite, Some(true), "{what}");
+            assert!(same_bits(&plain, &scanned), "{what}");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for (i, j, k) in spots {
+                    let good = grids[0].get(i, j, k);
+                    grids[0].set(i, j, k, bad);
+                    let planted: Vec<&Grid3> = grids.iter().collect();
+                    let (plain, _) = sweep(&planted, false);
+                    let (scanned, finite) = sweep(&planted, true);
+                    assert_eq!(finite, Some(false), "{what}: {bad} at ({i},{j},{k})");
+                    assert!(
+                        same_bits(&plain, &scanned),
+                        "{what}: {bad} at ({i},{j},{k})"
+                    );
+                    grids[0].set(i, j, k, good);
+                }
+            }
+        }
+    }
+}

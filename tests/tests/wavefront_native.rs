@@ -269,3 +269,50 @@ proptest! {
         prop_assert_eq!(got.max_abs_diff(&want).unwrap(), 0.0);
     }
 }
+
+/// The a-priori kernel query names what runs: for every candidate of the
+/// standard space — spatial and wavefront, row-major and 4x2x1 / 2x4x1
+/// folds — under every tier policy, the planned tier, reason and degraded
+/// flag equal the report of actually executing the candidate. (Wavefront
+/// sweeps on a multi-dimensional fold used to be announced `folded` and
+/// executed per point.)
+#[test]
+fn a_priori_kernel_matches_the_report_of_running_every_standard_candidate() {
+    use yasksite::SearchSpace;
+    use yasksite_arch::Machine;
+    use yasksite_engine::plan_kernel;
+
+    let stencil = heat3d(1);
+    let n = [24, 12, 10];
+    let space = SearchSpace::standard(&stencil, n, &Machine::host());
+    let mut wavefront_on_bricks = 0;
+    for threads in [1usize, 3] {
+        for p in space.candidates(threads) {
+            for policy in [
+                TierPolicy::Auto,
+                TierPolicy::ForceScalar,
+                TierPolicy::ForceFolded,
+            ] {
+                let planned = plan_kernel(&stencil, &p, policy);
+                let mut a = seeded_grid("a", n, [1, 1, 1], p.fold, 5);
+                let mut b = seeded_grid("b", n, [1, 1, 1], p.fold, 5);
+                let request = SweepRequest::new(&p).tier(policy);
+                let report = if p.wavefront > 1 {
+                    request.run_wavefront(&stencil, &mut a, &mut b)
+                } else {
+                    request.apply(&stencil, &[&a], &mut b)
+                }
+                .unwrap();
+                assert_eq!(planned.tier(), report.tier, "{p} under {policy:?}");
+                assert_eq!(planned.reason, report.tier_reason, "{p} under {policy:?}");
+                assert_eq!(planned.degraded(), report.degraded(), "{p}");
+                if p.wavefront > 1 && !p.row_major() {
+                    assert_eq!(report.tier, Tier::Generic, "{p} under {policy:?}");
+                    assert!(report.degraded(), "{p} under {policy:?}");
+                    wavefront_on_bricks += 1;
+                }
+            }
+        }
+    }
+    assert!(wavefront_on_bricks > 0, "the space holds wavefront x fold");
+}
