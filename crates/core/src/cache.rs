@@ -212,19 +212,6 @@ impl PredictionCache {
         self.len() == 0
     }
 
-    /// Visits every memoized entry, shard by shard. Iteration order is
-    /// unspecified (it follows the shard hash layout); callers that need
-    /// a stable order must sort what they collect. Each shard lock is
-    /// held only while that shard is visited, so `f` must not call back
-    /// into the cache.
-    pub fn for_each(&self, mut f: impl FnMut(&PredictKey, &PredictedPerf)) {
-        for s in &self.shards {
-            for (key, value) in s.lock().expect("cache shard poisoned").iter() {
-                f(key, value);
-            }
-        }
-    }
-
     /// Drops every memoized prediction and resets the counters.
     pub fn clear(&self) {
         for s in &self.shards {

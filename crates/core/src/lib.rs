@@ -71,9 +71,9 @@ pub use drift::{DriftLedger, DriftRecord};
 pub use online::{KeyCorrection, OnlineTuner};
 pub use persist::{
     crc32, decode_drift, decode_journal, decode_prediction, encode_drift, encode_prediction, frame,
-    journal_header, AbsorbStats, FaultyMedium, FileMedium, Journal, JournalKind, JournalMedium,
-    MemMedium, PersistentStore, PredictionRecord, RecoveryEvent, RecoveryReport, WarmStats,
-    JOURNAL_VERSION, MAX_RECORD_BYTES,
+    journal_header, FaultyMedium, FileMedium, Journal, JournalKind, JournalMedium, MemMedium,
+    PersistentStore, PredictionRecord, RecoveryEvent, RecoveryReport, WarmStats, JOURNAL_VERSION,
+    MAX_RECORD_BYTES,
 };
 pub use predict::{predict_params, predict_params_resident, PredictedPerf};
 pub use report::render_report;

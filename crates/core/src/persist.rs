@@ -63,6 +63,7 @@ use yasksite_telemetry::{Level, Telemetry};
 
 use crate::cache::{PredictKey, PredictionCache};
 use crate::drift::DriftRecord;
+use crate::predict::PredictedPerf;
 use crate::solution::Solution;
 use crate::trial::{FaultPlan, TrialRng};
 
@@ -453,6 +454,19 @@ pub struct PredictionRecord {
     pub wavefront_effective: bool,
 }
 
+impl PredictionRecord {
+    /// The record that persists the model's answer `perf` for `key`.
+    #[must_use]
+    pub fn new(key: PredictKey, perf: &PredictedPerf) -> Self {
+        PredictionRecord {
+            key,
+            mlups_bits: perf.mlups.to_bits(),
+            seconds_bits: perf.seconds_per_sweep.to_bits(),
+            wavefront_effective: perf.wavefront_effective,
+        }
+    }
+}
+
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -681,15 +695,6 @@ pub struct WarmStats {
     pub stale: usize,
 }
 
-/// Outcome of [`PersistentStore::absorb_cache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AbsorbStats {
-    /// New records journaled.
-    pub persisted: usize,
-    /// Appends that failed (the journal is poisoned after the first).
-    pub errors: usize,
-}
-
 /// Disk-backed store for the prediction cache and the drift ledger. See
 /// the module docs for the format and the recovery rules.
 pub struct PersistentStore {
@@ -909,38 +914,6 @@ impl PersistentStore {
         self.drift_journal.append(&encode_drift(rec))
     }
 
-    /// Journals every cache entry not yet persisted, in a stable sorted
-    /// order (the cache iterates in hash order). Append errors are
-    /// counted, not propagated — persistence degrades, serving does not.
-    pub fn absorb_cache(&mut self, cache: &PredictionCache) -> AbsorbStats {
-        let mut fresh: Vec<PredictionRecord> = Vec::new();
-        cache.for_each(|key, perf| {
-            let rec = PredictionRecord {
-                key: key.clone(),
-                mlups_bits: perf.mlups.to_bits(),
-                seconds_bits: perf.seconds_per_sweep.to_bits(),
-                wavefront_effective: perf.wavefront_effective,
-            };
-            if self.predictions.get(key) != Some(&rec) {
-                fresh.push(rec);
-            }
-        });
-        fresh.sort_by(|a, b| {
-            (a.key.solution, a.key.cores, a.key.resident_bits)
-                .cmp(&(b.key.solution, b.key.cores, b.key.resident_bits))
-                .then_with(|| a.key.params.to_string().cmp(&b.key.params.to_string()))
-        });
-        let mut stats = AbsorbStats::default();
-        for rec in fresh {
-            match self.record_prediction(rec) {
-                Ok(true) => stats.persisted += 1,
-                Ok(false) => {}
-                Err(_) => stats.errors += 1,
-            }
-        }
-        stats
-    }
-
     /// Verified warm start: for every persisted record of `sol`,
     /// recomputes the prediction through `cache` with the *live* model
     /// (so the authentic full prediction enters the cache) and checks the
@@ -963,10 +936,7 @@ impl PersistentStore {
                 }
                 None => sol.predict(&key.params, key.cores),
             });
-            if perf.mlups.to_bits() == rec.mlups_bits
-                && perf.seconds_per_sweep.to_bits() == rec.seconds_bits
-                && perf.wavefront_effective == rec.wavefront_effective
-            {
+            if PredictionRecord::new(key.clone(), &perf) == *rec {
                 stats.loaded += 1;
             } else {
                 stats.stale += 1;
@@ -1279,12 +1249,7 @@ mod tests {
         let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
         let params = TuningParams::new([32, 8, 8], Fold::new(8, 1, 1)).threads(2);
         let perf = sol.predict(&params, 2);
-        let good = PredictionRecord {
-            key: PredictKey::new(sol.signature(), &params, 2),
-            mlups_bits: perf.mlups.to_bits(),
-            seconds_bits: perf.seconds_per_sweep.to_bits(),
-            wavefront_effective: perf.wavefront_effective,
-        };
+        let good = PredictionRecord::new(PredictKey::new(sol.signature(), &params, 2), &perf);
         let mut stale = good.clone();
         stale.key.params = params.clone().wavefront(2);
         stale.mlups_bits ^= 1; // a record the model no longer agrees with
@@ -1307,34 +1272,5 @@ mod tests {
         let (cached, hit) = cache.predict(&sol, &params, 2);
         assert!(hit);
         assert_eq!(cached.mlups.to_bits(), good.mlups_bits);
-    }
-
-    #[test]
-    fn absorb_cache_persists_new_entries_once() {
-        let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
-        let cache = PredictionCache::new();
-        for wf in 1..=3 {
-            let p = TuningParams::new([32, 8, 8], Fold::new(8, 1, 1)).wavefront(wf);
-            let _ = cache.predict(&sol, &p, 1);
-        }
-        let mut store =
-            PersistentStore::with_media(Box::new(MemMedium::new()), Box::new(MemMedium::new()));
-        let first = store.absorb_cache(&cache);
-        assert_eq!(
-            first,
-            AbsorbStats {
-                persisted: 3,
-                errors: 0
-            }
-        );
-        let second = store.absorb_cache(&cache);
-        assert_eq!(
-            second,
-            AbsorbStats {
-                persisted: 0,
-                errors: 0
-            }
-        );
-        assert_eq!(store.prediction_count(), 3);
     }
 }

@@ -1,7 +1,10 @@
 //! The crash-safe tuning daemon behind `yasksite serve`.
 //!
-//! The daemon accepts line-delimited JSON requests on stdin (or a Unix
-//! socket) and answers each with one JSON line. Five operations exist:
+//! The daemon accepts line-delimited JSON requests on stdin (or on any
+//! number of Unix-socket connections) and answers each with one JSON
+//! line. Both transports share one request path: a *pump* per line source
+//! offers its lines to one bounded queue, and one *worker* handles them
+//! and replies to the source each came from. Five operations exist:
 //!
 //! * `tune` — run a tuning session and return the winner;
 //! * `predict` — one analytic prediction through the shared cache;
@@ -25,8 +28,11 @@
 //!   with `"kind":"tenant_budget_exhausted"` before any work starts, and
 //!   a session never receives more budget than the tenant has left.
 //! * **Backpressure** — requests flow through a bounded queue. When it is
-//!   full the reader rejects immediately with `"kind":"overloaded"`
-//!   instead of buffering without bound or blocking the pipe.
+//!   full the pump rejects immediately with `"kind":"overloaded"`
+//!   instead of buffering without bound or blocking the pipe. The same
+//!   queue stands behind every connection: an idle client delays nobody.
+//! * **Bounded input** — lines, connections, idleness and unwritable
+//!   replies are all capped; see [`Limits`].
 //! * **Deadlines** — `deadline_ms` (or the daemon-wide default) becomes
 //!   the [`TrialConfig::deadline`] watchdog: a stuck trial is cancelled
 //!   at the deadline and degrades to its analytic fallback.
@@ -35,10 +41,12 @@
 //!   request to a purely analytic session (`"degraded":true`) instead of
 //!   killing the daemon.
 //! * **Persistence** — with `--state-dir`, predictions and drift history
-//!   live in the crash-safe journals of [`PersistentStore`]; on SIGTERM
-//!   or `shutdown` the daemon finishes in-flight requests, compacts the
-//!   journals and exits 0. A restart warm-starts the cache (verified
-//!   against the live model) so repeated requests are served from memory.
+//!   live in the crash-safe journals of [`PersistentStore`], each request
+//!   journaling what it computed, so journal order is request order; on
+//!   SIGTERM or `shutdown` the daemon finishes in-flight requests,
+//!   compacts the journals and exits 0. A restart warm-starts the cache
+//!   (verified against the live model) so repeated requests are served
+//!   from memory.
 //!
 //! The protocol handler ([`ServeState::handle_line`]) is a pure
 //! line-in/line-out function so every policy above is unit-testable
@@ -57,13 +65,16 @@
 //! Queue wait, service time and end-to-end latency land in 60-second
 //! rolling windows per request kind (and per tenant), which the
 //! `status` operation digests to p50/p95/p99. With `--state-dir` the
-//! same snapshot is rewritten atomically to `status.json` after every
-//! request, so `yasksite top <state-dir>` can watch a daemon without a
-//! socket. Telemetry stays purely observational: responses are bitwise
-//! identical whether tracing is off, sampled, or full.
+//! same snapshot is rewritten atomically to `status.json` (at most once
+//! a second, and on shutdown), so `yasksite top <state-dir>` can watch a
+//! daemon without a socket. Telemetry stays purely observational:
+//! responses are bitwise identical whether tracing is off, sampled, or
+//! full.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -72,13 +83,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use yasksite_arch::Machine;
-use yasksite_telemetry::json::{parse, write_escaped, write_f64, Json};
+use yasksite_telemetry::json::{parse, write_f64, Json, ObjectWriter};
 use yasksite_telemetry::{Level, RollingCounter, RollingHistogram, SpanGuard, Telemetry};
 
-use crate::cache::PredictionCache;
+use crate::cache::{PredictKey, PredictionCache};
 use crate::cli::{parse_triple, stencil_by_name};
 use crate::drift::DriftLedger;
-use crate::persist::PersistentStore;
+use crate::persist::{PersistentStore, PredictionRecord, MAX_RECORD_BYTES};
 use crate::request::TuneRequest;
 use crate::solution::Solution;
 use crate::space::SearchSpace;
@@ -160,16 +171,13 @@ pub struct ServeStats {
     pub persist_errors: usize,
 }
 
-/// Per-tenant consumption, charged after each tuning session.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantUse {
-    runs: usize,
-    seconds: f64,
-}
-
 /// Width of the rolling latency/rate window the `status` snapshot
 /// covers, in seconds.
 const STATUS_WINDOW_SECS: f64 = 60.0;
+
+/// Shortest time between two writes of `status.json` (`yasksite top`
+/// polls every 2 s by default).
+const STATUS_PERIOD: Duration = Duration::from_secs(1);
 
 /// Cap on distinct tenant keys in the per-tenant latency windows;
 /// further tenants aggregate under `"other"` so a tenant-per-request
@@ -261,6 +269,16 @@ impl ServeWindows {
     }
 }
 
+/// Live counters of the request queue: written by the pumps and the
+/// worker, read by `status`.
+#[derive(Default)]
+struct QueueGauges {
+    /// Requests accepted but not yet dequeued.
+    depth: AtomicUsize,
+    /// Requests a pump rejected because the queue was full.
+    overloads: AtomicUsize,
+}
+
 /// The daemon's long-lived state plus the protocol handler. One request
 /// is processed at a time; the queue in front provides the backpressure.
 pub struct ServeState {
@@ -268,7 +286,8 @@ pub struct ServeState {
     store: Option<PersistentStore>,
     cache: Arc<PredictionCache>,
     ledger: DriftLedger,
-    tenants: HashMap<String, TenantUse>,
+    /// Per-tenant consumption, charged after each tuning session.
+    tenants: HashMap<String, TenantUsage>,
     warmed: HashSet<u64>,
     stats: ServeStats,
     shutdown_requested: bool,
@@ -283,15 +302,17 @@ pub struct ServeState {
     /// Completed tuning sessions whose winner planned onto a degraded
     /// tier, keyed by the planner's reason (a small fixed vocabulary).
     tier_degraded: BTreeMap<String, u64>,
-    /// Live queue depth, shared with the serve loop (`None` when the
-    /// state is driven directly, e.g. the Unix-socket path or tests).
-    queue_depth: Option<Arc<AtomicUsize>>,
-    /// Overload rejections counted by the reader thread.
-    overloads: Option<Arc<AtomicUsize>>,
+    /// The serve loop's live queue counters (`None` when the state is
+    /// driven directly, e.g. by tests).
+    gauges: Option<Arc<QueueGauges>>,
     /// Calibration provenance of `<state-dir>/machine.calibrated`, when
     /// the daemon found one at startup. `age_secs` holds the file's age
     /// at load; snapshots add the uptime since.
     calibration: Option<CalibrationStatus>,
+    /// When `status.json` was last written, and whether a request has
+    /// been handled since.
+    status_written: Option<Instant>,
+    status_dirty: bool,
 }
 
 /// Name of the calibrated machine file a daemon looks for in its state
@@ -327,60 +348,16 @@ fn load_calibration(dir: &std::path::Path, tel: &Telemetry) -> Option<Calibratio
     }
 }
 
-/// Incremental JSON-object writer for responses (hand-rolled; the
-/// workspace has no serde derive machinery).
-struct JsonOut {
-    buf: String,
-}
-
-impl JsonOut {
-    fn new(id: &str, ok: bool) -> Self {
-        let mut buf = String::with_capacity(128);
-        buf.push_str("{\"id\":");
-        write_escaped(&mut buf, id);
-        buf.push_str(",\"ok\":");
-        buf.push_str(if ok { "true" } else { "false" });
-        JsonOut { buf }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.buf.push(',');
-        write_escaped(&mut self.buf, k);
-        self.buf.push(':');
-    }
-
-    fn str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        write_escaped(&mut self.buf, v);
-        self
-    }
-
-    fn num(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        write_f64(&mut self.buf, v);
-        self
-    }
-
-    fn uint(mut self, k: &str, v: usize) -> Self {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    fn boolean(mut self, k: &str, v: bool) -> Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
+/// Opens a response line: every reply starts with the request id and the
+/// verdict.
+fn reply(id: &str, ok: bool) -> ObjectWriter {
+    ObjectWriter::with_capacity(128)
+        .str("id", id)
+        .bool("ok", ok)
 }
 
 fn error_response(id: &str, kind: &str, message: &str) -> String {
-    JsonOut::new(id, false)
+    reply(id, false)
         .str("kind", kind)
         .str("error", message)
         .finish()
@@ -400,7 +377,7 @@ fn extract_id(parsed: &Json) -> String {
     }
 }
 
-/// The rejection the reader writes when the request queue is full. Public
+/// The rejection a pump writes when the request queue is full. Public
 /// so the backpressure contract is directly testable.
 #[must_use]
 pub fn overload_response(line: &str) -> String {
@@ -508,9 +485,10 @@ impl ServeState {
             windows: ServeWindows::new(),
             tier_ran: BTreeMap::new(),
             tier_degraded: BTreeMap::new(),
-            queue_depth: None,
-            overloads: None,
+            gauges: None,
             calibration,
+            status_written: None,
+            status_dirty: false,
         };
         if state_degraded {
             state.stats.persist_errors += 1;
@@ -537,13 +515,6 @@ impl ServeState {
         &self.cache
     }
 
-    /// Attaches the serve loop's live queue-depth and overload counters
-    /// so `status` snapshots can report them.
-    pub fn attach_queue_gauges(&mut self, depth: Arc<AtomicUsize>, overloads: Arc<AtomicUsize>) {
-        self.queue_depth = Some(depth);
-        self.overloads = Some(overloads);
-    }
-
     /// Handles one request line, returning the response line (`None` for
     /// blank lines). Never panics and never exits: every failure becomes
     /// an `"ok":false` response.
@@ -552,9 +523,9 @@ impl ServeState {
     }
 
     /// [`ServeState::handle_line`] with the time the request spent in
-    /// the admission queue (the serve loop measures it; direct callers
-    /// pass `None`, recorded as zero wait).
-    pub fn handle_line_at(&mut self, line: &str, queue_wait: Option<Duration>) -> Option<String> {
+    /// the admission queue (the worker measures it; direct callers go
+    /// through `handle_line`, recorded as zero wait).
+    fn handle_line_at(&mut self, line: &str, queue_wait: Option<Duration>) -> Option<String> {
         let line = line.trim();
         if line.is_empty() {
             return None;
@@ -588,59 +559,35 @@ impl ServeState {
                 ("sampled", sampled.into()),
             ],
         );
-        let (kind, tenant, response) = match parse(line) {
-            Err(e) => {
-                self.stats.rejected_bad += 1;
-                (
-                    "bad",
-                    None,
-                    error_response("", "bad_request", &format!("invalid JSON: {e}")),
-                )
+        let parsed = parse(line).map_err(|e| format!("invalid JSON: {e}"));
+        let id = parsed.as_ref().map(extract_id).unwrap_or_default();
+        let mut tenant = None;
+        let (kind, outcome) = match parsed.as_ref().map(|req| (req, get_str(req, "op"))) {
+            Err(e) => ("bad", Err(e.clone())),
+            Ok((req, Some("tune"))) => {
+                tenant = Some(get_str(req, "tenant").unwrap_or("anonymous").to_string());
+                ("tune", self.op_tune(&id, req, &tel, &span))
             }
-            Ok(parsed) => {
-                let id = extract_id(&parsed);
-                match get_str(&parsed, "op") {
-                    Some("tune") => {
-                        let tenant = get_str(&parsed, "tenant")
-                            .unwrap_or("anonymous")
-                            .to_string();
-                        let resp = self.op_tune(&id, &parsed, &tel, &span);
-                        ("tune", Some(tenant), resp)
-                    }
-                    Some("predict") => {
-                        let resp = self.op_predict(&id, &parsed, &tel, &span);
-                        ("predict", None, resp)
-                    }
-                    Some("report") => ("report", None, self.op_report(&id)),
-                    Some("status") => ("status", None, self.op_status(&id, &parsed)),
-                    Some("shutdown") => {
-                        self.shutdown_requested = true;
-                        self.stats.completed += 1;
-                        let resp = JsonOut::new(&id, true)
-                            .str("op", "shutdown")
-                            .boolean("draining", true)
-                            .finish();
-                        ("shutdown", None, resp)
-                    }
-                    Some(other) => {
-                        self.stats.rejected_bad += 1;
-                        (
-                            "bad",
-                            None,
-                            error_response(&id, "bad_request", &format!("unknown op '{other}'")),
-                        )
-                    }
-                    None => {
-                        self.stats.rejected_bad += 1;
-                        (
-                            "bad",
-                            None,
-                            error_response(&id, "bad_request", "'op' is required"),
-                        )
-                    }
-                }
+            Ok((req, Some("predict"))) => ("predict", self.op_predict(&id, req, &span)),
+            Ok((_, Some("report"))) => ("report", Ok(self.op_report(&id))),
+            Ok((req, Some("status"))) => ("status", Ok(self.op_status(&id, req))),
+            Ok((_, Some("shutdown"))) => {
+                self.shutdown_requested = true;
+                self.stats.completed += 1;
+                let ack = reply(&id, true)
+                    .str("op", "shutdown")
+                    .bool("draining", true);
+                ("shutdown", Ok(ack.finish()))
             }
+            Ok((_, Some(other))) => ("bad", Err(format!("unknown op '{other}'"))),
+            Ok((_, None)) => ("bad", Err("'op' is required".to_string())),
         };
+        // Every request the daemon cannot make sense of ends here: counted
+        // once, answered `bad_request` with the reason.
+        let response = outcome.unwrap_or_else(|reason| {
+            self.stats.rejected_bad += 1;
+            error_response(&id, "bad_request", &reason)
+        });
         let service_ms = service_start.elapsed().as_secs_f64() * 1e3;
         let now = self.started.elapsed().as_secs_f64();
         self.windows
@@ -659,7 +606,8 @@ impl ServeState {
             ],
         );
         drop(span);
-        self.refresh_status_file();
+        self.status_dirty = true;
+        self.publish_status_if_due();
         Some(response)
     }
 
@@ -701,22 +649,22 @@ impl ServeState {
         }
     }
 
-    fn op_tune(&mut self, id: &str, req: &Json, tel: &Telemetry, parent: &SpanGuard) -> String {
-        let (sol, machine, domain) = match solution_from_request(req) {
-            Ok(t) => t,
-            Err(e) => {
-                self.stats.rejected_bad += 1;
-                return error_response(id, "bad_request", &e);
-            }
-        };
+    /// `Err` is the reason a request is malformed, here and in
+    /// [`ServeState::op_predict`]; refusals of well-formed requests are
+    /// `Ok` replies with their own `kind`.
+    fn op_tune(
+        &mut self,
+        id: &str,
+        req: &Json,
+        tel: &Telemetry,
+        parent: &SpanGuard,
+    ) -> Result<String, String> {
+        let (sol, machine, domain) = solution_from_request(req)?;
         let strategy = match get_str(req, "strategy").unwrap_or("analytic") {
             "analytic" => TuneStrategy::Analytic,
             "hybrid" => TuneStrategy::Hybrid { shortlist: 3 },
             "empirical" => TuneStrategy::Empirical,
-            other => {
-                self.stats.rejected_bad += 1;
-                return error_response(id, "bad_request", &format!("unknown strategy '{other}'"));
-            }
+            other => return Err(format!("unknown strategy '{other}'")),
         };
         let tenant = get_str(req, "tenant").unwrap_or("anonymous").to_string();
 
@@ -730,11 +678,11 @@ impl ServeState {
         if remaining.max_runs == Some(0) || remaining.max_seconds.is_some_and(|s| s <= 0.0) {
             self.stats.rejected_budget += 1;
             tel.inc("serve.rejected_budget");
-            return error_response(
+            return Ok(error_response(
                 id,
                 "tenant_budget_exhausted",
                 &format!("tenant '{tenant}' has no measurement budget left"),
-            );
+            ));
         }
         let mut budget = remaining;
         if let Some(r) = get_u64(req, "budget_runs") {
@@ -757,8 +705,9 @@ impl ServeState {
             trial = trial.deadline_at(Instant::now() + Duration::from_millis(ms));
         }
 
+        let cores = get_u64(req, "cores").unwrap_or(1).max(1) as usize;
         let mut tune_req = TuneRequest::new(strategy)
-            .cores(get_u64(req, "cores").unwrap_or(1).max(1) as usize)
+            .cores(cores)
             .trial(trial)
             .budget(budget)
             .cache(Arc::clone(&self.cache))
@@ -809,7 +758,7 @@ impl ServeState {
             Ok(r) => r,
             Err(e) => {
                 self.stats.rejected_bad += 1;
-                return error_response(id, "internal", &e.to_string());
+                return Ok(error_response(id, "internal", &e.to_string()));
             }
         };
 
@@ -831,7 +780,7 @@ impl ServeState {
         }
 
         // Fold the session's drift audit into the daemon ledger and the
-        // journals; absorb new predictions into the store.
+        // journals, and journal the predictions this session added.
         self.ledger.absorb(&result.drift);
         let mut persisted = 0usize;
         if let Some(store) = &mut self.store {
@@ -841,9 +790,24 @@ impl ServeState {
                     self.stats.persist_errors += 1;
                 }
             }
-            let absorb = store.absorb_cache(&self.cache);
-            persisted = absorb.persisted;
-            self.stats.persist_errors += absorb.errors;
+            // A session without misses added nothing — unless it degraded
+            // and re-ranked from the cache its aborted first attempt had
+            // filled. So go by the candidates, not by hit flags.
+            if result.cost.cache_misses > 0 || degraded {
+                let signature = sol.signature();
+                for p in space.candidates(cores) {
+                    let key = PredictKey::new(signature, &p, cores);
+                    if store.has_prediction(&key) {
+                        continue;
+                    }
+                    let (perf, _) = self.cache.predict(&sol, &p, cores);
+                    match store.record_prediction(PredictionRecord::new(key, &perf)) {
+                        Ok(true) => persisted += 1,
+                        Ok(false) => {}
+                        Err(_) => self.stats.persist_errors += 1,
+                    }
+                }
+            }
         }
 
         let deadline_fallbacks = result
@@ -859,45 +823,34 @@ impl ServeState {
             })
             .count();
         self.stats.completed += 1;
-        let mut out = JsonOut::new(id, true)
+        let mut out = reply(id, true)
             .str("op", "tune")
             .str("best", &result.best.to_string())
             .num("best_mlups", result.best_score)
             .str("tier", &result.tier.to_string())
             .str("tier_reason", result.tier_reason)
-            .boolean("tier_degraded", result.tier_degraded())
-            .boolean("degraded", degraded)
-            .uint("warm_loaded", warm_loaded)
-            .uint("warm_stale", warm_stale)
-            .uint("cache_hits", result.cost.cache_hits)
-            .uint("engine_runs", result.cost.engine_runs)
-            .uint("runs_used", result.budget.runs_used)
-            .uint("deadline_fallbacks", deadline_fallbacks)
-            .uint("drift_records", result.drift.len())
-            .uint("persisted", persisted)
+            .bool("tier_degraded", result.tier_degraded())
+            .bool("degraded", degraded)
+            .uint("warm_loaded", warm_loaded as u64)
+            .uint("warm_stale", warm_stale as u64)
+            .uint("cache_hits", result.cost.cache_hits as u64)
+            .uint("engine_runs", result.cost.engine_runs as u64)
+            .uint("runs_used", result.budget.runs_used as u64)
+            .uint("deadline_fallbacks", deadline_fallbacks as u64)
+            .uint("drift_records", result.drift.len() as u64)
+            .uint("persisted", persisted as u64)
             .str("tenant", &tenant);
         if let Some(p) = result.best_provenance {
             out = out.str("provenance", &p.to_string());
         }
-        out.finish()
+        Ok(out.finish())
     }
 
-    fn op_predict(&mut self, id: &str, req: &Json, _tel: &Telemetry, parent: &SpanGuard) -> String {
-        let (sol, machine, domain) = match solution_from_request(req) {
-            Ok(t) => t,
-            Err(e) => {
-                self.stats.rejected_bad += 1;
-                return error_response(id, "bad_request", &e);
-            }
-        };
+    fn op_predict(&mut self, id: &str, req: &Json, parent: &SpanGuard) -> Result<String, String> {
+        let (sol, machine, domain) = solution_from_request(req)?;
         let cores = get_u64(req, "cores").unwrap_or(1).max(1) as usize;
-        let block = match get_str(req, "block").map(parse_triple).transpose() {
-            Ok(b) => b.unwrap_or(domain),
-            Err(e) => {
-                self.stats.rejected_bad += 1;
-                return error_response(id, "bad_request", &e);
-            }
-        };
+        let block = get_str(req, "block").map(parse_triple).transpose()?;
+        let block = block.unwrap_or(domain);
         let fold = yasksite_grid::Fold::new(machine.lanes(), 1, 1);
         let wavefront = get_u64(req, "wavefront").unwrap_or(1).max(1) as usize;
         let params = yasksite_engine::TuningParams::new(block, fold)
@@ -909,43 +862,52 @@ impl ServeState {
             let _predict = parent.child("predict");
             self.cache.predict(&sol, &params, cores)
         };
-        if let Some(store) = &mut self.store {
-            let _persist = parent.child("persist");
-            let absorb = store.absorb_cache(&self.cache);
-            self.stats.persist_errors += absorb.errors;
+        // A miss is all this request added to the cache; every other key
+        // was journaled by the request that computed it.
+        if !warm {
+            if let Some(store) = &mut self.store {
+                let _persist = parent.child("persist");
+                let key = PredictKey::new(sol.signature(), &params, cores);
+                if store
+                    .record_prediction(PredictionRecord::new(key, &perf))
+                    .is_err()
+                {
+                    self.stats.persist_errors += 1;
+                }
+            }
         }
         self.stats.completed += 1;
-        JsonOut::new(id, true)
+        let out = reply(id, true)
             .str("op", "predict")
             .str("params", &params.to_string())
             .num("mlups", perf.mlups)
             .num("seconds_per_sweep", perf.seconds_per_sweep)
-            .boolean("wavefront_effective", perf.wavefront_effective)
-            .boolean("warm", warm)
-            .finish()
+            .bool("wavefront_effective", perf.wavefront_effective)
+            .bool("warm", warm);
+        Ok(out.finish())
     }
 
     fn op_report(&mut self, id: &str) -> String {
         let s = self.stats;
-        let mut out = JsonOut::new(id, true)
+        let mut out = reply(id, true)
             .str("op", "report")
-            .uint("received", s.received)
-            .uint("completed", s.completed)
-            .uint("rejected_overload", s.rejected_overload)
-            .uint("rejected_budget", s.rejected_budget)
-            .uint("rejected_bad", s.rejected_bad)
-            .uint("degraded", s.degraded)
-            .uint("persist_errors", s.persist_errors)
-            .uint("cache_entries", self.cache.len())
-            .uint("drift_records", self.ledger.len())
-            .uint("drift_evictions", self.ledger.evictions())
-            .uint("tenants", self.tenants.len());
+            .uint("received", s.received as u64)
+            .uint("completed", s.completed as u64)
+            .uint("rejected_overload", s.rejected_overload as u64)
+            .uint("rejected_budget", s.rejected_budget as u64)
+            .uint("rejected_bad", s.rejected_bad as u64)
+            .uint("degraded", s.degraded as u64)
+            .uint("persist_errors", s.persist_errors as u64)
+            .uint("cache_entries", self.cache.len() as u64)
+            .uint("drift_records", self.ledger.len() as u64)
+            .uint("drift_evictions", self.ledger.evictions() as u64)
+            .uint("tenants", self.tenants.len() as u64);
         if let Some(store) = &self.store {
             out = out
-                .boolean("store_healthy", store.healthy())
-                .uint("store_predictions", store.prediction_count())
-                .uint("store_drift", store.drift_count())
-                .uint("store_recoveries", store.recoveries().len());
+                .bool("store_healthy", store.healthy())
+                .uint("store_predictions", store.prediction_count() as u64)
+                .uint("store_drift", store.drift_count() as u64)
+                .uint("store_recoveries", store.recoveries().len() as u64);
         }
         self.stats.completed += 1;
         out.finish()
@@ -955,7 +917,7 @@ impl ServeState {
         self.stats.completed += 1;
         let snap = self.status_snapshot();
         if get_str(req, "format") == Some("prom") {
-            JsonOut::new(id, true)
+            reply(id, true)
                 .str("op", "status")
                 .str("content_type", PROM_CONTENT_TYPE)
                 .str("body", &snap.to_prometheus())
@@ -972,21 +934,18 @@ impl ServeState {
     pub fn status_snapshot(&self) -> StatusSnapshot {
         let now = self.started.elapsed().as_secs_f64();
         let pool = yasksite_engine::ExecPool::global().stats();
+        let (queue_depth, overloads) = self.gauges.as_deref().map_or((0, 0), |g| {
+            let read = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+            (read(&g.depth), read(&g.overloads))
+        });
         StatusSnapshot {
             uptime_secs: now,
             window_secs: self.windows.requests.window_secs(),
-            queue_depth: self
-                .queue_depth
-                .as_ref()
-                .map_or(0, |d| d.load(Ordering::Relaxed)),
+            queue_depth,
             queue_capacity: self.config.queue_capacity.max(1),
             received: self.stats.received,
             completed: self.stats.completed,
-            rejected_overload: self.stats.rejected_overload
-                + self
-                    .overloads
-                    .as_ref()
-                    .map_or(0, |o| o.load(Ordering::Relaxed)),
+            rejected_overload: self.stats.rejected_overload + overloads,
             rejected_budget: self.stats.rejected_budget,
             rejected_bad: self.stats.rejected_bad,
             degraded: self.stats.degraded,
@@ -1009,19 +968,7 @@ impl ServeState {
             tenant_e2e_ms: ServeWindows::digest(&self.windows.tenant_e2e_ms, now),
             tier_ran: self.tier_ran.clone(),
             tier_degraded: self.tier_degraded.clone(),
-            tenant_use: self
-                .tenants
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        TenantUsage {
-                            runs: v.runs,
-                            seconds: v.seconds,
-                        },
-                    )
-                })
-                .collect(),
+            tenant_use: self.tenants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             pool_workers: pool.workers,
             pool_sweeps: pool.sweeps,
             pool_jobs: pool.jobs,
@@ -1029,14 +976,26 @@ impl ServeState {
         }
     }
 
+    /// Publishes `status.json` when a request was handled since the last
+    /// write and none was written yet or [`STATUS_PERIOD`] has passed.
+    /// Runs after every request and on the worker's idle tick, so the
+    /// file trails a serve loop by at most the period plus one tick; a
+    /// state driven directly catches up in [`ServeState::finish`].
+    fn publish_status_if_due(&mut self) {
+        if self.status_dirty
+            && self
+                .status_written
+                .is_none_or(|at| at.elapsed() >= STATUS_PERIOD)
+        {
+            self.write_status_file();
+        }
+    }
+
     /// Rewrites `status.json` in the state directory (atomically, via a
     /// temp file + rename) so `yasksite top <state-dir>` can watch the
     /// daemon without a socket. A no-op when serving from memory only.
-    fn refresh_status_file(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        let Some(dir) = self.config.state_dir.clone() else {
+    fn write_status_file(&mut self) {
+        let (Some(dir), Some(_)) = (self.config.state_dir.clone(), &self.store) else {
             return;
         };
         let body = self.status_snapshot().to_json_response("daemon");
@@ -1047,6 +1006,8 @@ impl ServeState {
         if wrote.is_err() {
             self.stats.persist_errors += 1;
         }
+        self.status_written = Some(Instant::now());
+        self.status_dirty = false;
     }
 
     /// Graceful teardown: snapshot-compact the journals and emit the
@@ -1057,7 +1018,7 @@ impl ServeState {
                 self.stats.persist_errors += 1;
             }
         }
-        self.refresh_status_file();
+        self.write_status_file();
         let tel = &self.config.telemetry;
         tel.event(
             Level::Info,
@@ -1073,17 +1034,238 @@ impl ServeState {
     }
 }
 
-/// Shared response writer: the worker writes answers and the reader
-/// thread writes overload rejections, each as one flushed line.
-#[derive(Clone)]
-struct SharedWriter(Arc<Mutex<Box<dyn Write + Send>>>);
+/// What a line source may do to the daemon: private constants
+/// ([`LIMITS`]), not configuration. Tests shrink them.
+#[derive(Clone, Copy)]
+struct Limits {
+    /// Longest request line, `\n` included; a longer one is answered
+    /// `bad_request` and its source is closed.
+    max_line: usize,
+    /// Concurrent socket connections; excess ones get one `overloaded` line.
+    max_connections: usize,
+    /// A connection that completes no line for this long is dropped
+    /// (minutes: a tenant thinking between requests is not idle).
+    idle_cutoff: Duration,
+    /// Socket read timeout: how often a waiting pump checks the above.
+    read_tick: Duration,
+    /// Socket write timeout: a reply that cannot be written for this long
+    /// costs its connection, not the daemon.
+    write_timeout: Duration,
+}
 
-impl SharedWriter {
-    fn send(&self, line: &str) {
-        let mut w = self.0.lock().expect("writer poisoned");
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
+const LIMITS: Limits = Limits {
+    max_line: MAX_RECORD_BYTES,
+    max_connections: 64,
+    idle_cutoff: Duration::from_secs(300),
+    read_tick: Duration::from_millis(100),
+    write_timeout: Duration::from_secs(5),
+};
+
+/// How often the idle worker looks at the shutdown flag and at a due
+/// `status.json`.
+const WORKER_TICK: Duration = Duration::from_millis(50);
+
+/// Stdin shutdown: how long the worker waits, per queue slot, for lines
+/// the pump is still pushing (the tail of a piped script).
+const STDIN_DRAIN_GRACE: Duration = Duration::from_millis(250);
+
+/// Where the replies to one source go, one flushed line each: answers
+/// from the worker, rejections from the source's pump. A sink that fails
+/// once (peer gone, or deaf for the write timeout) is dropped: it costs
+/// the worker one timeout, not one per reply, and ends the source's pump.
+#[derive(Clone)]
+struct ReplyTo(Arc<Mutex<Option<Box<dyn Write + Send>>>>);
+
+impl ReplyTo {
+    fn new(out: Box<dyn Write + Send>) -> Self {
+        ReplyTo(Arc::new(Mutex::new(Some(out))))
     }
+
+    fn send(&self, line: &str) {
+        let mut sink = self.0.lock().expect("writer poisoned");
+        let failed = sink
+            .as_mut()
+            .is_some_and(|w| writeln!(w, "{line}").and_then(|()| w.flush()).is_err());
+        if failed {
+            *sink = None;
+        }
+    }
+
+    fn dead(&self) -> bool {
+        self.0.lock().expect("writer poisoned").is_none()
+    }
+}
+
+/// An accepted line, when it was queued and where its reply goes.
+struct Queued {
+    line: String,
+    enqueued: Instant,
+    reply: ReplyTo,
+}
+
+/// The producer side of the bounded request queue, shared by every pump.
+#[derive(Clone)]
+struct Intake {
+    /// `None` once intake has stopped. The only sender lives under this
+    /// lock, which makes the stop exact: a line is either queued before it
+    /// (and the worker's drain answers it) or refused after it.
+    tx: Arc<Mutex<Option<mpsc::SyncSender<Queued>>>>,
+    gauges: Arc<QueueGauges>,
+    tel: Telemetry,
+}
+
+impl Intake {
+    /// Queues `line`, or rejects it at once with `overloaded` when the
+    /// queue is full: never blocks, never buffers without bound. `false`
+    /// once intake has stopped.
+    fn offer(&self, line: String, reply: &ReplyTo) -> bool {
+        let rejected = {
+            let tx = self.tx.lock().expect("intake poisoned");
+            let Some(tx) = tx.as_ref() else {
+                return false;
+            };
+            // Increment *before* try_send so a worker that dequeues
+            // immediately always observes its matching increment — the
+            // gauge can momentarily read one high, never drift.
+            let d = self.gauges.depth.fetch_add(1, Ordering::Relaxed) + 1;
+            self.tel.gauge("queue.depth", d as f64);
+            let queued = Queued {
+                line,
+                enqueued: Instant::now(),
+                reply: reply.clone(),
+            };
+            match tx.try_send(queued) {
+                Ok(()) => return true,
+                // `Full`: the receiver outlives the sender.
+                Err(TrySendError::Full(q) | TrySendError::Disconnected(q)) => q,
+            }
+        };
+        self.gauges.depth.fetch_sub(1, Ordering::Relaxed);
+        self.gauges.overloads.fetch_add(1, Ordering::Relaxed);
+        self.tel.inc("serve.rejected_overload");
+        reply.send(&overload_response(&rejected.line));
+        true
+    }
+
+    fn stop(&self) {
+        self.tx.lock().expect("intake poisoned").take();
+    }
+
+    fn stopped(&self) -> bool {
+        self.tx.lock().expect("intake poisoned").is_none()
+    }
+}
+
+/// The one line pump: the bytes up to each `\n` (or to the end of the
+/// source) become one queued request. Returns when the source ends, stops
+/// speaking the protocol (an over-long line is answered `bad_request`,
+/// invalid UTF-8 is not answered), idles past the cutoff, has a dead reply
+/// sink, or intake stops. Reads that never time out (stdin) never idle.
+fn pump(mut input: impl BufRead, reply: &ReplyTo, intake: &Intake, limits: &Limits) {
+    // Bytes, not a `String`: a read that times out mid-line keeps what it
+    // already appended, even when the cut falls inside a multi-byte
+    // character, and the next read continues the line.
+    let mut buf = Vec::new();
+    let mut last_line = Instant::now();
+    while !reply.dead() {
+        // One byte past the cap tells an over-long line from one that fits.
+        let room = (limits.max_line + 1 - buf.len()) as u64;
+        match (&mut input).take(room).read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => return,
+            // A line — or, without its `\n`, the source's last words.
+            Ok(_) => {
+                if buf.len() > limits.max_line {
+                    intake.tel.inc("serve.rejected_oversize");
+                    let message = format!("request line exceeds {} bytes", limits.max_line);
+                    return reply.send(&error_response("", "bad_request", &message));
+                }
+                let Ok(line) = std::str::from_utf8(&buf) else {
+                    return;
+                };
+                if !line.trim().is_empty() && !intake.offer(line.to_string(), reply) {
+                    return;
+                }
+                buf.clear();
+                last_line = Instant::now();
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if intake.stopped() || last_line.elapsed() >= limits.idle_cutoff {
+                    return;
+                }
+            }
+            Err(_) => return,
+        }
+    }
+}
+
+/// The daemon state, the intake for its pumps and the queue for [`work`].
+fn open_daemon(config: ServeConfig) -> (ServeState, Intake, mpsc::Receiver<Queued>) {
+    let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
+    let mut state = ServeState::new(config);
+    let gauges = Arc::new(QueueGauges::default());
+    state.gauges = Some(Arc::clone(&gauges));
+    let intake = Intake {
+        tx: Arc::new(Mutex::new(Some(tx))),
+        gauges,
+        tel: state.config.telemetry.clone(),
+    };
+    (state, intake, rx)
+}
+
+/// The one place a queued request is handled.
+fn answer(state: &mut ServeState, intake: &Intake, q: Queued) {
+    // The pump increments before try_send, so every dequeued line has a
+    // matching increment; saturate anyway for safety.
+    let depth = &intake.gauges.depth;
+    let _ = depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+        Some(d.saturating_sub(1))
+    });
+    let d = depth.load(Ordering::Relaxed);
+    intake.tel.gauge("queue.depth", d as f64);
+    let wait = q.enqueued.elapsed();
+    intake
+        .tel
+        .observe("queue.wait_ms", wait.as_secs_f64() * 1e3);
+    if let Some(resp) = state.handle_line_at(&q.line, Some(wait)) {
+        q.reply.send(&resp);
+    }
+}
+
+/// The one worker: answers queued requests until a `shutdown` request,
+/// `shutdown_when` (the SIGTERM path) or the end of every source. Then
+/// lines a pump is pushing right now get `grace` per queue slot to arrive,
+/// intake stops, everything it accepted is answered, and the state is
+/// compacted.
+fn work(
+    mut state: ServeState,
+    rx: &mpsc::Receiver<Queued>,
+    intake: &Intake,
+    shutdown_when: &AtomicBool,
+    grace: Duration,
+) -> ServeStats {
+    while !shutdown_when.load(Ordering::Relaxed) && !state.shutdown_requested() {
+        match rx.recv_timeout(WORKER_TICK) {
+            Ok(q) => answer(&mut state, intake, q),
+            Err(RecvTimeoutError::Timeout) => state.publish_status_if_due(),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    // Bounded, so that shutdown stays prompt even against an input that
+    // never stops producing.
+    for _ in 0..state.config.queue_capacity.max(1) {
+        match rx.recv_timeout(grace) {
+            Ok(q) => answer(&mut state, intake, q),
+            Err(_) => break,
+        }
+    }
+    intake.stop();
+    while let Ok(q) = rx.try_recv() {
+        answer(&mut state, intake, q);
+    }
+    state.finish();
+    let mut stats = state.stats();
+    stats.rejected_overload += intake.gauges.overloads.load(Ordering::Relaxed);
+    stats
 }
 
 /// Runs the daemon over an arbitrary line source and sink until EOF, a
@@ -1103,104 +1285,15 @@ pub fn serve<R>(
 where
     R: BufRead + Send + 'static,
 {
-    let queue = config.queue_capacity.max(1);
-    let tel = config.telemetry.clone();
-    let writer = SharedWriter(Arc::new(Mutex::new(output)));
-    let mut state = ServeState::new(config);
-    // Each queued line carries its enqueue time so the worker can charge
-    // the true queue wait to the request's latency windows.
-    let (tx, rx) = mpsc::sync_channel::<(String, Instant)>(queue);
-    let overloads = Arc::new(AtomicUsize::new(0));
-    let depth = Arc::new(AtomicUsize::new(0));
-    state.attach_queue_gauges(Arc::clone(&depth), Arc::clone(&overloads));
-
-    // Reader thread: accept lines, enqueue them, and reject immediately
-    // (never block, never buffer unboundedly) when the queue is full. It
-    // is detached — a reader blocked on a quiet pipe must not prevent
-    // daemon shutdown, and the process exits when the main loop returns.
-    {
-        let writer = writer.clone();
-        let overloads = Arc::clone(&overloads);
-        let depth = Arc::clone(&depth);
-        let tel = tel.clone();
-        std::thread::spawn(move || {
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                // Increment *before* try_send so a worker that dequeues
-                // immediately always observes its matching increment —
-                // the gauge can momentarily read one high, never drift.
-                let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                tel.gauge("queue.depth", d as f64);
-                match tx.try_send((line, Instant::now())) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full((line, _))) => {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        overloads.fetch_add(1, Ordering::Relaxed);
-                        tel.inc("serve.rejected_overload");
-                        writer.send(&overload_response(&line));
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-        });
-    }
-
-    // Dequeue bookkeeping shared by the main loop and the drain below:
-    // update the live depth gauge and surface the measured queue wait.
-    let dequeue = |line_at: (String, Instant)| {
-        let (line, enqueued) = line_at;
-        // The reader increments before try_send, so every dequeued line
-        // has a matching increment; saturate anyway for safety.
-        let _ = depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-            Some(d.saturating_sub(1))
-        });
-        tel.gauge("queue.depth", depth.load(Ordering::Relaxed) as f64);
-        let wait = enqueued.elapsed();
-        tel.observe("queue.wait_ms", wait.as_secs_f64() * 1e3);
-        (line, wait)
-    };
-
-    loop {
-        if shutdown_when.load(Ordering::Relaxed) {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(line_at) => {
-                let (line, wait) = dequeue(line_at);
-                if let Some(resp) = state.handle_line_at(&line, Some(wait)) {
-                    writer.send(&resp);
-                }
-                if state.shutdown_requested() {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-
-    // Graceful drain: finish everything already accepted into the queue.
-    // A short timeout (not `try_recv`) catches lines the reader is
-    // pushing right now; the iteration bound keeps shutdown prompt even
-    // against an input that never stops producing.
-    for _ in 0..queue {
-        match rx.recv_timeout(Duration::from_millis(250)) {
-            Ok(line_at) => {
-                let (line, wait) = dequeue(line_at);
-                if let Some(resp) = state.handle_line_at(&line, Some(wait)) {
-                    writer.send(&resp);
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    state.finish();
-    let mut stats = state.stats();
-    stats.rejected_overload += overloads.load(Ordering::Relaxed);
-    Ok(stats)
+    let (state, intake, rx) = open_daemon(config);
+    // Detached: a pump blocked on a quiet pipe must not prevent shutdown.
+    // The end of its source is the end of intake.
+    let source = intake.clone();
+    std::thread::spawn(move || {
+        pump(input, &ReplyTo::new(output), &source, &LIMITS);
+        source.stop();
+    });
+    Ok(work(state, &rx, &intake, shutdown_when, STDIN_DRAIN_GRACE))
 }
 
 /// Runs the daemon over stdin/stdout (the `yasksite serve` default).
@@ -1216,77 +1309,100 @@ pub fn serve_stdin(config: ServeConfig, shutdown_when: &AtomicBool) -> io::Resul
     )
 }
 
-/// Runs the daemon on a Unix socket: connections are served one at a
-/// time, each as a line-delimited request/response stream. The socket
-/// file is created fresh and removed on exit.
+/// Accepts connections until intake stops, each getting its own [`pump`],
+/// then waits for the pumps (each leaves within its read timeout). A
+/// failed `accept` stops the daemon, as a failed bind would have.
+#[cfg(unix)]
+fn accept_loop(listener: &UnixListener, intake: &Intake, limits: Limits) -> io::Result<()> {
+    let mut pumps: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let outcome = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                intake.stop();
+                break Err(e);
+            }
+        };
+        // The worker's wake-up call, or a client racing it.
+        if intake.stopped() {
+            break Ok(());
+        }
+        pumps.retain(|p| !p.is_finished());
+        let Ok(peer) = stream
+            .set_read_timeout(Some(limits.read_tick))
+            .and_then(|()| stream.set_write_timeout(Some(limits.write_timeout)))
+            .and_then(|()| stream.try_clone())
+        else {
+            continue;
+        };
+        let reply = ReplyTo::new(Box::new(stream));
+        if pumps.len() >= limits.max_connections {
+            intake.tel.inc("serve.rejected_connections");
+            let message = "too many connections; retry later";
+            reply.send(&error_response("", "overloaded", message));
+            continue;
+        }
+        let intake = intake.clone();
+        pumps.push(std::thread::spawn(move || {
+            pump(io::BufReader::new(peer), &reply, &intake, &limits);
+        }));
+    };
+    for p in pumps {
+        if p.join().is_err() {
+            intake.tel.error("a connection pump panicked");
+        }
+    }
+    outcome
+}
+
+/// Runs the daemon on a Unix socket: each connection is a line-delimited
+/// request/response stream pumped into the same queue and worker as
+/// stdin, so the same guarantees hold and an idle connection delays
+/// nobody. The socket file is created fresh and removed on exit.
 ///
 /// # Errors
-/// Propagates socket bind/configuration errors; per-connection I/O
-/// errors only end that connection.
+/// Propagates socket bind and accept errors; per-connection I/O errors
+/// only end that connection.
 #[cfg(unix)]
 pub fn serve_unix(
     config: ServeConfig,
     socket: &std::path::Path,
     shutdown_when: &AtomicBool,
 ) -> io::Result<ServeStats> {
-    use std::os::unix::net::UnixListener;
+    serve_unix_with(config, socket, shutdown_when, LIMITS)
+}
 
+#[cfg(unix)]
+fn serve_unix_with(
+    config: ServeConfig,
+    socket: &std::path::Path,
+    shutdown_when: &AtomicBool,
+    limits: Limits,
+) -> io::Result<ServeStats> {
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket)?;
-    listener.set_nonblocking(true)?;
-    let mut state = ServeState::new(config);
-
-    'daemon: while !shutdown_when.load(Ordering::Relaxed) && !state.shutdown_requested() {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        let Ok(peer) = stream.try_clone() else {
-            continue;
-        };
-        let mut reader = io::BufReader::new(peer);
-        let mut out = stream;
-        // Bytes, not a `String`: a read that times out mid-line keeps
-        // what it already appended, even when the cut falls inside a
-        // multi-byte character, and the next read continues the line.
-        let mut buf = Vec::new();
-        loop {
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => break, // connection closed
-                Ok(_) => {
-                    let Ok(line) = std::str::from_utf8(&buf) else {
-                        break;
-                    };
-                    if let Some(resp) = state.handle_line(line) {
-                        let _ = writeln!(out, "{resp}");
-                        let _ = out.flush();
-                    }
-                    if state.shutdown_requested() {
-                        break 'daemon;
-                    }
-                    buf.clear();
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if shutdown_when.load(Ordering::Relaxed) {
-                        break 'daemon;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-    }
-    state.finish();
+    let (state, intake, rx) = open_daemon(config);
+    let acceptor = {
+        let intake = intake.clone();
+        std::thread::spawn(move || accept_loop(&listener, &intake, limits))
+    };
+    // No grace: socket clients see their connection close.
+    let stats = work(state, &rx, &intake, shutdown_when, Duration::ZERO);
+    // The acceptor sits in a blocking `accept`: a connection to our own
+    // socket wakes it, and it finds intake stopped. If the path no longer
+    // leads to the listener, nothing can; it is left to process exit.
+    let woken = UnixStream::connect(socket).is_ok() || acceptor.is_finished();
     let _ = std::fs::remove_file(socket);
-    Ok(state.stats())
+    if !woken {
+        intake
+            .tel
+            .error("socket path vanished; acceptor left behind");
+        return Ok(stats);
+    }
+    acceptor
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        .map(|()| stats)
 }
 
 #[cfg(test)]
@@ -1613,6 +1729,203 @@ mod tests {
         assert_eq!(field(&r, "kind").as_str(), Some("overloaded"));
     }
 
+    /// Reply lines are a wire format. These bytes were captured before
+    /// the replies moved onto `telemetry::json::ObjectWriter` and must
+    /// not change with it.
+    #[test]
+    fn reply_bytes_are_pinned() {
+        let mut state = ServeState::new(ServeConfig::default());
+        let mut ask = |line: &str| state.handle_line(line).expect("non-empty line");
+        let tune = ask(
+            r#"{"id":"g1","op":"tune","stencil":"heat-2d-r1","domain":"64x64x1","cores":2,"tenant":"ci \"q\""}"#,
+        );
+        // The three tier fields follow YASKSITE_FORCE_TIER; the rest is fixed.
+        let parsed = parse(&tune).unwrap();
+        let tier = field(&parsed, "tier").as_str().unwrap();
+        let reason = field(&parsed, "tier_reason").as_str().unwrap();
+        let tier_degraded = field(&parsed, "tier_degraded") == &Json::Bool(true);
+        assert_eq!(
+            tune,
+            format!(
+                concat!(
+                    r#"{{"id":"g1","ok":true,"op":"tune","best":"b=64x32x1 fold=8x1x1 t=2 wf=1","#,
+                    r#""best_mlups":6597.938144329896,"tier":"{}","tier_reason":"{}","#,
+                    r#""tier_degraded":{},"degraded":false,"warm_loaded":0,"warm_stale":0,"#,
+                    r#""cache_hits":0,"engine_runs":0,"runs_used":0,"deadline_fallbacks":0,"#,
+                    r#""drift_records":0,"persisted":0,"tenant":"ci \"q\""}}"#,
+                ),
+                tier, reason, tier_degraded
+            )
+        );
+        assert_eq!(
+            ask(
+                r#"{"id":"g2","op":"predict","stencil":"heat-2d-r1","domain":"64x64x1","cores":2,"block":"64x8x1"}"#
+            ),
+            concat!(
+                r#"{"id":"g2","ok":true,"op":"predict","params":"b=64x8x1 fold=8x1x1 t=2 wf=1","#,
+                r#""mlups":6400,"seconds_per_sweep":0.00000064,"wavefront_effective":false,"warm":true}"#,
+            )
+        );
+        assert_eq!(
+            ask(r#"{"id":"g3","op":"report"}"#),
+            concat!(
+                r#"{"id":"g3","ok":true,"op":"report","received":3,"completed":2,"#,
+                r#""rejected_overload":0,"rejected_budget":0,"rejected_bad":0,"degraded":0,"#,
+                r#""persist_errors":0,"cache_entries":15,"drift_records":0,"drift_evictions":0,"#,
+                r#""tenants":1}"#,
+            )
+        );
+        assert_eq!(
+            ask(r#"{"id":7,"op":"frobnicate"}"#),
+            r#"{"id":"7","ok":false,"kind":"bad_request","error":"unknown op 'frobnicate'"}"#
+        );
+        assert_eq!(
+            ask("{nope"),
+            r#"{"id":"","ok":false,"kind":"bad_request","error":"invalid JSON: expected '\"' at byte 1"}"#
+        );
+        assert_eq!(
+            ask(r#"{"id":"g4","op":"shutdown"}"#),
+            r#"{"id":"g4","ok":true,"op":"shutdown","draining":true}"#
+        );
+        assert!(
+            ask(r#"{"id":"g5","op":"status","format":"prom"}"#).starts_with(concat!(
+                r#"{"id":"g5","ok":true,"op":"status","#,
+                r#""content_type":"text/plain; version=0.0.4; charset=utf-8","#,
+                r##""body":"# TYPE yasksite_up gauge\nyasksite_up 1\n"##,
+            ))
+        );
+        assert_eq!(
+            overload_response(r#"{"id":"q9","op":"tune"}"#),
+            r#"{"id":"q9","ok":false,"kind":"overloaded","error":"request queue is full; retry later"}"#
+        );
+
+        let dir = tmp_dir("pinned");
+        let mut state = ServeState::new(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let mut ask = |line: &str| state.handle_line(line).expect("non-empty line");
+        assert_eq!(
+            ask(
+                r#"{"id":"g6","op":"predict","stencil":"heat-2d-r1","domain":"64x64x1","cores":2}"#
+            ),
+            concat!(
+                r#"{"id":"g6","ok":true,"op":"predict","params":"b=64x64x1 fold=8x1x1 t=2 wf=1","#,
+                r#""mlups":3333.333333333333,"seconds_per_sweep":0.0000012288000000000002,"#,
+                r#""wavefront_effective":false,"warm":false}"#,
+            )
+        );
+        assert_eq!(
+            ask(r#"{"id":"g7","op":"report"}"#),
+            concat!(
+                r#"{"id":"g7","ok":true,"op":"report","received":2,"completed":1,"#,
+                r#""rejected_overload":0,"rejected_budget":0,"rejected_bad":0,"degraded":0,"#,
+                r#""persist_errors":0,"cache_entries":1,"drift_records":0,"drift_evictions":0,"#,
+                r#""tenants":0,"store_healthy":true,"store_predictions":1,"store_drift":0,"#,
+                r#""store_recoveries":0}"#,
+            )
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn status_file_received(dir: &std::path::Path) -> u64 {
+        let text = std::fs::read_to_string(dir.join("status.json")).expect("status.json exists");
+        let j = parse(&text).expect("status.json is valid JSON");
+        crate::status::validate_status_json(&j).expect("status.json validates");
+        field(&j, "received").as_u64().unwrap()
+    }
+
+    #[test]
+    fn status_file_is_published_on_a_cadence_and_on_finish() {
+        let dir = tmp_dir("cadence");
+        let mut state = ServeState::new(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let started = Instant::now();
+        for i in 0..50 {
+            let r = handle(
+                &mut state,
+                &format!(
+                    r#"{{"id":"p{i}","op":"predict","stencil":"heat-2d-r1","domain":"64x64x1","block":"64x{}x1"}}"#,
+                    i + 1
+                ),
+            );
+            assert_eq!(field(&r, "ok"), &Json::Bool(true), "{r:?}");
+        }
+        if started.elapsed() < STATUS_PERIOD {
+            assert_eq!(
+                status_file_received(&dir),
+                1,
+                "50 requests inside one period: only the first wrote the file"
+            );
+        }
+        // The idle tick publishes nothing before the period is over.
+        state.publish_status_if_due();
+        if started.elapsed() < STATUS_PERIOD {
+            assert_eq!(status_file_received(&dir), 1);
+        }
+        state.finish();
+        assert_eq!(
+            status_file_received(&dir),
+            50,
+            "finish() writes the final counters"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn journal_len(dir: &std::path::Path) -> u64 {
+        std::fs::metadata(dir.join("predictions.journal"))
+            .expect("journal exists")
+            .len()
+    }
+
+    #[test]
+    fn a_request_journals_what_it_computed_and_a_repeat_journals_nothing() {
+        let dir = tmp_dir("delta");
+        let mut state = ServeState::new(ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        });
+        let store_predictions = |state: &mut ServeState| {
+            let r = handle(state, r#"{"id":"r","op":"report"}"#);
+            assert_eq!(field(&r, "persist_errors").as_u64(), Some(0));
+            assert_eq!(
+                field(&r, "store_predictions").as_u64(),
+                field(&r, "cache_entries").as_u64(),
+                "the store holds exactly what the cache holds: {r:?}"
+            );
+            field(&r, "store_predictions").as_u64().unwrap()
+        };
+        let predict = r#"{"id":"p","op":"predict","stencil":"heat-3d-r1","domain":"32x16x16","block":"32x4x4"}"#;
+        let first = handle(&mut state, predict);
+        assert_eq!(field(&first, "warm"), &Json::Bool(false));
+        assert_eq!(store_predictions(&mut state), 1);
+        let after_first = journal_len(&dir);
+        let second = handle(&mut state, predict);
+        assert_eq!(field(&second, "warm"), &Json::Bool(true));
+        assert_eq!(store_predictions(&mut state), 1);
+        assert_eq!(journal_len(&dir), after_first, "a hit appends nothing");
+
+        let first = handle(&mut state, TUNE);
+        let persisted = field(&first, "persisted").as_u64().unwrap();
+        assert!(persisted > 0, "{first:?}");
+        assert_eq!(store_predictions(&mut state), 1 + persisted);
+        let after_tune = journal_len(&dir);
+        let second = handle(&mut state, TUNE);
+        assert_eq!(field(&second, "persisted").as_u64(), Some(0), "{second:?}");
+        assert_eq!(
+            journal_len(&dir),
+            after_tune,
+            "an all-hit tune appends nothing"
+        );
+        assert_eq!(
+            field(&second, "best").as_str(),
+            field(&first, "best").as_str()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// An output sink tests can read back after the daemon exits.
     #[derive(Clone, Default)]
     struct VecOut(Arc<Mutex<Vec<u8>>>);
@@ -1687,6 +2000,256 @@ mod tests {
         assert_eq!(responses.len(), 3);
         assert_eq!(field(&responses[0], "draining"), &Json::Bool(true));
         assert_eq!(field(&responses[1], "ok"), &Json::Bool(true));
+    }
+
+    /// A closed-loop socket client.
+    #[cfg(unix)]
+    struct Client {
+        reader: io::BufReader<UnixStream>,
+        writer: UnixStream,
+    }
+
+    #[cfg(unix)]
+    impl Client {
+        fn connect(socket: &std::path::Path) -> Client {
+            let stream = loop {
+                match UnixStream::connect(socket) {
+                    Ok(stream) => break stream,
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            Client {
+                reader: io::BufReader::new(stream.try_clone().unwrap()),
+                writer: stream,
+            }
+        }
+
+        /// The next reply line; `None` when the daemon closed the
+        /// connection (or, after 10 s, never answered).
+        fn reply(&mut self) -> Option<Json> {
+            let mut line = String::new();
+            match self.reader.read_line(&mut line) {
+                Ok(n) if n > 0 => Some(parse(&line).expect("reply is JSON")),
+                _ => None,
+            }
+        }
+
+        fn ask(&mut self, line: &str) -> Option<Json> {
+            self.writer.write_all(format!("{line}\n").as_bytes()).ok()?;
+            self.reply()
+        }
+    }
+
+    /// Raises the shutdown flag when the client half of a test ends —
+    /// also by a failed assertion, which must not leave the daemon (and
+    /// with it the test) running forever.
+    #[cfg(unix)]
+    struct Raise<'a>(&'a AtomicBool);
+
+    #[cfg(unix)]
+    impl Drop for Raise<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Runs a socket daemon under `limits` while `client` talks to it, then
+    /// raises the shutdown flag. That this returns at all means the
+    /// acceptor and every pump were joined.
+    #[cfg(unix)]
+    fn with_daemon<T>(
+        tag: &str,
+        limits: Limits,
+        client: impl FnOnce(&std::path::Path) -> T,
+    ) -> (ServeStats, T) {
+        let dir = tmp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("ys.sock");
+        let shutdown = AtomicBool::new(false);
+        let out = std::thread::scope(|s| {
+            let daemon =
+                s.spawn(|| serve_unix_with(ServeConfig::default(), &socket, &shutdown, limits));
+            let out = {
+                let _raise = Raise(&shutdown);
+                client(&socket)
+            };
+            let stats = daemon.join().expect("daemon thread").expect("daemon runs");
+            (stats, out)
+        });
+        assert!(!socket.exists(), "the socket file is removed on exit");
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    const PREDICT: &str =
+        r#"{"id":"p","op":"predict","stencil":"heat-2d-r1","domain":"64x64x1","cores":2}"#;
+
+    #[cfg(unix)]
+    fn is_ok(reply: Option<Json>) -> bool {
+        reply.is_some_and(|r| field(&r, "ok") == &Json::Bool(true))
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_idle_connection_delays_nobody() {
+        let (stats, ()) = with_daemon("idle", LIMITS, |socket| {
+            // A connects first and says nothing.
+            let mut a = Client::connect(socket);
+            let mut b = Client::connect(socket);
+            assert!(is_ok(b.ask(PREDICT)), "B is answered while A idles");
+            assert!(is_ok(b.ask(r#"{"id":"s","op":"status"}"#)));
+            // A, still connected, is served when it does speak.
+            let r = a.ask(r#"{"id":"r","op":"report"}"#).expect("A is answered");
+            assert_eq!(field(&r, "received").as_u64(), Some(3));
+        });
+        assert_eq!(stats.completed, 3);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_over_long_line_is_refused_and_its_connection_closed() {
+        let limits = Limits {
+            max_line: 256,
+            ..LIMITS
+        };
+        let (stats, ()) = with_daemon("overlong", limits, |socket| {
+            // Never a newline: the daemon must not wait for one.
+            let mut hostile = Client::connect(socket);
+            hostile.writer.write_all(&[b'x'; 257]).unwrap();
+            let r = hostile.reply().expect("the refusal is written");
+            assert_eq!(field(&r, "kind").as_str(), Some("bad_request"));
+            assert!(field(&r, "error").as_str().unwrap().contains("256 bytes"));
+            assert!(hostile.reply().is_none(), "then the connection closes");
+
+            // Exactly the cap, terminator included, still fits.
+            let mut fits = PREDICT.to_string();
+            fits.push_str(&" ".repeat(255 - PREDICT.len()));
+            assert_eq!(fits.len() + 1, 256);
+            assert!(is_ok(Client::connect(socket).ask(&fits)));
+        });
+        assert_eq!(
+            stats.received, 1,
+            "the over-long line never reached the handler"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn connections_past_the_cap_get_one_overloaded_line() {
+        let limits = Limits {
+            max_connections: 2,
+            ..LIMITS
+        };
+        with_daemon("conncap", limits, |socket| {
+            // Answered, hence accepted and live.
+            let mut a = Client::connect(socket);
+            let mut b = Client::connect(socket);
+            assert!(is_ok(a.ask(PREDICT)) && is_ok(b.ask(PREDICT)));
+            let mut c = Client::connect(socket);
+            let r = c.reply().expect("the refusal is written unasked");
+            assert_eq!(field(&r, "kind").as_str(), Some("overloaded"));
+            assert!(c.reply().is_none(), "then the connection closes");
+            // A leaves; once its pump has gone the slot is free again.
+            drop(a);
+            let served = (0..400).any(|_| {
+                std::thread::sleep(Duration::from_millis(5));
+                is_ok(Client::connect(socket).ask(PREDICT))
+            });
+            assert!(served, "a freed slot is reusable");
+            assert!(is_ok(b.ask(PREDICT)), "B never noticed");
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_connection_that_completes_no_line_is_dropped_after_the_cutoff() {
+        let cutoff = Duration::from_millis(500);
+        let limits = Limits {
+            idle_cutoff: cutoff,
+            read_tick: Duration::from_millis(20),
+            ..LIMITS
+        };
+        with_daemon("cutoff", limits, |socket| {
+            let mut c = Client::connect(socket);
+            // Three requests 0.4 cutoffs apart: each completed line
+            // restarts the clock, so the connection outlives 1.2 cutoffs.
+            for _ in 0..3 {
+                std::thread::sleep(cutoff.mul_f64(0.4));
+                assert!(is_ok(c.ask(PREDICT)));
+            }
+            // Half a line is not a line.
+            c.writer.write_all(b"{\"id\":").unwrap();
+            let idle_since = Instant::now();
+            assert!(c.reply().is_none(), "dropped, not answered");
+            assert!(
+                idle_since.elapsed() < Duration::from_secs(5),
+                "dropped by the cutoff"
+            );
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_client_that_stops_reading_loses_its_connection_not_the_daemon() {
+        let limits = Limits {
+            write_timeout: Duration::from_millis(100),
+            ..LIMITS
+        };
+        with_daemon("noread", limits, |socket| {
+            let mut deaf = Client::connect(socket);
+            let mut good = Client::connect(socket);
+            std::thread::scope(|s| {
+                // Requests without end, replies never read: the kernel
+                // buffers fill, a reply cannot be written, the daemon
+                // hangs up and the writes start failing.
+                let flood = s.spawn(|| {
+                    let give_up = Instant::now() + Duration::from_secs(30);
+                    while Instant::now() < give_up {
+                        if deaf
+                            .writer
+                            .write_all(b"{\"id\":\"s\",\"op\":\"status\"}\n")
+                            .is_err()
+                        {
+                            return true;
+                        }
+                    }
+                    false
+                });
+                // The flood owns the queue, so `overloaded` is a fair
+                // answer here; silence is not.
+                while !flood.is_finished() {
+                    assert!(good.ask(PREDICT).is_some(), "answered throughout");
+                }
+                assert!(flood.join().unwrap(), "the deaf client was disconnected");
+            });
+            // What the flood left in the queue drains; then it is `ok` again.
+            assert!((0..1000).any(|_| is_ok(good.ask(PREDICT))));
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_shutdown_request_on_the_socket_is_acknowledged_with_clients_still_connected() {
+        let (stats, ()) = with_daemon("sockdown", LIMITS, |socket| {
+            let _idle = Client::connect(socket);
+            let mut c = Client::connect(socket);
+            assert!(is_ok(c.ask(PREDICT)));
+            let r = c
+                .ask(r#"{"id":"x","op":"shutdown"}"#)
+                .expect("acknowledged");
+            assert_eq!(field(&r, "draining"), &Json::Bool(true));
+            // Both connections stay open past the daemon's exit: its pumps
+            // leave on their read timeout, not when the clients hang up.
+            let gone = (0..400).any(|_| {
+                std::thread::sleep(Duration::from_millis(5));
+                !socket.exists()
+            });
+            assert!(gone, "the daemon exits with clients still connected");
+        });
+        assert_eq!((stats.received, stats.completed), (2, 2));
     }
 
     #[cfg(unix)]

@@ -1,6 +1,7 @@
 //! The `Solution` object: one stencil bound to a domain and a machine.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use yasksite_arch::{Machine, MachineFileError, MachineKind};
 use yasksite_engine::{
@@ -102,6 +103,9 @@ pub struct Solution {
     stencil: Stencil,
     domain: [usize; 3],
     machine: Machine,
+    /// [`Solution::signature`], filled on first use: constructions that
+    /// never ask for it (most of them) do not pay for the hash.
+    signature: OnceLock<u64>,
 }
 
 impl Solution {
@@ -112,6 +116,7 @@ impl Solution {
             stencil,
             domain,
             machine,
+            signature: OnceLock::new(),
         }
     }
 
@@ -143,19 +148,22 @@ impl Solution {
     /// domain × machine). Two solutions with equal signatures produce
     /// identical analytic predictions, which is what lets
     /// [`crate::PredictionCache`] share entries across `Solution` values.
-    /// Stable within a process; not a persistent format.
+    /// Stable within a process; not a persistent format. Computed once
+    /// per `Solution` (clones carry the value along).
     #[must_use]
     pub fn signature(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        // Stencil and Machine hold f64s and do not implement Hash; their
-        // Debug renderings are exact enough to distinguish any two values
-        // the model would treat differently.
-        format!("{:?}", self.stencil).hash(&mut h);
-        self.domain.hash(&mut h);
-        format!("{:?}", self.machine).hash(&mut h);
-        h.finish()
+        *self.signature.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            // Stencil and Machine hold f64s and do not implement Hash;
+            // their Debug renderings are exact enough to distinguish any
+            // two values the model would treat differently.
+            format!("{:?}", self.stencil).hash(&mut h);
+            self.domain.hash(&mut h);
+            format!("{:?}", self.machine).hash(&mut h);
+            h.finish()
+        })
     }
 
     /// Analytic (ECM) prediction for `params` at `cores` — runs nothing.
@@ -397,6 +405,22 @@ mod tests {
         let a = sol.predict(&p, 4);
         let b = sol.predict(&p, 4);
         assert_eq!(a.mlups, b.mlups);
+    }
+
+    #[test]
+    fn signature_is_the_same_before_and_after_it_is_first_asked_for() {
+        let build = || Solution::new(heat3d(1), [128, 64, 64], Machine::cascade_lake());
+        let sol = build();
+        let cloned_before = sol.clone();
+        let first = sol.signature();
+        let cloned_after = sol.clone();
+        let fresh = build().signature();
+        assert_eq!(first, fresh, "equal solutions, equal signatures");
+        assert_eq!(sol.signature(), fresh, "the memoised value is the value");
+        assert_eq!(cloned_before.signature(), fresh);
+        assert_eq!(cloned_after.signature(), fresh);
+        let other = Solution::new(heat3d(1), [128, 64, 32], Machine::cascade_lake());
+        assert_ne!(other.signature(), fresh);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use yasksite_telemetry::json::{write_escaped, write_f64, Json};
+use yasksite_telemetry::json::{Json, ObjectWriter};
 use yasksite_telemetry::sanitize_metric_name;
 
 /// Version of the `status` snapshot schema. Bumped whenever a field is
@@ -155,57 +155,21 @@ pub struct StatusSnapshot {
     pub store_healthy: Option<bool>,
 }
 
-fn push_uint(out: &mut String, key: &str, v: u64) {
-    out.push(',');
-    write_escaped(out, key);
-    out.push(':');
-    let _ = write!(out, "{v}");
+/// One latency digest map as a nested object: kind (or tenant) → digest.
+fn digests(o: ObjectWriter, map: &BTreeMap<String, LatencyDigest>) -> ObjectWriter {
+    map.iter().fold(o, |o, (kind, d)| {
+        o.object(kind, |o| {
+            o.uint("count", d.count)
+                .num("p50", d.p50)
+                .num("p95", d.p95)
+                .num("p99", d.p99)
+                .num("mean", d.mean())
+        })
+    })
 }
 
-fn push_num(out: &mut String, key: &str, v: f64) {
-    out.push(',');
-    write_escaped(out, key);
-    out.push(':');
-    write_f64(out, v);
-}
-
-fn push_digest_map(out: &mut String, key: &str, map: &BTreeMap<String, LatencyDigest>) {
-    out.push(',');
-    write_escaped(out, key);
-    out.push_str(":{");
-    for (i, (kind, d)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(out, kind);
-        out.push_str(":{\"count\":");
-        let _ = write!(out, "{}", d.count);
-        out.push_str(",\"p50\":");
-        write_f64(out, d.p50);
-        out.push_str(",\"p95\":");
-        write_f64(out, d.p95);
-        out.push_str(",\"p99\":");
-        write_f64(out, d.p99);
-        out.push_str(",\"mean\":");
-        write_f64(out, d.mean());
-        out.push('}');
-    }
-    out.push('}');
-}
-
-fn push_count_map(out: &mut String, key: &str, map: &BTreeMap<String, u64>) {
-    out.push(',');
-    write_escaped(out, key);
-    out.push_str(":{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(out, k);
-        out.push(':');
-        let _ = write!(out, "{v}");
-    }
-    out.push('}');
+fn counts(o: ObjectWriter, map: &BTreeMap<String, u64>) -> ObjectWriter {
+    map.iter().fold(o, |o, (k, v)| o.uint(k, *v))
 }
 
 impl StatusSnapshot {
@@ -213,77 +177,64 @@ impl StatusSnapshot {
     /// body of the `status.json` file in the state directory).
     #[must_use]
     pub fn to_json_response(&self, id: &str) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"id\":");
-        write_escaped(&mut out, id);
-        out.push_str(",\"ok\":true,\"op\":\"status\"");
-        push_uint(&mut out, "schema", STATUS_SCHEMA_VERSION);
-        push_num(&mut out, "uptime_secs", self.uptime_secs);
-        push_num(&mut out, "window_secs", self.window_secs);
-        push_uint(&mut out, "queue_depth", self.queue_depth as u64);
-        push_uint(&mut out, "queue_capacity", self.queue_capacity as u64);
-        push_uint(&mut out, "received", self.received as u64);
-        push_uint(&mut out, "completed", self.completed as u64);
-        push_uint(&mut out, "rejected_overload", self.rejected_overload as u64);
-        push_uint(&mut out, "rejected_budget", self.rejected_budget as u64);
-        push_uint(&mut out, "rejected_bad", self.rejected_bad as u64);
-        push_uint(&mut out, "degraded", self.degraded as u64);
-        push_uint(&mut out, "persist_errors", self.persist_errors as u64);
-        push_num(&mut out, "rate_per_sec", self.rate_per_sec);
-        push_uint(&mut out, "cache_entries", self.cache_entries as u64);
-        push_uint(&mut out, "drift_records", self.drift_records as u64);
-        push_uint(&mut out, "drift_suspects", self.drift_suspects as u64);
-        push_uint(&mut out, "drift_evictions", self.drift_evictions as u64);
-        push_uint(&mut out, "corrected_keys", self.corrected_keys as u64);
-        push_uint(&mut out, "tenants", self.tenants as u64);
+        let mut o = ObjectWriter::with_capacity(1024)
+            .str("id", id)
+            .bool("ok", true)
+            .str("op", "status")
+            .uint("schema", STATUS_SCHEMA_VERSION)
+            .num("uptime_secs", self.uptime_secs)
+            .num("window_secs", self.window_secs)
+            .uint("queue_depth", self.queue_depth as u64)
+            .uint("queue_capacity", self.queue_capacity as u64)
+            .uint("received", self.received as u64)
+            .uint("completed", self.completed as u64)
+            .uint("rejected_overload", self.rejected_overload as u64)
+            .uint("rejected_budget", self.rejected_budget as u64)
+            .uint("rejected_bad", self.rejected_bad as u64)
+            .uint("degraded", self.degraded as u64)
+            .uint("persist_errors", self.persist_errors as u64)
+            .num("rate_per_sec", self.rate_per_sec)
+            .uint("cache_entries", self.cache_entries as u64)
+            .uint("drift_records", self.drift_records as u64)
+            .uint("drift_suspects", self.drift_suspects as u64)
+            .uint("drift_evictions", self.drift_evictions as u64)
+            .uint("corrected_keys", self.corrected_keys as u64)
+            .uint("tenants", self.tenants as u64);
         if let Some(n) = self.trace_sample {
-            push_uint(&mut out, "trace_sample", n);
+            o = o.uint("trace_sample", n);
         }
-        push_digest_map(&mut out, "queue_wait_ms", &self.queue_wait_ms);
-        push_digest_map(&mut out, "service_ms", &self.service_ms);
-        push_digest_map(&mut out, "latency_ms", &self.e2e_ms);
-        push_digest_map(&mut out, "tenant_latency_ms", &self.tenant_e2e_ms);
-        push_count_map(&mut out, "tier_ran", &self.tier_ran);
-        push_count_map(&mut out, "tier_degraded", &self.tier_degraded);
-        out.push_str(",\"tenant_use\":{");
-        for (i, (t, u)) in self.tenant_use.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, t);
-            out.push_str(":{\"runs\":");
-            let _ = write!(out, "{}", u.runs);
-            out.push_str(",\"seconds\":");
-            write_f64(&mut out, u.seconds);
-            out.push('}');
-        }
-        out.push('}');
-        out.push_str(",\"pool\":{\"workers\":");
-        let _ = write!(out, "{}", self.pool_workers);
-        out.push_str(",\"sweeps\":");
-        let _ = write!(out, "{}", self.pool_sweeps);
-        out.push_str(",\"jobs\":");
-        let _ = write!(out, "{}", self.pool_jobs);
-        out.push('}');
+        o = o
+            .object("queue_wait_ms", |o| digests(o, &self.queue_wait_ms))
+            .object("service_ms", |o| digests(o, &self.service_ms))
+            .object("latency_ms", |o| digests(o, &self.e2e_ms))
+            .object("tenant_latency_ms", |o| digests(o, &self.tenant_e2e_ms))
+            .object("tier_ran", |o| counts(o, &self.tier_ran))
+            .object("tier_degraded", |o| counts(o, &self.tier_degraded))
+            .object("tenant_use", |o| {
+                self.tenant_use.iter().fold(o, |o, (tenant, u)| {
+                    o.object(tenant, |o| {
+                        o.uint("runs", u.runs as u64).num("seconds", u.seconds)
+                    })
+                })
+            })
+            .object("pool", |o| {
+                o.uint("workers", self.pool_workers as u64)
+                    .uint("sweeps", self.pool_sweeps)
+                    .uint("jobs", self.pool_jobs)
+            });
         if let Some(c) = &self.calibration {
-            out.push_str(",\"calibration\":{\"rev\":");
-            write_escaped(&mut out, &c.rev);
-            out.push_str(",\"seed\":");
-            let _ = write!(out, "{}", c.seed);
-            out.push_str(",\"date\":");
-            write_escaped(&mut out, &c.date);
-            out.push_str(",\"probes\":");
-            let _ = write!(out, "{}", c.probes);
-            out.push_str(",\"age_secs\":");
-            write_f64(&mut out, c.age_secs);
-            out.push('}');
+            o = o.object("calibration", |o| {
+                o.str("rev", &c.rev)
+                    .uint("seed", c.seed)
+                    .str("date", &c.date)
+                    .uint("probes", c.probes as u64)
+                    .num("age_secs", c.age_secs)
+            });
         }
         if let Some(h) = self.store_healthy {
-            out.push_str(",\"store_healthy\":");
-            out.push_str(if h { "true" } else { "false" });
+            o = o.bool("store_healthy", h);
         }
-        out.push('}');
-        out
+        o.finish()
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
@@ -987,6 +938,48 @@ mod tests {
         assert_eq!(cal.get("rev").and_then(Json::as_str), Some("0.1.0"));
         assert_eq!(cal.get("seed").and_then(Json::as_u64), Some(42));
         assert_eq!(cal.get("probes").and_then(Json::as_u64), Some(7));
+    }
+
+    /// The rendering is a wire format (`status` replies, `status.json`):
+    /// the bytes below were captured before the renderer moved onto
+    /// `telemetry::json::ObjectWriter` and must not change with it.
+    #[test]
+    fn json_response_bytes_are_pinned() {
+        assert_eq!(
+            sample_snapshot().to_json_response("g"),
+            concat!(
+                r#"{"id":"g","ok":true,"op":"status","schema":1,"uptime_secs":12.5,"window_secs":60,"#,
+                r#""queue_depth":1,"queue_capacity":16,"received":5,"completed":4,"#,
+                r#""rejected_overload":0,"rejected_budget":0,"rejected_bad":1,"degraded":0,"#,
+                r#""persist_errors":0,"rate_per_sec":0.4,"cache_entries":42,"drift_records":3,"#,
+                r#""drift_suspects":1,"drift_evictions":0,"corrected_keys":1,"tenants":1,"#,
+                r#""trace_sample":64,"#,
+                r#""queue_wait_ms":{"tune":{"count":3,"p50":10,"p95":19,"p99":19.8,"mean":15}},"#,
+                r#""service_ms":{"tune":{"count":3,"p50":10,"p95":19,"p99":19.8,"mean":15}},"#,
+                r#""latency_ms":{"tune":{"count":3,"p50":10,"p95":19,"p99":19.8,"mean":15}},"#,
+                r#""tenant_latency_ms":{"ci":{"count":3,"p50":10,"p95":19,"p99":19.8,"mean":15}},"#,
+                r#""tier_ran":{"folded":3},"#,
+                r#""tier_degraded":{"fold.x has no supported lane count: scalar row kernels":1},"#,
+                r#""tenant_use":{"ci":{"runs":4,"seconds":0.25}},"#,
+                r#""pool":{"workers":4,"sweeps":7,"jobs":28},"#,
+                r#""calibration":{"rev":"0.1.0","seed":42,"date":"2026-08-09","probes":7,"age_secs":90},"#,
+                r#""store_healthy":true}"#,
+            )
+        );
+        // Empty maps and absent optionals render as at the parent too.
+        assert_eq!(
+            StatusSnapshot::default().to_json_response(""),
+            concat!(
+                r#"{"id":"","ok":true,"op":"status","schema":1,"uptime_secs":0,"window_secs":0,"#,
+                r#""queue_depth":0,"queue_capacity":0,"received":0,"completed":0,"#,
+                r#""rejected_overload":0,"rejected_budget":0,"rejected_bad":0,"degraded":0,"#,
+                r#""persist_errors":0,"rate_per_sec":0,"cache_entries":0,"drift_records":0,"#,
+                r#""drift_suspects":0,"drift_evictions":0,"corrected_keys":0,"tenants":0,"#,
+                r#""queue_wait_ms":{},"service_ms":{},"latency_ms":{},"tenant_latency_ms":{},"#,
+                r#""tier_ran":{},"tier_degraded":{},"tenant_use":{},"#,
+                r#""pool":{"workers":0,"sweeps":0,"jobs":0}}"#,
+            )
+        );
     }
 
     #[test]

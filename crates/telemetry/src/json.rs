@@ -73,17 +73,22 @@ impl Json {
 /// Appends `s` to `out` as a JSON string literal (quotes included).
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Keys and most values need no escaping: copy those whole.
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -96,6 +101,78 @@ pub fn write_f64(out: &mut String, v: f64) {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// Incremental writer for one JSON object, the one emitter behind daemon
+/// replies, the status snapshot and trace events: members appear in call
+/// order with escaped keys, and [`ObjectWriter::finish`] closes the object.
+#[must_use]
+#[derive(Debug)]
+pub struct ObjectWriter(String);
+
+impl ObjectWriter {
+    /// An open, empty object with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut buf = String::with_capacity(capacity);
+        buf.push('{');
+        ObjectWriter(buf)
+    }
+
+    /// Starts member `k` and hands out the buffer for its value. No value
+    /// ends in `{`, so a buffer that does is an object — nested ones
+    /// included — still waiting for its first member.
+    fn value_of(&mut self, k: &str) -> &mut String {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        write_escaped(&mut self.0, k);
+        self.0.push(':');
+        &mut self.0
+    }
+
+    /// A string member.
+    pub fn str(mut self, k: &str, v: &str) -> Self {
+        write_escaped(self.value_of(k), v);
+        self
+    }
+
+    /// A float member (see [`write_f64`]: non-finite becomes `null`).
+    pub fn num(mut self, k: &str, v: f64) -> Self {
+        write_f64(self.value_of(k), v);
+        self
+    }
+
+    /// An unsigned integer member, written exactly (never through `f64`).
+    pub fn uint(mut self, k: &str, v: u64) -> Self {
+        let _ = write!(self.value_of(k), "{v}");
+        self
+    }
+
+    /// A signed integer member, written exactly.
+    pub fn int(mut self, k: &str, v: i64) -> Self {
+        let _ = write!(self.value_of(k), "{v}");
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(mut self, k: &str, v: bool) -> Self {
+        let _ = write!(self.value_of(k), "{v}");
+        self
+    }
+
+    /// A nested object member; `fill` appends its members.
+    pub fn object(mut self, k: &str, fill: impl FnOnce(Self) -> Self) -> Self {
+        self.value_of(k).push('{');
+        let mut filled = fill(self);
+        filled.0.push('}');
+        filled
+    }
+
+    /// Closes the object and returns the rendered text.
+    pub fn finish(mut self) -> String {
+        self.0.push('}');
+        self.0
     }
 }
 
@@ -366,6 +443,30 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn object_writer_places_commas_escapes_and_nests() {
+        let line = ObjectWriter::with_capacity(64)
+            .str("s", "a\"b")
+            .num("n", 0.5)
+            .num("nan", f64::NAN)
+            .uint("u", u64::MAX)
+            .int("i", -3)
+            .bool("b", true)
+            .object("empty", |o| o)
+            .object("o", |o| o.uint("x", 1).object("deep", |o| o.str("{", "{")))
+            .uint("after", 2)
+            .finish();
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"s":"a\"b","n":0.5,"nan":null,"u":18446744073709551615,"i":-3,"b":true,"#,
+                r#""empty":{},"o":{"x":1,"deep":{"{":"{"}},"after":2}"#
+            )
+        );
+        assert!(parse(&line).is_ok());
+        assert_eq!(ObjectWriter::with_capacity(0).finish(), "{}");
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub use span::{render_span_tree, SpanRecord};
 pub use window::{RollingCounter, RollingHistogram, WindowSnapshot, DEFAULT_MS_BOUNDS};
 
 use std::fmt;
-use std::fmt::Write as _;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,21 +117,24 @@ pub enum Value {
 }
 
 impl Value {
-    fn encode(&self, out: &mut String) {
+    fn put(&self, o: json::ObjectWriter, key: &str) -> json::ObjectWriter {
         match self {
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(v) => json::write_f64(out, *v),
-            Value::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Str(v) => json::write_escaped(out, v),
+            Value::U64(v) => o.uint(key, *v),
+            Value::I64(v) => o.int(key, *v),
+            Value::F64(v) => o.num(key, *v),
+            Value::Bool(v) => o.bool(key, *v),
+            Value::Str(v) => o.str(key, v),
         }
     }
+}
+
+/// The keys every trace line starts with: schema version, event name and
+/// the time since the session epoch.
+fn envelope(ev: &str, t_us: u64) -> json::ObjectWriter {
+    json::ObjectWriter::with_capacity(128)
+        .uint("v", SCHEMA_VERSION)
+        .str("ev", ev)
+        .uint("t_us", t_us)
 }
 
 impl From<u64> for Value {
@@ -314,14 +316,11 @@ impl Telemetry {
                 let id = inner.spans.open();
                 let start_us = Self::now_us(inner);
                 if inner.sink.wants_events() {
-                    let mut line = String::with_capacity(96);
-                    let _ = write!(
-                        line,
-                        "{{\"v\":{SCHEMA_VERSION},\"ev\":\"span_open\",\"t_us\":{start_us},\"id\":{id},\"parent\":{parent},\"name\":"
-                    );
-                    json::write_escaped(&mut line, name);
-                    line.push('}');
-                    inner.sink.emit(&line);
+                    let line = envelope("span_open", start_us)
+                        .uint("id", id)
+                        .uint("parent", parent)
+                        .str("name", name);
+                    inner.sink.emit(&line.finish());
                 }
                 (id, start_us)
             }
@@ -347,23 +346,13 @@ impl Telemetry {
         if self.quiet || level > inner.level || !inner.sink.wants_events() {
             return;
         }
-        let t_us = Self::now_us(inner);
-        let mut line = String::with_capacity(128);
-        let _ = write!(line, "{{\"v\":{SCHEMA_VERSION},\"ev\":");
-        json::write_escaped(&mut line, name);
-        let _ = write!(
-            line,
-            ",\"t_us\":{t_us},\"span\":{span_id},\"level\":\"{}\"",
-            level.as_str()
-        );
-        for (key, value) in fields {
-            line.push(',');
-            json::write_escaped(&mut line, key);
-            line.push(':');
-            value.encode(&mut line);
-        }
-        line.push('}');
-        inner.sink.emit(&line);
+        let line = envelope(name, Self::now_us(inner))
+            .uint("span", span_id)
+            .str("level", level.as_str());
+        let line = fields
+            .iter()
+            .fold(line, |o, (key, value)| value.put(o, key));
+        inner.sink.emit(&line.finish());
     }
 
     /// Emits an error event (always passes the level filter) and bumps
@@ -571,15 +560,11 @@ impl Drop for SpanGuard {
         let now = Telemetry::now_us(inner);
         let dur_us = now.saturating_sub(self.start_us);
         if inner.sink.wants_events() {
-            let mut line = String::with_capacity(96);
-            let _ = write!(
-                line,
-                "{{\"v\":{SCHEMA_VERSION},\"ev\":\"span_close\",\"t_us\":{now},\"id\":{},\"dur_us\":{dur_us},\"name\":",
-                self.id
-            );
-            json::write_escaped(&mut line, self.name);
-            line.push('}');
-            inner.sink.emit(&line);
+            let line = envelope("span_close", now)
+                .uint("id", self.id)
+                .uint("dur_us", dur_us)
+                .str("name", self.name);
+            inner.sink.emit(&line.finish());
         }
         inner.spans.close(SpanRecord {
             id: self.id,

@@ -175,7 +175,8 @@ fn warm_started_tuning_is_bitwise_identical_to_cold() {
     // Persistence off.
     let cold = sol.tune_space_with(&space, &req).expect("cold tune");
 
-    // Session 1 with persistence: tune through a private cache, absorb it.
+    // Session 1 with persistence: tune through a private cache, then
+    // journal its candidates the way the daemon does.
     let dir = tmp_dir("bitwise");
     let tel = Telemetry::disabled();
     let mut store = PersistentStore::open(&dir, &tel).expect("open");
@@ -183,9 +184,19 @@ fn warm_started_tuning_is_bitwise_identical_to_cold() {
     let first = sol
         .tune_space_with(&space, &req.clone().cache(cache1.clone()))
         .expect("session 1 tune");
-    let absorbed = store.absorb_cache(&cache1);
-    assert!(absorbed.persisted > 0, "session 1 persisted its cache");
-    assert_eq!(absorbed.errors, 0);
+    let persisted = space
+        .candidates(2)
+        .iter()
+        .filter(|p| {
+            let key = PredictKey::new(sol.signature(), p, 2);
+            let (perf, _) = cache1.predict(&sol, p, 2);
+            store
+                .record_prediction(PredictionRecord::new(key, &perf))
+                .expect("healthy journal")
+        })
+        .count();
+    assert!(persisted > 0, "session 1 persisted its cache");
+    assert_eq!(persisted, cache1.len(), "all of it");
     drop(store);
 
     // Session 2: reload, verified warm start, tune again.
