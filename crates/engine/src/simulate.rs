@@ -3,8 +3,10 @@
 
 use yasksite_arch::Machine;
 use yasksite_ecm::incore::{incore_with_issue, InCore};
-use yasksite_grid::Grid3;
-use yasksite_memsim::{compose_time, CoreWork, HierarchyStats, MemHierarchy, TimeBreakdown};
+use yasksite_grid::{Grid3, ELEM_BYTES};
+use yasksite_memsim::{
+    compose_time, Access, CoreWork, HierarchyStats, MemHierarchy, TimeBreakdown,
+};
 use yasksite_stencil::Stencil;
 
 use crate::error::EngineError;
@@ -161,19 +163,8 @@ impl Groups {
     }
 }
 
-/// How a row of elements is touched by the simulated kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowAccess {
-    /// Plain load.
-    Read,
-    /// Write-allocate store.
-    Write,
-    /// Non-temporal (streaming) store.
-    WriteNt,
-}
-
 /// Issues the cache lines touched by accessing row `(j+dy, k+dz)` of
-/// `grid` over x ∈ `[x0, x1]` (inclusive), stepping at fold granularity.
+/// `grid` over x ∈ `[x0, x1]` (inclusive), once per line in address order.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn touch_row(
@@ -184,7 +175,33 @@ pub(crate) fn touch_row(
     x1: isize,
     j: isize,
     k: isize,
-    access: RowAccess,
+    access: Access,
+) {
+    // A fold that is 1 in y and z stores each row contiguously, and a walk
+    // that steps at most one 64-byte line at a time visits every line
+    // between the row's ends: one run issues the same accesses.
+    let fold = grid.fold();
+    if fold.y == 1 && fold.z == 1 && fold.x * ELEM_BYTES <= 64 && h.machine().line_bytes() == 64 {
+        let first = grid.addr(x0, j, k);
+        let last = first + (x1 - x0) as u64 * ELEM_BYTES as u64;
+        h.access_run(core, first, last, access);
+    } else {
+        walk_row(h, core, grid, x0, x1, j, k, access);
+    }
+}
+
+/// The per-position form of [`touch_row`]: steps through the row at fold
+/// granularity and issues an access whenever the 64-byte line changes.
+#[allow(clippy::too_many_arguments)]
+fn walk_row(
+    h: &mut MemHierarchy,
+    core: usize,
+    grid: &Grid3,
+    x0: isize,
+    x1: isize,
+    j: isize,
+    k: isize,
+    access: Access,
 ) {
     let step = grid.fold().x.max(1) as isize;
     let mut last_line = u64::MAX;
@@ -193,11 +210,7 @@ pub(crate) fn touch_row(
         let a = grid.addr(x, j, k);
         let line = a >> 6;
         if line != last_line {
-            match access {
-                RowAccess::Read => h.read(core, a),
-                RowAccess::Write => h.write(core, a),
-                RowAccess::WriteNt => h.write_nt(core, a),
-            }
+            h.access_run(core, a, a, access);
             last_line = line;
         }
         if x >= x1 {
@@ -291,13 +304,13 @@ pub fn apply_simulated(
                                             iend as isize + hi as isize,
                                             j as isize + dy as isize,
                                             k as isize + dz as isize,
-                                            RowAccess::Read,
+                                            Access::Read,
                                         );
                                     }
                                     let store = if params.streaming_stores {
-                                        RowAccess::WriteNt
+                                        Access::WriteNt
                                     } else {
-                                        RowAccess::Write
+                                        Access::Write
                                     };
                                     touch_row(
                                         &mut ctx.hierarchy,
@@ -328,8 +341,75 @@ pub fn apply_simulated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use yasksite_grid::Fold;
-    use yasksite_stencil::builders::heat3d;
+    use yasksite_stencil::builders::{heat3d, star3d};
+
+    /// CLX with every level shrunk (L1 2 KiB, L2 8 KiB, victim L3 56 KiB)
+    /// and four cores, so short row sequences evict at every level.
+    fn tiny_clx() -> Machine {
+        let mut m = Machine::cascade_lake();
+        m.cores_per_socket = 4;
+        for (c, sets) in m.caches.iter_mut().zip([4, 8, 64]) {
+            c.size_bytes = sets * c.assoc * c.line_bytes;
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Issuing a row as one run of lines gives the same counters as
+        /// the per-position walk: first over a sweep of a radius-`r` star
+        /// (rows reaching into the halo, `cores` cores), then over rows
+        /// drawn anywhere in the allocated grids, with every access kind.
+        #[test]
+        fn line_runs_match_the_per_position_walk(
+            tiny in any::<bool>(),
+            fold in prop_oneof![Just(Fold::new(8, 1, 1)), Just(Fold::new(4, 1, 1)), Just(Fold::new(4, 2, 1))],
+            r in 1usize..3,
+            nx in 16usize..48,
+            ny in 8usize..24,
+            nz in 4usize..16,
+            cores in 1usize..5,
+            rows in prop::collection::vec(
+                (0usize..2, 0usize..4, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), 0u8..3),
+                1..2000,
+            ),
+        ) {
+            let m = if tiny { tiny_clx() } else { Machine::cascade_lake() };
+            let n = [nx, ny, nz];
+            let grids = [Grid3::new("u", n, [r; 3], fold), Grid3::new("o", n, [r; 3], fold)];
+            let (mut run, mut walk) = (MemHierarchy::new(&m, cores), MemHierarchy::new(&m, cores));
+            let mut touch = |g: usize, core: usize, x: [isize; 2], j: isize, k: isize, access: Access| {
+                touch_row(&mut run, core, &grids[g], x[0], x[1], j, k, access);
+                walk_row(&mut walk, core, &grids[g], x[0], x[1], j, k, access);
+            };
+            let groups = Groups::of(&star3d(r, &vec![0.1; r + 1]));
+            for k in 0..nz as isize {
+                let core = k as usize * cores / nz;
+                for j in 0..ny as isize {
+                    for i in (0..nx as isize).step_by(8) {
+                        let iend = (i + 7).min(nx as isize - 1);
+                        for &(_, dy, dz, lo, hi) in &groups.read {
+                            let x = [i + lo as isize, iend + hi as isize];
+                            touch(0, core, x, j + dy as isize, k + dz as isize, Access::Read);
+                        }
+                        touch(1, core, [i, iend], j, k, Access::Write);
+                    }
+                }
+            }
+            // Anywhere in the allocated extent, halo included.
+            let at = |draw: u64, len: usize| (draw % (len + 2 * r) as u64) as isize - r as isize;
+            for &(g, core, a, b, jd, kd, kind) in &rows {
+                let x0 = at(a, nx);
+                let x1 = x0 + (b % (nx as isize + r as isize - x0) as u64) as isize;
+                let access = [Access::Read, Access::Write, Access::WriteNt][usize::from(kind)];
+                touch(g, core % cores, [x0, x1], at(jd, ny), at(kd, nz), access);
+            }
+            prop_assert_eq!(run.stats(), walk.stats());
+        }
+    }
 
     fn grids(n: [usize; 3]) -> (Grid3, Grid3) {
         let fold = Fold::new(8, 1, 1);

@@ -19,6 +19,7 @@
 //! sweeps.
 
 use yasksite_grid::Grid3;
+use yasksite_memsim::Access;
 use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
@@ -27,7 +28,7 @@ use crate::native::{FiniteScan, Geom, LinearKernel, Sink};
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
-use crate::simulate::{apply_simulated, planned_incore, touch_row, Groups, RowAccess, SimContext};
+use crate::simulate::{apply_simulated, planned_incore, touch_row, Groups, SimContext};
 use crate::sweep::{plan_wavefront, Kernel, PlannedKernel, TierPolicy};
 
 fn wavefront_checks(
@@ -264,7 +265,7 @@ pub fn run_wavefront_simulated(
                                 iend as isize + hi as isize,
                                 j as isize + dy as isize,
                                 z as isize + dz as isize,
-                                RowAccess::Read,
+                                Access::Read,
                             );
                         }
                         touch_row(
@@ -275,7 +276,7 @@ pub fn run_wavefront_simulated(
                             iend as isize,
                             j as isize,
                             z as isize,
-                            RowAccess::Write,
+                            Access::Write,
                         );
                         units[c] += 1;
                         i = iend + 1;

@@ -47,6 +47,17 @@ impl HierarchyStats {
     }
 }
 
+/// How a core touches a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Plain load.
+    Read,
+    /// Write-allocate store: the L1 copy becomes dirty.
+    Write,
+    /// Non-temporal (streaming) store, see [`MemHierarchy::write_nt`].
+    WriteNt,
+}
+
 /// A full machine's cache hierarchy for `ncores` active cores of one socket.
 #[derive(Debug)]
 pub struct MemHierarchy {
@@ -54,8 +65,9 @@ pub struct MemHierarchy {
     ncores: usize,
     /// `levels[l][instance]`.
     levels: Vec<Vec<CacheSim>>,
-    /// `sharers[l]` = cores per instance at level `l`.
-    sharers: Vec<usize>,
+    /// `inst[l * ncores + core]` = the instance of level `l` that `core`
+    /// uses.
+    inst: Vec<usize>,
     victim: Vec<bool>,
     line_bits: u32,
     /// `boundary_lines[b][core]`.
@@ -81,7 +93,7 @@ impl MemHierarchy {
         );
         let nlev = machine.caches.len();
         let mut levels = Vec::with_capacity(nlev);
-        let mut sharers = Vec::with_capacity(nlev);
+        let mut inst = Vec::with_capacity(nlev * ncores);
         let mut victim = Vec::with_capacity(nlev);
         for c in &machine.caches {
             let share = c
@@ -90,7 +102,7 @@ impl MemHierarchy {
                 .min(machine.cores_per_socket);
             let ninst = ncores.div_ceil(share);
             levels.push((0..ninst).map(|_| CacheSim::new(c)).collect());
-            sharers.push(share);
+            inst.extend((0..ncores).map(|core| core / share));
             victim.push(matches!(c.inclusion, InclusionPolicy::Victim));
         }
         let line_bits = machine.line_bytes().trailing_zeros();
@@ -98,7 +110,7 @@ impl MemHierarchy {
             machine: machine.clone(),
             ncores,
             levels,
-            sharers,
+            inst,
             victim,
             line_bits,
             boundary_lines: vec![vec![0; ncores]; nlev],
@@ -123,19 +135,19 @@ impl MemHierarchy {
 
     #[inline]
     fn inst(&self, level: usize, core: usize) -> usize {
-        core / self.sharers[level]
+        self.inst[level * self.ncores + core]
     }
 
     /// Issues a read of byte address `addr` from `core`.
     #[inline]
     pub fn read(&mut self, core: usize, addr: u64) {
-        self.access(core, addr, false);
+        self.access_run(core, addr, addr, Access::Read);
     }
 
     /// Issues a write (write-allocate) of byte address `addr` from `core`.
     #[inline]
     pub fn write(&mut self, core: usize, addr: u64) {
-        self.access(core, addr, true);
+        self.access_run(core, addr, addr, Access::Write);
     }
 
     /// Issues a non-temporal (streaming) store: the line goes straight to
@@ -145,12 +157,31 @@ impl MemHierarchy {
     ///
     /// # Panics
     /// Panics if `core >= ncores`.
+    #[inline]
     pub fn write_nt(&mut self, core: usize, addr: u64) {
+        self.access_run(core, addr, addr, Access::WriteNt);
+    }
+
+    /// Issues one access of `core` to every line from the one holding byte
+    /// `first` to the one holding byte `last`, in address order — what a
+    /// walk over a contiguous span that touches each line once issues.
+    ///
+    /// # Panics
+    /// Panics if `core >= ncores`.
+    pub fn access_run(&mut self, core: usize, first: u64, last: u64, access: Access) {
         assert!(core < self.ncores, "core {core} out of range");
-        let line = addr >> self.line_bits;
+        for line in first >> self.line_bits..=last >> self.line_bits {
+            match access {
+                Access::Read => self.access_line(core, line, false),
+                Access::Write => self.access_line(core, line, true),
+                Access::WriteNt => self.write_nt_line(core, line),
+            }
+        }
+    }
+
+    fn write_nt_line(&mut self, core: usize, line: u64) {
         self.accesses += 1;
-        let nlev = self.levels.len();
-        for lev in 0..nlev {
+        for lev in 0..self.levels.len() {
             let inst = self.inst(lev, core);
             self.levels[lev][inst].invalidate_line(line);
             self.boundary_lines[lev][core] += 1;
@@ -158,29 +189,32 @@ impl MemHierarchy {
         self.mem_write_lines += 1;
     }
 
-    /// Issues an access; `write` marks the L1 copy dirty.
-    ///
-    /// # Panics
-    /// Panics if `core >= ncores`.
-    pub fn access(&mut self, core: usize, addr: u64, write: bool) {
-        assert!(core < self.ncores, "core {core} out of range");
-        let line = addr >> self.line_bits;
+    /// A load or write-allocate store of `line`; `write` marks the L1 copy
+    /// dirty.
+    #[inline]
+    fn access_line(&mut self, core: usize, line: u64, write: bool) {
         self.accesses += 1;
-        let nlev = self.levels.len();
-
+        // An L1 hit moves nothing else.
+        if self.levels[0][self.inst[core]].access_line(line, write) {
+            return;
+        }
         // Search downward for the line.
+        let nlev = self.levels.len();
         let mut hit_level = nlev; // nlev == memory
         let mut promoted_dirty = false;
-        for lev in 0..nlev {
+        for lev in 1..nlev {
             let inst = self.inst(lev, core);
-            if self.levels[lev][inst].access_line(line, write && lev == 0) {
-                if lev > 0 && self.victim[lev] {
-                    // Victim hit: the line leaves this level, carrying its
-                    // dirty state upward.
-                    promoted_dirty = self.levels[lev][inst]
-                        .invalidate_line(line)
-                        .unwrap_or(false);
-                }
+            let cache = &mut self.levels[lev][inst];
+            let hit = if self.victim[lev] {
+                // Victim hit: the line leaves this level, carrying its
+                // dirty state upward.
+                let taken = cache.take_line(line);
+                promoted_dirty = taken == Some(true);
+                taken.is_some()
+            } else {
+                cache.access_line(line, false)
+            };
+            if hit {
                 hit_level = lev;
                 break;
             }
@@ -188,12 +222,9 @@ impl MemHierarchy {
         if hit_level == nlev {
             self.mem_read_lines += 1;
         }
-        // Count upward crossings: boundary b is crossed if the hit was
-        // below it.
-        for b in 0..nlev {
-            if hit_level > b {
-                self.boundary_lines[b][core] += 1;
-            }
+        // Boundary b is crossed upward if the hit was below it.
+        for b in 0..hit_level {
+            self.boundary_lines[b][core] += 1;
         }
 
         // Fill the levels above the hit, skipping victim levels (they are
@@ -203,10 +234,6 @@ impl MemHierarchy {
                 continue;
             }
             let dirty = lev == 0 && (write || promoted_dirty);
-            // A dirty promotion into an L1 fill that is *not* the top could
-            // lose the dirty bit; since fills always include L1 this cannot
-            // happen, but keep the invariant explicit:
-            debug_assert!(lev == 0 || !promoted_dirty || hit_level > 0);
             let inst = self.inst(lev, core);
             let ev = self.levels[lev][inst].insert_line(line, dirty);
             self.handle_eviction(core, lev, ev);
@@ -233,19 +260,19 @@ impl MemHierarchy {
         }
         let inst = self.inst(below, core);
         if self.victim[below] {
-            // Victim level absorbs every eviction from above.
+            // Victim level absorbs every eviction from above; a line it
+            // already holds (evicted earlier by this or another core while
+            // a copy stayed above) is merged into that copy.
             self.level_down[level] += 1;
             self.boundary_lines[level][core] += 1;
-            let ev2 = self.levels[below][inst].insert_line(line, dirty);
+            let ev2 = self.levels[below][inst].merge_line(line, dirty);
             self.handle_eviction(core, below, ev2);
         } else if dirty {
             // Inclusive level: the line is normally still present; update
             // it, or re-insert if it has been independently evicted.
             self.level_down[level] += 1;
             self.boundary_lines[level][core] += 1;
-            if self.levels[below][inst].probe(line) {
-                self.levels[below][inst].mark_dirty(line);
-            } else {
+            if !self.levels[below][inst].mark_dirty(line) {
                 let ev2 = self.levels[below][inst].insert_line(line, dirty);
                 self.handle_eviction(core, below, ev2);
             }
@@ -438,6 +465,68 @@ mod tests {
         let s = h.stats();
         // The read after the NT store must miss all the way to memory.
         assert_eq!(s.mem_read_lines, 2);
+    }
+
+    fn no_level_holds_a_line_twice(h: &MemHierarchy) -> bool {
+        h.levels.iter().flatten().all(|c| !c.holds_a_line_twice())
+    }
+
+    #[test]
+    fn victim_level_merges_a_line_evicted_twice() {
+        // CLX: L1 64 sets x 8, L2 1024 sets x 16, L3 32768 sets x 14.
+        // Lines a multiple of 1024 apart share an L1 and an L2 set.
+        let mut h = clx1();
+        let x = 0u64;
+        let line = |l: u64| l * 64;
+        h.write(0, line(x));
+        // 1. L2 evicts X into the victim L3 while L1 keeps X dirty: L1
+        //    hits on X do not refresh its L2 recency.
+        for i in 1..=16 {
+            h.read(0, line(i * 1024));
+            h.write(0, line(x));
+        }
+        assert!(h.levels[2][0].probe(x) && !h.levels[1][0].probe(x));
+        // 2. L1 evicts X (dirty), and L2 inserts it again.
+        for j in 1..=8 {
+            h.read(0, line(j * 64));
+        }
+        assert!(h.levels[1][0].probe(x) && !h.levels[0][0].probe(x));
+        // 3. L2 evicts X a second time: the victim L3 merges it into the
+        //    copy it already holds.
+        let down = h.stats().level[1].down_lines;
+        for i in 17..=32 {
+            h.read(0, line(i * 1024));
+        }
+        assert!(h.stats().level[1].down_lines > down);
+        assert!(no_level_holds_a_line_twice(&h));
+        // Promoting X out of the victim level leaves no stale copy behind.
+        h.read(0, line(x));
+        assert!(!h.levels[2][0].probe(x));
+        assert_eq!(h.stats().level[2].hits, 1);
+    }
+
+    #[test]
+    fn no_set_holds_a_line_twice_after_multicore_traces() {
+        for (machine, cores) in [(Machine::cascade_lake(), 4), (Machine::rome(), 8)] {
+            let mut h = MemHierarchy::new(&machine, cores);
+            // 2 MiB of shared lines: more than any private L2, so lines
+            // that several cores read are evicted into the victim level
+            // from more than one core.
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for _ in 0..100_000 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let core = (x >> 60) as usize % cores;
+                let addr = (x >> 20) % (2 << 20);
+                match (x >> 8) % 20 {
+                    0 => h.write_nt(core, addr),
+                    1..=5 => h.write(core, addr),
+                    _ => h.read(core, addr),
+                }
+            }
+            assert!(no_level_holds_a_line_twice(&h), "{}", machine.name);
+        }
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! Comparing the two is exactly the model-validation experiment of the
 //! paper.
 //!
+//! [`MemHierarchy`] is the whole interface: accesses go in one line at a
+//! time ([`MemHierarchy::read`], [`MemHierarchy::write`],
+//! [`MemHierarchy::write_nt`]) or as a run of consecutive lines
+//! ([`MemHierarchy::access_run`]), counters come out as
+//! [`HierarchyStats`]. How a cache level stores its sets is private to
+//! this crate.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,6 +44,5 @@ mod cache;
 mod hierarchy;
 mod time;
 
-pub use cache::{CacheSim, Evicted};
-pub use hierarchy::{HierarchyStats, LevelStats, MemHierarchy};
+pub use hierarchy::{Access, HierarchyStats, LevelStats, MemHierarchy};
 pub use time::{compose_time, CoreWork, TimeBreakdown};
