@@ -195,17 +195,22 @@ impl Solution {
     /// given parameter set.
     #[must_use]
     pub fn allocate_grids(&self, params: &TuningParams) -> (Vec<Grid3>, Grid3) {
-        let info = self.stencil.info();
-        let halo = info.radius;
-        let inputs: Vec<Grid3> = (0..self.stencil.num_inputs())
-            .map(|g| {
-                let mut grid = Grid3::new(&format!("in{g}"), self.domain, halo, params.fold);
-                grid.fill_with(|i, j, k| ((i * 7 + j * 3 + k) % 13) as f64 * 0.05);
-                grid
-            })
-            .collect();
-        let out = Grid3::new("out", self.domain, halo, params.fold);
+        let (mut inputs, out) =
+            self.grid_set(|name, halo| Grid3::new(name, self.domain, halo, params.fold));
+        for grid in &mut inputs {
+            grid.fill_with(|i, j, k| ((i * 7 + j * 3 + k) % 13) as f64 * 0.05);
+        }
         (inputs, out)
+    }
+
+    /// The grids of one sweep, inputs first and the output last, each
+    /// made by `new(name, halo)`.
+    fn grid_set(&self, mut new: impl FnMut(&str, [usize; 3]) -> Grid3) -> (Vec<Grid3>, Grid3) {
+        let halo = self.stencil.info().radius;
+        let inputs = (0..self.stencil.num_inputs())
+            .map(|g| new(&format!("in{g}"), halo))
+            .collect();
+        (inputs, new("out", halo))
     }
 
     /// Measures `params`: natively when the machine is the host model,
@@ -257,8 +262,12 @@ impl Solution {
     }
 
     fn measure_simulated(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
-        let (inputs, out) = self.allocate_grids(params);
+        // The grids live in the context's own address space, so the
+        // counters do not depend on other threads' allocations, and stay
+        // unfilled: the simulator reads addresses, never values.
         let mut ctx = SimContext::new(&self.machine, params.threads);
+        let (inputs, out) =
+            self.grid_set(|name, halo| ctx.grid(name, self.domain, halo, params.fold));
         let sweep = |ctx: &mut SimContext, a: &Grid3, b: &Grid3| -> Result<(), EngineError> {
             if params.wavefront > 1 {
                 run_wavefront_simulated(&self.stencil, a, b, params, ctx)

@@ -21,11 +21,18 @@
 // argument is local and documented at the single `unsafe` site.
 #![allow(unsafe_code)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+
+thread_local! {
+    /// The shared state of the pool this thread works for; null on every
+    /// thread that is not a pool worker. Only compared, never dereferenced.
+    static WORKER_OF: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+}
 
 /// A job scoped to the caller's stack frame: it may borrow data that
 /// lives at least as long as the [`ExecPool::run`] call.
@@ -205,7 +212,11 @@ impl ExecPool {
     /// stack; `run` returns only after every job has finished. A batch of
     /// zero or one jobs runs inline on the calling thread (no queue
     /// round-trip); larger batches are executed by the workers, in queue
-    /// order, concurrently up to the pool width.
+    /// order, concurrently up to the pool width. A batch submitted from
+    /// one of this pool's own workers (a job that calls `run`) also runs
+    /// inline, in order, on that worker: waiting for the queue there could
+    /// leave every worker waiting for jobs that no worker is free to run.
+    /// Inline batches are not counted in [`ExecPool::stats`].
     ///
     /// # Panics
     /// If a job panics, the first panic payload is re-thrown here after
@@ -217,6 +228,18 @@ impl ExecPool {
             1 => {
                 let job = jobs.into_iter().next().expect("one job");
                 job();
+                return;
+            }
+            _ if std::ptr::eq(WORKER_OF.with(Cell::get), Arc::as_ptr(&self.shared)) => {
+                let mut first_panic = None;
+                for job in jobs {
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+                if let Some(payload) = first_panic {
+                    resume_unwind(payload);
+                }
                 return;
             }
             _ => {}
@@ -259,6 +282,7 @@ impl ExecPool {
 }
 
 fn worker_loop(shared: &Shared) {
+    WORKER_OF.with(|w| w.set(std::ptr::from_ref(shared)));
     loop {
         let job = {
             let mut q = lock(&shared.queue);
@@ -355,6 +379,180 @@ mod tests {
         assert_eq!(pool.stats().sweeps, 0); // inline, no dispatch
         pool.run(Vec::new()); // empty batch is a no-op
         assert_eq!(pool.stats().jobs, 0);
+        // Inline means on the caller's thread, and a panic comes straight
+        // back.
+        let caller = std::thread::current().id();
+        let mut ran_on = None;
+        pool.run(vec![Box::new(|| {
+            ran_on = Some(std::thread::current().id())
+        })]);
+        assert_eq!(ran_on, Some(caller));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(vec![Box::new(|| panic!("lone job"))]);
+        }));
+        assert_eq!(*caught.unwrap_err().downcast::<&str>().unwrap(), "lone job");
+        assert_eq!(pool.stats().sweeps, 0);
+    }
+
+    /// Runs `f` on its own thread and fails the test if it takes longer
+    /// than a minute, instead of hanging on a deadlock.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).expect("receiver waits"));
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the batch did not finish: deadlock")
+    }
+
+    #[test]
+    fn nested_batches_run_inline_on_the_worker() {
+        // Every outer job submits a batch of its own, so with one or two
+        // workers all of them are inside a job while their inner batches
+        // wait; that must not deadlock.
+        for workers in [1, 2] {
+            let (stats, inner_runs, inner_threads_ok) = within_a_minute(move || {
+                let pool = ExecPool::new(workers);
+                let inner_runs = AtomicUsize::new(0);
+                let inner_threads_ok = AtomicUsize::new(0);
+                let outer: Vec<ScopedJob<'_>> = (0..workers + 1)
+                    .map(|_| {
+                        let (pool, runs, ok) = (&pool, &inner_runs, &inner_threads_ok);
+                        Box::new(move || {
+                            let worker = std::thread::current().id();
+                            for size in [0, 1, 3] {
+                                let inner: Vec<ScopedJob<'_>> = (0..size)
+                                    .map(|_| {
+                                        Box::new(move || {
+                                            runs.fetch_add(1, Ordering::Relaxed);
+                                            if std::thread::current().id() == worker {
+                                                ok.fetch_add(1, Ordering::Relaxed);
+                                            }
+                                        }) as ScopedJob<'_>
+                                    })
+                                    .collect();
+                                pool.run(inner);
+                            }
+                        }) as ScopedJob<'_>
+                    })
+                    .collect();
+                pool.run(outer);
+                (
+                    pool.stats(),
+                    inner_runs.into_inner(),
+                    inner_threads_ok.into_inner(),
+                )
+            });
+            assert_eq!(inner_runs, 4 * (workers + 1), "{workers} workers");
+            assert_eq!(
+                inner_threads_ok, inner_runs,
+                "inner jobs ran on their worker"
+            );
+            // Only the outer batch went through the queue.
+            assert_eq!(stats.sweeps, 1);
+            assert_eq!(stats.jobs, (workers + 1) as u64);
+        }
+    }
+
+    #[test]
+    fn nested_panic_is_rethrown_to_the_nesting_job() {
+        let (seen, rethrown) = within_a_minute(|| {
+            let pool = ExecPool::new(1);
+            let seen = AtomicUsize::new(0);
+            let rethrown = AtomicUsize::new(0);
+            pool.run(vec![
+                Box::new(|| {
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        pool.run(vec![
+                            Box::new(|| panic!("inner")),
+                            Box::new(|| {
+                                seen.fetch_add(1, Ordering::Relaxed);
+                            }),
+                        ]);
+                    }));
+                    if caught.is_err() {
+                        rethrown.fetch_add(1, Ordering::Relaxed);
+                    }
+                }),
+                Box::new(|| {}),
+            ]);
+            (seen.into_inner(), rethrown.into_inner())
+        });
+        assert_eq!(seen, 1, "the rest of the inner batch ran");
+        assert_eq!(rethrown, 1);
+    }
+
+    #[test]
+    fn a_panic_in_any_job_completes_the_batch_first() {
+        const M: usize = 6;
+        for workers in [1, 3] {
+            let pool = ExecPool::new(workers);
+            for n in 0..M {
+                let done = AtomicUsize::new(0);
+                let jobs: Vec<ScopedJob<'_>> = (0..M)
+                    .map(|i| {
+                        let done = &done;
+                        Box::new(move || {
+                            if i == n {
+                                panic!("job {i} of {M}");
+                            }
+                            done.fetch_add(1, Ordering::Relaxed);
+                        }) as ScopedJob<'_>
+                    })
+                    .collect();
+                let caught = catch_unwind(AssertUnwindSafe(|| pool.run(jobs)));
+                let payload = caught.expect_err("the panic is re-thrown");
+                assert_eq!(
+                    *payload.downcast::<String>().unwrap(),
+                    format!("job {n} of {M}")
+                );
+                assert_eq!(done.into_inner(), M - 1, "job {n}, {workers} workers");
+            }
+            assert_eq!(pool.stats().jobs, (M * M) as u64);
+            // Still usable.
+            let mut ok = [false; 2];
+            let (a, b) = ok.split_at_mut(1);
+            pool.run(vec![Box::new(|| a[0] = true), Box::new(|| b[0] = true)]);
+            assert_eq!(ok, [true, true]);
+        }
+    }
+
+    #[test]
+    fn racing_callers_each_get_their_whole_batch() {
+        const BATCHES: usize = 16;
+        const JOBS: usize = 5;
+        let pool = ExecPool::new(2);
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|caller| {
+                    let (pool, start) = (&pool, &start);
+                    s.spawn(move || {
+                        let mut out = vec![0usize; BATCHES * JOBS];
+                        start.wait();
+                        for batch in out.chunks_mut(JOBS) {
+                            let jobs: Vec<ScopedJob<'_>> = batch
+                                .iter_mut()
+                                .enumerate()
+                                .map(|(i, v)| {
+                                    Box::new(move || *v = 100 * caller + i + 1) as ScopedJob<'_>
+                                })
+                                .collect();
+                            pool.run(jobs);
+                        }
+                        out
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        for (caller, out) in results.iter().enumerate() {
+            for batch in out.chunks(JOBS) {
+                let want: Vec<usize> = (0..JOBS).map(|i| 100 * caller + i + 1).collect();
+                assert_eq!(batch, want.as_slice(), "caller {caller}");
+            }
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.sweeps, (2 * BATCHES) as u64);
+        assert_eq!(stats.jobs, (2 * BATCHES * JOBS) as u64);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use yasksite_arch::Machine;
 use yasksite_ecm::incore::{incore_with_issue, InCore};
-use yasksite_grid::{Grid3, ELEM_BYTES};
+use yasksite_grid::{AddressSpace, Fold, Grid3, ELEM_BYTES};
 use yasksite_memsim::{
     compose_time, Access, CoreWork, HierarchyStats, MemHierarchy, TimeBreakdown,
 };
@@ -15,11 +15,13 @@ use crate::sweep::{plan_shared_layout, TierPolicy};
 
 /// A simulation context: the machine's cache hierarchy plus bookkeeping
 /// that persists across kernel applications (so multi-sweep workloads see
-/// warm caches, exactly like consecutive time steps on real hardware).
+/// warm caches, exactly like consecutive time steps on real hardware), and
+/// the measurement's own address space ([`SimContext::grid`]).
 #[derive(Debug)]
 pub struct SimContext {
     /// The simulated hierarchy.
     pub hierarchy: MemHierarchy,
+    space: AddressSpace,
     /// Accumulated in-core cycles per core across applications.
     incore_cycles: Vec<f64>,
     /// Accumulated `T_OL` lower bound per core.
@@ -33,10 +35,24 @@ impl SimContext {
     pub fn new(machine: &Machine, cores: usize) -> Self {
         SimContext {
             hierarchy: MemHierarchy::new(machine, cores),
+            space: AddressSpace::new(),
             incore_cycles: vec![0.0; cores],
             ol_cycles: vec![0.0; cores],
             updates: 0,
         }
+    }
+
+    /// A zero-initialised grid in this context's own address space: the
+    /// context's grids sit one after another from a fixed base, in
+    /// allocation order (see [`AddressSpace`]). Counters of grids allocated
+    /// here do not depend on what other threads allocate meanwhile. The
+    /// simulator reads only addresses, so the grid needs no values.
+    ///
+    /// # Panics
+    /// Panics if any domain extent is zero.
+    #[must_use]
+    pub fn grid(&mut self, name: &str, n: [usize; 3], halo: [usize; 3], fold: Fold) -> Grid3 {
+        self.space.grid(name, n, halo, fold)
     }
 
     /// The machine being simulated.

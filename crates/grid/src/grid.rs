@@ -25,14 +25,71 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
-/// Synthetic-address allocator: every grid occupies a distinct, page-aligned
-/// address range so the cache simulator sees realistic (conflict-capable)
-/// placements.
-static NEXT_BASE: AtomicU64 = AtomicU64::new(0x1000_0000);
+/// First synthetic address of every address space.
+const FIRST_BASE: u64 = 0x1000_0000;
 
-fn allocate_range(bytes: u64) -> u64 {
-    let sz = (bytes + 4095) & !4095;
-    NEXT_BASE.fetch_add(sz, Ordering::Relaxed)
+/// Grids are placed at page granularity.
+const PAGE_BYTES: u64 = 4096;
+
+/// The process-wide synthetic address space of [`Grid3::new`]: every grid
+/// occupies a distinct, page-aligned address range so the cache simulator
+/// sees realistic (conflict-capable) placements.
+static NEXT_BASE: AtomicU64 = AtomicU64::new(FIRST_BASE);
+
+/// Bytes of address range a grid of `bytes` occupies: whole pages.
+fn page_span(bytes: usize) -> u64 {
+    (bytes as u64).div_ceil(PAGE_BYTES) * PAGE_BYTES
+}
+
+/// A private synthetic address space: grids are laid out one after another
+/// from a fixed base, page-aligned, in allocation order. That is the layout
+/// [`Grid3::new`] gives a thread that allocates alone, with every address
+/// moved by the same whole number of pages, and it does not depend on what
+/// any other thread allocates.
+///
+/// # Examples
+///
+/// ```
+/// use yasksite_grid::{AddressSpace, Fold};
+///
+/// let (mut a, mut b) = (AddressSpace::new(), AddressSpace::new());
+/// let u = a.grid("u", [16, 8, 8], [1, 1, 1], Fold::new(8, 1, 1));
+/// let v = a.grid("v", [16, 8, 8], [1, 1, 1], Fold::new(8, 1, 1));
+/// // 24 x 10 x 10 doubles are 19 200 bytes, rounded up to five pages.
+/// assert_eq!(u.bytes(), 19_200);
+/// assert_eq!(v.base_addr() - u.base_addr(), 5 * 4096);
+/// // Every address space starts at the same base.
+/// assert_eq!(b.grid("w", [4, 4, 4], [0; 3], Fold::unit()).base_addr(), u.base_addr());
+/// ```
+#[derive(Debug, Clone)]
+pub struct AddressSpace {
+    next: u64,
+}
+
+impl Default for AddressSpace {
+    fn default() -> Self {
+        AddressSpace::new()
+    }
+}
+
+impl AddressSpace {
+    /// An empty address space.
+    #[must_use]
+    pub fn new() -> Self {
+        AddressSpace { next: FIRST_BASE }
+    }
+
+    /// A zero-initialised grid placed right after the previous one (see
+    /// [`Grid3::new`] for the arguments).
+    ///
+    /// # Panics
+    /// Panics if any domain extent is zero.
+    #[must_use]
+    pub fn grid(&mut self, name: &str, n: [usize; 3], halo: [usize; 3], fold: Fold) -> Grid3 {
+        let grid = Grid3::at(name, n, halo, fold, self.next);
+        self.next += page_span(grid.bytes());
+        grid
+    }
 }
 
 /// A 3-dimensional `f64` grid with halos, stored in YASK's vector-folded
@@ -55,7 +112,8 @@ pub struct Grid3 {
 }
 
 impl Grid3 {
-    /// Creates a zero-initialised grid.
+    /// Creates a zero-initialised grid in the process-wide synthetic
+    /// address space (an [`AddressSpace`] is the private alternative).
     ///
     /// `n` is the domain size (x, y, z), `halo` the halo width per dimension
     /// (applied on both sides).
@@ -64,6 +122,14 @@ impl Grid3 {
     /// Panics if any domain extent is zero.
     #[must_use]
     pub fn new(name: &str, n: [usize; 3], halo: [usize; 3], fold: Fold) -> Self {
+        let mut grid = Grid3::at(name, n, halo, fold, 0);
+        grid.base_addr = NEXT_BASE.fetch_add(page_span(grid.bytes()), Ordering::Relaxed);
+        grid
+    }
+
+    /// A zero-initialised grid whose synthetic address range starts at
+    /// `base_addr`.
+    fn at(name: &str, n: [usize; 3], halo: [usize; 3], fold: Fold, base_addr: u64) -> Self {
         assert!(n.iter().all(|&e| e > 0), "domain extents must be positive");
         let f = fold.to_array();
         let mut alloc = [0usize; 3];
@@ -74,7 +140,6 @@ impl Grid3 {
             folds[d] = alloc[d] / f[d];
         }
         let len = alloc[0] * alloc[1] * alloc[2];
-        let base_addr = allocate_range((len * ELEM_BYTES) as u64);
         Grid3 {
             name: name.to_string(),
             n,
@@ -495,6 +560,37 @@ mod tests {
         let a_end = a.base_addr() + a.bytes() as u64;
         assert!(b.base_addr() >= a_end || a.base_addr() >= b.base_addr() + b.bytes() as u64);
         assert_eq!(a.base_addr() % 4096, 0);
+    }
+
+    #[test]
+    fn address_spaces_pack_pages_and_ignore_other_allocations() {
+        let shapes = [
+            ([10, 5, 3], [1, 1, 1], Fold::new(8, 1, 1)),
+            ([33, 7, 2], [2, 2, 2], Fold::unit()),
+            ([4, 4, 4], [0, 0, 0], Fold::new(4, 2, 1)),
+        ];
+        let place = |interleave: bool| {
+            let mut space = AddressSpace::new();
+            let grids: Vec<Grid3> = shapes
+                .iter()
+                .map(|&(n, halo, fold)| {
+                    if interleave {
+                        drop(Grid3::new("x", [3, 3, 3], [0, 0, 0], Fold::unit()));
+                    }
+                    space.grid("g", n, halo, fold)
+                })
+                .collect();
+            grids
+        };
+        let grids = place(false);
+        assert_eq!(grids[0].base_addr(), FIRST_BASE);
+        for w in grids.windows(2) {
+            assert_eq!(w[1].base_addr(), w[0].base_addr() + page_span(w[0].bytes()));
+        }
+        let interleaved = place(true);
+        for (a, b) in grids.iter().zip(&interleaved) {
+            assert_eq!(a.base_addr(), b.base_addr());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod fold;
 mod grid;
 
 pub use fold::Fold;
-pub use grid::{all_finite, Grid3, GridError};
+pub use grid::{all_finite, AddressSpace, Grid3, GridError};
 
 /// Size of one `f64` element in bytes.
 pub const ELEM_BYTES: usize = 8;

@@ -3,10 +3,9 @@
 //! change to the cache simulator or to the simulated loop nests that moves
 //! one counter fails here.
 //!
-//! The counters depend on where the grids sit relative to each other, and
-//! grid addresses come from one process-wide allocator. This file therefore
-//! holds a single test, so no other thread allocates a grid between the
-//! allocations of one scenario.
+//! Each measurement places its grids with `SimContext::grid`, in its own
+//! address space, so its counters do not depend on what the rest of the
+//! process allocates or runs meanwhile; the last test checks exactly that.
 
 use yasksite_arch::Machine;
 use yasksite_engine::{apply_simulated, run_wavefront_simulated, SimContext, TuningParams};
@@ -15,26 +14,13 @@ use yasksite_memsim::{HierarchyStats, LevelStats};
 use yasksite_stencil::builders::{heat3d, star3d};
 use yasksite_stencil::Stencil;
 
-/// Allocates two grids of `n` with the stencil's halo and runs a cold and
-/// a steady sweep of `params` on `machine`.
-fn measure(
-    machine: &Machine,
-    stencil: &Stencil,
+struct Scenario {
+    name: &'static str,
+    machine: Machine,
+    stencil: Stencil,
     n: [usize; 3],
-    params: &TuningParams,
-) -> HierarchyStats {
-    let r = stencil.info().radius;
-    let a = xtests::seeded_grid("a", n, r, params.fold, 3);
-    let b = Grid3::new("b", n, r, params.fold);
-    let mut ctx = SimContext::new(machine, params.threads);
-    for (src, dst) in [(&a, &b), (&b, &a)] {
-        if params.wavefront > 1 {
-            run_wavefront_simulated(stencil, src, dst, params, &mut ctx).unwrap();
-        } else {
-            apply_simulated(stencil, &[src], dst, params, &mut ctx).unwrap();
-        }
-    }
-    ctx.finish().stats
+    params: TuningParams,
+    golden: HierarchyStats,
 }
 
 /// Per level `[hits, misses, down_lines]`, per boundary the per-core
@@ -61,74 +47,136 @@ fn stats(
     }
 }
 
-#[test]
-fn simulated_counters_are_pinned() {
-    let cases = [
-        (
-            "CLX, 2 cores, heat-3d-r1, 8x1x1, wavefront depth 2",
-            Machine::cascade_lake(),
-            heat3d(1),
-            [64, 64, 64],
-            TuningParams::new([64, 64, 64], Fold::new(8, 1, 1))
+/// The golden values were captured from the stamp-LRU simulator with
+/// victim levels that merge a line evicted into them twice.
+fn scenarios() -> [Scenario; 3] {
+    [
+        Scenario {
+            name: "CLX, 2 cores, heat-3d-r1, 8x1x1, wavefront depth 2",
+            machine: Machine::cascade_lake(),
+            stencil: heat3d(1),
+            n: [64, 64, 64],
+            params: TuningParams::new([64, 64, 64], Fold::new(8, 1, 1))
                 .threads(2)
                 .wavefront(2),
-        ),
-        (
-            "Rome, 8 cores, star-3d-r2, 4x1x1, streaming stores",
-            Machine::rome(),
-            star3d(2, &[0.4, 0.1, 0.05]),
-            [128, 64, 64],
-            TuningParams::new([128, 8, 8], Fold::new(4, 1, 1))
+            golden: stats(
+                [
+                    [973_824, 599_040, 184_082],
+                    [437_760, 161_280, 128_512],
+                    [78_336, 82_944, 0],
+                ],
+                [&[391_570, 391_552], &[144_896, 144_896], &[41_463, 41_481]],
+                [82_944, 0],
+                1_572_864,
+            ),
+        },
+        Scenario {
+            name: "Rome, 8 cores, star-3d-r2, 4x1x1, streaming stores",
+            machine: Machine::rome(),
+            stencil: star3d(2, &[0.4, 0.1, 0.05]),
+            n: [128, 64, 64],
+            params: TuningParams::new([128, 8, 8], Fold::new(4, 1, 1))
                 .threads(8)
                 .streaming_stores(true),
-        ),
-        (
-            "CLX, 2 cores, heat-3d-r1, 4x2x1",
-            Machine::cascade_lake(),
-            heat3d(1),
-            [128, 128, 128],
-            TuningParams::new([128, 16, 16], Fold::new(4, 2, 1)).threads(2),
-        ),
-    ];
-    // Captured from the stamp-LRU simulator with victim levels that merge
-    // a line evicted into them twice.
-    let golden = [
-        stats(
-            [
-                [973_824, 599_040, 184_082],
-                [437_760, 161_280, 128_512],
-                [78_336, 82_944, 0],
-            ],
-            [&[391_570, 391_552], &[144_896, 144_896], &[41_463, 41_481]],
-            [82_944, 0],
-            1_572_864,
-        ),
-        stats(
-            [
-                [1_615_872, 743_424, 0],
-                [532_224, 211_200, 145_664],
-                [0, 211_200, 0],
-            ],
-            [&[125_696; 8], &[77_376; 8], &[59_168; 8]],
-            [211_200, 262_144],
-            2_621_440,
-        ),
-        stats(
-            [
-                [7_004_160, 2_433_024, 652_345],
-                [1_266_144, 1_166_880, 1_134_112],
-                [115_465, 1_051_415, 282_246],
-            ],
-            [
-                &[1_541_529, 1_543_840],
-                &[1_150_496, 1_150_496],
-                &[673_725, 659_936],
-            ],
-            [1_051_415, 282_246],
-            9_437_184,
-        ),
-    ];
-    for ((name, machine, stencil, n, params), want) in cases.into_iter().zip(golden) {
-        assert_eq!(measure(&machine, &stencil, n, &params), want, "{name}");
+            golden: stats(
+                [
+                    [1_615_872, 743_424, 0],
+                    [532_224, 211_200, 145_664],
+                    [0, 211_200, 0],
+                ],
+                [&[125_696; 8], &[77_376; 8], &[59_168; 8]],
+                [211_200, 262_144],
+                2_621_440,
+            ),
+        },
+        Scenario {
+            name: "CLX, 2 cores, heat-3d-r1, 4x2x1",
+            machine: Machine::cascade_lake(),
+            stencil: heat3d(1),
+            n: [128, 128, 128],
+            params: TuningParams::new([128, 16, 16], Fold::new(4, 2, 1)).threads(2),
+            golden: stats(
+                [
+                    [7_004_160, 2_433_024, 652_345],
+                    [1_266_144, 1_166_880, 1_134_112],
+                    [115_465, 1_051_415, 282_246],
+                ],
+                [
+                    &[1_541_529, 1_543_840],
+                    &[1_150_496, 1_150_496],
+                    &[673_725, 659_936],
+                ],
+                [1_051_415, 282_246],
+                9_437_184,
+            ),
+        },
+    ]
+}
+
+/// Allocates two grids of the scenario's shape, calling `between` after
+/// the first, and runs a cold and a steady sweep.
+fn measure(s: &Scenario, between: impl FnOnce()) -> HierarchyStats {
+    let (r, params) = (s.stencil.info().radius, &s.params);
+    let mut ctx = SimContext::new(&s.machine, params.threads);
+    let a = ctx.grid("a", s.n, r, params.fold);
+    between();
+    let b = ctx.grid("b", s.n, r, params.fold);
+    for (src, dst) in [(&a, &b), (&b, &a)] {
+        if params.wavefront > 1 {
+            run_wavefront_simulated(&s.stencil, src, dst, params, &mut ctx).unwrap();
+        } else {
+            apply_simulated(&s.stencil, &[src], dst, params, &mut ctx).unwrap();
+        }
     }
+    ctx.finish().stats
+}
+
+fn assert_pinned(i: usize) {
+    let s = &scenarios()[i];
+    assert_eq!(measure(s, || {}), s.golden, "{}", s.name);
+}
+
+#[test]
+fn clx_wavefront_depth_2_counters_are_pinned() {
+    assert_pinned(0);
+}
+
+#[test]
+fn rome_streaming_store_counters_are_pinned() {
+    assert_pinned(1);
+}
+
+#[test]
+fn clx_4x2x1_fold_counters_are_pinned() {
+    assert_pinned(2);
+}
+
+/// A grid in the process-wide address space, between the two grids of a
+/// measurement: under the global allocator it would have shifted the
+/// second grid against the first.
+fn unrelated_allocation() {
+    drop(Grid3::new("unrelated", [37, 5, 3], [1, 1, 1], Fold::unit()));
+}
+
+#[test]
+fn counters_do_not_depend_on_other_allocations_or_threads() {
+    let scenarios = scenarios();
+    for s in &scenarios {
+        let got = measure(s, unrelated_allocation);
+        assert_eq!(got, s.golden, "{}, after an unrelated allocation", s.name);
+    }
+    // Eight measurements at once: each scenario runs beside seven others,
+    // every one of them allocating between its grids.
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..8)
+            .map(|t| {
+                let s = &scenarios[t % scenarios.len()];
+                scope.spawn(move || (s, measure(s, unrelated_allocation)))
+            })
+            .collect();
+        for run in runs {
+            let (s, got) = run.join().expect("a measurement thread panicked");
+            assert_eq!(got, s.golden, "{}, beside seven other threads", s.name);
+        }
+    });
 }
