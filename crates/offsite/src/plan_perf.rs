@@ -113,10 +113,10 @@ pub fn measure_plan(
     machine: &Machine,
     params: &TuningParams,
 ) -> Result<PlanMeasurement, ToolError> {
-    let pool: Vec<Grid3> = (0..plan.num_grids)
-        .map(|g| Grid3::new(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
-        .collect();
     let mut ctx = SimContext::new(machine, params.threads);
+    let pool: Vec<Grid3> = (0..plan.num_grids)
+        .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
+        .collect();
     let step = |ctx: &mut SimContext| -> Result<(), ToolError> {
         for op in &plan.ops {
             let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
