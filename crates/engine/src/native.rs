@@ -226,15 +226,19 @@ impl Geom {
     }
 }
 
-/// A linear stencil lowered against a concrete set of input grids: one
-/// geometry/offset/coefficient/slice record per term, gathered **once**
+/// A linear stencil lowered against the geometry of its input grids: one
+/// geometry/offset/coefficient/input record per term, gathered **once**
 /// per sweep so the per-row work is pure arithmetic on pre-resolved
-/// slices.
-pub(crate) struct LinearKernel<'a> {
+/// offsets. The kernel borrows no grid: each application binds the
+/// input storage (one slice per input grid, of the geometry it was built
+/// against), so a wavefront builds it once for both directions of its
+/// ping-pong pair.
+pub(crate) struct LinearKernel {
     geoms: Vec<Geom>,
     offs: Vec<isize>,
     coeffs: Vec<f64>,
-    srcs: Vec<&'a [f64]>,
+    /// Input grid of each term: an index into the bound input storage.
+    term_input: Vec<usize>,
     constant: f64,
     /// Lane width of the folded lane kernel (`0` = scalar row kernels).
     /// Set by the tier planner; the supported widths are monomorphised
@@ -242,19 +246,19 @@ pub(crate) struct LinearKernel<'a> {
     lanes: usize,
 }
 
-impl<'a> LinearKernel<'a> {
+impl LinearKernel {
     pub(crate) fn build(
         terms: &[((usize, [i32; 3]), f64)],
         constant: f64,
-        inputs: &[&'a Grid3],
+        inputs: &[&Grid3],
         lanes: usize,
-    ) -> LinearKernel<'a> {
+    ) -> LinearKernel {
         let input_geoms: Vec<Geom> = inputs.iter().map(|g| Geom::of(g)).collect();
         let mut k = LinearKernel {
             geoms: Vec::with_capacity(terms.len()),
             offs: Vec::with_capacity(terms.len()),
             coeffs: Vec::with_capacity(terms.len()),
-            srcs: Vec::with_capacity(terms.len()),
+            term_input: Vec::with_capacity(terms.len()),
             constant,
             lanes,
         };
@@ -263,16 +267,19 @@ impl<'a> LinearKernel<'a> {
             k.geoms.push(ge);
             k.offs.push(ge.offset_of(*o));
             k.coeffs.push(*c);
-            k.srcs.push(inputs[*g].as_slice());
+            k.term_input.push(*g);
         }
         k
     }
 
-    /// Applies the kernel over domain points `kr × jr × ir` with the
-    /// YASK block/sub-block traversal, writing through `sink`. The caller
+    /// Applies the kernel to the input storage `inputs` (one slice per
+    /// input grid) over domain points `kr × jr × ir` with the YASK
+    /// block/sub-block traversal, writing through `sink`. The caller
     /// guarantees the sink's window covers every written row.
+    #[allow(clippy::too_many_arguments)] // the loop nest's ranges and tiles
     pub(crate) fn apply_blocked(
         &self,
+        inputs: &[&[f64]],
         sink: &mut Sink<'_>,
         kr: (usize, usize),
         jr: (usize, usize),
@@ -280,8 +287,11 @@ impl<'a> LinearKernel<'a> {
         block: [usize; 3],
         sub: [usize; 3],
     ) {
+        // Each term's source resolved once per application, so the row
+        // kernels index one slice per term.
+        let srcs: Vec<&[f64]> = self.term_input.iter().map(|&g| inputs[g]).collect();
         blocked_nest(kr, jr, ir, block, sub, |k, j, i0, i1| {
-            self.row(sink, k, j, i0, i1);
+            self.row(&srcs, sink, k, j, i0, i1);
         });
     }
 
@@ -292,26 +302,34 @@ impl<'a> LinearKernel<'a> {
     /// allocation and no bounds checks. A scanning sink then checks the
     /// segment just written, still in L1.
     #[inline]
-    fn row(&self, sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
-        self.row_values(sink, k, j, i0, i1);
+    fn row(&self, srcs: &[&[f64]], sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
+        self.row_values(srcs, sink, k, j, i0, i1);
         let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize;
         sink.scan.check(&sink.win[ob + i0..ob + i1]);
     }
 
     #[inline]
-    fn row_values(&self, sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
+    fn row_values(
+        &self,
+        srcs: &[&[f64]],
+        sink: &mut Sink<'_>,
+        k: usize,
+        j: usize,
+        i0: usize,
+        i1: usize,
+    ) {
         match self.lanes {
-            2 => self.row_lanes::<2>(sink, k, j, i0, i1),
-            4 => self.row_lanes::<4>(sink, k, j, i0, i1),
-            8 => self.row_lanes::<8>(sink, k, j, i0, i1),
-            16 => self.row_lanes::<16>(sink, k, j, i0, i1),
+            2 => self.row_lanes::<2>(srcs, sink, k, j, i0, i1),
+            4 => self.row_lanes::<4>(srcs, sink, k, j, i0, i1),
+            8 => self.row_lanes::<8>(srcs, sink, k, j, i0, i1),
+            16 => self.row_lanes::<16>(srcs, sink, k, j, i0, i1),
             _ => match self.coeffs.len() {
-                1 => self.row_spec::<1>(sink, k, j, i0, i1),
-                2 => self.row_spec::<2>(sink, k, j, i0, i1),
-                7 => self.row_spec::<7>(sink, k, j, i0, i1),
-                9 => self.row_spec::<9>(sink, k, j, i0, i1),
-                27 => self.row_spec::<27>(sink, k, j, i0, i1),
-                _ => self.row_dyn(sink, k, j, i0, i1),
+                1 => self.row_spec::<1>(srcs, sink, k, j, i0, i1),
+                2 => self.row_spec::<2>(srcs, sink, k, j, i0, i1),
+                7 => self.row_spec::<7>(srcs, sink, k, j, i0, i1),
+                9 => self.row_spec::<9>(srcs, sink, k, j, i0, i1),
+                27 => self.row_spec::<27>(srcs, sink, k, j, i0, i1),
+                _ => self.row_dyn(srcs, sink, k, j, i0, i1),
             },
         }
     }
@@ -330,6 +348,7 @@ impl<'a> LinearKernel<'a> {
     /// the scalar kernels.
     fn row_lanes<const L: usize>(
         &self,
+        srcs: &[&[f64]],
         sink: &mut Sink<'_>,
         k: usize,
         j: usize,
@@ -360,7 +379,7 @@ impl<'a> LinearKernel<'a> {
                 let base = (self.geoms[t0 + s].row_base(j as isize, k as isize) + self.offs[t0 + s])
                     as usize
                     + i0;
-                rows[s] = &self.srcs[t0 + s][base..base + len];
+                rows[s] = &srcs[t0 + s][base..base + len];
                 coeffs[s] = self.coeffs[t0 + s];
             }
             let first = t0 == 0;
@@ -423,6 +442,7 @@ impl<'a> LinearKernel<'a> {
     #[inline]
     fn row_spec<const T: usize>(
         &self,
+        srcs: &[&[f64]],
         sink: &mut Sink<'_>,
         k: usize,
         j: usize,
@@ -433,12 +453,7 @@ impl<'a> LinearKernel<'a> {
         let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize + i0;
         let dst = &mut sink.win[ob..ob + len];
         let mut rows: [&[f64]; T] = [&[]; T];
-        for (((row, ge), off), src) in rows
-            .iter_mut()
-            .zip(&self.geoms)
-            .zip(&self.offs)
-            .zip(&self.srcs)
-        {
+        for (((row, ge), off), src) in rows.iter_mut().zip(&self.geoms).zip(&self.offs).zip(srcs) {
             let base = (ge.row_base(j as isize, k as isize) + off) as usize + i0;
             *row = &src[base..base + len];
         }
@@ -458,17 +473,28 @@ impl<'a> LinearKernel<'a> {
     /// streams one term at a time. The additions hit the accumulator in
     /// the same order as the specialised kernel, so both produce bitwise
     /// identical results.
-    fn row_dyn(&self, sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
+    fn row_dyn(
+        &self,
+        srcs: &[&[f64]],
+        sink: &mut Sink<'_>,
+        k: usize,
+        j: usize,
+        i0: usize,
+        i1: usize,
+    ) {
         let len = i1 - i0;
         let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize + i0;
         let dst = &mut sink.win[ob..ob + len];
         dst.fill(self.constant);
-        for t in 0..self.coeffs.len() {
-            let base =
-                (self.geoms[t].row_base(j as isize, k as isize) + self.offs[t]) as usize + i0;
-            let src = &self.srcs[t][base..base + len];
-            let c = self.coeffs[t];
-            for (d, s) in dst.iter_mut().zip(src) {
+        let terms = self
+            .geoms
+            .iter()
+            .zip(&self.offs)
+            .zip(srcs)
+            .zip(&self.coeffs);
+        for (((ge, off), src), c) in terms {
+            let base = (ge.row_base(j as isize, k as isize) + off) as usize + i0;
+            for (d, s) in dst.iter_mut().zip(&src[base..base + len]) {
                 *d += c * s;
             }
         }
@@ -587,10 +613,11 @@ fn linear_fast_path(
     let block = params.clipped_block(n);
     let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
     let kernel = LinearKernel::build(terms, constant, inputs, lanes);
+    let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
     let out_geom = Geom::of(out);
     let slabs = split_slabs(out.as_mut_slice(), out_geom, n, block[2], params.threads);
     let used = slabs.len();
-    let kernel = &kernel;
+    let (kernel, inputs) = (&kernel, &inputs);
     let jobs: Vec<ScopedJob<'_>> = slabs
         .into_iter()
         .map(|slab| {
@@ -603,6 +630,7 @@ fn linear_fast_path(
                     scan,
                 };
                 kernel.apply_blocked(
+                    inputs,
                     &mut sink,
                     (slab.k0, slab.k1),
                     (0, n[1]),

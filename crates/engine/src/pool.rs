@@ -516,6 +516,64 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_dropped_mid_run_finishes_or_rethrows_and_joins_every_worker() {
+        // Another thread drops its handle while the first job of a batch
+        // holds a worker; the batch still runs to the end (or re-throws
+        // its panic), and the caller's handle, dropped after `run`
+        // returns or while its panic unwinds, is the last one: its drop
+        // joins every worker, so none outlives the pool.
+        for (workers, panics) in [(1, false), (3, false), (1, true), (3, true)] {
+            let (outcome, done, workers_gone) = within_a_minute(move || {
+                let pool = Arc::new(ExecPool::new(workers));
+                let shared = Arc::downgrade(&pool.shared);
+                let done = Arc::new(AtomicUsize::new(0));
+                let (started_tx, started_rx) = std::sync::mpsc::channel();
+                let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
+                let caller = {
+                    let (pool, done) = (Arc::clone(&pool), Arc::clone(&done));
+                    let mut gate = Some((started_tx, dropped_rx));
+                    std::thread::spawn(move || {
+                        let jobs: Vec<ScopedJob<'_>> = (0..4)
+                            .map(|i| {
+                                let (gate, done) = (gate.take(), &done);
+                                Box::new(move || {
+                                    if let Some((started, dropped)) = gate {
+                                        started.send(()).expect("the test waits");
+                                        dropped.recv().expect("the test drops its handle");
+                                    }
+                                    if panics && i == 1 {
+                                        panic!("job 1 of 4");
+                                    }
+                                    done.fetch_add(1, Ordering::Relaxed);
+                                }) as ScopedJob<'_>
+                            })
+                            .collect();
+                        pool.run(jobs);
+                    })
+                };
+                started_rx.recv().expect("the batch starts");
+                drop(pool);
+                dropped_tx.send(()).expect("the first job waits");
+                let outcome = caller.join().map_err(|payload| {
+                    *payload.downcast::<&str>().expect("the job's panic message")
+                });
+                (
+                    outcome,
+                    done.load(Ordering::Relaxed),
+                    shared.upgrade().is_none(),
+                )
+            });
+            let want = if panics { Err("job 1 of 4") } else { Ok(()) };
+            assert_eq!(outcome, want, "{workers} workers");
+            assert_eq!(done, if panics { 3 } else { 4 }, "{workers} workers");
+            assert!(
+                workers_gone,
+                "a worker outlived the pool ({workers} workers)"
+            );
+        }
+    }
+
+    #[test]
     fn racing_callers_each_get_their_whole_batch() {
         const BATCHES: usize = 16;
         const JOBS: usize = 5;

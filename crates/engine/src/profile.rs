@@ -18,8 +18,9 @@
 //! * **chunks** — wall time of every per-slab / per-row-chunk job the
 //!   worker pool executed, from which the report derives the chunk
 //!   imbalance `(max − min) / max`;
-//! * **planes** — wall time of every skewed wavefront plane update,
-//!   timed on the dispatching thread;
+//! * **planes** — wall time of every wavefront tile-plane update (the
+//!   rows of one y-tile in one plane at one time level, in the order of
+//!   the wavefront's schedule), timed on the dispatching thread;
 //! * **pool window** — [`PoolStats`] deltas over the profiled region,
 //!   from which the report derives occupancy
 //!   `jobs / (sweeps × workers)`.
@@ -94,7 +95,8 @@ impl SweepProfiler {
         }
     }
 
-    /// Ends a wavefront-plane interval opened by [`SweepProfiler::start`].
+    /// Ends a wavefront tile-plane interval opened by
+    /// [`SweepProfiler::start`].
     #[inline]
     pub(crate) fn plane_done(&self, t0: Option<Instant>) {
         if let (Some(m), Some(t0)) = (&self.inner, t0) {
@@ -251,7 +253,7 @@ pub struct ProfileReport {
     pub phases: Vec<PhaseStat>,
     /// Per-chunk (pool job) timing, if any chunks ran.
     pub chunks: Option<IntervalStats>,
-    /// Per-plane (wavefront) timing, if any planes ran.
+    /// Per-tile-plane (wavefront) timing, if any tile-planes ran.
     pub planes: Option<IntervalStats>,
     /// Pool counter deltas, if a window was recorded.
     pub pool: Option<PoolWindow>,

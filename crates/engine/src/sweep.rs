@@ -288,7 +288,7 @@ pub(crate) fn plan_spatial(
     PlannedKernel { kernel, reason }
 }
 
-/// Picks the kernel for the skewed plane updates of a wavefront sweep.
+/// Picks the kernel for the tile-plane updates of a wavefront sweep.
 /// The wavefront fast path hands each pool job a contiguous window of
 /// plane rows, so it needs a linear stencil on identically laid-out
 /// **row-major** buffers. Multi-dimensional folds scatter rows across
@@ -583,8 +583,8 @@ pub struct SweepReport {
     /// Lattice updates performed (`domain × wavefront_depth`).
     pub updates: u64,
     /// Threads that actually received work: the number of non-empty
-    /// slabs the sweep was decomposed into, or the widest per-plane chunk
-    /// count of a wavefront run (≤ `params.threads`; small domains
+    /// slabs the sweep was decomposed into, or the widest per-tile-plane
+    /// chunk count of a wavefront run (≤ `params.threads`; small domains
     /// produce fewer slabs than requested threads). Row-major layouts
     /// split into z-plane slabs, the folded brick tier into brick-z
     /// slabs.

@@ -40,11 +40,13 @@ fn stepper_reference(
     }
 }
 
-/// The full matrix the issue asks for: radius-1 and radius-2 stencils ×
-/// fold shapes × wavefront depths × thread counts × tier policies ×
-/// profiled on/off, every cell bitwise-identical to the plain stepper.
-/// Folded-layout wavefronts must match scalar-layout wavefronts exactly,
-/// and forcing a tier must never change results.
+/// The full matrix: radius-1 and radius-2 stencils × fold shapes ×
+/// wavefront depths × y-block heights (the tile height is the block
+/// height times the threads: one-row tiles, tiles shorter than the skew,
+/// and one tile as tall as or taller than the domain) × thread counts ×
+/// tier policies × profiled on/off, every cell bitwise-identical to the
+/// plain stepper. Folded-layout wavefronts must match scalar-layout
+/// wavefronts exactly, and forcing a tier must never change results.
 #[test]
 fn wavefront_matrix_bitwise_matches_plain_stepper() {
     for radius in [1usize, 2] {
@@ -61,39 +63,43 @@ fn wavefront_matrix_bitwise_matches_plain_stepper() {
                 let base = TuningParams::new([24, 4, 4], fold);
                 stepper_reference(&stencil, &mut ra, &mut rb, depth, &base);
 
-                for threads in [1usize, 2, 4] {
-                    for policy in [TierPolicy::ForceScalar, TierPolicy::ForceFolded] {
-                        for profiled in [false, true] {
-                            let mut a = seeded_grid("a", n, halo, fold, 11);
-                            let mut b = seeded_grid("b", n, halo, fold, 11);
-                            a.fill_halo(0.0);
-                            b.fill_halo(0.0);
-                            let p = base.clone().threads(threads).wavefront(depth);
-                            let prof = SweepProfiler::enabled();
-                            let mut request = SweepRequest::new(&p).tier(policy);
-                            if profiled {
-                                request = request.profiler(&prof);
+                for by in [1, 3, 4, n[1], n[1] + 5] {
+                    for threads in [1usize, 2, 4] {
+                        for policy in [TierPolicy::ForceScalar, TierPolicy::ForceFolded] {
+                            for profiled in [false, true] {
+                                let mut a = seeded_grid("a", n, halo, fold, 11);
+                                let mut b = seeded_grid("b", n, halo, fold, 11);
+                                a.fill_halo(0.0);
+                                b.fill_halo(0.0);
+                                let mut p = base.clone().threads(threads).wavefront(depth);
+                                p.block[1] = by;
+                                let prof = SweepProfiler::enabled();
+                                let mut request = SweepRequest::new(&p).tier(policy);
+                                if profiled {
+                                    request = request.profiler(&prof);
+                                }
+                                let report =
+                                    request.run_wavefront(&stencil, &mut a, &mut b).unwrap();
+                                assert_eq!(
+                                    a.max_abs_diff(&ra).unwrap(),
+                                    0.0,
+                                    "radius {radius}, fold {fold}, depth {depth}, y-block {by}, \
+                                     threads {threads}, policy {policy:?}, \
+                                     profiled {profiled} diverged"
+                                );
+                                assert_eq!(report.wavefront_depth, depth);
+                                // Forcing folded on a lane-capable fold must
+                                // truthfully report the folded tier; x-folds
+                                // without a supported lane count degrade to
+                                // scalar with the reason recorded.
+                                if policy == TierPolicy::ForceFolded && fold.x >= 2 {
+                                    assert_eq!(report.tier, Tier::Folded, "fold {fold}");
+                                }
+                                if policy == TierPolicy::ForceScalar {
+                                    assert_eq!(report.tier, Tier::Scalar, "fold {fold}");
+                                }
+                                assert!(!report.tier_reason.is_empty());
                             }
-                            let report = request.run_wavefront(&stencil, &mut a, &mut b).unwrap();
-                            assert_eq!(
-                                a.max_abs_diff(&ra).unwrap(),
-                                0.0,
-                                "radius {radius}, fold {fold}, depth {depth}, \
-                                 threads {threads}, policy {policy:?}, \
-                                 profiled {profiled} diverged"
-                            );
-                            assert_eq!(report.wavefront_depth, depth);
-                            // Forcing folded on a lane-capable fold must
-                            // truthfully report the folded tier; x-folds
-                            // without a supported lane count degrade to
-                            // scalar with the reason recorded.
-                            if policy == TierPolicy::ForceFolded && fold.x >= 2 {
-                                assert_eq!(report.tier, Tier::Folded, "fold {fold}");
-                            }
-                            if policy == TierPolicy::ForceScalar {
-                                assert_eq!(report.tier, Tier::Scalar, "fold {fold}");
-                            }
-                            assert!(!report.tier_reason.is_empty());
                         }
                     }
                 }
@@ -267,6 +273,39 @@ proptest! {
         let mut got = Grid3::new("g", n, halo, fold);
         SweepRequest::new(&params).apply(&stencil, &[&u], &mut got).unwrap();
         prop_assert_eq!(got.max_abs_diff(&want).unwrap(), 0.0);
+    }
+
+    /// A tiled wavefront of an arbitrary linear stencil — y offsets
+    /// asymmetric within radius 2, so the tile skew follows the stencil's
+    /// own y radius — equals `depth` plain sweeps bit for bit, for any
+    /// block, thread count and depth, on the row kernels and (4x2x1) the
+    /// per-point fallback.
+    #[test]
+    fn tiled_wavefront_of_any_linear_stencil_matches_plain_stepper(
+        stencil in arb_linear_stencil(),
+        fold in prop_oneof![arb_row_major_fold(), Just(Fold::new(4, 2, 1))],
+        bx in 1usize..24,
+        by in 1usize..20,
+        bz in 1usize..8,
+        threads in 1usize..4,
+        depth in 1usize..6,
+        nx in 4usize..24,
+        ny in 3usize..14,
+        nz in 3usize..10,
+    ) {
+        let n = [nx, ny, nz];
+        let halo = stencil.info().radius;
+        let grid = |name| {
+            let mut g = seeded_grid(name, n, halo, fold, 23);
+            g.fill_halo(0.5);
+            g
+        };
+        let p = TuningParams::new([bx, by, bz], fold).threads(threads).wavefront(depth);
+        let (mut ra, mut rb) = (grid("ra"), grid("rb"));
+        stepper_reference(&stencil, &mut ra, &mut rb, depth, &p);
+        let (mut a, mut b) = (grid("a"), grid("b"));
+        SweepRequest::new(&p).run_wavefront(&stencil, &mut a, &mut b).unwrap();
+        prop_assert_eq!(a.max_abs_diff(&ra).unwrap(), 0.0);
     }
 }
 
