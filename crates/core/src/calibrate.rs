@@ -269,7 +269,7 @@ fn probes(template: &Machine, quick: bool) -> Vec<Probe> {
         Probe {
             name: "fma_gflops",
             unit: "gflops",
-            // 8 accumulators, 2 flops per fused multiply-add.
+            // 8 accumulators, 2 flops per multiply-add, fused or not.
             work: (fma_iters * 8 * 2) as f64,
             nominal: template.peak_gflops_core(),
             kind: ProbeKind::GigaPerSecond,
@@ -322,6 +322,11 @@ fn probes(template: &Machine, quick: bool) -> Vec<Probe> {
 /// A native timed kernel for `probe`: returns seconds per sample.
 fn native_kernel(probe: &Probe, seed: u64) -> Box<dyn FnMut() -> f64> {
     match probe.name {
+        // Issues what the build's kernels issue: a fused `mul_add` when
+        // the build enables the `fma` target feature, else a separate
+        // multiply and add (`mul_add` would compile to a call into libm's
+        // software `fma` there). A baseline x86-64 build runs the
+        // multiply + add form.
         "fma_gflops" => {
             let iters = (probe.work / 16.0) as usize;
             Box::new(move || {
@@ -330,7 +335,11 @@ fn native_kernel(probe: &Probe, seed: u64) -> Box<dyn FnMut() -> f64> {
                 let (a, b) = (black_box(1.000_000_1f64), black_box(1e-9f64));
                 for _ in 0..iters {
                     for slot in &mut acc {
-                        *slot = slot.mul_add(a, b);
+                        *slot = if cfg!(target_feature = "fma") {
+                            slot.mul_add(a, b)
+                        } else {
+                            *slot * a + b
+                        };
                     }
                 }
                 black_box(acc);

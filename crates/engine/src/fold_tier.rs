@@ -27,7 +27,7 @@
 //!
 //! Bitwise identity: each output point accumulates
 //! `constant, +term₀, +term₁, …` in term order — the identical FP
-//! operation sequence as the scalar row kernels and the generic path.
+//! operation sequence as the linear row kernel and the generic path.
 //!
 //! Threading: brick storage is brick-z-major, so a range of brick-z
 //! rows is a contiguous storage window. The domain's brick-z rows are

@@ -10,7 +10,7 @@
 //!
 //! * **native** ([`SweepRequest::apply`], [`SweepRequest::run_wavefront`]):
 //!   really runs the kernel on the host through a specialisation ladder —
-//!   the explicitly vectorised folded tier, the scalar row kernels, the
+//!   the explicitly vectorised folded tier, the scalar row rung, the
 //!   row-vectorised register program of a non-linear expression (the
 //!   tape tier), or the layout-agnostic generic path —
 //!   and reports which tier executed; used for host measurements and as

@@ -2,11 +2,11 @@
 //!
 //! The hot paths here are written so the inner loops are allocation-free
 //! and bounds-check-free: term descriptors are gathered once per sweep,
-//! each row of output is produced from pre-sliced source rows, and the
-//! common stencil arities (2/7/9/27 terms, plus 1) are monomorphised
-//! through a const-generic row kernel that LLVM can unroll and
-//! vectorise. Threading goes through the persistent [`ExecPool`] instead
-//! of spawning OS threads per sweep.
+//! each row of output is produced from pre-sliced source rows, and a
+//! linear stencil of any arity runs through one row kernel that walks
+//! its terms in const-generic stripes LLVM unrolls and vectorises.
+//! Threading goes through the persistent [`ExecPool`] instead of
+//! spawning OS threads per sweep.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -146,13 +146,9 @@ pub(crate) fn execute_apply(
             .expect("planner picked a linear kernel")
     };
     let threads_used = match planned.kernel {
-        Kernel::LaneRows(lanes) => {
+        Kernel::LaneRows(_) | Kernel::ScalarRows => {
             let (t, c) = linear();
-            linear_fast_path(pool, t, c, inputs, out, params, prof, lanes, scan)
-        }
-        Kernel::ScalarRows => {
-            let (t, c) = linear();
-            linear_fast_path(pool, t, c, inputs, out, params, prof, 0, scan)
+            linear_fast_path(pool, t, c, inputs, out, params, prof, scan)
         }
         Kernel::BrickGather(elems) => {
             let (t, c) = linear();
@@ -226,6 +222,20 @@ impl Geom {
     }
 }
 
+/// Terms per stripe of the row kernel. A stripe's coefficients and row
+/// slices stay in registers across its point loop; each stripe after the
+/// first re-reads and re-writes the output segment (in L1). Narrower
+/// stripes pay that pass more often, wider ones spill: EXPERIMENTS.md E17
+/// measures 6 and 8 fastest on the arity table, and 8 keeps 7-point
+/// stencils in one stripe.
+const STRIPE: usize = 8;
+
+/// Points per accumulator block of the row kernel: one `[f64; POINTS]`
+/// block takes all of a stripe's terms before it is stored. Explicit
+/// blocks keep the row slices in registers, where LLVM's own
+/// vectorisation of a per-point loop spills them (E17).
+const POINTS: usize = 8;
+
 /// A linear stencil lowered against the geometry of its input grids: one
 /// geometry/offset/coefficient/input record per term, gathered **once**
 /// per sweep so the per-row work is pure arithmetic on pre-resolved
@@ -240,10 +250,6 @@ pub(crate) struct LinearKernel {
     /// Input grid of each term: an index into the bound input storage.
     term_input: Vec<usize>,
     constant: f64,
-    /// Lane width of the folded lane kernel (`0` = scalar row kernels).
-    /// Set by the tier planner; the supported widths are monomorphised
-    /// in [`LinearKernel::row`].
-    lanes: usize,
 }
 
 impl LinearKernel {
@@ -251,7 +257,6 @@ impl LinearKernel {
         terms: &[((usize, [i32; 3]), f64)],
         constant: f64,
         inputs: &[&Grid3],
-        lanes: usize,
     ) -> LinearKernel {
         let input_geoms: Vec<Geom> = inputs.iter().map(|g| Geom::of(g)).collect();
         let mut k = LinearKernel {
@@ -260,7 +265,6 @@ impl LinearKernel {
             coeffs: Vec::with_capacity(terms.len()),
             term_input: Vec::with_capacity(terms.len()),
             constant,
-            lanes,
         };
         for ((g, o), c) in terms {
             let ge = input_geoms[*g];
@@ -287,217 +291,116 @@ impl LinearKernel {
         block: [usize; 3],
         sub: [usize; 3],
     ) {
-        // Each term's source resolved once per application, so the row
-        // kernels index one slice per term.
-        let srcs: Vec<&[f64]> = self.term_input.iter().map(|&g| inputs[g]).collect();
         blocked_nest(kr, jr, ir, block, sub, |k, j, i0, i1| {
-            self.row(&srcs, sink, k, j, i0, i1);
+            self.row(inputs, sink, k, j, i0, i1);
         });
     }
 
-    /// One output row segment: the folded lane kernel when the planner
-    /// set a lane width, else the monomorphised scalar kernel for the
-    /// common arities, the dynamic loop otherwise. The dispatch is a
-    /// perfectly predicted branch per row; the inner loops carry no
-    /// allocation and no bounds checks. A scanning sink then checks the
-    /// segment just written, still in L1.
+    /// One output row segment, its terms walked in stripes of at most
+    /// [`STRIPE`]: the first stripe starts every point from the constant,
+    /// each later one adds onto the segment it wrote, still in L1. Every
+    /// point therefore accumulates `constant + term₀ + term₁ + …` in term
+    /// order, the per-point path's order, whatever the stripe width. A
+    /// scanning sink then checks the segment just written.
+    fn row(
+        &self,
+        inputs: &[&[f64]],
+        sink: &mut Sink<'_>,
+        k: usize,
+        j: usize,
+        i0: usize,
+        i1: usize,
+    ) {
+        let (j, k) = (j as isize, k as isize);
+        let ob = (sink.geom.row_base(j, k) - sink.base) as usize + i0;
+        let dst = &mut sink.win[ob..ob + (i1 - i0)];
+        let mut t0 = self.next_stripe::<true>(inputs, dst, 0, j, k, i0);
+        while t0 < self.coeffs.len() {
+            t0 += self.next_stripe::<false>(inputs, dst, t0, j, k, i0);
+        }
+        sink.scan.check(dst);
+    }
+
+    /// The next stripe from term `t0`: as many terms as are left, at
+    /// most [`STRIPE`]; returns how many it took. The first stripe
+    /// (`FIRST`) of a term-less stencil writes the constant. One match
+    /// arm per width below [`STRIPE`].
     #[inline]
-    fn row(&self, srcs: &[&[f64]], sink: &mut Sink<'_>, k: usize, j: usize, i0: usize, i1: usize) {
-        self.row_values(srcs, sink, k, j, i0, i1);
-        let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize;
-        sink.scan.check(&sink.win[ob + i0..ob + i1]);
+    fn next_stripe<const FIRST: bool>(
+        &self,
+        inputs: &[&[f64]],
+        dst: &mut [f64],
+        t0: usize,
+        j: isize,
+        k: isize,
+        i0: usize,
+    ) -> usize {
+        match self.coeffs.len() - t0 {
+            0 => self.stripe::<0, FIRST>(inputs, dst, t0, j, k, i0),
+            1 => self.stripe::<1, FIRST>(inputs, dst, t0, j, k, i0),
+            2 => self.stripe::<2, FIRST>(inputs, dst, t0, j, k, i0),
+            3 => self.stripe::<3, FIRST>(inputs, dst, t0, j, k, i0),
+            4 => self.stripe::<4, FIRST>(inputs, dst, t0, j, k, i0),
+            5 => self.stripe::<5, FIRST>(inputs, dst, t0, j, k, i0),
+            6 => self.stripe::<6, FIRST>(inputs, dst, t0, j, k, i0),
+            7 => self.stripe::<7, FIRST>(inputs, dst, t0, j, k, i0),
+            _ => self.stripe::<STRIPE, FIRST>(inputs, dst, t0, j, k, i0),
+        }
     }
 
+    /// Terms `t0..t0 + S` over the segment `dst` starting at column `i0`
+    /// of row `(j, k)`; returns `S`. Every term row is sliced to the
+    /// segment's length up front, and the points run in blocks of
+    /// [`POINTS`]: one accumulator array, vector registers to LLVM, takes
+    /// the `S` unrolled terms before it is stored. A scalar tail finishes
+    /// the last `len % POINTS` points in the same order.
     #[inline]
-    fn row_values(
+    fn stripe<const S: usize, const FIRST: bool>(
         &self,
-        srcs: &[&[f64]],
-        sink: &mut Sink<'_>,
-        k: usize,
-        j: usize,
+        inputs: &[&[f64]],
+        dst: &mut [f64],
+        t0: usize,
+        j: isize,
+        k: isize,
         i0: usize,
-        i1: usize,
-    ) {
-        match self.lanes {
-            2 => self.row_lanes::<2>(srcs, sink, k, j, i0, i1),
-            4 => self.row_lanes::<4>(srcs, sink, k, j, i0, i1),
-            8 => self.row_lanes::<8>(srcs, sink, k, j, i0, i1),
-            16 => self.row_lanes::<16>(srcs, sink, k, j, i0, i1),
-            _ => match self.coeffs.len() {
-                1 => self.row_spec::<1>(srcs, sink, k, j, i0, i1),
-                2 => self.row_spec::<2>(srcs, sink, k, j, i0, i1),
-                7 => self.row_spec::<7>(srcs, sink, k, j, i0, i1),
-                9 => self.row_spec::<9>(srcs, sink, k, j, i0, i1),
-                27 => self.row_spec::<27>(srcs, sink, k, j, i0, i1),
-                _ => self.row_dyn(srcs, sink, k, j, i0, i1),
-            },
-        }
-    }
-
-    /// Folded lane kernel: processes the row in `L`-wide column chunks
-    /// with explicit wide accumulators (`[f64; L]` blocks LLVM lowers to
-    /// vector registers), working for *any* term count — including the
-    /// dynamic arities the scalar ladder relegates to [`Self::row_dyn`]'s
-    /// read-modify-write loop. Terms are consumed in stripes of up to 16
-    /// so per-term row bases live in fixed stack arrays (no allocation);
-    /// within a chunk the accumulators stay in registers across the whole
-    /// stripe, so `dst` is touched once per stripe instead of once per
-    /// term. The per-point accumulation order
-    /// (`constant, +term₀, +term₁, …`) is strictly preserved across
-    /// stripes and the scalar tail, so results are bitwise identical to
-    /// the scalar kernels.
-    fn row_lanes<const L: usize>(
-        &self,
-        srcs: &[&[f64]],
-        sink: &mut Sink<'_>,
-        k: usize,
-        j: usize,
-        i0: usize,
-        i1: usize,
-    ) {
-        const STRIPE: usize = 16;
-        let len = i1 - i0;
-        let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize + i0;
-        let dst = &mut sink.win[ob..ob + len];
-        let nt = self.coeffs.len();
-        if nt == 0 {
-            dst.fill(self.constant);
-            return;
-        }
-        let mut t0 = 0usize;
-        while t0 < nt {
-            let t1 = (t0 + STRIPE).min(nt);
-            let ns = t1 - t0;
-            // Pre-slice every term row of this stripe to the exact
-            // segment length: the chunk loops below index fixed-length
-            // local slices, so the bounds checks vanish and the source
-            // pointers stay in registers instead of being re-fetched
-            // from the descriptor Vecs per chunk.
-            let mut rows: [&[f64]; STRIPE] = [&[]; STRIPE];
-            let mut coeffs = [0.0f64; STRIPE];
-            for s in 0..ns {
-                let base = (self.geoms[t0 + s].row_base(j as isize, k as isize) + self.offs[t0 + s])
-                    as usize
-                    + i0;
-                rows[s] = &srcs[t0 + s][base..base + len];
-                coeffs[s] = self.coeffs[t0 + s];
-            }
-            let first = t0 == 0;
-            let mut ci = 0usize;
-            // Cluster of two folds per iteration: two independent wide
-            // accumulators hide FMA latency across the term chain and
-            // halve the loop overhead. Each point still accumulates its
-            // terms in stripe order, so clustering never changes a bit.
-            while ci + 2 * L <= len {
-                let mut a0 = [self.constant; L];
-                let mut a1 = [self.constant; L];
-                if !first {
-                    a0.copy_from_slice(&dst[ci..ci + L]);
-                    a1.copy_from_slice(&dst[ci + L..ci + 2 * L]);
-                }
-                for s in 0..ns {
-                    let src = &rows[s][ci..ci + 2 * L];
-                    let c = coeffs[s];
-                    for l in 0..L {
-                        a0[l] += c * src[l];
-                    }
-                    for l in 0..L {
-                        a1[l] += c * src[L + l];
-                    }
-                }
-                dst[ci..ci + L].copy_from_slice(&a0);
-                dst[ci + L..ci + 2 * L].copy_from_slice(&a1);
-                ci += 2 * L;
-            }
-            while ci + L <= len {
-                let mut acc = [self.constant; L];
-                if !first {
-                    acc.copy_from_slice(&dst[ci..ci + L]);
-                }
-                for s in 0..ns {
-                    let src = &rows[s][ci..ci + L];
-                    let c = coeffs[s];
-                    for (a, v) in acc.iter_mut().zip(src) {
-                        *a += c * v;
-                    }
-                }
-                dst[ci..ci + L].copy_from_slice(&acc);
-                ci += L;
-            }
-            // Scalar tail for the sub-lane remainder, same op order.
-            for (di, d) in dst.iter_mut().enumerate().skip(ci) {
-                let mut acc = if first { self.constant } else { *d };
-                for s in 0..ns {
-                    acc += coeffs[s] * rows[s][di];
-                }
-                *d = acc;
-            }
-            t0 = t1;
-        }
-    }
-
-    /// Monomorphised row kernel for a compile-time arity: all term rows
-    /// are sliced to the exact segment length up front, so the i-loop is
-    /// an unrollable fused multiply-add chain over `T` streams.
-    #[inline]
-    fn row_spec<const T: usize>(
-        &self,
-        srcs: &[&[f64]],
-        sink: &mut Sink<'_>,
-        k: usize,
-        j: usize,
-        i0: usize,
-        i1: usize,
-    ) {
-        let len = i1 - i0;
-        let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize + i0;
-        let dst = &mut sink.win[ob..ob + len];
-        let mut rows: [&[f64]; T] = [&[]; T];
-        for (((row, ge), off), src) in rows.iter_mut().zip(&self.geoms).zip(&self.offs).zip(srcs) {
-            let base = (ge.row_base(j as isize, k as isize) + off) as usize + i0;
-            *row = &src[base..base + len];
-        }
-        let mut coeffs = [0.0f64; T];
-        coeffs.copy_from_slice(&self.coeffs);
-        let constant = self.constant;
-        for (di, d) in dst.iter_mut().enumerate() {
-            let mut acc = constant;
-            for t in 0..T {
-                acc += coeffs[t] * rows[t][di];
-            }
-            *d = acc;
-        }
-    }
-
-    /// Dynamic-arity fallback: initialises the row to the constant, then
-    /// streams one term at a time. The additions hit the accumulator in
-    /// the same order as the specialised kernel, so both produce bitwise
-    /// identical results.
-    fn row_dyn(
-        &self,
-        srcs: &[&[f64]],
-        sink: &mut Sink<'_>,
-        k: usize,
-        j: usize,
-        i0: usize,
-        i1: usize,
-    ) {
-        let len = i1 - i0;
-        let ob = (sink.geom.row_base(j as isize, k as isize) - sink.base) as usize + i0;
-        let dst = &mut sink.win[ob..ob + len];
-        dst.fill(self.constant);
-        let terms = self
-            .geoms
+    ) -> usize {
+        let len = dst.len();
+        let t = t0..t0 + S;
+        let mut rows: [&[f64]; S] = [&[]; S];
+        let terms = self.geoms[t.clone()]
             .iter()
-            .zip(&self.offs)
-            .zip(srcs)
-            .zip(&self.coeffs);
-        for (((ge, off), src), c) in terms {
-            let base = (ge.row_base(j as isize, k as isize) + off) as usize + i0;
-            for (d, s) in dst.iter_mut().zip(&src[base..base + len]) {
-                *d += c * s;
-            }
+            .zip(&self.offs[t.clone()])
+            .zip(&self.term_input[t.clone()]);
+        for (row, ((ge, off), &g)) in rows.iter_mut().zip(terms) {
+            let base = (ge.row_base(j, k) + off) as usize + i0;
+            *row = &inputs[g][base..base + len];
         }
+        let mut coeffs = [0.0f64; S];
+        coeffs.copy_from_slice(&self.coeffs[t]);
+        let constant = self.constant;
+        let mut blocks = dst.chunks_exact_mut(POINTS);
+        for (b, d) in blocks.by_ref().enumerate() {
+            let i = b * POINTS;
+            let mut acc = [constant; POINTS];
+            if !FIRST {
+                acc.copy_from_slice(d);
+            }
+            for s in 0..S {
+                let src = &rows[s][i..i + POINTS];
+                for l in 0..POINTS {
+                    acc[l] += coeffs[s] * src[l];
+                }
+            }
+            d.copy_from_slice(&acc);
+        }
+        for di in len - blocks.into_remainder().len()..len {
+            let mut acc = if FIRST { constant } else { dst[di] };
+            for s in 0..S {
+                acc += coeffs[s] * rows[s][di];
+            }
+            dst[di] = acc;
+        }
+        S
     }
 }
 
@@ -594,10 +497,9 @@ fn split_slabs<'w>(
 }
 
 /// Linear combination over row-major storage: blocked loops, threaded
-/// over z-slabs on the pool. `lanes` picks the folded lane kernel
-/// (`0` = scalar rows). Returns the number of slabs that received work
-/// (= threads used).
-#[allow(clippy::too_many_arguments)] // internal executor; two call sites
+/// over z-slabs on the pool. Returns the number of slabs that received
+/// work (= threads used).
+#[allow(clippy::too_many_arguments)] // internal executor; one call site
 fn linear_fast_path(
     pool: &ExecPool,
     terms: &[((usize, [i32; 3]), f64)],
@@ -606,13 +508,12 @@ fn linear_fast_path(
     out: &mut Grid3,
     params: &TuningParams,
     prof: &SweepProfiler,
-    lanes: usize,
     scan: &FiniteScan,
 ) -> usize {
     let n = out.n();
     let block = params.clipped_block(n);
     let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
-    let kernel = LinearKernel::build(terms, constant, inputs, lanes);
+    let kernel = LinearKernel::build(terms, constant, inputs);
     let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
     let out_geom = Geom::of(out);
     let slabs = split_slabs(out.as_mut_slice(), out_geom, n, block[2], params.threads);
@@ -807,12 +708,13 @@ mod tests {
 
     #[test]
     fn folded_lane_tier_is_bitwise_identical_to_scalar_tier() {
-        // Every supported lane count, specialised and dynamic arities,
-        // awkward row lengths (remainder tails), multiple threads.
+        // Both row-major rungs run one kernel; every supported lane
+        // count, one to four stripes, awkward row lengths, multiple
+        // threads, and the reference on every run.
         for (s, halo) in [
-            (heat3d(1), [1, 1, 1]), // 7 terms: specialised scalar row
-            (box3d(1), [1, 1, 1]),  // 27 terms: specialised scalar row
-            (heat3d(2), [2, 2, 2]), // 13 terms: dynamic scalar row
+            (heat3d(1), [1, 1, 1]), // 7 terms: one stripe
+            (box3d(1), [1, 1, 1]),  // 27 terms: four stripes
+            (heat3d(2), [2, 2, 2]), // 13 terms: two stripes
         ] {
             let n = [21, 7, 6];
             for lanes in [2usize, 4, 8, 16] {
@@ -1158,12 +1060,11 @@ mod tests {
     }
 
     #[test]
-    fn dyn_arity_row_matches_specialised_rows_bitwise() {
-        // box3d(2) has 125 terms — no monomorphised kernel — while
-        // box3d(1) has 27 — specialised. Both must agree with the
-        // reference; a radius-2 box against its own single-threaded run
-        // checks the dyn row under threading too. The folded lane kernel
-        // must agree bitwise with the scalar dyn row as well.
+    fn multi_stripe_rows_match_reference_and_threads_bitwise() {
+        // box3d(2) has 125 terms: sixteen stripes, the last of five.
+        // The rows must agree with the reference, with their own
+        // single-threaded run under four threads, and with themselves
+        // under the folded rung's name.
         let s = box3d(2);
         let n = [20, 9, 8];
         let fold = Fold::new(4, 1, 1);

@@ -47,12 +47,13 @@ pub const FORCE_TIER_ENV: &str = "YASKSITE_FORCE_TIER";
 /// The rung of the specialisation ladder a sweep actually executed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Explicitly vectorised kernels: the wide-lane row kernel on
-    /// row-major folds, or the brick-gather kernel on multi-dimensional
-    /// folds. Bitwise identical to every other tier.
+    /// Explicitly vectorised kernels: the linear row kernel on row-major
+    /// folds with a supported lane count, or the brick-gather kernel on
+    /// multi-dimensional folds. Bitwise identical to every other tier.
     Folded,
-    /// The scalar specialised row kernels (monomorphised by arity, with
-    /// a dynamic-arity fallback) on row-major storage.
+    /// The linear row kernel on row-major storage under the scalar
+    /// rung's name (forced, or no supported lane count); the folded rung
+    /// runs the same kernel.
     Scalar,
     /// The row-vectorised register program for non-linear stencils on
     /// row-major storage: the expression is value-numbered into one
@@ -89,7 +90,7 @@ pub enum TierPolicy {
     /// Prefer the folded tier whenever the stencil/layout is eligible.
     #[default]
     Auto,
-    /// Run linear row-major sweeps through the scalar row kernels.
+    /// Run linear row-major sweeps on the scalar row rung.
     ForceScalar,
     /// Require the folded tier; degrade with a recorded reason when
     /// ineligible.
@@ -141,9 +142,12 @@ const BUILD_LANES: usize = if cfg!(target_feature = "avx512f") {
 /// instruction stream that would run it, never with its fold's ideal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Folded lane kernel on row-major storage with this many x-lanes.
+    /// The linear row kernel on a row-major fold with this many x-lanes.
+    /// The lane count is a layout property (how far rows are padded);
+    /// the kernel is the same for every count and for
+    /// [`Kernel::ScalarRows`].
     LaneRows(usize),
-    /// Scalar specialised row kernels on row-major storage.
+    /// The linear row kernel under the scalar rung's name.
     ScalarRows,
     /// Folded brick-gather kernel with this many elements per brick: one
     /// table-addressed scalar load and one scalar multiply-add per term
@@ -171,11 +175,12 @@ impl Kernel {
     /// The in-core issue regime this kernel is charged on `machine` —
     /// the one mapping both the analytic predictor and the simulated
     /// backend price a configuration through. Lane and scalar rows are
-    /// vector loops (LLVM vectorises the scalar rows); the brick-gather
-    /// kernel is charged the scalar loads and multiply-adds it executes,
-    /// not the whole-brick loads of an ideal fold kernel; the tape its
-    /// register program at the build's SIMD width; the per-point path
-    /// scalar issue plus `Grid3::idx`'s address arithmetic per access.
+    /// one vector loop (the linear row kernel, whose `[f64; 8]` point
+    /// blocks LLVM vectorises); the brick-gather kernel is charged the
+    /// scalar loads and multiply-adds it executes, not the whole-brick
+    /// loads of an ideal fold kernel; the tape its register program at
+    /// the build's SIMD width; the per-point path scalar issue plus
+    /// `Grid3::idx`'s address arithmetic per access.
     #[must_use]
     pub fn issue(self, machine: &Machine) -> Issue {
         match self {
@@ -214,14 +219,16 @@ impl PlannedKernel {
     }
 }
 
-/// Lane counts the hand-unrolled kernels are monomorphised for.
+/// Lane counts the folded rungs accept: the brick kernel is
+/// monomorphised for them, and the lane-rows rung keeps the same set.
 fn lane_count_supported(lanes: usize) -> bool {
     matches!(lanes, 2 | 4 | 8 | 16)
 }
 
-/// Row-major linear sweeps: the lane kernel when the fold's x-lane count
-/// is supported and the policy allows it, the scalar rows otherwise.
-/// Shared by the spatial and the wavefront planner.
+/// Row-major linear sweeps: lane rows when the fold's x-lane count is
+/// supported and the policy allows it, scalar rows otherwise; both name
+/// the linear row kernel. Shared by the spatial and the wavefront
+/// planner.
 fn plan_rows(params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
     let lanes = params.fold.x;
     let (kernel, reason) = match policy {

@@ -180,10 +180,9 @@ fn wavefront_checks(
 /// without `scan`.
 ///
 /// Linear stencils on matching row-major layouts take the fast path:
-/// each tile-plane's chunks run on the pool through the folded lane
-/// kernel when the fold's x-lane count is supported, the scalar row
-/// kernels otherwise. Everything else falls back to the per-point generic
-/// loop over the same schedule. Halo values of both buffers are left
+/// each tile-plane's chunks run on the pool through the linear row
+/// kernel, whichever of its two rungs the planner named. Everything else
+/// falls back to the per-point generic loop over the same schedule. Halo values of both buffers are left
 /// untouched (fixed-value boundary), matching how the plain steppers
 /// treat them.
 #[allow(clippy::too_many_arguments)] // internal executor; one call site
@@ -209,21 +208,15 @@ pub(crate) fn execute_wavefront(
         && a.halo() == b.halo()
         && a.alloc() == b.alloc();
     let planned = plan_wavefront(&compiled, layouts_match, params, policy);
-    // Lane width of the row kernels (`0` = scalar rows), `None` per point.
-    let lanes = match planned.kernel {
-        Kernel::LaneRows(lanes) => Some(lanes),
-        Kernel::ScalarRows => Some(0),
-        _ => None,
-    };
     let scan = &FiniteScan::new(scan);
     let mut widest = 1usize;
     prof.pool_window(pool.stats());
     let t_wavefront = prof.start();
-    if let Some(lanes) = lanes {
+    if matches!(planned.kernel, Kernel::LaneRows(_) | Kernel::ScalarRows) {
         let (terms, constant) = compiled.linear_terms().expect("fast implies linear");
         // Both buffers share one layout here, so the kernel lowered
         // against `a` serves a→b and b→a alike.
-        let kernel = LinearKernel::build(terms, constant, &[&*a], lanes);
+        let kernel = LinearKernel::build(terms, constant, &[&*a]);
         for tp in schedule.tile_planes() {
             let (src, dst) = ping_pong(a, b, tp.level);
             let t_plane = prof.start();
@@ -266,7 +259,7 @@ fn ping_pong<'g>(a: &'g mut Grid3, b: &'g mut Grid3, level: usize) -> (&'g Grid3
 }
 
 /// One tile-plane update `dst[·, rows, z] = stencil(src)` through the
-/// linear row kernels: the schedule's row chunks, each blocked in x/y by
+/// linear row kernel: the schedule's row chunks, each blocked in x/y by
 /// `params.block` (and sub-blocked), run on the pool. Returns the number
 /// of chunks.
 #[allow(clippy::too_many_arguments)] // internal helper; one call site

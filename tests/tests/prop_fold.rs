@@ -1,7 +1,8 @@
 //! Property-based bitwise-identity suite for the engine's tier matrix:
-//! for arbitrary stencils (radius 1 and 2, specialised and dynamic
-//! arity), fold shapes, thread counts and profiled/unprofiled runs, the
-//! folded tier must reproduce the scalar tier *bit for bit*, and for
+//! for arbitrary stencils (radius 1 and 2, 1 to 34 terms), fold shapes,
+//! blockings, thread counts and profiled/unprofiled runs, the folded tier
+//! must reproduce the scalar tier and the per-point path *bit for bit*,
+//! and for
 //! arbitrary non-linear expressions the row-vectorised tape tier must
 //! reproduce the recursive reference evaluator and the generic per-point
 //! tier. Every tier computes each output point with the identical FP op
@@ -16,9 +17,8 @@ use yasksite_grid::{Fold, Grid3};
 use yasksite_stencil::builders::{box3d, paper_suite};
 use yasksite_stencil::{at, c, Expr, Stencil};
 
-/// Strategy: a random linear stencil with offsets within `radius` and
-/// `arity` terms. Arities outside {1, 2, 7, 9, 27} exercise the
-/// dynamic-arity scalar row (`row_dyn`) as the comparison baseline.
+/// Strategy: a random linear stencil with `arity` draws of an offset
+/// within `radius` (repeated offsets merge into one term).
 fn arb_linear_stencil(
     radius: i32,
     arity: std::ops::Range<usize>,
@@ -39,6 +39,31 @@ fn arb_linear_stencil(
             .collect();
         Stencil::new("prop_fold", 3, 1, Expr::sum(exprs))
     })
+}
+
+/// Strategy: a linear stencil of exactly 1 to 34 terms, so its rows run
+/// one to five stripes of the row kernel and cross every stripe seam
+/// (8/9, 16/17, 24/25, 32/33). The offsets are distinct points of the
+/// radius-2 box: `start + t·step` modulo its 125 points, with `step`
+/// coprime to 125.
+fn arb_striped_stencil() -> impl Strategy<Value = Stencil> {
+    (
+        0usize..125,
+        prop_oneof![Just(1usize), Just(2), Just(13), Just(31), Just(62)],
+        proptest::collection::vec(-2.0f64..2.0, 1..35),
+    )
+        .prop_map(|(start, step, weights)| {
+            let exprs: Vec<Expr> = weights
+                .iter()
+                .enumerate()
+                .map(|(t, &w)| {
+                    let p = (start + t * step) % 125;
+                    let d = |e: usize| (p / e % 5) as i32 - 2;
+                    c(w) * at(0, d(1), d(5), d(25))
+                })
+                .collect();
+            Stencil::new("prop_stripes", 3, 1, Expr::sum(exprs))
+        })
 }
 
 /// Strategy: an arbitrary expression over `grids` inputs with offsets in
@@ -141,8 +166,8 @@ fn run_tier(
 /// `paper_suite()` rows (two-input `wave-2d` and the non-linear
 /// `heat-3d-vc` included) plus `box3d(2)` — at 1 and 3 threads, on a
 /// domain whose rows leave a remainder under every fold. Linear stencils:
-/// scalar rows, lane kernel, brick kernel and the generic per-point path
-/// produce the same bits; the non-linear one: tape tier and generic path
+/// the row kernel under both rung names, the brick kernel and the
+/// generic per-point path produce the same bits; the non-linear one: tape tier and generic path
 /// do. Those bits are within 1e-12 of `Stencil::apply_reference` (the
 /// linear kernels merge coefficients, so that comparison is not exact).
 /// The executed tier is asserted so a silent degrade cannot pass.
@@ -202,32 +227,54 @@ fn every_tier_agrees_on_every_named_stencil() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Folded lane tier == scalar tier, bit for bit, across radius ×
-    /// lane fold × threads × profiled on/off. Arities 1..30 cover both
-    /// the specialised scalar rows and the dynamic-arity fallback.
+    /// Folded lane tier == scalar tier == the generic per-point path, bit
+    /// for bit, across arity × lane fold × threads × profiled on/off ×
+    /// x-block and sub-block. Both row-major rungs run the one row
+    /// kernel, so the per-point path on a 3x3x1 fold (no folded kernel
+    /// takes it) is the independent side. The arities cross every stripe
+    /// seam, and x-blocks and sub-blocks of 1–3 points cut the row
+    /// segments below one accumulator block.
     #[test]
     fn lane_tier_is_bitwise_identical_to_scalar_tier(
-        (stencil, fold, threads, profiled, nx, ny, nz) in (
-            (1i32..=2).prop_flat_map(|radius| arb_linear_stencil(radius, 1..30)),
+        (stencil, fold, threads, profiled, nx, ny, nz, (bx, sub)) in (
+            arb_striped_stencil(),
             arb_lane_fold(),
             1usize..5,
             any::<bool>(),
             4usize..24,
             3usize..10,
             3usize..10,
+            (
+                prop_oneof![Just(1usize), Just(2), Just(3), Just(9), Just(24)],
+                prop_oneof![
+                    Just(None),
+                    Just(Some([1usize, 2, 1])),
+                    Just(Some([2, 1, 2])),
+                    Just(Some([3, 4, 4])),
+                    Just(Some([5, 2, 3])),
+                ],
+            ),
         ),
     ) {
         let n = [nx, ny, nz];
         let halo = stencil.info().radius;
+        let mut params = TuningParams::new([bx, 4, 4], fold).threads(threads);
+        params.sub_block = sub;
         let u = seeded_grid("u", n, halo, fold, 21);
-        let params = TuningParams::new([n[0], 4, 4], fold).threads(threads);
 
         let (scalar, t_s) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceScalar, profiled);
         let (folded, t_f) = run_tier(&stencil, &[&u], &params, TierPolicy::ForceFolded, profiled);
+        let odd = Fold::new(3, 3, 1);
+        let mut odd_params = TuningParams::new([bx, 4, 4], odd).threads(threads);
+        odd_params.sub_block = sub;
+        let v = seeded_grid("v", n, halo, odd, 21);
+        let (generic, t_g) = run_tier(&stencil, &[&v], &odd_params, TierPolicy::Auto, profiled);
 
         prop_assert_eq!(t_s, Tier::Scalar);
         prop_assert_eq!(t_f, Tier::Folded);
+        prop_assert_eq!(t_g, Tier::Generic);
         prop_assert_eq!(folded.max_abs_diff(&scalar).unwrap(), 0.0);
+        prop_assert_eq!(scalar.max_abs_diff(&generic).unwrap(), 0.0);
     }
 
     /// Folded brick tier == the pre-folded-tier generic path (what
