@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use yasksite_arch::{Machine, MachineFileError, MachineKind};
 use yasksite_engine::{
-    apply_simulated, codegen, plan_tier_with, run_wavefront_simulated, CodegenOutput, EngineError,
+    apply_simulated, codegen, plan_kernel, run_wavefront_simulated, CodegenOutput, EngineError,
     ExecPool, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier, TierPolicy,
     TuningParams,
 };
@@ -248,8 +248,9 @@ impl Solution {
             });
         }
         let refs: Vec<&Grid3> = inputs.iter().collect();
-        request.apply(&self.stencil, &refs, &mut out)?; // warm-up
-        let run = request.apply(&self.stencil, &refs, &mut out)?;
+        let sweep = request.prepare(&self.stencil, &refs, &out)?;
+        sweep.run(pool, &refs, &mut out)?; // warm-up
+        let run = sweep.run(pool, &refs, &mut out)?;
         Ok(MeasuredPerf {
             mlups: run.mlups,
             seconds_per_sweep: run.seconds,
@@ -305,7 +306,8 @@ impl Solution {
     /// [`Solution::allocate_grids`] produces.
     #[must_use]
     pub fn plan_tier(&self, params: &TuningParams) -> (Tier, &'static str) {
-        plan_tier_with(&self.stencil, params, TierPolicy::from_env())
+        let planned = plan_kernel(&self.stencil, params, TierPolicy::from_env());
+        (planned.tier(), planned.reason)
     }
 
     /// Generates the kernel source for `params`.
@@ -350,8 +352,11 @@ impl Solution {
             return Ok((perf, prof.report()));
         }
         let refs: Vec<&Grid3> = inputs.iter().collect();
-        warmup.apply(&self.stencil, &refs, &mut out)?; // warm-up
-        let run = profiled.apply(&self.stencil, &refs, &mut out)?;
+        let mut sweep = profiled.prepare(&self.stencil, &refs, &out)?; // "compile"
+        sweep.set_profiler(None);
+        sweep.run(pool, &refs, &mut out)?; // warm-up
+        sweep.set_profiler(Some(&prof));
+        let run = sweep.run(pool, &refs, &mut out)?;
         let perf = MeasuredPerf {
             mlups: run.mlups,
             seconds_per_sweep: run.seconds,

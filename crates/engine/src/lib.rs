@@ -64,12 +64,13 @@ mod wavefront;
 pub use codegen::{codegen, CodegenOutput};
 pub use compile::CompiledStencil;
 pub use error::EngineError;
+pub use native::PreparedSweep;
 pub use params::TuningParams;
 pub use pool::{ExecPool, PoolStats, ScopedJob};
 pub use profile::{IntervalStats, PhaseStat, PoolWindow, ProfileReport, SweepProfiler};
 pub use simulate::{apply_simulated, SimContext, SimulatedRun};
 pub use sweep::{
-    plan_kernel, plan_tier, plan_tier_with, tier_reason_degraded, Kernel, PlannedKernel,
-    SweepReport, SweepRequest, Tier, TierPolicy, FORCE_TIER_ENV,
+    plan_kernel, tier_reason_degraded, Kernel, PlannedKernel, SweepReport, SweepRequest, Tier,
+    TierPolicy, FORCE_TIER_ENV,
 };
 pub use wavefront::run_wavefront_simulated;

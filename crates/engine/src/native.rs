@@ -1,18 +1,21 @@
 //! Native (host) execution backend.
 //!
-//! The hot paths here are written so the inner loops are allocation-free
-//! and bounds-check-free: term descriptors are gathered once per sweep,
-//! each row of output is produced from pre-sliced source rows, and a
-//! linear stencil of any arity runs through one row kernel that walks
-//! its terms in const-generic stripes LLVM unrolls and vectorises.
+//! A spatial sweep is prepared once ([`PreparedSweep`]: checked,
+//! compiled, planned and lowered against its grids' geometry) and then
+//! run any number of times. The hot paths are written so the inner loops
+//! are allocation-free and bounds-check-free: term descriptors are
+//! gathered once per preparation, each row of output is produced from
+//! pre-sliced source rows, and a linear stencil of any arity runs
+//! through one row kernel that walks its terms in const-generic stripes
+//! LLVM unrolls and vectorises.
 //! Threading goes through the persistent [`ExecPool`] instead of
 //! spawning OS threads per sweep.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use yasksite_grid::{all_finite, Grid3};
-use yasksite_stencil::Stencil;
+use yasksite_grid::{all_finite, Fold, Grid3};
+use yasksite_stencil::{Stencil, StencilError};
 
 use crate::compile::{CompiledStencil, Tape};
 use crate::error::EngineError;
@@ -20,25 +23,7 @@ use crate::fold_tier::brick_fast_path;
 use crate::params::{chunk_ranges, TuningParams};
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
-use crate::sweep::{plan_spatial, Kernel, PlannedKernel, TierPolicy};
-
-/// Result of one native kernel application; [`crate::SweepReport`]
-/// carries these fields to the caller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct NativeRun {
-    /// Wall time of the sweep.
-    pub(crate) seconds: f64,
-    /// Achieved million lattice updates per second.
-    pub(crate) mlups: f64,
-    /// Lattice updates performed.
-    pub(crate) updates: u64,
-    /// Non-empty slabs the sweep was decomposed into (see
-    /// [`crate::SweepReport::threads_used`]).
-    pub(crate) threads_used: usize,
-    /// Whether every value written was finite; `true` when the request
-    /// did not ask for the scan.
-    pub(crate) finite: bool,
-}
+use crate::sweep::{plan_spatial, Kernel, PlannedKernel, SweepReport, TierPolicy};
 
 /// The opt-in "is every written value finite" scan of one sweep
 /// ([`crate::SweepRequest::report_finite`]), shared by the sweep's jobs.
@@ -81,109 +66,215 @@ impl FiniteScan {
     }
 }
 
-/// Validates that all grids carry the fold the parameters assume.
-fn check_folds(inputs: &[&Grid3], out: &Grid3, params: &TuningParams) -> Result<(), EngineError> {
-    for g in inputs.iter().copied().chain(std::iter::once(out)) {
-        if g.fold() != params.fold {
-            return Err(EngineError::BadParams {
-                reason: format!(
-                    "grid '{}' has fold {}, params say {}",
-                    g.name(),
-                    g.fold(),
-                    params.fold
-                ),
-            });
-        }
-    }
-    Ok(())
+/// The storage geometry of a bound grid: everything a prepared sweep's
+/// plan and lowered kernel depend on. Two grids of equal geometry have
+/// identical storage layouts, so a sweep prepared against one runs on
+/// the other (a rotated ODE state, a measurement's warm-up grids).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridGeometry {
+    n: [usize; 3],
+    halo: [usize; 3],
+    alloc: [usize; 3],
+    fold: Fold,
 }
 
-/// The spatial-sweep executor behind [`crate::SweepRequest::apply`]:
-/// validates, compiles, plans the tier under `policy`, and dispatches to
-/// the matching kernel.
-///
-/// Tier selection never changes results — every tier computes each
-/// output point with the identical FP operation order. Threaded tiers
-/// honour `params.threads` with a decomposition that depends only on
-/// `(domain, params.threads)`, never on the pool width, so results are
-/// bitwise identical for any pool.
-///
-/// With `scan` every kernel checks the values it writes for NaN/±inf as
-/// it produces them (per row segment or brick, all slabs combined into
-/// [`NativeRun::finite`]); the values themselves are untouched.
-#[allow(clippy::too_many_arguments)] // internal executor; one call site
-pub(crate) fn execute_apply(
-    pool: &ExecPool,
-    stencil: &Stencil,
-    inputs: &[&Grid3],
-    out: &mut Grid3,
-    params: &TuningParams,
-    prof: &SweepProfiler,
-    policy: TierPolicy,
-    scan: bool,
-) -> Result<(NativeRun, PlannedKernel), EngineError> {
-    stencil.check_bindings(inputs, out)?;
-    params
-        .validate(out.n())
-        .map_err(|reason| EngineError::BadParams { reason })?;
-    check_folds(inputs, out, params)?;
-
-    let t_compile = prof.start();
-    let compiled = CompiledStencil::compile(stencil);
-    prof.phase_done("compile", t_compile);
-    let geometry_shared = inputs
-        .iter()
-        .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
-    let planned = plan_spatial(&compiled, geometry_shared, params, policy);
-    let updates = out.domain_points() as u64;
-    prof.pool_window(pool.stats());
-    let t_sweep = prof.start();
-    let start = Instant::now();
-    let scan = &FiniteScan::new(scan);
-    let linear = || {
-        compiled
-            .linear_terms()
-            .expect("planner picked a linear kernel")
-    };
-    let threads_used = match planned.kernel {
-        Kernel::LaneRows(_) | Kernel::ScalarRows => {
-            let (t, c) = linear();
-            linear_fast_path(pool, t, c, inputs, out, params, prof, scan)
+impl GridGeometry {
+    fn of(g: &Grid3) -> GridGeometry {
+        GridGeometry {
+            n: g.n(),
+            halo: g.halo(),
+            alloc: g.alloc(),
+            fold: g.fold(),
         }
-        Kernel::BrickGather(elems) => {
-            let (t, c) = linear();
-            match elems {
-                2 => brick_fast_path::<2>(pool, t, c, inputs, out, params, prof, scan),
-                4 => brick_fast_path::<4>(pool, t, c, inputs, out, params, prof, scan),
-                8 => brick_fast_path::<8>(pool, t, c, inputs, out, params, prof, scan),
-                16 => brick_fast_path::<16>(pool, t, c, inputs, out, params, prof, scan),
-                _ => unreachable!("planner only emits supported brick sizes"),
+    }
+}
+
+/// A spatial sweep lowered once and run many times: the product of
+/// [`crate::SweepRequest::prepare`].
+///
+/// Preparing does everything that depends only on the stencil, the
+/// request and the *geometry* of the bound grids: it checks the bindings
+/// and parameters, compiles the stencil (the profiler's `"compile"`
+/// phase), plans the kernel under the request's tier policy and, for the
+/// linear row kernel, resolves every term's offsets. [`PreparedSweep::run`]
+/// only checks that the grids it is handed have that geometry, binds
+/// their storage and executes (the `"sweep"` phase). An ODE integrator
+/// prepares each op once and runs it every step; rotating state storage
+/// between steps keeps every geometry, so the preparation stays valid.
+pub struct PreparedSweep<'a> {
+    compiled: CompiledStencil,
+    planned: PlannedKernel,
+    /// The lowered linear row kernel, when the plan runs on it.
+    rows: Option<LinearKernel>,
+    inputs: Vec<GridGeometry>,
+    out: GridGeometry,
+    params: TuningParams,
+    profiler: Option<&'a SweepProfiler>,
+    report_finite: bool,
+}
+
+impl<'a> PreparedSweep<'a> {
+    /// Validates, compiles, plans the kernel under `policy` and lowers
+    /// it against the geometry of `inputs` and `out`.
+    pub(crate) fn new(
+        stencil: &Stencil,
+        inputs: &[&Grid3],
+        out: &Grid3,
+        params: &TuningParams,
+        profiler: Option<&'a SweepProfiler>,
+        policy: TierPolicy,
+        report_finite: bool,
+    ) -> Result<PreparedSweep<'a>, EngineError> {
+        stencil.check_bindings(inputs, out)?;
+        params
+            .validate(out.n())
+            .map_err(|reason| EngineError::BadParams { reason })?;
+        for g in inputs.iter().copied().chain(std::iter::once(out)) {
+            if g.fold() != params.fold {
+                return Err(EngineError::BadParams {
+                    reason: format!(
+                        "grid '{}' has fold {}, params say {}",
+                        g.name(),
+                        g.fold(),
+                        params.fold
+                    ),
+                });
             }
         }
-        Kernel::TapeProgram(_) => {
-            let CompiledStencil::Tape(tape) = &compiled else {
-                unreachable!("tape plan implies tape stencil")
-            };
-            tape_fast_path(pool, tape, inputs, out, params, prof, scan)
+
+        let disabled = SweepProfiler::disabled();
+        let prof = profiler.unwrap_or(&disabled);
+        let t_compile = prof.start();
+        let compiled = CompiledStencil::compile(stencil);
+        prof.phase_done("compile", t_compile);
+        let geometry_shared = inputs
+            .iter()
+            .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
+        let planned = plan_spatial(&compiled, geometry_shared, params, policy);
+        let rows = match planned.kernel {
+            Kernel::LaneRows(_) | Kernel::ScalarRows => {
+                let (terms, constant) = compiled
+                    .linear_terms()
+                    .expect("planner picked a linear kernel");
+                Some(LinearKernel::build(terms, constant, inputs))
+            }
+            _ => None,
+        };
+        Ok(PreparedSweep {
+            compiled,
+            planned,
+            rows,
+            inputs: inputs.iter().map(|g| GridGeometry::of(g)).collect(),
+            out: GridGeometry::of(out),
+            params: params.clone(),
+            profiler,
+            report_finite,
+        })
+    }
+
+    /// Sets the profiler later runs record their `"sweep"` phase, chunks
+    /// and pool window to; `None` runs unprofiled. Preparation recorded
+    /// its `"compile"` phase to the request's profiler already, so a
+    /// caller can prepare under a profiler, warm up unprofiled and then
+    /// profile the measured run.
+    pub fn set_profiler(&mut self, profiler: Option<&'a SweepProfiler>) {
+        self.profiler = profiler;
+    }
+
+    /// Applies the prepared stencil once over the full domain of `out`,
+    /// on `pool`, reading `inputs`.
+    ///
+    /// Tier selection never changes results — every tier computes each
+    /// output point with the identical FP operation order. Threaded
+    /// tiers honour `params.threads` with a decomposition that depends
+    /// only on `(domain, params.threads)`, never on the pool width, so
+    /// results are bitwise identical for any pool. A sweep prepared with
+    /// [`crate::SweepRequest::report_finite`] checks the values it writes
+    /// as it produces them.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::Binding`] when the number of inputs differs
+    /// from the prepared one and [`EngineError::BadParams`] when any grid's
+    /// domain, halo, allocation or fold differs from the grid it was
+    /// prepared against; nothing runs then.
+    pub fn run(
+        &self,
+        pool: &ExecPool,
+        inputs: &[&Grid3],
+        out: &mut Grid3,
+    ) -> Result<SweepReport, EngineError> {
+        if inputs.len() != self.inputs.len() {
+            return Err(EngineError::Binding(StencilError::ArityMismatch {
+                expected: self.inputs.len(),
+                got: inputs.len(),
+            }));
         }
-        Kernel::PerPoint => {
-            generic_path(&compiled, inputs, out, params, scan);
-            1
+        let bound = inputs.iter().map(|g| &**g).zip(&self.inputs);
+        for (g, &prepared) in bound.chain(std::iter::once((&*out, &self.out))) {
+            let geometry = GridGeometry::of(g);
+            if geometry != prepared {
+                return Err(EngineError::BadParams {
+                    reason: format!(
+                        "grid '{}' has geometry {geometry:?}, the sweep was prepared for {prepared:?}",
+                        g.name()
+                    ),
+                });
+            }
         }
-    };
-    let seconds = start.elapsed().as_secs_f64();
-    prof.phase_done("sweep", t_sweep);
-    prof.pool_window(pool.stats());
-    Ok((
-        NativeRun {
+
+        let disabled = SweepProfiler::disabled();
+        let prof = self.profiler.unwrap_or(&disabled);
+        let params = &self.params;
+        let updates = out.domain_points() as u64;
+        prof.pool_window(pool.stats());
+        let t_sweep = prof.start();
+        let start = Instant::now();
+        let scan = &FiniteScan::new(self.report_finite);
+        let linear = || {
+            self.compiled
+                .linear_terms()
+                .expect("planner picked a linear kernel")
+        };
+        let threads_used = match self.planned.kernel {
+            Kernel::LaneRows(_) | Kernel::ScalarRows => {
+                let kernel = self.rows.as_ref().expect("row plans are lowered");
+                linear_fast_path(pool, kernel, inputs, out, params, prof, scan)
+            }
+            Kernel::BrickGather(elems) => {
+                let (t, c) = linear();
+                match elems {
+                    2 => brick_fast_path::<2>(pool, t, c, inputs, out, params, prof, scan),
+                    4 => brick_fast_path::<4>(pool, t, c, inputs, out, params, prof, scan),
+                    8 => brick_fast_path::<8>(pool, t, c, inputs, out, params, prof, scan),
+                    16 => brick_fast_path::<16>(pool, t, c, inputs, out, params, prof, scan),
+                    _ => unreachable!("planner only emits supported brick sizes"),
+                }
+            }
+            Kernel::TapeProgram(_) => {
+                let CompiledStencil::Tape(tape) = &self.compiled else {
+                    unreachable!("tape plan implies tape stencil")
+                };
+                tape_fast_path(pool, tape, inputs, out, params, prof, scan)
+            }
+            Kernel::PerPoint => {
+                generic_path(&self.compiled, inputs, out, params, scan);
+                1
+            }
+        };
+        let seconds = start.elapsed().as_secs_f64();
+        prof.phase_done("sweep", t_sweep);
+        prof.pool_window(pool.stats());
+        Ok(SweepReport {
             seconds,
             mlups: updates as f64 / seconds.max(1e-12) / 1e6,
             updates,
             threads_used,
-            finite: scan.all_finite(),
-        },
-        planned,
-    ))
+            tier: self.planned.tier(),
+            tier_reason: self.planned.reason,
+            wavefront_depth: 1,
+            finite: self.report_finite.then_some(scan.all_finite()),
+        })
+    }
 }
 
 /// Row-major storage geometry of a grid.
@@ -238,11 +329,12 @@ const POINTS: usize = 8;
 
 /// A linear stencil lowered against the geometry of its input grids: one
 /// geometry/offset/coefficient/input record per term, gathered **once**
-/// per sweep so the per-row work is pure arithmetic on pre-resolved
+/// per preparation so the per-row work is pure arithmetic on pre-resolved
 /// offsets. The kernel borrows no grid: each application binds the
 /// input storage (one slice per input grid, of the geometry it was built
-/// against), so a wavefront builds it once for both directions of its
-/// ping-pong pair.
+/// against), so a prepared sweep runs it on any grids of that geometry
+/// and a wavefront builds it once for both directions of its ping-pong
+/// pair.
 pub(crate) struct LinearKernel {
     geoms: Vec<Geom>,
     offs: Vec<isize>,
@@ -499,11 +591,9 @@ fn split_slabs<'w>(
 /// Linear combination over row-major storage: blocked loops, threaded
 /// over z-slabs on the pool. Returns the number of slabs that received
 /// work (= threads used).
-#[allow(clippy::too_many_arguments)] // internal executor; one call site
 fn linear_fast_path(
     pool: &ExecPool,
-    terms: &[((usize, [i32; 3]), f64)],
-    constant: f64,
+    kernel: &LinearKernel,
     inputs: &[&Grid3],
     out: &mut Grid3,
     params: &TuningParams,
@@ -513,12 +603,11 @@ fn linear_fast_path(
     let n = out.n();
     let block = params.clipped_block(n);
     let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
-    let kernel = LinearKernel::build(terms, constant, inputs);
     let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
     let out_geom = Geom::of(out);
     let slabs = split_slabs(out.as_mut_slice(), out_geom, n, block[2], params.threads);
     let used = slabs.len();
-    let (kernel, inputs) = (&kernel, &inputs);
+    let inputs = &inputs;
     let jobs: Vec<ScopedJob<'_>> = slabs
         .into_iter()
         .map(|slab| {
@@ -970,6 +1059,84 @@ mod tests {
     }
 
     #[test]
+    fn prepared_sweep_rejects_grids_of_another_geometry() {
+        // Prepared against 16x4x4 grids with halo 1 on an 8-lane fold.
+        // Every mismatch is an error and leaves the output untouched:
+        // another domain with the same allocation (15 + 2 pads to 24
+        // like 16 + 2), another halo, another fold (and so another
+        // allocation), on an input or on the output, and the wrong arity.
+        let s = heat3d(1);
+        let (n, halo, fold) = ([16, 4, 4], [1, 1, 1], Fold::new(8, 1, 1));
+        let u = filled("u", n, halo, fold);
+        let out = Grid3::new("o", n, halo, fold);
+        let p = TuningParams::new([8, 4, 4], fold);
+        let sweep = SweepRequest::new(&p).prepare(&s, &[&u], &out).unwrap();
+        let pool = ExecPool::global();
+        let others = [
+            filled("n", [15, 4, 4], halo, fold),
+            filled("h", n, [2, 2, 2], fold),
+            filled("f", n, halo, Fold::new(4, 1, 1)),
+        ];
+        assert_eq!(others[0].alloc(), u.alloc(), "a domain-only change");
+        assert_ne!(others[2].alloc(), u.alloc(), "a fold change re-pads");
+        for other in &others {
+            let mut o = out.clone();
+            let err = sweep.run(pool, &[other], &mut o).unwrap_err();
+            assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
+            let mut wrong_out = other.clone();
+            wrong_out.fill_all(0.5);
+            let err = sweep.run(pool, &[&u], &mut wrong_out).unwrap_err();
+            assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
+            assert!(wrong_out.as_slice().iter().all(|&v| v == 0.5));
+        }
+        let mut o = out.clone();
+        for inputs in [&[][..], &[&u, &u][..]] {
+            let err = sweep.run(pool, inputs, &mut o).unwrap_err();
+            assert!(matches!(err, EngineError::Binding(_)), "{err}");
+        }
+        assert!(o.as_slice().iter().all(|&v| v == 0.0), "nothing ran");
+        // The prepared grids themselves still run.
+        sweep.run(pool, &[&u], &mut o).unwrap();
+        assert!(o.max_abs_diff(&reference(&s, &[&u], n)).unwrap() < 1e-12);
+    }
+
+    #[test]
+    fn a_prepared_sweep_compiles_once_and_sweeps_every_run() {
+        let s = heat3d(1);
+        let n = [24, 6, 4];
+        let fold = Fold::new(8, 1, 1);
+        let mut a = filled("a", n, [1, 1, 1], fold);
+        let mut b = Grid3::new("b", n, [1, 1, 1], fold);
+        let p = TuningParams::new([8, 4, 2], fold).threads(2);
+        let count = |prof: &SweepProfiler, name: &str| {
+            let r = prof.report();
+            r.phases
+                .iter()
+                .find(|ph| ph.name == name)
+                .map(|ph| ph.count)
+        };
+        let prof = SweepProfiler::enabled();
+        let sweep = SweepRequest::new(&p)
+            .profiler(&prof)
+            .prepare(&s, &[&a], &b)
+            .unwrap();
+        assert_eq!(count(&prof, "compile"), Some(1));
+        assert_eq!(count(&prof, "sweep"), None, "preparing runs nothing");
+        let mut plain = (a.clone(), b.clone());
+        for _ in 0..3 {
+            // Ping-pong: the storage moves, the geometry stays.
+            sweep.run(ExecPool::global(), &[&a], &mut b).unwrap();
+            a.swap_data(&mut b).unwrap();
+            let (pa, pb) = &mut plain;
+            SweepRequest::new(&p).apply(&s, &[&*pa], pb).unwrap();
+            pa.swap_data(pb).unwrap();
+        }
+        assert_eq!(count(&prof, "compile"), Some(1));
+        assert_eq!(count(&prof, "sweep"), Some(3));
+        assert_eq!(a.max_abs_diff(&plain.0).unwrap(), 0.0);
+    }
+
+    #[test]
     fn sub_blocks_never_change_results() {
         let s = heat3d(1);
         let n = [19, 11, 9];
@@ -1024,8 +1191,11 @@ mod tests {
         assert_eq!(plain.max_abs_diff(&profiled).unwrap(), 0.0);
         let r = prof.report();
         assert!(r.enabled);
-        assert!(r.phases.iter().any(|ph| ph.name == "compile"));
-        assert!(r.phases.iter().any(|ph| ph.name == "sweep"));
+        // `apply` prepares and runs: one of each phase.
+        for name in ["compile", "sweep"] {
+            let phase = r.phases.iter().find(|ph| ph.name == name);
+            assert_eq!(phase.map(|ph| ph.count), Some(1), "{name}");
+        }
         let chunks = r.chunks.expect("threaded sweep records chunks");
         assert_eq!(chunks.count as usize, run.threads_used);
         let pool_win = r.pool.expect("pool window recorded");

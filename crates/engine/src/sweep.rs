@@ -34,7 +34,7 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::execute_apply;
+use crate::native::PreparedSweep;
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
@@ -354,25 +354,6 @@ pub(crate) fn plan_shared_layout(
     }
 }
 
-/// [`plan_kernel`] under [`TierPolicy::Auto`], collapsed to the tier.
-#[must_use]
-pub fn plan_tier(stencil: &Stencil, params: &TuningParams) -> (Tier, &'static str) {
-    plan_tier_with(stencil, params, TierPolicy::Auto)
-}
-
-/// [`plan_kernel`] collapsed to the tier — what the daemon and CLI use to
-/// report the tier a winner would execute on under the live policy (e.g.
-/// a `YASKSITE_FORCE_TIER` override).
-#[must_use]
-pub fn plan_tier_with(
-    stencil: &Stencil,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> (Tier, &'static str) {
-    let planned = plan_kernel(stencil, params, policy);
-    (planned.tier(), planned.reason)
-}
-
 /// The planner reasons that mean a sweep ran *below* the tier its fold
 /// or policy asked for (as opposed to simply naming the natural pick).
 /// Kept in lock-step with the literals in [`plan_rows`], [`plan_spatial`]
@@ -488,8 +469,58 @@ impl<'a> SweepRequest<'a> {
         }
     }
 
+    /// Prepares a spatial sweep of `stencil` from `inputs` into `out`:
+    /// checks the bindings and parameters, compiles the stencil, plans
+    /// the kernel under this request's tier policy and lowers it against
+    /// the grids' geometry. The result captures the parameters, the
+    /// profiler and [`SweepRequest::report_finite`]; run it with
+    /// [`PreparedSweep::run`] on these grids or any of the same geometry,
+    /// as often as needed.
+    ///
+    /// ```
+    /// use yasksite_engine::{ExecPool, SweepRequest, TuningParams};
+    /// use yasksite_grid::{Fold, Grid3};
+    /// use yasksite_stencil::builders::heat3d;
+    ///
+    /// let s = heat3d(1);
+    /// let fold = Fold::new(8, 1, 1);
+    /// let mut a = Grid3::new("a", [16, 16, 16], [1, 1, 1], fold);
+    /// a.fill_with(|i, j, k| (i + j + k) as f64);
+    /// let mut b = Grid3::new("b", [16, 16, 16], [1, 1, 1], fold);
+    /// let sweep = SweepRequest::new(&TuningParams::new([16, 8, 8], fold))
+    ///     .prepare(&s, &[&a], &b)?;
+    /// let pool = ExecPool::global();
+    /// for _ in 0..4 {
+    ///     sweep.run(pool, &[&a], &mut b)?;
+    ///     a.swap_data(&mut b).expect("same layout");
+    /// }
+    /// # Ok::<(), yasksite_engine::EngineError>(())
+    /// ```
+    ///
+    /// # Errors
+    /// Returns binding errors (arity/halo/domain) or parameter errors
+    /// (fold mismatch, zero extents).
+    pub fn prepare(
+        &self,
+        stencil: &Stencil,
+        inputs: &[&Grid3],
+        out: &Grid3,
+    ) -> Result<PreparedSweep<'a>, EngineError> {
+        PreparedSweep::new(
+            stencil,
+            inputs,
+            out,
+            &self.params,
+            self.profiler,
+            self.tier,
+            self.report_finite,
+        )
+    }
+
     /// Applies `stencil` once over the full domain of `out` with the
-    /// blocked YASK loop structure, really executing on the host.
+    /// blocked YASK loop structure, really executing on the host:
+    /// [`SweepRequest::prepare`], then [`PreparedSweep::run`] on this
+    /// request's pool.
     ///
     /// # Errors
     /// Returns binding errors (arity/halo/domain) or parameter errors
@@ -500,34 +531,8 @@ impl<'a> SweepRequest<'a> {
         inputs: &[&Grid3],
         out: &mut Grid3,
     ) -> Result<SweepReport, EngineError> {
-        let disabled;
-        let prof = match self.profiler {
-            Some(p) => p,
-            None => {
-                disabled = SweepProfiler::disabled();
-                &disabled
-            }
-        };
-        let (run, planned) = execute_apply(
-            self.pool_ref(),
-            stencil,
-            inputs,
-            out,
-            &self.params,
-            prof,
-            self.tier,
-            self.report_finite,
-        )?;
-        Ok(SweepReport {
-            seconds: run.seconds,
-            mlups: run.mlups,
-            updates: run.updates,
-            threads_used: run.threads_used,
-            tier: planned.tier(),
-            tier_reason: planned.reason,
-            wavefront_depth: 1,
-            finite: self.report_finite.then_some(run.finite),
-        })
+        self.prepare(stencil, inputs, out)?
+            .run(self.pool_ref(), inputs, out)
     }
 
     /// Performs `wavefront` time steps of `stencil` on the ping-pong
@@ -645,14 +650,15 @@ mod tests {
         let s = heat3d(1);
         for lanes in [2usize, 4, 8, 16] {
             let p = TuningParams::new([8, 8, 8], Fold::new(lanes, 1, 1));
-            let (tier, _) = plan_tier(&s, &p);
+            let tier = plan_kernel(&s, &p, TierPolicy::Auto).tier();
             assert_eq!(tier, Tier::Folded, "lanes={lanes}");
         }
         // Unit fold and odd lane counts fall back to the scalar rows.
         for lanes in [1usize, 3, 5] {
             let p = TuningParams::new([8, 8, 8], Fold::new(lanes, 1, 1));
-            let (tier, reason) = plan_tier(&s, &p);
-            assert_eq!(tier, Tier::Scalar, "lanes={lanes}");
+            let planned = plan_kernel(&s, &p, TierPolicy::Auto);
+            assert_eq!(planned.tier(), Tier::Scalar, "lanes={lanes}");
+            let reason = planned.reason;
             assert!(reason.contains("lane count"), "reason: {reason}");
         }
     }
@@ -662,22 +668,26 @@ mod tests {
         let s = box3d(1);
         for fold in [Fold::new(4, 2, 1), Fold::new(2, 2, 2), Fold::new(1, 2, 1)] {
             let p = TuningParams::new([8, 8, 8], fold);
-            let (tier, reason) = plan_tier(&s, &p);
-            assert_eq!(tier, Tier::Folded, "fold={fold}");
+            let planned = plan_kernel(&s, &p, TierPolicy::Auto);
+            assert_eq!(planned.tier(), Tier::Folded, "fold={fold}");
+            let reason = planned.reason;
             assert!(reason.contains("brick"), "reason: {reason}");
         }
         // 3x3x1 has 9 elements: no monomorphised brick kernel.
         let p = TuningParams::new([8, 8, 8], Fold::new(3, 3, 1));
-        assert_eq!(plan_tier(&s, &p).0, Tier::Generic);
+        assert_eq!(plan_kernel(&s, &p, TierPolicy::Auto).tier(), Tier::Generic);
     }
 
     #[test]
     fn planner_routes_tapes_by_layout_only() {
         let s = inverter_chain_rhs(5.0, 1.0, 2.0);
         let row = TuningParams::new([8, 1, 1], Fold::new(8, 1, 1));
-        assert_eq!(plan_tier(&s, &row).0, Tier::Tape);
+        assert_eq!(plan_kernel(&s, &row, TierPolicy::Auto).tier(), Tier::Tape);
         let folded = TuningParams::new([8, 1, 1], Fold::new(4, 2, 1));
-        assert_eq!(plan_tier(&s, &folded).0, Tier::Generic);
+        assert_eq!(
+            plan_kernel(&s, &folded, TierPolicy::Auto).tier(),
+            Tier::Generic
+        );
     }
 
     #[test]
@@ -685,19 +695,20 @@ mod tests {
         let s = heat3d(1);
         // Natural picks are not degradations.
         let row = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1));
-        let (_, reason) = plan_tier(&s, &row);
+        let reason = plan_kernel(&s, &row, TierPolicy::Auto).reason;
         assert!(!tier_reason_degraded(reason), "{reason}");
         // An unsupported lane count is.
         let odd = TuningParams::new([8, 8, 8], Fold::new(3, 1, 1));
-        let (_, reason) = plan_tier(&s, &odd);
+        let reason = plan_kernel(&s, &odd, TierPolicy::Auto).reason;
         assert!(tier_reason_degraded(reason), "{reason}");
         // Forcing scalar where it exists is a policy choice, not a
         // degradation; forcing it where it cannot run is one.
-        let (_, reason) = plan_tier_with(&s, &row, TierPolicy::ForceScalar);
+        let reason = plan_kernel(&s, &row, TierPolicy::ForceScalar).reason;
         assert!(!tier_reason_degraded(reason), "{reason}");
         let folded = TuningParams::new([8, 8, 8], Fold::new(4, 2, 1));
-        let (tier, reason) = plan_tier_with(&s, &folded, TierPolicy::ForceScalar);
-        assert_eq!(tier, Tier::Generic);
+        let planned = plan_kernel(&s, &folded, TierPolicy::ForceScalar);
+        assert_eq!(planned.tier(), Tier::Generic);
+        let reason = planned.reason;
         assert!(tier_reason_degraded(reason), "{reason}");
     }
 

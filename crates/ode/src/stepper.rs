@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use yasksite_engine::{EngineError, ExecPool, SweepRequest, TuningParams};
+use yasksite_engine::{EngineError, ExecPool, PreparedSweep, SweepRequest, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 
 use crate::ivps::Ivp;
@@ -49,15 +49,17 @@ impl From<EngineError> for OdeError {
 }
 
 /// Executes a [`StepPlan`] natively, step after step, managing the grid
-/// pool, boundary halos and state rotation.
+/// pool, boundary halos and state rotation. Each op's sweep is prepared
+/// once, against the pool grids it reads and writes; a step only runs
+/// the prepared sweeps.
 pub struct Integrator {
     plan: StepPlan,
     pool: Vec<RefCell<Grid3>>,
-    params: TuningParams,
     exec: Option<Arc<ExecPool>>,
-    /// Per op: whether it is the last one writing some `next` grid, so
-    /// its sweep reports on the finiteness of the new state it produces.
-    scans_new_state: Vec<bool>,
+    /// Per op, its prepared sweep. The sweep of the last op writing some
+    /// `next` grid reports on the finiteness of the new state it
+    /// produces.
+    sweeps: Vec<PreparedSweep<'static>>,
     /// Fields whose `next` grid no op writes; their new state gets the
     /// whole-grid scan instead.
     unswept_fields: Vec<usize>,
@@ -79,10 +81,13 @@ impl fmt::Debug for Integrator {
 impl Integrator {
     /// Builds an integrator: allocates the plan's grid pool, writes the
     /// IVP's initial condition into the state grids and the boundary
-    /// values into the relevant halos.
+    /// values into the relevant halos, and prepares every op's sweep
+    /// under the tier policy read once here.
     ///
     /// # Errors
-    /// Returns [`OdeError::Plan`] if the plan fails validation.
+    /// Returns [`OdeError::Plan`] if the plan fails validation and
+    /// [`OdeError::Engine`] if an op does not bind to its grids under
+    /// `params`.
     pub fn new(
         ivp: &dyn Ivp,
         plan: StepPlan,
@@ -123,12 +128,28 @@ impl Integrator {
                 None => unswept_fields.push(fl),
             }
         }
+        let request = SweepRequest::new(&params);
+        let sweeps = plan
+            .ops
+            .iter()
+            .zip(scans_new_state)
+            .map(|(op, scan)| {
+                let borrowed: Vec<std::cell::Ref<'_, Grid3>> =
+                    op.inputs.iter().map(|&g| pool[g].borrow()).collect();
+                let refs: Vec<&Grid3> = borrowed.iter().map(|r| &**r).collect();
+                let request = if scan {
+                    request.clone().report_finite()
+                } else {
+                    request.clone()
+                };
+                request.prepare(&op.stencil, &refs, &pool[op.output].borrow())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Integrator {
             plan,
             pool,
-            params,
             exec: None,
-            scans_new_state,
+            sweeps,
             unswept_fields,
             t: 0.0,
             h,
@@ -183,16 +204,12 @@ impl Integrator {
         // sweep that writes a field's new state checks it as it goes, so
         // the state is not streamed from memory a second time.
         let mut finite = true;
-        for (op, &scan) in self.plan.ops.iter().zip(&self.scans_new_state) {
+        for (op, sweep) in self.plan.ops.iter().zip(&self.sweeps) {
             let borrowed: Vec<std::cell::Ref<'_, Grid3>> =
                 op.inputs.iter().map(|&g| self.pool[g].borrow()).collect();
             let refs: Vec<&Grid3> = borrowed.iter().map(|r| &**r).collect();
             let mut out = self.pool[op.output].borrow_mut();
-            let mut request = SweepRequest::new(&self.params).pool(self.exec_pool());
-            if scan {
-                request = request.report_finite();
-            }
-            let report = request.apply(&op.stencil, &refs, &mut out)?;
+            let report = sweep.run(self.exec_pool(), &refs, &mut out)?;
             finite &= report.finite != Some(false);
         }
         for (&s, &n) in self.plan.state_grids.iter().zip(&self.plan.next_grids) {

@@ -3,10 +3,10 @@
 
 use offsite::{measure_plan, predict_plan};
 use yasksite_arch::Machine;
-use yasksite_engine::TuningParams;
+use yasksite_engine::{SweepRequest, TuningParams};
 use yasksite_grid::{Fold, Grid3};
-use yasksite_ode::ivps::{Heat2d, Ivp, Wave2d};
-use yasksite_ode::{erk_plan, Integrator, Tableau, Variant};
+use yasksite_ode::ivps::{Bruss2d, Heat2d, Heat3d, InverterChain, Ivp, Wave2d};
+use yasksite_ode::{default_params, erk_plan, pirk_plan, Integrator, StepPlan, Tableau, Variant};
 
 /// One hand-rolled RK4 step on the Heat2D system, as an independent
 /// reference for the plan machinery.
@@ -62,6 +62,95 @@ fn plan_step_matches_manual_rk4() {
             got.max_abs_diff(&want).unwrap() < 1e-11,
             "variant {variant} diverges from manual RK4"
         );
+    }
+}
+
+/// The plan's grid pool laid out and initialised as `Integrator::new`
+/// does: state, next and scratch grids carry their field's boundary value
+/// in the halo, derivative grids a zero halo, and the state grids hold
+/// the initial condition.
+fn bare_pool(ivp: &dyn Ivp, plan: &StepPlan, fold: Fold) -> Vec<Grid3> {
+    let f = ivp.fields();
+    let mut pool: Vec<Grid3> = (0..plan.num_grids)
+        .map(|g| {
+            let mut grid = Grid3::new(&format!("bare{g}"), plan.domain, plan.halo, fold);
+            let field = [&plan.state_grids, &plan.next_grids, &plan.scratch_grids]
+                .iter()
+                .find_map(|list| list.iter().position(|&x| x == g))
+                .map(|p| p % f);
+            grid.fill_halo(field.map_or(0.0, |fl| ivp.boundary(fl)));
+            grid
+        })
+        .collect();
+    for (fl, &g) in plan.state_grids.iter().enumerate() {
+        pool[g].fill_with(|i, j, k| ivp.initial(fl, i, j, k));
+    }
+    pool
+}
+
+/// One step of `plan` as bare `SweepRequest::apply` calls on `pool`,
+/// followed by the state rotation.
+fn bare_step(plan: &StepPlan, params: &TuningParams, pool: &mut [Grid3]) {
+    for op in &plan.ops {
+        let mut out = std::mem::replace(
+            &mut pool[op.output],
+            Grid3::new("taken", [1, 1, 1], [0, 0, 0], Fold::unit()),
+        );
+        let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
+        SweepRequest::new(params)
+            .apply(&op.stencil, &inputs, &mut out)
+            .expect("the plan's ops bind to its pool");
+        pool[op.output] = out;
+    }
+    for (&s, &n) in plan.state_grids.iter().zip(&plan.next_grids) {
+        let [a, b] = pool.get_disjoint_mut([s, n]).expect("distinct grids");
+        a.swap_data(b).expect("state and next share a layout");
+    }
+}
+
+/// An integrator runs each op's sweep prepared once in `new`; a step
+/// must leave exactly the bits that preparing and running every op
+/// afresh (`SweepRequest::apply`) leaves, on every IVP, for RK4 in every
+/// variant and PIRK in both of its variants, at 1 to 3 threads, step
+/// after step.
+#[test]
+fn prepared_integrator_steps_match_bare_applies_bitwise() {
+    let ivps: Vec<(Box<dyn Ivp>, f64)> = vec![
+        (Box::new(Heat2d::new(12)), 1e-4),
+        (Box::new(Heat3d::new(7)), 1e-4),
+        (Box::new(Wave2d::new(12, 1.0)), 1e-3),
+        (Box::new(InverterChain::new(70, 5.0, 1.0, 0.5)), 1e-3),
+        (Box::new(Bruss2d::new(10)), 1e-3),
+    ];
+    for (ivp, h) in &ivps {
+        let (ivp, h) = (ivp.as_ref(), *h);
+        let mut plans: Vec<StepPlan> = Variant::all()
+            .into_iter()
+            .map(|v| erk_plan(&Tableau::rk4(), ivp, h, v))
+            .collect();
+        for v in [Variant::A, Variant::D] {
+            plans.push(pirk_plan(&Tableau::radau_iia2(), 3, ivp, h, v));
+        }
+        for plan in &plans {
+            for threads in 1..=3 {
+                let params = default_params(ivp.domain()).threads(threads);
+                let mut integ = Integrator::new(ivp, plan.clone(), h, params.clone()).unwrap();
+                let mut bare = bare_pool(ivp, plan, params.fold);
+                for step in 1..=4 {
+                    integ.step().unwrap();
+                    bare_step(plan, &params, &mut bare);
+                    for (fl, &g) in plan.state_grids.iter().enumerate() {
+                        let diff = integ.state(fl).max_abs_diff(&bare[g]).unwrap();
+                        assert!(
+                            diff == 0.0,
+                            "{} {} t={threads} step {step} field {fl}: {diff:e}",
+                            ivp.name(),
+                            plan.name
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

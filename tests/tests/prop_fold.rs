@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use xtests::seeded_grid;
-use yasksite_engine::{SweepProfiler, SweepRequest, Tier, TierPolicy, TuningParams};
+use yasksite_engine::{ExecPool, SweepProfiler, SweepRequest, Tier, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 use yasksite_stencil::builders::{box3d, paper_suite};
 use yasksite_stencil::{at, c, Expr, Stencil};
@@ -170,7 +170,9 @@ fn run_tier(
 /// generic per-point path produce the same bits; the non-linear one: tape tier and generic path
 /// do. Those bits are within 1e-12 of `Stencil::apply_reference` (the
 /// linear kernels merge coefficients, so that comparison is not exact).
-/// The executed tier is asserted so a silent degrade cannot pass.
+/// The executed tier is asserted so a silent degrade cannot pass. A sweep
+/// prepared against other grids of the same geometry and run on these
+/// writes the same bits.
 #[test]
 fn every_tier_agrees_on_every_named_stencil() {
     let lane = Fold::new(8, 1, 1);
@@ -209,6 +211,20 @@ fn every_tier_agrees_on_every_named_stencil() {
                 let (out, ran) = run_tier(stencil, &inputs, &params, policy, false);
                 let what = format!("{name}, fold {fold}, {policy:?}, {threads} threads");
                 assert_eq!(ran, tier, "{what}");
+                let others: Vec<Grid3> = (0..stencil.num_inputs())
+                    .map(|g| seeded_grid("v", n, halo, fold, 73 + g as u64))
+                    .collect();
+                let others: Vec<&Grid3> = others.iter().collect();
+                let prepared = SweepRequest::new(&params)
+                    .tier(policy)
+                    .prepare(stencil, &others, &Grid3::new("p", n, halo, fold))
+                    .unwrap();
+                let mut rebound = Grid3::new("o", n, halo, fold);
+                let report = prepared
+                    .run(ExecPool::global(), &inputs, &mut rebound)
+                    .unwrap();
+                assert_eq!(report.tier, tier, "{what}");
+                assert!(same_bits(&rebound, &out), "{what}: prepared elsewhere");
                 match &first {
                     Some(first) => assert!(same_bits(&out, first), "{what}"),
                     None => {
