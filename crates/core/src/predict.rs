@@ -2,6 +2,7 @@
 //! wavefront adjustment the plain ECM model does not know about.
 
 use yasksite_arch::Machine;
+use yasksite_ecm::layer::effective_capacity;
 use yasksite_ecm::{EcmModel, EcmPrediction, KernelDesc, OverlapPolicy};
 use yasksite_engine::{plan_kernel, TierPolicy, TuningParams};
 use yasksite_stencil::Stencil;
@@ -79,13 +80,7 @@ pub fn predict_params_resident(
             (domain[0] + 2 * info.radius[0]) as f64 * (domain[1] + 2 * info.radius[1]) as f64 * 8.0;
         let ws = planes as f64 * plane_bytes * 2.0; // both ping-pong buffers
         let llc = machine.caches.last().expect("machine has caches");
-        let users = llc
-            .scope
-            .sharers(machine.cores_per_socket)
-            .min(cores)
-            .max(1);
-        let eff = llc.size_bytes as f64 * yasksite_ecm::layer::CAPACITY_SAFETY / users as f64;
-        if ws <= eff {
+        if ws <= effective_capacity(llc, machine, cores) {
             wavefront_effective = true;
             let w = params.wavefront as f64;
             let nlev = p.t_data.len();

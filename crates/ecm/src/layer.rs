@@ -1,6 +1,6 @@
 //! Layer conditions: which cache level captures a stencil's vertical reuse.
 
-use yasksite_arch::Machine;
+use yasksite_arch::{CacheLevel, Machine};
 use yasksite_stencil::StencilInfo;
 
 /// Degree of reuse a cache level captures for one input grid.
@@ -33,6 +33,16 @@ pub struct LcReport {
 /// conflict/replacement noise breaks the condition; the customary safety
 /// factor in layer-condition analyses.
 pub const CAPACITY_SAFETY: f64 = 0.5;
+
+/// The bytes of `cache` one of `ncores` active cores can count on: its
+/// capacity times [`CAPACITY_SAFETY`], split among the active cores that
+/// share the level.
+#[must_use]
+pub fn effective_capacity(cache: &CacheLevel, machine: &Machine, ncores: usize) -> f64 {
+    let sharers = cache.scope.sharers(machine.cores_per_socket);
+    let users = sharers.min(ncores).max(1);
+    cache.size_bytes as f64 * CAPACITY_SAFETY / users as f64
+}
 
 /// Evaluates the layer conditions of input grid `g` of stencil `info` for a
 /// tile of `tile = [tx, ty, tz]` lattice points (the iteration tile at
@@ -67,9 +77,7 @@ pub fn layer_conditions(
         .caches
         .iter()
         .map(|c| {
-            let sharers = c.scope.sharers(machine.cores_per_socket);
-            let users = sharers.min(ncores).max(1);
-            let eff = c.size_bytes as f64 * CAPACITY_SAFETY / users as f64;
+            let eff = effective_capacity(c, machine, ncores);
             if ws_layers <= eff {
                 LayerStatus::Layers
             } else if ws_rows <= eff {

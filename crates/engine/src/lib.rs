@@ -14,8 +14,12 @@
 //!   row-vectorised register program of a non-linear expression (the
 //!   tape tier), or the layout-agnostic generic path —
 //!   and reports which tier executed; used for host measurements and as
-//!   the correctness oracle's subject.
-//! * **simulated** ([`apply_simulated`], [`run_wavefront_simulated`]):
+//!   the correctness oracle's subject. A [`PreparedChain`] runs a
+//!   sequence of prepared sweeps over a pool of grids as one pass, skewed
+//!   in z and tiled in y: a wavefront is a chain of equal sweeps, an ODE
+//!   step a chain of its stage sweeps.
+//! * **simulated** ([`apply_simulated`], [`run_chain_simulated`],
+//!   [`run_wavefront_simulated`]):
 //!   walks the *same* iteration order but issues the touched cache lines
 //!   to [`yasksite_memsim::MemHierarchy`], producing the "measured"
 //!   numbers for the paper's Cascade Lake and Rome configurations.
@@ -73,4 +77,6 @@ pub use sweep::{
     plan_kernel, tier_reason_degraded, Kernel, PlannedKernel, SweepReport, SweepRequest, Tier,
     TierPolicy, FORCE_TIER_ENV,
 };
-pub use wavefront::run_wavefront_simulated;
+pub use wavefront::{
+    chain_runs_tiled, run_chain_simulated, run_wavefront_simulated, ChainLevel, PreparedChain,
+};

@@ -71,15 +71,15 @@ impl FiniteScan {
 /// identical storage layouts, so a sweep prepared against one runs on
 /// the other (a rotated ODE state, a measurement's warm-up grids).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GridGeometry {
-    n: [usize; 3],
+pub(crate) struct GridGeometry {
+    pub(crate) n: [usize; 3],
     halo: [usize; 3],
     alloc: [usize; 3],
     fold: Fold,
 }
 
 impl GridGeometry {
-    fn of(g: &Grid3) -> GridGeometry {
+    pub(crate) fn of(g: &Grid3) -> GridGeometry {
         GridGeometry {
             n: g.n(),
             halo: g.halo(),
@@ -102,15 +102,17 @@ impl GridGeometry {
 /// prepares each op once and runs it every step; rotating state storage
 /// between steps keeps every geometry, so the preparation stays valid.
 pub struct PreparedSweep<'a> {
-    compiled: CompiledStencil,
-    planned: PlannedKernel,
+    pub(crate) compiled: CompiledStencil,
+    pub(crate) planned: PlannedKernel,
     /// The lowered linear row kernel, when the plan runs on it.
-    rows: Option<LinearKernel>,
-    inputs: Vec<GridGeometry>,
-    out: GridGeometry,
-    params: TuningParams,
-    profiler: Option<&'a SweepProfiler>,
-    report_finite: bool,
+    pub(crate) rows: Option<LinearKernel>,
+    /// The stencil's largest access offset per axis.
+    pub(crate) radius: [usize; 3],
+    pub(crate) inputs: Vec<GridGeometry>,
+    pub(crate) out: GridGeometry,
+    pub(crate) params: TuningParams,
+    pub(crate) profiler: Option<&'a SweepProfiler>,
+    pub(crate) report_finite: bool,
 }
 
 impl<'a> PreparedSweep<'a> {
@@ -141,7 +143,34 @@ impl<'a> PreparedSweep<'a> {
                 });
             }
         }
+        let plan = |compiled: &CompiledStencil, geometry_shared: bool| {
+            plan_spatial(compiled, geometry_shared, params, policy)
+        };
+        Ok(Self::lower(
+            stencil,
+            inputs,
+            out,
+            params,
+            profiler,
+            report_finite,
+            plan,
+        ))
+    }
 
+    /// Compiles `stencil`, plans its kernel with `plan` (handed the
+    /// compiled stencil and whether every input shares the output's
+    /// allocation and halo) and, for the linear row kernel, lowers it
+    /// against the geometry of `inputs`. The caller has checked the
+    /// bindings and the parameters.
+    pub(crate) fn lower(
+        stencil: &Stencil,
+        inputs: &[&Grid3],
+        out: &Grid3,
+        params: &TuningParams,
+        profiler: Option<&'a SweepProfiler>,
+        report_finite: bool,
+        plan: impl FnOnce(&CompiledStencil, bool) -> PlannedKernel,
+    ) -> PreparedSweep<'a> {
         let disabled = SweepProfiler::disabled();
         let prof = profiler.unwrap_or(&disabled);
         let t_compile = prof.start();
@@ -150,26 +179,24 @@ impl<'a> PreparedSweep<'a> {
         let geometry_shared = inputs
             .iter()
             .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
-        let planned = plan_spatial(&compiled, geometry_shared, params, policy);
-        let rows = match planned.kernel {
-            Kernel::LaneRows(_) | Kernel::ScalarRows => {
-                let (terms, constant) = compiled
-                    .linear_terms()
-                    .expect("planner picked a linear kernel");
-                Some(LinearKernel::build(terms, constant, inputs))
-            }
-            _ => None,
-        };
-        Ok(PreparedSweep {
+        let planned = plan(&compiled, geometry_shared);
+        let rows = planned.kernel.runs_rows().then(|| {
+            let (terms, constant) = compiled
+                .linear_terms()
+                .expect("planner picked a linear kernel");
+            LinearKernel::build(terms, constant, inputs)
+        });
+        PreparedSweep {
             compiled,
             planned,
             rows,
+            radius: stencil.info().radius,
             inputs: inputs.iter().map(|g| GridGeometry::of(g)).collect(),
             out: GridGeometry::of(out),
             params: params.clone(),
             profiler,
             report_finite,
-        })
+        }
     }
 
     /// Sets the profiler later runs record their `"sweep"` phase, chunks
@@ -203,6 +230,13 @@ impl<'a> PreparedSweep<'a> {
         inputs: &[&Grid3],
         out: &mut Grid3,
     ) -> Result<SweepReport, EngineError> {
+        self.check(inputs, out)?;
+        Ok(self.execute(pool, inputs, out))
+    }
+
+    /// The binding checks of [`PreparedSweep::run`]: the prepared arity,
+    /// and every grid of the geometry it was prepared against.
+    pub(crate) fn check(&self, inputs: &[&Grid3], out: &Grid3) -> Result<(), EngineError> {
         if inputs.len() != self.inputs.len() {
             return Err(EngineError::Binding(StencilError::ArityMismatch {
                 expected: self.inputs.len(),
@@ -210,7 +244,7 @@ impl<'a> PreparedSweep<'a> {
             }));
         }
         let bound = inputs.iter().map(|g| &**g).zip(&self.inputs);
-        for (g, &prepared) in bound.chain(std::iter::once((&*out, &self.out))) {
+        for (g, &prepared) in bound.chain(std::iter::once((out, &self.out))) {
             let geometry = GridGeometry::of(g);
             if geometry != prepared {
                 return Err(EngineError::BadParams {
@@ -221,7 +255,16 @@ impl<'a> PreparedSweep<'a> {
                 });
             }
         }
+        Ok(())
+    }
 
+    /// [`PreparedSweep::run`] on grids [`PreparedSweep::check`] accepted.
+    pub(crate) fn execute(
+        &self,
+        pool: &ExecPool,
+        inputs: &[&Grid3],
+        out: &mut Grid3,
+    ) -> SweepReport {
         let disabled = SweepProfiler::disabled();
         let prof = self.profiler.unwrap_or(&disabled);
         let params = &self.params;
@@ -264,7 +307,7 @@ impl<'a> PreparedSweep<'a> {
         let seconds = start.elapsed().as_secs_f64();
         prof.phase_done("sweep", t_sweep);
         prof.pool_window(pool.stats());
-        Ok(SweepReport {
+        SweepReport {
             seconds,
             mlups: updates as f64 / seconds.max(1e-12) / 1e6,
             updates,
@@ -273,7 +316,7 @@ impl<'a> PreparedSweep<'a> {
             tier_reason: self.planned.reason,
             wavefront_depth: 1,
             finite: self.report_finite.then_some(scan.all_finite()),
-        })
+        }
     }
 }
 
@@ -332,9 +375,9 @@ const POINTS: usize = 8;
 /// per preparation so the per-row work is pure arithmetic on pre-resolved
 /// offsets. The kernel borrows no grid: each application binds the
 /// input storage (one slice per input grid, of the geometry it was built
-/// against), so a prepared sweep runs it on any grids of that geometry
-/// and a wavefront builds it once for both directions of its ping-pong
-/// pair.
+/// against), so a prepared sweep runs it on any grids of that geometry:
+/// a rotated ODE state, both directions of a wavefront's ping-pong pair,
+/// or one tile-plane of a chain at a time.
 pub(crate) struct LinearKernel {
     geoms: Vec<Geom>,
     offs: Vec<isize>,

@@ -20,7 +20,12 @@ pub struct TuningParams {
     /// Number of worker threads / simulated cores.
     pub threads: usize,
     /// Temporal-blocking depth: time steps fused per wavefront sweep
-    /// (1 = plain spatial blocking).
+    /// (1 = plain spatial blocking). On an ODE step plan, any depth above
+    /// 1 means: run the step's ops as one tiled pass (a
+    /// [`crate::PreparedChain`]) in y-tiles of `block[1] × threads` rows,
+    /// when every op runs on the linear row kernel — up to `wavefront`
+    /// steps per pass, of which one step is implemented. Results never
+    /// depend on it.
     pub wavefront: usize,
     /// Use non-temporal (streaming) stores.
     pub streaming_stores: bool,

@@ -193,6 +193,13 @@ impl Kernel {
             Kernel::PerPoint => Issue::PerPoint,
         }
     }
+
+    /// Whether this is the linear row kernel, under either rung's name:
+    /// the one kernel a tiled chain runs its tile-planes on.
+    #[must_use]
+    pub fn runs_rows(self) -> bool {
+        matches!(self, Kernel::LaneRows(_) | Kernel::ScalarRows)
+    }
 }
 
 /// A planner decision: the kernel and the one-line reason for it.
@@ -549,14 +556,6 @@ impl<'a> SweepRequest<'a> {
         a: &mut Grid3,
         b: &mut Grid3,
     ) -> Result<SweepReport, EngineError> {
-        let disabled;
-        let prof = match self.profiler {
-            Some(p) => p,
-            None => {
-                disabled = SweepProfiler::disabled();
-                &disabled
-            }
-        };
         let updates = (a.domain_points() * self.params.wavefront) as u64;
         let start = Instant::now();
         let (widest, finite, planned) = execute_wavefront(
@@ -565,7 +564,7 @@ impl<'a> SweepRequest<'a> {
             a,
             b,
             &self.params,
-            prof,
+            self.profiler,
             self.tier,
             self.report_finite,
         )?;

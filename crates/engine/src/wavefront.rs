@@ -1,49 +1,74 @@
-//! Wavefront temporal blocking: time skewing along z, tiled in y.
+//! Tiled chains: a sequence of sweeps run as one pass over the domain,
+//! skewed in z and tiled in y.
 //!
-//! A wavefront sweep performs `wf` Jacobi time steps in one pass over the
-//! domain. The domain is cut into y-tiles of `clipped_block(n)[1] ×
-//! params.threads` rows, run one after another, and each tile runs the
-//! whole z-wavefront: plane `z` of time level `s+1` is computed as soon
-//! as the planes it needs from level `s` are ready, with a skew of
-//! `shift = max(r_z, 1)` planes per level, while the tile's rows move back
-//! by `sy = max(r_y, 1)` rows per level (a parallelogram in y and time).
-//! Only one tile's planes are live at a time, so a block height whose
-//! working set fits in L2 lets every level reuse what the level below
-//! left there instead of re-streaming whole planes from L3 or memory. A
-//! block as tall as the domain gives one tile: the untiled wavefront.
+//! A chain is a list of *levels*, each a prepared sweep bound to a pool
+//! of grids: its own input grids, its own output grid. Two kinds of
+//! caller build one. A depth-`w` wavefront
+//! ([`crate::SweepRequest::run_wavefront`]) is `w` equal levels over a
+//! ping-pong pair, and an explicit ODE step is its stage and update
+//! sweeps, which read and rewrite several grids of a larger pool.
 //!
-//! Two ping-pong buffers suffice for any depth and any tile height. A skew
-//! of at least the stencil radius per level keeps both orders the buffers
-//! need: every level-`s−1` neighbour of a point is computed before the
-//! point (read after write), and a level-`s−2` value is overwritten by
-//! level `s` only after all of its level-`s−1` readers ran (write after
-//! read); DESIGN.md "Wavefront tiling" has the argument. [`Schedule`] is
-//! the one statement of that order: the native executor (row kernels and
-//! per-point fallback alike) and [`run_wavefront_simulated`] both walk it.
+//! Run op by op, each level sweeps the whole domain before the next one
+//! starts. Run tiled, the domain is cut into y-tiles of
+//! `clipped_block(n)[1] × params.threads` rows, run one after another,
+//! and each tile runs the whole z-wavefront: plane `z` of level `l + 1`
+//! is computed as soon as the planes it reads are ready, with a skew of
+//! `shift = max(r_z, 1)` planes per level, while the tile's rows move
+//! back by `sy = max(r_y, 1)` rows per level (a parallelogram in y and
+//! level), `r` being the largest radius of any level. Only one tile's
+//! planes are live at a time, so a block height whose working set fits
+//! in L2 lets each level read what the levels before it left there
+//! instead of re-streaming whole planes from L3 or memory. A block as
+//! tall as the domain gives one tile.
 //!
-//! The native path composes all three YASK levers, as the paper does:
-//! each tile-plane update runs through the same allocation-free linear
-//! row kernels as a spatial [`crate::SweepRequest::apply`], blocked in x
-//! by `params.block`, and its rows are split into `params.threads`
-//! chunks of one block height executed on the persistent [`ExecPool`].
-//! The per-point operation order is identical to the plain stepper's, so
-//! a depth-`wf` wavefront bitwise-matches `wf` plain sweeps.
+//! A skew of at least the largest radius per level keeps every order the
+//! op-by-op run has, whatever the levels read and write: a value is read
+//! only after the last level before the reader wrote it (read after
+//! write), overwritten only after every earlier level that reads the old
+//! value ran (write after read), and a grid written twice keeps its
+//! writers' order. That covers the ping-pong pair of a wavefront and the
+//! grids an ODE step rewrites within a step; DESIGN.md "Tiled chains"
+//! has the argument. No level ever writes a halo. [`Schedule`] is the
+//! one statement of that order: the native executor (row kernels and
+//! per-point fallback alike) and the simulated walk
+//! ([`run_chain_simulated`], [`run_wavefront_simulated`]) both follow it.
+//!
+//! A tile-plane runs through the same allocation-free linear row kernel
+//! as a spatial [`crate::PreparedSweep::run`], blocked in x by
+//! `params.block`, its rows split into `params.threads` chunks of one
+//! block height executed on the persistent [`ExecPool`]. The per-point
+//! operation order is identical to the op-by-op run's, so a tiled chain
+//! bitwise-matches its levels swept one after another.
+
+use std::borrow::BorrowMut;
 
 use yasksite_grid::Grid3;
 use yasksite_memsim::Access;
 use yasksite_stencil::Stencil;
 
-use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::{FiniteScan, Geom, LinearKernel, Sink};
+use crate::native::{FiniteScan, Geom, GridGeometry, LinearKernel, PreparedSweep, Sink};
 use crate::params::TuningParams;
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
 use crate::simulate::{apply_simulated, planned_incore, touch_row, Groups, SimContext};
 use crate::sweep::{plan_wavefront, Kernel, PlannedKernel, TierPolicy};
 
-/// One unit of a wavefront's work: rows `rows.0..rows.1` of plane `z` at
-/// time level `level`, inside y-tile `tile`.
+/// One level of a chain: the sweep it runs (an index into the chain's
+/// sweeps, or into the stencils of a simulated walk), the pool grids it
+/// reads, in the stencil's input order, and the pool grid it writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainLevel {
+    /// Index of the level's sweep.
+    pub sweep: usize,
+    /// Pool indices of the sweep's inputs.
+    pub inputs: Vec<usize>,
+    /// Pool index of the sweep's output.
+    pub output: usize,
+}
+
+/// One unit of a tiled chain's work: rows `rows.0..rows.1` of plane `z`
+/// of level `level`, inside y-tile `tile`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TilePlane {
     pub(crate) level: usize,
@@ -52,11 +77,11 @@ pub(crate) struct TilePlane {
     pub(crate) rows: (usize, usize),
 }
 
-/// The order of a wavefront's work: y-tiles one after another, each a
+/// The order of a tiled chain's work: y-tiles one after another, each a
 /// z-wavefront of tile-planes, each tile-plane split into one row chunk
 /// per thread.
 ///
-/// At level `s`, tile `T` covers rows `[T·h − s·sy, (T+1)·h − s·sy)`
+/// At level `l`, tile `T` covers rows `[T·h − l·sy, (T+1)·h − l·sy)`
 /// clamped to the domain, with `h = block_y × threads` and
 /// `sy = max(r_y, 1)`; the first tile starts at row 0 and the last ends
 /// at `n_y`. Thread `c` of a tile-plane takes the `c`-th block height of
@@ -64,7 +89,7 @@ pub(crate) struct TilePlane {
 #[derive(Debug)]
 pub(crate) struct Schedule {
     n: [usize; 3],
-    depth: usize,
+    levels: usize,
     /// z-skew per level, in planes.
     shift: usize,
     /// y-skew per level, in rows.
@@ -76,14 +101,19 @@ pub(crate) struct Schedule {
 }
 
 impl Schedule {
-    /// The schedule of a depth-`params.wavefront` wavefront of a stencil
-    /// with per-axis `radius` over domain `n`. `params` must be valid for
+    /// The schedule of a chain of `levels` levels whose largest per-axis
+    /// radius is `radius`, over domain `n`. `params` must be valid for
     /// `n` ([`TuningParams::validate`]).
-    pub(crate) fn new(n: [usize; 3], radius: [usize; 3], params: &TuningParams) -> Schedule {
+    pub(crate) fn new(
+        n: [usize; 3],
+        levels: usize,
+        radius: [usize; 3],
+        params: &TuningParams,
+    ) -> Schedule {
         let block_y = params.clipped_block(n)[1];
         Schedule {
             n,
-            depth: params.wavefront,
+            levels,
             shift: radius[2].max(1),
             sy: radius[1].max(1),
             block_y,
@@ -105,10 +135,10 @@ impl Schedule {
     /// The tile-planes in execution order; empty ones (a tile shorter
     /// than its skew) are skipped.
     pub(crate) fn tile_planes(&self) -> impl Iterator<Item = TilePlane> + '_ {
-        let zmax = self.n[2] + (self.depth - 1) * self.shift;
+        let zmax = self.n[2] + (self.levels - 1) * self.shift;
         (0..self.tiles).flat_map(move |tile| {
             (0..zmax).flat_map(move |zt| {
-                (0..self.depth).filter_map(move |level| {
+                (0..self.levels).filter_map(move |level| {
                     let z = zt
                         .checked_sub(level * self.shift)
                         .filter(|&z| z < self.n[2])?;
@@ -154,12 +184,255 @@ impl Schedule {
     }
 }
 
+/// The per-axis maximum of `radii`.
+fn largest_radius(radii: impl Iterator<Item = [usize; 3]>) -> [usize; 3] {
+    radii.fold([0; 3], |m, r| {
+        [m[0].max(r[0]), m[1].max(r[1]), m[2].max(r[2])]
+    })
+}
+
+fn bad_params(reason: String) -> EngineError {
+    EngineError::BadParams { reason }
+}
+
+/// The grids `level` reads and the grid it writes, out of `grids`. The
+/// indices are in range and the output is not among the inputs.
+fn bind<'g, G: BorrowMut<Grid3>>(
+    grids: &'g mut [G],
+    level: &ChainLevel,
+) -> (Vec<&'g Grid3>, &'g mut Grid3) {
+    let (before, rest) = grids.split_at_mut(level.output);
+    let (out, after) = rest.split_first_mut().expect("output index in range");
+    let (before, after) = (&*before, &*after);
+    let inputs = level
+        .inputs
+        .iter()
+        .map(|&g| match g.cmp(&level.output) {
+            std::cmp::Ordering::Less => before[g].borrow(),
+            _ => after[g - level.output - 1].borrow(),
+        })
+        .collect();
+    (inputs, out.borrow_mut())
+}
+
+/// Whether [`PreparedChain::new`] runs a chain under `params` whose
+/// sweeps plan `kernels` as one tiled pass: a wavefront is asked for and
+/// every sweep runs the linear row kernel. Any other chain runs op by op.
+#[must_use]
+pub fn chain_runs_tiled(params: &TuningParams, kernels: impl IntoIterator<Item = Kernel>) -> bool {
+    params.wavefront > 1 && kernels.into_iter().all(Kernel::runs_rows)
+}
+
+/// A chain of prepared sweeps over a pool of grids, run once per
+/// [`PreparedChain::run`]: as one tiled pass when the sweeps' parameters
+/// ask for a wavefront (`params.wavefront > 1`) and every sweep runs on
+/// the linear row kernel, op by op otherwise. Both orders leave the same
+/// bits.
+///
+/// ```
+/// use yasksite_engine::{ChainLevel, ExecPool, PreparedChain, SweepRequest, TuningParams};
+/// use yasksite_grid::{Fold, Grid3};
+/// use yasksite_stencil::builders::heat3d;
+///
+/// // Two heat steps, 0 → 1 → 2, in 4-row tiles.
+/// let fold = Fold::new(8, 1, 1);
+/// let mut grids: Vec<Grid3> = (0..3)
+///     .map(|g| Grid3::new(&format!("g{g}"), [16, 16, 16], [1, 1, 1], fold))
+///     .collect();
+/// grids[0].fill_with(|i, j, k| (i + j + k) as f64);
+/// let params = TuningParams::new([16, 4, 16], fold).wavefront(2);
+/// let request = SweepRequest::new(&params);
+/// let s = heat3d(1);
+/// let sweeps = vec![
+///     request.prepare(&s, &[&grids[0]], &grids[1])?,
+///     request.prepare(&s, &[&grids[1]], &grids[2])?,
+/// ];
+/// let levels = vec![
+///     ChainLevel { sweep: 0, inputs: vec![0], output: 1 },
+///     ChainLevel { sweep: 1, inputs: vec![1], output: 2 },
+/// ];
+/// let chain = PreparedChain::new(sweeps, levels)?;
+/// assert!(chain.tiled());
+/// chain.run(ExecPool::global(), &mut grids)?;
+/// # Ok::<(), yasksite_engine::EngineError>(())
+/// ```
+pub struct PreparedChain<'a> {
+    sweeps: Vec<PreparedSweep<'a>>,
+    levels: Vec<ChainLevel>,
+    /// The tiled pass's order; `None` runs the levels op by op.
+    schedule: Option<Schedule>,
+}
+
+impl<'a> PreparedChain<'a> {
+    /// Chains `levels`, each running one of `sweeps` (prepared by
+    /// [`crate::SweepRequest::prepare`] under one set of parameters, over
+    /// one domain) on grids of a pool. The chain runs tiled when
+    /// [`chain_runs_tiled`] holds for the sweeps' parameters and planned
+    /// kernels; any other plan (a tape, a brick fold) runs op by op.
+    ///
+    /// # Errors
+    /// [`EngineError::BadParams`] when a level names a sweep that does
+    /// not exist or reads its own output, or when the sweeps differ in
+    /// parameters or domain; [`EngineError::Binding`] when a level binds
+    /// another number of inputs than its sweep reads.
+    pub fn new(
+        sweeps: Vec<PreparedSweep<'a>>,
+        levels: Vec<ChainLevel>,
+    ) -> Result<PreparedChain<'a>, EngineError> {
+        let tiled = sweeps.first().is_some_and(|first| {
+            chain_runs_tiled(&first.params, sweeps.iter().map(|s| s.planned.kernel))
+        });
+        PreparedChain::build(sweeps, levels, tiled)
+    }
+
+    fn build(
+        sweeps: Vec<PreparedSweep<'a>>,
+        levels: Vec<ChainLevel>,
+        tiled: bool,
+    ) -> Result<PreparedChain<'a>, EngineError> {
+        for (l, level) in levels.iter().enumerate() {
+            let sweep = sweeps.get(level.sweep).ok_or_else(|| {
+                bad_params(format!(
+                    "level {l} runs sweep {} of {}",
+                    level.sweep,
+                    sweeps.len()
+                ))
+            })?;
+            if level.inputs.len() != sweep.inputs.len() {
+                return Err(EngineError::Binding(
+                    yasksite_stencil::StencilError::ArityMismatch {
+                        expected: sweep.inputs.len(),
+                        got: level.inputs.len(),
+                    },
+                ));
+            }
+            if level.inputs.contains(&level.output) {
+                return Err(bad_params(format!("level {l} reads its own output")));
+            }
+        }
+        let schedule = match sweeps.first() {
+            Some(first) => {
+                if sweeps
+                    .iter()
+                    .any(|s| s.params != first.params || s.out.n != first.out.n)
+                {
+                    return Err(bad_params(
+                        "the chain's sweeps differ in parameters or domain".into(),
+                    ));
+                }
+                let radius = largest_radius(sweeps.iter().map(|s| s.radius));
+                (tiled && !levels.is_empty())
+                    .then(|| Schedule::new(first.out.n, levels.len(), radius, &first.params))
+            }
+            None => None,
+        };
+        Ok(PreparedChain {
+            sweeps,
+            levels,
+            schedule,
+        })
+    }
+
+    /// Whether [`PreparedChain::run`] makes one tiled pass (otherwise it
+    /// runs the levels op by op).
+    #[must_use]
+    pub fn tiled(&self) -> bool {
+        self.schedule.is_some()
+    }
+
+    /// Runs every level once over `grids`, on `pool`. Returns whether
+    /// every value written by a sweep prepared with
+    /// [`crate::SweepRequest::report_finite`] is finite. Halos are never
+    /// written.
+    ///
+    /// # Errors
+    /// [`EngineError::BadParams`] when a level's grid index is out of
+    /// range or a grid's geometry differs from the one its sweep was
+    /// prepared against; nothing runs then.
+    pub fn run<G: BorrowMut<Grid3>>(
+        &self,
+        pool: &ExecPool,
+        grids: &mut [G],
+    ) -> Result<bool, EngineError> {
+        for level in &self.levels {
+            let indices = level.inputs.iter().chain(std::iter::once(&level.output));
+            if let Some(g) = indices.copied().find(|&g| g >= grids.len()) {
+                return Err(bad_params(format!(
+                    "the chain binds grid {g} of {}",
+                    grids.len()
+                )));
+            }
+            let (inputs, out) = bind(grids, level);
+            self.sweeps[level.sweep].check(&inputs, out)?;
+        }
+        Ok(self.execute(pool, grids).1)
+    }
+
+    /// Runs the chain on grids [`PreparedChain::run`]'s checks accepted;
+    /// returns `(widest chunk count, finite)`.
+    fn execute<G: BorrowMut<Grid3>>(&self, pool: &ExecPool, grids: &mut [G]) -> (usize, bool) {
+        let Some(schedule) = &self.schedule else {
+            let mut widest = 1;
+            let mut finite = true;
+            for level in &self.levels {
+                let (inputs, out) = bind(grids, level);
+                let report = self.sweeps[level.sweep].execute(pool, &inputs, out);
+                widest = widest.max(report.threads_used);
+                finite &= report.finite != Some(false);
+            }
+            return (widest, finite);
+        };
+        // The sweeps share their request's profiler.
+        let disabled = SweepProfiler::disabled();
+        let prof = self.sweeps[0].profiler.unwrap_or(&disabled);
+        let params = &self.sweeps[0].params;
+        let n = self.sweeps[0].out.n;
+        let scans = [FiniteScan::new(false), FiniteScan::new(true)];
+        let mut scratch: Vec<Vec<f64>> = self
+            .sweeps
+            .iter()
+            .map(|s| s.compiled.point_scratch())
+            .collect();
+        let mut widest = 1usize;
+        prof.pool_window(pool.stats());
+        let t_pass = prof.start();
+        for tp in schedule.tile_planes() {
+            let level = &self.levels[tp.level];
+            let sweep = &self.sweeps[level.sweep];
+            let scan = &scans[usize::from(sweep.report_finite)];
+            let (inputs, out) = bind(grids, level);
+            let t_plane = prof.start();
+            if let Some(kernel) = &sweep.rows {
+                let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
+                let used = tile_plane_rows(
+                    pool, kernel, &inputs, out, &tp, schedule, params, prof, scan,
+                );
+                widest = widest.max(used);
+            } else {
+                let scratch = &mut scratch[level.sweep];
+                let z = tp.z as isize;
+                for j in tp.rows.0 as isize..tp.rows.1 as isize {
+                    for i in 0..n[0] as isize {
+                        let v = sweep.compiled.eval_at_in(scratch, &inputs, i, j, z);
+                        out.set(i, j, z, v);
+                        scan.check(&[v]);
+                    }
+                }
+            }
+            prof.plane_done(t_plane);
+        }
+        prof.phase_done("wavefront", t_pass);
+        prof.pool_window(pool.stats());
+        (widest, scans[1].all_finite())
+    }
+}
+
 fn wavefront_checks(
     stencil: &Stencil,
     a: &Grid3,
     b: &Grid3,
     params: &TuningParams,
-) -> Result<Schedule, EngineError> {
+) -> Result<(), EngineError> {
     if stencil.num_inputs() != 1 {
         return Err(EngineError::Unsupported {
             reason: "wavefront needs a single-input (ping-pong) stencil".into(),
@@ -169,22 +442,42 @@ fn wavefront_checks(
     stencil.check_bindings(&[b], a)?;
     params
         .validate(a.n())
-        .map_err(|reason| EngineError::BadParams { reason })?;
-    Ok(Schedule::new(a.n(), stencil.info().radius, params))
+        .map_err(|reason| EngineError::BadParams { reason })
 }
 
-/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`].
-/// Performs `params.wavefront` time steps in one tiled, skewed sweep and
-/// returns `(widest chunk count, every written value finite, planned
-/// kernel)`; the finiteness covers every time level and is `true`
-/// without `scan`.
+/// The levels of a depth-`depth` wavefront over the pair `[a, b]`: even
+/// levels run sweep 0 from `a` into `b`, odd ones sweep `backward` from
+/// `b` into `a`.
+fn ping_pong_levels(depth: usize, backward: usize) -> Vec<ChainLevel> {
+    (0..depth)
+        .map(|level| {
+            let (sweep, from, to) = if level.is_multiple_of(2) {
+                (0, 0, 1)
+            } else {
+                (backward, 1, 0)
+            };
+            ChainLevel {
+                sweep,
+                inputs: vec![from],
+                output: to,
+            }
+        })
+        .collect()
+}
+
+/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`]:
+/// `params.wavefront` equal levels over the ping-pong pair `(a, b)` as
+/// one tiled chain, prepared once per call (once per direction when the
+/// two grids differ in geometry). Returns `(widest chunk count, every
+/// written value finite, planned kernel)`; the finiteness covers every
+/// level and is `true` without `scan`.
 ///
-/// Linear stencils on matching row-major layouts take the fast path:
-/// each tile-plane's chunks run on the pool through the linear row
-/// kernel, whichever of its two rungs the planner named. Everything else
-/// falls back to the per-point generic loop over the same schedule. Halo values of both buffers are left
-/// untouched (fixed-value boundary), matching how the plain steppers
-/// treat them.
+/// Linear stencils on matching row-major layouts run each tile-plane's
+/// chunks on the pool through the linear row kernel, whichever of its
+/// two rungs the planner named. Everything else falls back to the
+/// per-point generic loop over the same schedule. Halo values of both
+/// buffers are left untouched (fixed-value boundary), matching how the
+/// plain steppers treat them.
 #[allow(clippy::too_many_arguments)] // internal executor; one call site
 pub(crate) fn execute_wavefront(
     pool: &ExecPool,
@@ -192,73 +485,43 @@ pub(crate) fn execute_wavefront(
     a: &mut Grid3,
     b: &mut Grid3,
     params: &TuningParams,
-    prof: &SweepProfiler,
+    profiler: Option<&SweepProfiler>,
     policy: TierPolicy,
     scan: bool,
 ) -> Result<(usize, bool, PlannedKernel), EngineError> {
-    let schedule = wavefront_checks(stencil, a, b, params)?;
-    let t_compile = prof.start();
-    let compiled = CompiledStencil::compile(stencil);
-    prof.phase_done("compile", t_compile);
-    let n = a.n();
-    // The fast path splits plane storage into contiguous row chunks, so
-    // both buffers must really be row-major with identical layouts.
+    wavefront_checks(stencil, a, b, params)?;
+    // Tile-planes run the row kernel on identically laid-out row-major
+    // buffers only; any other pair runs per point.
     let layouts_match = a.fold() == params.fold
         && b.fold() == params.fold
         && a.halo() == b.halo()
         && a.alloc() == b.alloc();
-    let planned = plan_wavefront(&compiled, layouts_match, params, policy);
-    let scan = &FiniteScan::new(scan);
-    let mut widest = 1usize;
-    prof.pool_window(pool.stats());
-    let t_wavefront = prof.start();
-    if matches!(planned.kernel, Kernel::LaneRows(_) | Kernel::ScalarRows) {
-        let (terms, constant) = compiled.linear_terms().expect("fast implies linear");
-        // Both buffers share one layout here, so the kernel lowered
-        // against `a` serves a→b and b→a alike.
-        let kernel = LinearKernel::build(terms, constant, &[&*a]);
-        for tp in schedule.tile_planes() {
-            let (src, dst) = ping_pong(a, b, tp.level);
-            let t_plane = prof.start();
-            let used = tile_plane_rows(pool, &kernel, src, dst, &tp, &schedule, params, prof, scan);
-            widest = widest.max(used);
-            prof.plane_done(t_plane);
-        }
-    } else {
-        let mut scratch = compiled.point_scratch();
-        for tp in schedule.tile_planes() {
-            let (src, dst) = ping_pong(a, b, tp.level);
-            let t_plane = prof.start();
-            let z = tp.z as isize;
-            for j in tp.rows.0 as isize..tp.rows.1 as isize {
-                for i in 0..n[0] as isize {
-                    let v = compiled.eval_at_in(&mut scratch, &[src], i, j, z);
-                    dst.set(i, j, z, v);
-                    scan.check(&[v]);
-                }
-            }
-            prof.plane_done(t_plane);
-        }
+    let prepare = |from: &Grid3, to: &Grid3| {
+        PreparedSweep::lower(
+            stencil,
+            &[from],
+            to,
+            params,
+            profiler,
+            scan,
+            |compiled, _| plan_wavefront(compiled, layouts_match, params, policy),
+        )
+    };
+    let mut sweeps = vec![prepare(a, b)];
+    if GridGeometry::of(a) != GridGeometry::of(b) {
+        sweeps.push(prepare(b, a));
     }
-    prof.phase_done("wavefront", t_wavefront);
-    prof.pool_window(pool.stats());
+    let planned = sweeps[0].planned;
+    let levels = ping_pong_levels(params.wavefront, sweeps.len() - 1);
+    let chain = PreparedChain::build(sweeps, levels, true)?;
+    let (widest, finite) = chain.execute(pool, &mut [&mut *a, &mut *b]);
     if params.wavefront % 2 == 1 {
         a.swap_data(b).expect("ping-pong pair has identical layout");
     }
-    Ok((widest, scan.all_finite(), planned))
+    Ok((widest, finite, planned))
 }
 
-/// `(source, destination)` of time level `level`: even levels read `a`
-/// and write `b`, odd levels the reverse.
-fn ping_pong<'g>(a: &'g mut Grid3, b: &'g mut Grid3, level: usize) -> (&'g Grid3, &'g mut Grid3) {
-    if level.is_multiple_of(2) {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// One tile-plane update `dst[·, rows, z] = stencil(src)` through the
+/// One tile-plane update `dst[·, rows, z] = stencil(inputs)` through the
 /// linear row kernel: the schedule's row chunks, each blocked in x/y by
 /// `params.block` (and sub-blocked), run on the pool. Returns the number
 /// of chunks.
@@ -266,7 +529,7 @@ fn ping_pong<'g>(a: &'g mut Grid3, b: &'g mut Grid3, level: usize) -> (&'g Grid3
 fn tile_plane_rows(
     pool: &ExecPool,
     kernel: &LinearKernel,
-    src: &Grid3,
+    inputs: &[&[f64]],
     dst: &mut Grid3,
     tp: &TilePlane,
     schedule: &Schedule,
@@ -283,7 +546,6 @@ fn tile_plane_rows(
     let z = tp.z;
     let plane_start = (z + hz) * ax * ay;
     let plane = &mut dst.as_mut_slice()[plane_start..plane_start + ax * ay];
-    let inputs = &[src.as_slice()];
     let mut jobs: Vec<ScopedJob<'_>> = Vec::new();
     let mut rest = plane;
     let mut consumed = 0usize; // storage rows of this plane handed out
@@ -322,56 +584,78 @@ fn tile_plane_rows(
     used
 }
 
-/// Simulated counterpart of the native wavefront executor: walks the same
-/// schedule of y-tiles and tile-planes, issuing the touched cache lines to
-/// the context's hierarchy; core `c` walks the row chunk native thread `c`
-/// runs.
+/// Simulated counterpart of a tiled chain: walks the chain's schedule of
+/// y-tiles and tile-planes over `grids`, issuing the lines each level
+/// touches to the context's hierarchy; core `c` walks the row chunk
+/// native thread `c` runs. Level `l` applies `stencils[levels[l].sweep]`
+/// and is charged the in-core cost of the kernel its tile-planes run on.
 ///
 /// # Errors
-/// Same conditions as the native variant, plus a core-count mismatch
-/// between `ctx` and `params.threads`.
-pub fn run_wavefront_simulated(
-    stencil: &Stencil,
-    a: &Grid3,
-    b: &Grid3,
+/// Binding errors of any level, a level naming a stencil or grid that
+/// does not exist, levels over different domains, invalid parameters and
+/// a core-count mismatch between `ctx` and `params.threads`.
+pub fn run_chain_simulated(
+    stencils: &[&Stencil],
+    levels: &[ChainLevel],
+    grids: &[&Grid3],
     params: &TuningParams,
     ctx: &mut SimContext,
 ) -> Result<(), EngineError> {
-    let schedule = wavefront_checks(stencil, a, b, params)?;
-    if params.wavefront == 1 {
-        // Plain spatial sweep.
-        return apply_simulated(stencil, &[a], b, params, ctx);
+    let grid = |g: usize| {
+        grids
+            .get(g)
+            .copied()
+            .ok_or_else(|| bad_params(format!("the chain binds grid {g} of {}", grids.len())))
+    };
+    let Some(first) = levels.first() else {
+        return Ok(());
+    };
+    let n = grid(first.output)?.n();
+    for level in levels {
+        let stencil = stencils.get(level.sweep).ok_or_else(|| {
+            bad_params(format!(
+                "level runs stencil {} of {}",
+                level.sweep,
+                stencils.len()
+            ))
+        })?;
+        let inputs = level
+            .inputs
+            .iter()
+            .map(|&g| grid(g))
+            .collect::<Result<Vec<_>, _>>()?;
+        let out = grid(level.output)?;
+        stencil.check_bindings(&inputs, out)?;
+        if out.n() != n {
+            return Err(bad_params("the chain's levels differ in domain".into()));
+        }
     }
+    params.validate(n).map_err(bad_params)?;
     if ctx.cores() != params.threads {
-        return Err(EngineError::BadParams {
-            reason: format!(
-                "context has {} cores, params ask for {}",
-                ctx.cores(),
-                params.threads
-            ),
-        });
+        return Err(bad_params(format!(
+            "context has {} cores, params ask for {}",
+            ctx.cores(),
+            params.threads
+        )));
     }
-    let groups = Groups::of(stencil);
-    let ic = planned_incore(stencil, true, params, ctx.machine());
-    let n = a.n();
-    let mut units = vec![0u64; ctx.cores()];
+    let radius = largest_radius(stencils.iter().map(|s| s.info().radius));
+    let schedule = Schedule::new(n, levels.len(), radius, params);
+    let groups: Vec<Groups> = stencils.iter().map(|s| Groups::of(s)).collect();
+    let mut units = vec![vec![0u64; ctx.cores()]; stencils.len()];
     for tp in schedule.tile_planes() {
-        let (src, dst) = if tp.level.is_multiple_of(2) {
-            (a, b)
-        } else {
-            (b, a)
-        };
+        let level = &levels[tp.level];
+        let dst = grids[level.output];
         let z = tp.z as isize;
         for (c, j0, j1) in schedule.chunks(&tp) {
             for j in j0 as isize..j1 as isize {
                 let mut i = 0usize;
                 while i < n[0] {
                     let iend = (i + 8).min(n[0]) - 1;
-                    for &(_, dy, dz, lo, hi) in &groups.read {
+                    for &(g, dy, dz, lo, hi) in &groups[level.sweep].read {
                         touch_row(
                             &mut ctx.hierarchy,
                             c,
-                            src,
+                            grids[level.inputs[g]],
                             i as isize + lo as isize,
                             iend as isize + hi as isize,
                             j + dy as isize,
@@ -389,15 +673,40 @@ pub fn run_wavefront_simulated(
                         z,
                         Access::Write,
                     );
-                    units[c] += 1;
+                    units[level.sweep][c] += 1;
                     i = iend + 1;
                 }
             }
         }
     }
-    ctx.add_incore(&units, ic.t_nol, ic.t_ol);
-    ctx.add_updates(params.wavefront as u64 * (n[0] * n[1] * n[2]) as u64);
+    for (stencil, units) in stencils.iter().zip(&units) {
+        let ic = planned_incore(stencil, true, params, ctx.machine());
+        ctx.add_incore(units, ic.t_nol, ic.t_ol);
+    }
+    ctx.add_updates(levels.len() as u64 * (n[0] * n[1] * n[2]) as u64);
     Ok(())
+}
+
+/// Simulated counterpart of [`crate::SweepRequest::run_wavefront`]: the
+/// depth-`params.wavefront` chain over `(a, b)` through
+/// [`run_chain_simulated`]; depth 1 is a plain spatial sweep.
+///
+/// # Errors
+/// Same conditions as the native variant, plus a core-count mismatch
+/// between `ctx` and `params.threads`.
+pub fn run_wavefront_simulated(
+    stencil: &Stencil,
+    a: &Grid3,
+    b: &Grid3,
+    params: &TuningParams,
+    ctx: &mut SimContext,
+) -> Result<(), EngineError> {
+    wavefront_checks(stencil, a, b, params)?;
+    if params.wavefront == 1 {
+        return apply_simulated(stencil, &[a], b, params, ctx);
+    }
+    let levels = ping_pong_levels(params.wavefront, 0);
+    run_chain_simulated(&[stencil], &levels, &[a, b], params, ctx)
 }
 
 #[cfg(test)]
@@ -409,39 +718,67 @@ mod tests {
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{heat3d, wave2d};
 
+    /// One level of a random chain for the schedule oracle: the grid it
+    /// writes and, per input, the grid it reads and the `(dy, dz)`
+    /// offsets it reads there.
+    type OracleLevel = (usize, Vec<(usize, Vec<(isize, isize)>)>);
+
+    /// Random chains over `grids` grids: each level writes some grid and
+    /// reads one to three others, each at its own offsets of radius up to
+    /// 2 per axis (asymmetric sets included). Outputs repeat, so grids
+    /// are rewritten within the chain, read between the writes, and read
+    /// before their first write (their initial contents). Half the cases
+    /// are the ping-pong pair of a wavefront of one stencil.
+    fn arb_chain() -> impl Strategy<Value = (usize, Vec<OracleLevel>)> {
+        let offsets = || prop::collection::vec((-2isize..=2, -2isize..=2), 1..5);
+        let dag = (2usize..6).prop_flat_map(move |grids| {
+            let level = (0..grids).prop_flat_map(move |out| {
+                let other = (0..grids - 1).prop_map(move |g| g + usize::from(g >= out));
+                let input = (other, offsets());
+                (Just(out), prop::collection::vec(input, 1..4))
+            });
+            (Just(grids), prop::collection::vec(level, 1..7))
+        });
+        let ping_pong = (offsets(), 1usize..7).prop_map(|(reads, depth)| {
+            let levels = (0..depth)
+                .map(|l| (1 - l % 2, vec![(l % 2, reads.clone())]))
+                .collect();
+            (2, levels)
+        });
+        prop_oneof![dag, ping_pong]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// The schedule's oracle, for a stencil reading the `(dy, dz)`
-        /// offsets `reads` of the previous level (radius up to 2 per axis,
-        /// asymmetric sets included) and tiles from one row to taller than
-        /// the domain, many shorter than `depth · sy` (empty tile-planes):
+        /// The schedule's oracle, over random chains ([`arb_chain`]) and
+        /// tiles from one row to taller than the domain, many shorter
+        /// than `levels · sy` (empty tile-planes), at 1–3 threads:
         /// 1. every `(level, z, j)` is visited exactly once, by one chunk
         ///    of at most `threads`, chunks covering their tile-plane in
         ///    row order;
-        /// 2. read after write: every level-`s−1` point that `(s, z, j)`
-        ///    reads comes in an earlier tile-plane;
-        /// 3. write after read: every level-`s−1` point that reads the
-        ///    value `(s, z, j)` overwrites (level `s−2`, or the initial
-        ///    contents for `s = 1`) comes in an earlier tile-plane.
+        /// 2. read after write: every point a level reads comes after the
+        ///    visit of the last earlier level writing that grid there;
+        /// 3. write after read: every point a level writes comes after
+        ///    the visit of every earlier level reading that grid there;
+        /// 4. a grid written twice keeps its writers' order.
         #[test]
-        fn schedule_visits_once_and_keeps_both_ping_pong_orders(
+        fn schedule_visits_once_and_keeps_every_order_of_any_chain(
+            (grids, chain) in arb_chain(),
             (ny, by) in (1usize..12).prop_flat_map(|ny| (Just(ny), 1usize..ny + 3)),
             nz in 1usize..7,
-            reads in prop::collection::vec((-2isize..=2, -2isize..=2), 1..6),
-            depth in 1usize..7,
             threads in 1usize..4,
         ) {
-            let radius = |axis: fn(&(isize, isize)) -> isize| {
-                reads.iter().map(|o| axis(o).unsigned_abs()).max().unwrap_or(0)
+            let reach = |axis: fn(&(isize, isize)) -> isize| {
+                let reads = chain.iter().flat_map(|(_, ins)| ins.iter().flat_map(|(_, o)| o));
+                reads.map(|o| axis(o).unsigned_abs()).max().unwrap_or(0)
             };
-            let (ry, rz) = (radius(|o| o.0), radius(|o| o.1));
-            let p = TuningParams::new([3, by, nz], Fold::unit())
-                .wavefront(depth)
-                .threads(threads);
-            let schedule = Schedule::new([3, ny, nz], [1, ry, rz], &p);
-            let at = |s: usize, z: usize, j: usize| (s * nz + z) * ny + j;
-            let mut when = vec![usize::MAX; depth * nz * ny];
+            let (ry, rz) = (reach(|o| o.0), reach(|o| o.1));
+            let levels = chain.len();
+            let p = TuningParams::new([3, by, nz], Fold::unit()).threads(threads);
+            let schedule = Schedule::new([3, ny, nz], levels, [1, ry, rz], &p);
+            let at = |l: usize, z: usize, j: usize| (l * nz + z) * ny + j;
+            let mut when = vec![usize::MAX; levels * nz * ny];
             for (t, tp) in schedule.tile_planes().enumerate() {
                 let mut next = tp.rows.0;
                 for (c, j0, j1) in schedule.chunks(&tp) {
@@ -456,23 +793,41 @@ mod tests {
                 prop_assert_eq!(next, tp.rows.1, "{:?}: chunks stop short", tp);
             }
             prop_assert!(!when.contains(&usize::MAX), "a point is never visited");
-            // The level-`s−1` point at `(z, j) + sign·(dz, dy)`, if inside.
-            let neighbour = |s: usize, z: usize, j: usize, (dy, dz): (isize, isize), sign: isize| {
+            // When level `l` visits `(z, j) + sign·(dz, dy)`, if inside.
+            let visit = |l: usize, z: usize, j: usize, (dy, dz): (isize, isize), sign: isize| {
                 let (z, j) = (z as isize + sign * dz, j as isize + sign * dy);
                 ((0..nz as isize).contains(&z) && (0..ny as isize).contains(&j))
-                    .then(|| when[at(s - 1, z as usize, j as usize)])
+                    .then(|| when[at(l, z as usize, j as usize)])
             };
-            for s in 1..depth {
+            let last_writer = |g: usize, before: usize| (0..before).rev().find(|&w| chain[w].0 == g);
+            prop_assert!(grids >= 2);
+            for (l, (out, inputs)) in chain.iter().enumerate() {
                 for z in 0..nz {
                     for j in 0..ny {
-                        let t = when[at(s, z, j)];
-                        for &o in &reads {
-                            if let Some(read) = neighbour(s, z, j, o, 1) {
-                                prop_assert!(read < t, "level {s} ({z}, {j}) reads {o:?} before it is written");
+                        let t = when[at(l, z, j)];
+                        for (g, reads) in inputs {
+                            for &o in reads {
+                                if let Some(w) = last_writer(*g, l) {
+                                    if let Some(written) = visit(w, z, j, o, 1) {
+                                        prop_assert!(written < t, "level {l} ({z}, {j}) reads grid {g} at {o:?} before level {w} writes it");
+                                    }
+                                }
                             }
-                            if let Some(reader) = neighbour(s, z, j, o, -1) {
-                                prop_assert!(reader < t, "level {s} ({z}, {j}) overwrites a value its reader at {o:?} still needs");
+                        }
+                        for (m, (_, reader_inputs)) in chain.iter().enumerate().take(l) {
+                            for (g, reads) in reader_inputs {
+                                if g != out {
+                                    continue;
+                                }
+                                for &o in reads {
+                                    if let Some(read) = visit(m, z, j, o, -1) {
+                                        prop_assert!(read < t, "level {l} ({z}, {j}) overwrites grid {g} before level {m} reads it at {o:?}");
+                                    }
+                                }
                             }
+                        }
+                        if let Some(w) = last_writer(*out, l) {
+                            prop_assert!(when[at(w, z, j)] < t, "level {l} ({z}, {j}) writes grid {out} before level {w}");
                         }
                     }
                 }
@@ -482,11 +837,11 @@ mod tests {
 
     #[test]
     fn tiles_are_skewed_parallelograms_and_empty_tile_planes_are_skipped() {
-        // One-row tiles against a depth-3 skew of one row per level: the
+        // One-row tiles against a three-level skew of one row per level: the
         // first tile starts at row 0 and the last ends at n_y at every
         // level; three of the twelve tile-planes are empty.
-        let p = TuningParams::new([1, 1, 1], Fold::unit()).wavefront(3);
-        let schedule = Schedule::new([1, 4, 1], [1, 1, 1], &p);
+        let p = TuningParams::new([1, 1, 1], Fold::unit());
+        let schedule = Schedule::new([1, 4, 1], 3, [1, 1, 1], &p);
         let walk: Vec<(usize, usize, (usize, usize))> = schedule
             .tile_planes()
             .map(|tp| (tp.tile, tp.level, tp.rows))
@@ -507,10 +862,8 @@ mod tests {
         );
         // A block as tall as the domain is the untiled wavefront, and
         // thread `c` takes the `c`-th block height of the skewed tile.
-        let p = TuningParams::new([1, 3, 1], Fold::unit())
-            .wavefront(2)
-            .threads(2);
-        let schedule = Schedule::new([1, 5, 1], [1, 1, 1], &p);
+        let p = TuningParams::new([1, 3, 1], Fold::unit()).threads(2);
+        let schedule = Schedule::new([1, 5, 1], 2, [1, 1, 1], &p);
         let chunks: Vec<_> = schedule
             .tile_planes()
             .map(|tp| (tp.level, schedule.chunks(&tp).collect::<Vec<_>>()))
@@ -522,6 +875,102 @@ mod tests {
                 (1, vec![(0, 0, 2), (1, 2, 5)]),
             ]
         );
+    }
+
+    #[test]
+    fn a_chain_rejects_bad_levels_and_runs_nothing_on_bad_grids() {
+        let s = heat3d(1);
+        let fold = Fold::new(8, 1, 1);
+        let grids: Vec<Grid3> = (0..3).map(|_| initial([16, 6, 5])).collect();
+        let p = TuningParams::new([16, 2, 5], fold).wavefront(2);
+        let sweep = || {
+            SweepRequest::new(&p)
+                .prepare(&s, &[&grids[0]], &grids[1])
+                .unwrap()
+        };
+        let level = |sweep, inputs: &[usize], output| ChainLevel {
+            sweep,
+            inputs: inputs.to_vec(),
+            output,
+        };
+        for (levels, binding) in [
+            (vec![level(1, &[0], 1)], false),
+            (vec![level(0, &[1], 1)], false),
+            (vec![level(0, &[0, 2], 1)], true),
+        ] {
+            match PreparedChain::new(vec![sweep()], levels) {
+                Err(EngineError::Binding(_)) => assert!(binding),
+                Err(EngineError::BadParams { .. }) => assert!(!binding),
+                other => panic!("{:?}", other.map(|c| c.tiled())),
+            }
+        }
+        let other = TuningParams::new([16, 3, 5], fold).wavefront(2);
+        let odd = SweepRequest::new(&other)
+            .prepare(&s, &[&grids[1]], &grids[2])
+            .unwrap();
+        let chain = PreparedChain::new(
+            vec![sweep(), odd],
+            vec![level(0, &[0], 1), level(1, &[1], 2)],
+        );
+        assert!(
+            matches!(chain, Err(EngineError::BadParams { .. })),
+            "parameters differ"
+        );
+        let chain =
+            PreparedChain::new(vec![sweep()], vec![level(0, &[0], 1), level(0, &[1], 2)]).unwrap();
+        assert!(chain.tiled());
+        let pool = ExecPool::global();
+        let mut wrong = grids.clone();
+        wrong[2] = Grid3::new("wide", [16, 6, 5], [2, 2, 2], fold);
+        let mut short = grids[..2].to_vec();
+        for pool_grids in [&mut wrong, &mut short] {
+            let before: Vec<Grid3> = pool_grids.clone();
+            assert!(matches!(
+                chain.run(pool, pool_grids),
+                Err(EngineError::BadParams { .. })
+            ));
+            for (g, b) in pool_grids.iter().zip(&before) {
+                assert_eq!(g.max_abs_diff(b).unwrap(), 0.0, "nothing ran");
+            }
+        }
+        assert!(chain.run(pool, &mut grids.clone()).unwrap());
+    }
+
+    /// Every level skews by the largest radius of any level: a radius-1
+    /// level followed by a radius-2 one, in one-row tiles, still leaves
+    /// the bits of the two sweeps run one after another.
+    #[test]
+    fn a_chain_skews_by_its_largest_radius() {
+        let fold = Fold::new(8, 1, 1);
+        let mut grids: Vec<Grid3> = (0..3)
+            .map(|g| Grid3::new(&format!("g{g}"), [16, 7, 6], [2, 2, 2], fold))
+            .collect();
+        grids[0].fill_with(|i, j, k| ((i * 3 + j * 5 + k * 7) % 11) as f64 * 0.1);
+        let (near, far) = (heat3d(1), heat3d(2));
+        let run = |wavefront: usize| {
+            let p = TuningParams::new([16, 1, 6], fold).wavefront(wavefront);
+            let request = SweepRequest::new(&p);
+            let sweeps = vec![
+                request.prepare(&near, &[&grids[0]], &grids[1]).unwrap(),
+                request.prepare(&far, &[&grids[1]], &grids[2]).unwrap(),
+            ];
+            let levels = [(0, 1), (1, 2)]
+                .into_iter()
+                .enumerate()
+                .map(|(sweep, (from, to))| ChainLevel {
+                    sweep,
+                    inputs: vec![from],
+                    output: to,
+                })
+                .collect();
+            let chain = PreparedChain::new(sweeps, levels).unwrap();
+            assert_eq!(chain.tiled(), wavefront > 1);
+            let mut out = grids.clone();
+            chain.run(ExecPool::global(), &mut out).unwrap();
+            out
+        };
+        let (tiled, op_by_op) = (run(2), run(1));
+        assert_eq!(tiled[2].max_abs_diff(&op_by_op[2]).unwrap(), 0.0);
     }
 
     fn stepper_reference(stencil: &Stencil, a0: &Grid3, steps: usize) -> Grid3 {
@@ -658,7 +1107,7 @@ mod tests {
         // One interval per tile-plane: two tiles of 2 × 2 rows, none of
         // them empty at this depth.
         let planes = r.planes.expect("plane timings recorded");
-        let tile_planes = Schedule::new(n, [1, 1, 1], &p).tile_planes().count();
+        let tile_planes = Schedule::new(n, wf, [1, 1, 1], &p).tile_planes().count();
         assert_eq!(tile_planes, 2 * wf * n[2]);
         assert_eq!(planes.count as usize, tile_planes);
         let chunks = r.chunks.expect("chunk timings recorded");

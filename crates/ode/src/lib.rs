@@ -20,6 +20,12 @@
 //! pipeline exploits, because a [`StepPlan`]'s ops can each be predicted
 //! by the ECM model or simulated on the cache hierarchy.
 //!
+//! The [`Integrator`] runs a plan's ops one after another, or — with
+//! `params.wavefront > 1` and every op on the engine's linear row kernel —
+//! as one pass tiled in y and skewed in z, so each stage reads the
+//! earlier stages out of cache (`yasksite_engine::PreparedChain`). Both
+//! leave the same bits.
+//!
 //! # Examples
 //!
 //! ```

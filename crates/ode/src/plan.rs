@@ -1,5 +1,6 @@
 //! Step plans: one ODE method step as an ordered list of stencil sweeps.
 
+use yasksite_engine::ChainLevel;
 use yasksite_stencil::{at, c, Expr, Stencil};
 
 /// One sweep: apply `stencil` reading the pool grids listed in `inputs`
@@ -50,6 +51,21 @@ pub struct StepPlan {
 }
 
 impl StepPlan {
+    /// The ops as the levels of a chain over the pool, op `i` running
+    /// sweep (or stencil) `i`.
+    #[must_use]
+    pub fn chain_levels(&self) -> Vec<ChainLevel> {
+        self.ops
+            .iter()
+            .enumerate()
+            .map(|(sweep, op)| ChainLevel {
+                sweep,
+                inputs: op.inputs.clone(),
+                output: op.output,
+            })
+            .collect()
+    }
+
     /// Total lattice updates one step performs.
     #[must_use]
     pub fn updates_per_step(&self) -> u64 {

@@ -1,10 +1,9 @@
 //! Plan execution and time integration on the native engine.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use yasksite_engine::{EngineError, ExecPool, PreparedSweep, SweepRequest, TuningParams};
+use yasksite_engine::{EngineError, ExecPool, PreparedChain, SweepRequest, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 
 use crate::ivps::Ivp;
@@ -50,16 +49,20 @@ impl From<EngineError> for OdeError {
 
 /// Executes a [`StepPlan`] natively, step after step, managing the grid
 /// pool, boundary halos and state rotation. Each op's sweep is prepared
-/// once, against the pool grids it reads and writes; a step only runs
-/// the prepared sweeps.
+/// once, against the pool grids it reads and writes, and the ops form one
+/// [`PreparedChain`]; a step only runs it. With `params.wavefront > 1`
+/// and every op on the linear row kernel the chain runs the whole step as
+/// one tiled pass, in tiles of `block[1] × threads` rows; otherwise (a
+/// tape op, a brick fold, `wavefront == 1`) it runs the ops one after
+/// another. Both leave the same bits.
 pub struct Integrator {
     plan: StepPlan,
-    pool: Vec<RefCell<Grid3>>,
+    pool: Vec<Grid3>,
     exec: Option<Arc<ExecPool>>,
-    /// Per op, its prepared sweep. The sweep of the last op writing some
-    /// `next` grid reports on the finiteness of the new state it
-    /// produces.
-    sweeps: Vec<PreparedSweep<'static>>,
+    /// The step's ops, one chain level each. The sweep of the last op
+    /// writing some `next` grid reports on the finiteness of the new
+    /// state it produces.
+    chain: PreparedChain<'static>,
     /// Fields whose `next` grid no op writes; their new state gets the
     /// whole-grid scan instead.
     unswept_fields: Vec<usize>,
@@ -113,12 +116,10 @@ impl Integrator {
                 Some(fl) if fl < f => grid.fill_halo(ivp.boundary(fl)),
                 _ => grid.fill_halo(0.0),
             }
-            pool.push(RefCell::new(grid));
+            pool.push(grid);
         }
         for (fl, &g) in plan.state_grids.iter().enumerate() {
-            pool[g]
-                .borrow_mut()
-                .fill_with(|i, j, k| ivp.initial(fl, i, j, k));
+            pool[g].fill_with(|i, j, k| ivp.initial(fl, i, j, k));
         }
         let mut scans_new_state = vec![false; plan.ops.len()];
         let mut unswept_fields = Vec::new();
@@ -134,22 +135,20 @@ impl Integrator {
             .iter()
             .zip(scans_new_state)
             .map(|(op, scan)| {
-                let borrowed: Vec<std::cell::Ref<'_, Grid3>> =
-                    op.inputs.iter().map(|&g| pool[g].borrow()).collect();
-                let refs: Vec<&Grid3> = borrowed.iter().map(|r| &**r).collect();
+                let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
                 let request = if scan {
                     request.clone().report_finite()
                 } else {
                     request.clone()
                 };
-                request.prepare(&op.stencil, &refs, &pool[op.output].borrow())
+                request.prepare(&op.stencil, &inputs, &pool[op.output])
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Integrator {
+            chain: PreparedChain::new(sweeps, plan.chain_levels())?,
             plan,
             pool,
             exec: None,
-            sweeps,
             unswept_fields,
             t: 0.0,
             h,
@@ -169,17 +168,17 @@ impl Integrator {
         self
     }
 
-    fn exec_pool(&self) -> &ExecPool {
-        match &self.exec {
-            Some(p) => p,
-            None => ExecPool::global(),
-        }
-    }
-
     /// The plan being executed.
     #[must_use]
     pub fn plan(&self) -> &StepPlan {
         &self.plan
+    }
+
+    /// Whether a step runs the plan's ops as one tiled pass rather than
+    /// one after another.
+    #[must_use]
+    pub fn chained(&self) -> bool {
+        self.chain.tiled()
     }
 
     /// Current simulation time.
@@ -193,36 +192,28 @@ impl Integrator {
     /// # Errors
     /// Propagates engine errors; returns [`OdeError::Diverged`] when the
     /// new state contains non-finite values.
-    ///
-    /// # Panics
-    /// Panics if the plan aliases an op's output with an input (prevented
-    /// by validation).
     pub fn step(&mut self) -> Result<(), OdeError> {
         // Divergence guard: an unstable step size turns the state
         // non-finite; detect it on this step instead of letting NaN/inf
         // propagate into downstream error norms and comparisons. The
         // sweep that writes a field's new state checks it as it goes, so
         // the state is not streamed from memory a second time.
-        let mut finite = true;
-        for (op, sweep) in self.plan.ops.iter().zip(&self.sweeps) {
-            let borrowed: Vec<std::cell::Ref<'_, Grid3>> =
-                op.inputs.iter().map(|&g| self.pool[g].borrow()).collect();
-            let refs: Vec<&Grid3> = borrowed.iter().map(|r| &**r).collect();
-            let mut out = self.pool[op.output].borrow_mut();
-            let report = sweep.run(self.exec_pool(), &refs, &mut out)?;
-            finite &= report.finite != Some(false);
-        }
+        let exec = match &self.exec {
+            Some(p) => p,
+            None => ExecPool::global(),
+        };
+        let mut finite = self.chain.run(exec, &mut self.pool)?;
         for (&s, &n) in self.plan.state_grids.iter().zip(&self.plan.next_grids) {
-            let mut a = self.pool[s].borrow_mut();
-            let mut b = self.pool[n].borrow_mut();
-            a.swap_data(&mut b)
+            let [a, b] = self
+                .pool
+                .get_disjoint_mut([s, n])
                 .map_err(|e| OdeError::Plan(e.to_string()))?;
+            a.swap_data(b).map_err(|e| OdeError::Plan(e.to_string()))?;
         }
         self.t += self.h;
         self.steps_done += 1;
         for &fl in &self.unswept_fields {
-            let state = self.pool[self.plan.state_grids[fl]].borrow();
-            finite &= state.interior_all_finite();
+            finite &= self.pool[self.plan.state_grids[fl]].interior_all_finite();
         }
         if finite {
             Ok(())
@@ -250,7 +241,7 @@ impl Integrator {
     /// Panics if `field` is out of range.
     #[must_use]
     pub fn state(&self, field: usize) -> Grid3 {
-        self.pool[self.plan.state_grids[field]].borrow().clone()
+        self.pool[self.plan.state_grids[field]].clone()
     }
 
     /// Maximum absolute error of all fields against the IVP's exact
@@ -259,7 +250,7 @@ impl Integrator {
     pub fn error_vs_exact(&self, ivp: &dyn Ivp) -> Option<f64> {
         let mut err = 0.0f64;
         for fl in 0..ivp.fields() {
-            let g = self.pool[self.plan.state_grids[fl]].borrow();
+            let g = &self.pool[self.plan.state_grids[fl]];
             let n = g.n();
             for k in 0..n[2] {
                 for j in 0..n[1] {
@@ -283,9 +274,9 @@ impl Integrator {
     pub fn max_diff(&self, other: &Integrator) -> f64 {
         let mut m = 0.0f64;
         for (fl, &g) in self.plan.state_grids.iter().enumerate() {
-            let a = self.pool[g].borrow();
-            let b = other.pool[other.plan.state_grids[fl]].borrow();
-            m = m.max(a.max_abs_diff(&b).expect("comparable states"));
+            let a = &self.pool[g];
+            let b = &other.pool[other.plan.state_grids[fl]];
+            m = m.max(a.max_abs_diff(b).expect("comparable states"));
         }
         m
     }

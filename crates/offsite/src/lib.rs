@@ -9,7 +9,10 @@
 //! 1. a method step is compiled to a [`yasksite_ode::StepPlan`];
 //! 2. every sweep in the plan is predicted by the `yasksite` tool layer
 //!    ([`predict_plan`]), after YaskSite's analytic tuner has chosen the
-//!    block/fold parameters for the dominant kernel;
+//!    block/fold parameters for the dominant kernel — and, when the step's
+//!    grid pool overflows the last-level cache, a step run as one tiled
+//!    pass over its ops with an L2-sized tile height
+//!    ([`chain_tile_height`]);
 //! 3. candidates are ranked by predicted step time; the winner (and, for
 //!    validation, every candidate) can then be *measured* on the
 //!    simulated target hierarchy ([`measure_plan`]);
@@ -41,6 +44,7 @@ mod tuner;
 
 pub use method::MethodSpec;
 pub use plan_perf::{
-    measure_plan, predict_plan, predict_plan_cached, PlanBackend, PlanMeasurement, PlanPrediction,
+    chain_tile_bytes, chain_tile_height, measure_plan, predict_plan, predict_plan_cached,
+    PlanBackend, PlanMeasurement, PlanPrediction,
 };
 pub use tuner::{CandidateReport, EvalOptions, EvalReport, Offsite, WorkPrecisionEntry};

@@ -2,7 +2,11 @@
 
 use yasksite::{PredictionCache, Solution, ToolError};
 use yasksite_arch::Machine;
-use yasksite_engine::{apply_simulated, SimContext, TuningParams};
+use yasksite_ecm::layer::effective_capacity;
+use yasksite_engine::{
+    apply_simulated, chain_runs_tiled, plan_kernel, run_chain_simulated, SimContext, TierPolicy,
+    TuningParams,
+};
 use yasksite_grid::Grid3;
 use yasksite_ode::StepPlan;
 
@@ -41,10 +45,12 @@ pub struct PlanMeasurement {
 
 /// Predicts one step of `plan` on `machine` analytically: each sweep is
 /// predicted by the YaskSite ECM layer with the given tuning parameters
-/// and core count plus a fixed per-sweep dispatch term (≈ 3000 core
-/// cycles), and the sweep times add up (the sweeps are globally
-/// synchronised, as in the generated OpenMP code) — so a variant that
-/// trades fewer sweeps for heavier ones ranks as it runs.
+/// (at wavefront depth 1: a step the integrator runs as one tiled chain
+/// is still priced op by op) and core count plus a fixed per-sweep
+/// dispatch term (≈ 3000 core cycles), and the sweep times add up (the
+/// sweeps are globally synchronised, as in the generated OpenMP code) —
+/// so a variant that trades fewer sweeps for heavier ones ranks as it
+/// runs.
 ///
 /// Predictions are served through the process-wide
 /// [`PredictionCache::global`] — ERK plans reuse the same handful of
@@ -75,12 +81,12 @@ pub fn predict_plan_cached(
     let mut cache_hits = 0usize;
     let mut cache_misses = 0usize;
     // Steady-state resident set: the whole grid pool of the step.
-    let grid_bytes = (plan.domain[0] + 2 * plan.halo[0]) as f64
-        * (plan.domain[1] + 2 * plan.halo[1]) as f64
-        * (plan.domain[2] + 2 * plan.halo[2]) as f64
-        * 8.0;
-    let resident = plan.num_grids as f64 * grid_bytes;
+    let resident = pool_bytes(plan);
     let dispatch = SWEEP_DISPATCH_CYCLES / (machine.freq_ghz * 1e9);
+    // Each op is priced as its own sweep, also when the parameters ask for
+    // a tiled step: a wavefront depth here would discount an op's memory
+    // traffic as if it ran `w` time steps per pass.
+    let params = &params.clone().wavefront(1);
     for op in &plan.ops {
         let sol = Solution::new(op.stencil.clone(), plan.domain, machine.clone());
         let (pred, hit) = cache.predict_resident(&sol, params, cores, resident);
@@ -101,10 +107,103 @@ pub fn predict_plan_cached(
     }
 }
 
+/// Bytes of the plan's whole grid pool, halos included: the resident
+/// set of a step.
+fn pool_bytes(plan: &StepPlan) -> f64 {
+    let grid_bytes = (plan.domain[0] + 2 * plan.halo[0]) as f64
+        * (plan.domain[1] + 2 * plan.halo[1]) as f64
+        * (plan.domain[2] + 2 * plan.halo[2]) as f64
+        * 8.0;
+    plan.num_grids as f64 * grid_bytes
+}
+
+/// Whether the native integrator runs a step of `plan` under `params`
+/// as one tiled chain ([`chain_runs_tiled`] over the ops' planned
+/// kernels).
+fn runs_chained(plan: &StepPlan, params: &TuningParams) -> bool {
+    chain_runs_tiled(
+        params,
+        plan.ops
+            .iter()
+            .map(|op| plan_kernel(&op.stencil, params, TierPolicy::Auto).kernel),
+    )
+}
+
+/// Bytes a tiled pass over `plan` keeps live in tiles of `height ×
+/// threads` rows: the tile's working set, which must fit L2 for each op
+/// to read what the ops before it left there.
+///
+/// At one wavefront position op `l` works on the plane `l · shift`
+/// behind the first op's (`shift = max(r_z, 1)` over the chain). Per
+/// grid, the live planes run from the highest to the lowest one any op
+/// writes or reads there, each input counted with its own z-reach. Each
+/// plane holds the tile's rows plus what the y-skew and the y-reach add,
+/// `height · threads + (ops − 1) · sy + 2 r_y` rows of `n_x + 2 h_x`
+/// elements.
+#[must_use]
+pub fn chain_tile_bytes(plan: &StepPlan, height: usize, threads: usize) -> f64 {
+    let infos: Vec<_> = plan.ops.iter().map(|op| op.stencil.info()).collect();
+    let radius = |axis: usize| infos.iter().map(|i| i.radius[axis]).max().unwrap_or(0);
+    let (ry, rz) = (radius(1), radius(2));
+    let shift = rz.max(1) as isize;
+    // Per grid, the lowest and highest plane touched, relative to the
+    // first op's plane.
+    let mut span: Vec<Option<(isize, isize)>> = vec![None; plan.num_grids];
+    let mut touch = |g: usize, lo: isize, hi: isize| {
+        span[g] = Some(span[g].map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+    };
+    for (l, (op, info)) in plan.ops.iter().zip(&infos).enumerate() {
+        let z = -(l as isize) * shift;
+        touch(op.output, z, z);
+        for (k, &g) in op.inputs.iter().enumerate() {
+            let reach = info.offsets.iter().filter(|(i, _)| *i == k);
+            let dz = reach.map(|(_, o)| o[2] as isize);
+            if let (Some(lo), Some(hi)) = (dz.clone().min(), dz.max()) {
+                touch(g, z + lo, z + hi);
+            }
+        }
+    }
+    let planes: isize = span.iter().flatten().map(|(lo, hi)| hi - lo + 1).sum();
+    let rows = height * threads + plan.ops.len().saturating_sub(1) * ry.max(1) + 2 * ry;
+    let row_bytes = (plan.domain[0] + 2 * plan.halo[0]) * 8;
+    planes as f64 * rows as f64 * row_bytes as f64
+}
+
+/// The y-tile height of a tiled pass over `plan` under `params` on
+/// `machine`, with `params.threads` cores: the largest power of two up
+/// to `n_y / 2` whose [`chain_tile_bytes`] fit the L2 share of a core.
+/// `None` when a tile buys nothing: the plan's pool fits the last-level
+/// cache share the predictor assumes (timed through the integrator,
+/// such rk4/E steps ran tiled at 0.98–1.31× of their op-by-op time;
+/// EXPERIMENTS.md E17), an op plans a kernel other than the row kernel
+/// (a tiled pass would run it op by op), or no height fits.
+#[must_use]
+pub fn chain_tile_height(
+    plan: &StepPlan,
+    machine: &Machine,
+    params: &TuningParams,
+) -> Option<usize> {
+    let llc = machine.caches.last()?;
+    let l2 = machine.caches.get(1)?;
+    let cores = params.threads;
+    if pool_bytes(plan) <= effective_capacity(llc, machine, cores)
+        || !runs_chained(plan, &params.clone().wavefront(2))
+    {
+        return None;
+    }
+    let fits = effective_capacity(l2, machine, cores);
+    (0..usize::BITS)
+        .map(|e| 1usize << e)
+        .take_while(|&height| height <= plan.domain[1] / 2)
+        .filter(|&height| chain_tile_bytes(plan, height, cores) <= fits)
+        .last()
+}
+
 /// Measures one step of `plan` on the simulated hierarchy of `machine`:
 /// executes the plan's sweeps twice (warm-up step + steady-state step)
 /// against a grid pool with the plan's halos and the parameters' fold,
-/// and reports the steady-state step time.
+/// and reports the steady-state step time. A step the native integrator
+/// runs as one tiled chain is walked as that chain.
 ///
 /// # Errors
 /// Propagates engine errors (invalid parameters etc.).
@@ -117,7 +216,15 @@ pub fn measure_plan(
     let pool: Vec<Grid3> = (0..plan.num_grids)
         .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
         .collect();
+    let chained = runs_chained(plan, params);
+    let stencils: Vec<_> = plan.ops.iter().map(|op| &op.stencil).collect();
+    let levels = plan.chain_levels();
+    let grids: Vec<&Grid3> = pool.iter().collect();
     let step = |ctx: &mut SimContext| -> Result<(), ToolError> {
+        if chained {
+            return run_chain_simulated(&stencils, &levels, &grids, params, ctx)
+                .map_err(ToolError::Engine);
+        }
         for op in &plan.ops {
             let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
             apply_simulated(&op.stencil, &inputs, &pool[op.output], params, ctx)

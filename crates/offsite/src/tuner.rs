@@ -10,10 +10,10 @@ use yasksite::{
 };
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
-use yasksite_ode::{Ivp, StepPlan, Variant};
+use yasksite_ode::{erk_plan, Ivp, StepPlan, Tableau, Variant};
 
 use crate::method::MethodSpec;
-use crate::plan_perf::{predict_plan, predict_plan_cached, PlanBackend};
+use crate::plan_perf::{chain_tile_height, predict_plan, predict_plan_cached, PlanBackend};
 
 /// Builder-style options for [`Offsite::evaluate_with`] — the offsite
 /// mirror of the core [`TuneRequest`], consolidating the trial protocol,
@@ -202,6 +202,11 @@ impl Offsite {
 
     /// YaskSite-tuned kernel parameters for this IVP: the analytic tuner
     /// runs on the dominant (RHS) kernel over the spatial-only space.
+    /// When the pool of the IVP's fully fused RK4 step (rk4/E) overflows
+    /// the last-level cache, the parameters also ask for each step to run
+    /// as one tiled pass over its ops (`wavefront = 2`), in tiles whose
+    /// height `block[1]` is sized by an L2 layer condition
+    /// ([`crate::chain_tile_height`]).
     ///
     /// # Errors
     /// Propagates tool errors.
@@ -236,6 +241,13 @@ impl Offsite {
         let r = sol.tune_space_with(&space, &req)?;
         let mut params = r.best;
         params.threads = self.cores;
+        // Plan coefficients scale with the step size; the grids and
+        // reaches the tile is sized from do not.
+        let fused = erk_plan(&Tableau::rk4(), ivp, 1.0, Variant::E);
+        if let Some(height) = chain_tile_height(&fused, &self.machine, &params) {
+            params.wavefront = 2;
+            params.block[1] = height;
+        }
         Ok((params, r.cost))
     }
 

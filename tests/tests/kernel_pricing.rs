@@ -147,3 +147,77 @@ fn host_picks_are_row_major_and_never_per_point() {
     assert!(winner.best.row_major(), "winner {}", winner.best);
     assert!(!planned.degraded(), "{}", planned.reason);
 }
+
+/// `Offsite::tuned_params` turns the tiled step on exactly where it
+/// pays: Heat3d(192) on the host model (a 290 MB rk4/E pool against a
+/// 32 MiB LLC share) gets the naive parameters plus `wavefront = 2` and
+/// the tallest power-of-two tile whose working set fits the 1 MiB L2
+/// share, 32 rows, while twice that height does not fit. Heat3d(32),
+/// whose pool fits the LLC (where a tiled rk4/E step measured 1.18–1.31×
+/// its op-by-op time; EXPERIMENTS.md E17), keeps its spatial pick;
+/// InverterChain(4096), one row tall and on the tape, keeps the naive
+/// parameters.
+#[test]
+fn offsite_tiles_memory_bound_steps_to_the_l2_layer_condition() {
+    use offsite::{chain_tile_bytes, chain_tile_height, Offsite};
+    use yasksite_ode::ivps::{Heat3d, InverterChain};
+    use yasksite_ode::{erk_plan, Tableau, Variant};
+    let host = Machine::host();
+    let offsite = Offsite::new(host.clone(), 1);
+    let ivp = Heat3d::new(192);
+    let (tuned, _) = offsite.tuned_params(&ivp).unwrap();
+    let mut expect = offsite.naive_params(&ivp).wavefront(2);
+    expect.block[1] = 32;
+    assert_eq!(tuned, expect);
+    let fused = erk_plan(&Tableau::rk4(), &ivp, 1.0, Variant::E);
+    let l2 = host.caches[1].size_bytes as f64 * yasksite_ecm::layer::CAPACITY_SAFETY;
+    // 17 live planes of 37 rows of 194 points.
+    assert_eq!(chain_tile_bytes(&fused, 32, 1), (17 * 37 * 194 * 8) as f64);
+    assert!(chain_tile_bytes(&fused, 32, 1) <= l2);
+    assert!(chain_tile_bytes(&fused, 64, 1) > l2);
+
+    let small = Heat3d::new(32);
+    let (tuned, _) = offsite.tuned_params(&small).unwrap();
+    assert_eq!(tuned.wavefront, 1, "{tuned}");
+    let fused = erk_plan(&Tableau::rk4(), &small, 1.0, Variant::E);
+    assert_eq!(
+        chain_tile_height(&fused, &host, &tuned.clone().wavefront(2)),
+        None
+    );
+    let chain = InverterChain::new(4096, 5.0, 1.0, 0.5);
+    let (tuned, _) = offsite.tuned_params(&chain).unwrap();
+    assert_eq!(tuned, offsite.naive_params(&chain));
+}
+
+/// The benchmark's pick rule on `ode-mem` — the smallest
+/// `predict_plan_cached` over the four RK4 variants under the tuned
+/// parameters — still picks the fully fused variant E once the tuned
+/// parameters ask for a tiled step. The plan is priced op by op: the
+/// wavefront depth the tuned parameters carry discounts no op.
+#[test]
+fn the_tuned_heat3d_pick_stays_rk4_e() {
+    use offsite::{predict_plan_cached, Offsite};
+    use yasksite::PredictionCache;
+    use yasksite_ode::ivps::Heat3d;
+    use yasksite_ode::{erk_plan, Tableau, Variant};
+    let host = Machine::host();
+    let ivp = Heat3d::new(192);
+    let dx = 1.0 / 193.0;
+    let h = 0.1 * dx * dx;
+    let (tuned, _) = Offsite::new(host.clone(), 1).tuned_params(&ivp).unwrap();
+    assert_eq!(tuned.wavefront, 2);
+    let cache = PredictionCache::new();
+    let step = |v: Variant| {
+        let plan = erk_plan(&Tableau::rk4(), &ivp, h, v);
+        predict_plan_cached(&plan, &host, &tuned, 1, &cache).seconds_per_step
+    };
+    let steps: Vec<(Variant, f64)> = Variant::all().into_iter().map(|v| (v, step(v))).collect();
+    let pick = steps.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
+    assert_eq!(pick, Variant::E, "predicted steps {steps:?}");
+    let op_by_op = tuned.clone().wavefront(1);
+    for (v, seconds) in steps {
+        let plan = erk_plan(&Tableau::rk4(), &ivp, h, v);
+        let unchained = predict_plan_cached(&plan, &host, &op_by_op, 1, &cache).seconds_per_step;
+        assert_eq!(seconds.to_bits(), unchained.to_bits(), "variant {v}");
+    }
+}

@@ -154,6 +154,143 @@ fn prepared_integrator_steps_match_bare_applies_bitwise() {
     }
 }
 
+/// An integrator whose parameters ask for a wavefront (`wavefront(2)`)
+/// runs a step as one tiled chain over its ops, in tiles of `block[1] ×
+/// threads` rows, when every op runs on the linear row kernel; a plan
+/// with a tape op (InverterChain, Bruss2d) runs op by op. Either way a
+/// step must leave exactly the bits of the op-by-op step, on every IVP,
+/// for RK4 in every variant and PIRK in both of its variants, at 1 to 3
+/// threads and tile heights of one row, three rows and the whole
+/// domain, step after step.
+#[test]
+fn chained_integrator_steps_match_op_by_op_steps_bitwise() {
+    let ivps: Vec<(Box<dyn Ivp>, f64, bool)> = vec![
+        (Box::new(Heat2d::new(12)), 1e-4, true),
+        (Box::new(Heat3d::new(7)), 1e-4, true),
+        (Box::new(Wave2d::new(12, 1.0)), 1e-3, true),
+        (Box::new(InverterChain::new(70, 5.0, 1.0, 0.5)), 1e-3, false),
+        (Box::new(Bruss2d::new(10)), 1e-3, false),
+    ];
+    for (ivp, h, linear) in &ivps {
+        let (ivp, h) = (ivp.as_ref(), *h);
+        let mut plans: Vec<StepPlan> = Variant::all()
+            .into_iter()
+            .map(|v| erk_plan(&Tableau::rk4(), ivp, h, v))
+            .collect();
+        for v in [Variant::A, Variant::D] {
+            plans.push(pirk_plan(&Tableau::radau_iia2(), 3, ivp, h, v));
+        }
+        let ny = ivp.domain()[1];
+        for plan in &plans {
+            for threads in 1..=3 {
+                for height in [1, 3, ny] {
+                    let mut params = default_params(ivp.domain()).threads(threads);
+                    params.block[1] = height;
+                    let mut op_by_op =
+                        Integrator::new(ivp, plan.clone(), h, params.clone()).unwrap();
+                    let mut chained =
+                        Integrator::new(ivp, plan.clone(), h, params.wavefront(2)).unwrap();
+                    let case = format!("{} {} t={threads} H={height}", ivp.name(), plan.name);
+                    assert!(!op_by_op.chained(), "{case}");
+                    assert_eq!(chained.chained(), *linear, "{case}: chained iff no tape op");
+                    for step in 1..=4 {
+                        op_by_op.step().unwrap();
+                        chained.step().unwrap();
+                        for fl in 0..ivp.fields() {
+                            let diff = chained.state(fl).max_abs_diff(&op_by_op.state(fl)).unwrap();
+                            assert!(diff == 0.0, "{case} step {step} field {fl}: {diff:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The chained step keeps the finiteness scan on the last op writing
+/// each field's new state: Wave2d far outside RK4's stability region
+/// reports `Diverged` on the same step with and without the chain.
+#[test]
+fn a_chained_step_reports_divergence_on_the_op_by_op_step() {
+    let ivp = Wave2d::new(15, 1.0);
+    let h = 0.5;
+    for v in Variant::all() {
+        let diverged_at = |params: TuningParams| {
+            let plan = erk_plan(&Tableau::rk4(), &ivp, h, v);
+            let mut integ = Integrator::new(&ivp, plan, h, params).unwrap();
+            match integ.run(500) {
+                Err(yasksite_ode::OdeError::Diverged { step }) => step,
+                other => panic!("h = 0.5 must diverge ({v}): {other:?}"),
+            }
+        };
+        let mut params = default_params(ivp.domain()).threads(3);
+        params.block[1] = 3;
+        let op_by_op = diverged_at(params.clone());
+        assert_eq!(diverged_at(params.wavefront(2)), op_by_op, "variant {v}");
+    }
+}
+
+/// The simulator walks the chain the integrator runs: on a shrunken
+/// Cascade Lake (128 KiB L2, 1 MiB L3), one rk4/E step of Heat3d(48) —
+/// a 5 MB pool — walked as one tiled chain, in the tiles Offsite sizes
+/// for that machine, moves at least 30 % fewer memory lines than the
+/// same step walked op by op, for the same lattice updates; so does the
+/// steady-state step `measure_plan` reports.
+#[test]
+fn a_simulated_chained_step_moves_fewer_memory_lines() {
+    use offsite::chain_tile_height;
+    use yasksite_engine::{apply_simulated, run_chain_simulated, SimContext};
+    let mut m = Machine::cascade_lake();
+    m.kind = yasksite_arch::MachineKind::Custom;
+    m.cores_per_socket = 4;
+    m.caches[1].size_bytes = 128 * 1024;
+    m.caches[2].size_bytes = 1024 * 1024;
+    m.caches[2].assoc = 16;
+    m.validate().unwrap();
+    let ivp = Heat3d::new(48);
+    let plan = erk_plan(&Tableau::rk4(), &ivp, 1e-5, Variant::E);
+    let mut params = TuningParams::new(ivp.domain(), Fold::new(8, 1, 1)).wavefront(2);
+    params.block[1] = chain_tile_height(&plan, &m, &params).expect("the pool overflows the LLC");
+    let walk = |chained: bool| {
+        let mut ctx = SimContext::new(&m, 1);
+        let pool: Vec<Grid3> = (0..plan.num_grids)
+            .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
+            .collect();
+        if chained {
+            let stencils: Vec<_> = plan.ops.iter().map(|op| &op.stencil).collect();
+            let grids: Vec<&Grid3> = pool.iter().collect();
+            run_chain_simulated(&stencils, &plan.chain_levels(), &grids, &params, &mut ctx)
+                .unwrap();
+        } else {
+            for op in &plan.ops {
+                let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
+                apply_simulated(&op.stencil, &inputs, &pool[op.output], &params, &mut ctx).unwrap();
+            }
+        }
+        let run = ctx.finish();
+        (
+            run.stats.mem_read_lines + run.stats.mem_write_lines,
+            run.updates,
+        )
+    };
+    let (op_by_op, updates) = walk(false);
+    let (chained, chained_updates) = walk(true);
+    assert_eq!(chained_updates, updates);
+    assert_eq!(updates, plan.updates_per_step());
+    assert!(
+        (chained as f64) <= 0.7 * op_by_op as f64,
+        "chained {chained} vs op by op {op_by_op} memory lines (tile height {})",
+        params.block[1]
+    );
+    // `measure_plan` walks the chain the tuned parameters ask for.
+    let steady = |p: &TuningParams| measure_plan(&plan, &m, p).unwrap().mem_bytes_per_step;
+    let (tiled, plain) = (steady(&params), steady(&params.clone().wavefront(1)));
+    assert!(
+        tiled <= 0.7 * plain,
+        "measure_plan: {tiled} vs {plain} bytes"
+    );
+}
+
 #[test]
 fn integration_is_thread_invariant() {
     let ivp = Heat2d::new(24);
