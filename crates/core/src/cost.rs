@@ -45,10 +45,6 @@ pub struct TuneCost {
     /// Machine-calibration passes folded into this cost (each
     /// [`crate::calibrate`] run counts one).
     pub recalibrations: usize,
-    /// Model-correction re-rankings the online drift feedback loop
-    /// applied after a key crossed the SUSPECT threshold. Depends on
-    /// measured throughput, like `drift_suspects`.
-    pub corrections_applied: usize,
 }
 
 impl AddAssign for TuneCost {
@@ -65,7 +61,6 @@ impl AddAssign for TuneCost {
         self.drift_suspects += rhs.drift_suspects;
         self.drift_evictions += rhs.drift_evictions;
         self.recalibrations += rhs.recalibrations;
-        self.corrections_applied += rhs.corrections_applied;
     }
 }
 
@@ -89,11 +84,8 @@ impl TuneCost {
             self.codegen_seconds,
             self.wall_seconds
         );
-        if self.recalibrations > 0 || self.corrections_applied > 0 {
-            s.push_str(&format!(
-                ", {} recalibrations, {} corrections applied",
-                self.recalibrations, self.corrections_applied
-            ));
+        if self.recalibrations > 0 {
+            s.push_str(&format!(", {} recalibrations", self.recalibrations));
         }
         s
     }
@@ -111,9 +103,8 @@ impl TuneCost {
     }
 
     /// This cost with the wall-clock-dependent fields
-    /// (`wall_seconds`, `codegen_seconds`, `drift_suspects` and
-    /// `corrections_applied` — both derive from measured throughput)
-    /// zeroed — the other half of the determinism comparison, since wall
+    /// (`wall_seconds`, `codegen_seconds` and `drift_suspects`, which
+    /// derives from measured throughput) zeroed — the other half of the determinism comparison, since wall
     /// time varies run to run even when the tuning outcome is
     /// bitwise-identical.
     #[must_use]
@@ -122,7 +113,6 @@ impl TuneCost {
             wall_seconds: 0.0,
             codegen_seconds: 0.0,
             drift_suspects: 0,
-            corrections_applied: 0,
             ..*self
         }
     }
@@ -148,7 +138,6 @@ mod tests {
             drift_suspects: 1,
             drift_evictions: 1,
             recalibrations: 1,
-            corrections_applied: 2,
         };
         a += TuneCost {
             model_evals: 2,
@@ -165,11 +154,8 @@ mod tests {
         assert_eq!(a.drift_suspects, 1);
         assert_eq!(a.drift_evictions, 1);
         assert_eq!(a.recalibrations, 1);
-        assert_eq!(a.corrections_applied, 2);
         assert!(a.summary().contains("5 model evals"));
-        assert!(a
-            .summary()
-            .contains("1 recalibrations, 2 corrections applied"));
+        assert!(a.summary().contains(", 1 recalibrations"));
     }
 
     #[test]
@@ -187,7 +173,6 @@ mod tests {
             drift_suspects: 1,
             drift_evictions: 3,
             recalibrations: 0,
-            corrections_applied: 0,
         };
         let s = c.summary();
         assert!(s.contains("10 model evals (6 cached)"), "{s}");
@@ -229,7 +214,6 @@ mod tests {
             codegen_seconds: 0.1,
             drift_records: 2,
             drift_suspects: 1,
-            corrections_applied: 3,
             ..TuneCost::default()
         };
         let b = TuneCost {

@@ -165,13 +165,6 @@ impl DriftLedger {
             .collect()
     }
 
-    /// Drift statistics over every record regardless of stencil.
-    #[must_use]
-    pub fn overall(&self) -> Option<DriftStats> {
-        let drifts: Vec<f64> = self.records.iter().map(DriftRecord::drift).collect();
-        DriftStats::from_drifts(&drifts)
-    }
-
     /// How many stencils are currently flagged model suspect.
     #[must_use]
     pub fn suspect_count(&self) -> usize {
@@ -182,10 +175,10 @@ impl DriftLedger {
     /// key currently flagged SUSPECT: the key's display name, the fitted
     /// multiplicative throughput coefficient (1 + median signed drift —
     /// multiply a prediction by it to land on the measured behaviour)
-    /// and the drift statistics behind the flag. This is the daemon-side
-    /// analogue of the online tuner's per-key corrections, derived from
-    /// the long-lived ledger; keys whose drift stays below the threshold
-    /// carry no correction.
+    /// and the drift statistics behind the flag, derived from the
+    /// long-lived ledger (the daemon's `corrected_keys` gauge counts
+    /// them); keys whose drift stays below the threshold carry no
+    /// correction.
     #[must_use]
     pub fn per_key_corrections(&self) -> Vec<(String, f64, DriftStats)> {
         let mut by_key: BTreeMap<(&str, &str, usize), Vec<f64>> = BTreeMap::new();
@@ -270,7 +263,6 @@ mod tests {
     fn ledger_aggregates_per_stencil() {
         let mut l = DriftLedger::new();
         assert!(l.is_empty());
-        assert!(l.overall().is_none());
         l.push(rec("heat-3d", 100.0, 110.0));
         l.push(rec("heat-3d", 100.0, 95.0));
         l.push(rec("box-3d", 200.0, 40.0)); // -80% drift: suspect
@@ -281,7 +273,6 @@ mod tests {
         assert!(per[0].1.suspect);
         assert!(!per[1].1.suspect);
         assert_eq!(l.suspect_count(), 1);
-        assert_eq!(l.overall().unwrap().count, 3);
     }
 
     #[test]

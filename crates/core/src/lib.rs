@@ -49,7 +49,6 @@ mod cache;
 mod calibrate;
 mod cost;
 mod drift;
-mod online;
 mod persist;
 mod predict;
 mod report;
@@ -68,7 +67,6 @@ pub use calibrate::{
 };
 pub use cost::TuneCost;
 pub use drift::{DriftLedger, DriftRecord};
-pub use online::{KeyCorrection, OnlineTuner};
 pub use persist::{
     crc32, decode_drift, decode_journal, decode_prediction, encode_drift, encode_prediction, frame,
     journal_header, FaultyMedium, FileMedium, Journal, JournalKind, JournalMedium, MemMedium,

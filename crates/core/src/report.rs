@@ -2,7 +2,7 @@
 //! human-readable performance report.
 //!
 //! The report reads the trace the tuner wrote via `--trace-out` (with
-//! `--profile` for the profiler sections) and renders five views:
+//! `--profile` for the profiler sections) and renders six views:
 //!
 //! 1. **Phase breakdown** — the winner's `profile` events (compile /
 //!    sweep / wavefront plus the chunk and plane aggregates); when the
@@ -19,10 +19,7 @@
 //! 5. **Calibration** — `calibrate_start` / `probe` events from a
 //!    `yasksite calibrate --trace-out` recording: the per-probe evidence
 //!    table (value, sample counts, rejected outliers, provenance).
-//! 6. **Model corrections** — `model_suspect` events from the online
-//!    tuner's drift feedback loop: which keys crossed the SUSPECT
-//!    threshold and the correction coefficient fitted for each.
-//! 7. **Regressions vs a baseline** — when a second trace is supplied,
+//! 6. **Regressions vs a baseline** — when a second trace is supplied,
 //!    phases that got slower, worst first.
 //!
 //! Pure text-in/text-out (the CLI owns the file I/O), which keeps it
@@ -56,9 +53,6 @@ struct TraceDigest {
     /// `(name, unit, value, samples, rejected, provenance)` from `probe`
     /// events, in trace order.
     probes: Vec<(String, String, f64, u64, u64, String)>,
-    /// `(block_y, block_z, p95, coeff, count)` from `model_suspect`
-    /// events, in trace order.
-    suspects: Vec<(u64, u64, f64, f64, u64)>,
     /// Lines that were not valid JSON (truncated tail of a crashed run,
     /// torn concurrent write) — skipped rather than failing the report.
     skipped: usize,
@@ -166,15 +160,6 @@ fn digest(trace: &str) -> Result<TraceDigest, String> {
                     field_u64(&j, "samples").unwrap_or(0),
                     field_u64(&j, "rejected").unwrap_or(0),
                     field_str(&j, "provenance").unwrap_or("?").to_string(),
-                ));
-            }
-            "model_suspect" => {
-                d.suspects.push((
-                    field_u64(&j, "block_y").unwrap_or(0),
-                    field_u64(&j, "block_z").unwrap_or(0),
-                    field_f64(&j, "p95").unwrap_or(0.0),
-                    field_f64(&j, "coeff").unwrap_or(0.0),
-                    field_u64(&j, "count").unwrap_or(0),
                 ));
             }
             "metric" if field_str(&j, "kind") == Some("gauge") => {
@@ -305,16 +290,6 @@ pub fn render_report(trace: &str, baseline: Option<&str>) -> Result<String, Stri
                     "  {name:<18} {unit:>8} {value:>14.3} {samples:>8} {rejected:>9}  {prov}"
                 );
             }
-        }
-    }
-
-    if !d.suspects.is_empty() {
-        out.push_str("\nmodel corrections:\n");
-        for (by, bz, p95, coeff, count) in &d.suspects {
-            let _ = writeln!(
-                out,
-                "  block {by}x{bz}: p95 drift {p95:.3} SUSPECT, fitted coeff {coeff:.3} ({count} samples)"
-            );
         }
     }
 
@@ -492,24 +467,6 @@ mod tests {
         // A tune trace without calibrate events skips the section.
         let r = render_report(&profiled_trace(), None).unwrap();
         assert!(!r.contains("calibration:"), "{r}");
-    }
-
-    #[test]
-    fn model_corrections_section_lists_suspect_keys() {
-        let mut t = profiled_trace();
-        t += &line(
-            r#"{"v":1,"ev":"model_suspect","t_us":16,"span":1,"level":"info","block_y":8,"block_z":8,"p95":3.1,"coeff":0.25,"count":5}"#,
-        );
-        let r = render_report(&t, None).unwrap();
-        assert!(r.contains("model corrections:"), "{r}");
-        assert!(
-            r.contains("block 8x8: p95 drift 3.100 SUSPECT, fitted coeff 0.250 (5 samples)"),
-            "{r}"
-        );
-
-        // No suspects, no section.
-        let r = render_report(&profiled_trace(), None).unwrap();
-        assert!(!r.contains("model corrections:"), "{r}");
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::sync::OnceLock;
 use yasksite_arch::{Machine, MachineFileError, MachineKind};
 use yasksite_engine::{
     apply_simulated, codegen, plan_kernel, run_wavefront_simulated, CodegenOutput, EngineError,
-    ExecPool, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier, TierPolicy,
-    TuningParams,
+    ExecPool, PlannedKernel, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier,
+    TierPolicy, TuningParams,
 };
 use yasksite_grid::Grid3;
 use yasksite_memsim::HierarchyStats;
@@ -23,8 +23,6 @@ pub enum ToolError {
     Engine(EngineError),
     /// A machine description file failed to parse or validate.
     MachineFile(MachineFileError),
-    /// The caller broke the suggest/record protocol of a tuner.
-    Protocol(String),
     /// The caller supplied input the API cannot act on (empty space,
     /// non-finite measurement, ...).
     InvalidInput(String),
@@ -39,7 +37,6 @@ impl fmt::Display for ToolError {
         match self {
             ToolError::Engine(e) => write!(f, "engine: {e}"),
             ToolError::MachineFile(e) => write!(f, "machine file: {e}"),
-            ToolError::Protocol(s) => write!(f, "protocol: {s}"),
             ToolError::InvalidInput(s) => write!(f, "invalid input: {s}"),
             ToolError::Measurement(s) => write!(f, "measurement: {s}"),
             ToolError::Other(s) => write!(f, "{s}"),
@@ -52,10 +49,7 @@ impl std::error::Error for ToolError {
         match self {
             ToolError::Engine(e) => Some(e),
             ToolError::MachineFile(e) => Some(e),
-            ToolError::Protocol(_)
-            | ToolError::InvalidInput(_)
-            | ToolError::Measurement(_)
-            | ToolError::Other(_) => None,
+            ToolError::InvalidInput(_) | ToolError::Measurement(_) | ToolError::Other(_) => None,
         }
     }
 }
@@ -288,26 +282,25 @@ impl Solution {
         // The simulator models traffic, not kernels; report the tier the
         // native planner would pick for these parameters so tier-mix
         // accounting stays meaningful for simulated machine models.
-        let (tier, tier_reason) = self.plan_tier(params);
+        let planned = self.plan_tier(params);
         Ok(MeasuredPerf {
             mlups: self.updates_per_sweep() as f64 / per_sweep / 1e6,
             seconds_per_sweep: per_sweep,
             stats: Some(total.stats),
             simulated: true,
             threads_used: params.threads,
-            tier,
-            tier_reason,
+            tier: planned.tier(),
+            tier_reason: planned.reason,
         })
     }
 
-    /// The specialisation tier a spatial sweep of `params` would execute
-    /// on, under the live [`TierPolicy`] (`YASKSITE_FORCE_TIER` wins
-    /// over the default), assuming the shared grid geometry
-    /// [`Solution::allocate_grids`] produces.
+    /// The planner's pick for a sweep of `params` — kernel, tier, reason
+    /// and whether it is degraded — under the live [`TierPolicy`]
+    /// (`YASKSITE_FORCE_TIER` wins over the default), assuming the shared
+    /// grid geometry [`Solution::allocate_grids`] produces.
     #[must_use]
-    pub fn plan_tier(&self, params: &TuningParams) -> (Tier, &'static str) {
-        let planned = plan_kernel(&self.stencil, params, TierPolicy::from_env());
-        (planned.tier(), planned.reason)
+    pub fn plan_tier(&self, params: &TuningParams) -> PlannedKernel {
+        plan_kernel(&self.stencil, params, TierPolicy::from_env())
     }
 
     /// Generates the kernel source for `params`.

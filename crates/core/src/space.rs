@@ -77,19 +77,6 @@ impl SearchSpace {
         }
     }
 
-    /// A space with no candidates at all. Valid stencil/machine inputs
-    /// never produce this; it exists so callers can exercise the
-    /// empty-space error paths of the tuners.
-    #[must_use]
-    pub fn empty() -> Self {
-        SearchSpace {
-            domain: [1, 1, 1],
-            blocks: Vec::new(),
-            folds: Vec::new(),
-            wavefronts: Vec::new(),
-        }
-    }
-
     /// A reduced space without temporal blocking (used by experiments that
     /// isolate spatial effects).
     #[must_use]
@@ -119,13 +106,6 @@ impl SearchSpace {
     #[must_use]
     pub fn domain(&self) -> [usize; 3] {
         self.domain
-    }
-
-    /// The block shapes in the space, as provided (not yet clipped to the
-    /// domain — [`SearchSpace::candidates`] does that).
-    #[must_use]
-    pub fn blocks(&self) -> &[[usize; 3]] {
-        &self.blocks
     }
 
     /// Enumerates all candidate parameter sets for `threads` cores, in a
@@ -188,7 +168,7 @@ mod tests {
         let s = heat3d(1);
         let sp = SearchSpace::standard(&s, [128, 64, 64], &m);
         // y: 4,8,16,32,64 (5) x z: 5 = 25 blocks.
-        assert_eq!(sp.blocks().len(), 25);
+        assert_eq!(sp.blocks.len(), 25);
         let c = sp.candidates(4);
         assert_eq!(c.len(), sp.len());
         assert!(c.iter().all(|p| p.threads == 4));

@@ -898,41 +898,6 @@ pub fn run_trial_observed(
     }
 }
 
-impl Solution {
-    /// The production measurement backend for this solution.
-    #[must_use]
-    pub fn backend(&self) -> SolutionBackend<'_> {
-        SolutionBackend::new(self)
-    }
-
-    /// Robustly measures `params` under the trial protocol, degrading to
-    /// the analytic prediction when measurement fails or `budget` runs
-    /// out. Never fails; check [`TrialResult::provenance`].
-    pub fn measure_trial(
-        &self,
-        params: &TuningParams,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> TrialResult {
-        let mut backend = SolutionBackend::new(self);
-        self.measure_trial_with(&mut backend, params, cfg, budget)
-    }
-
-    /// [`Solution::measure_trial`] against an arbitrary backend (e.g. a
-    /// [`FaultyBackend`] in tests).
-    pub fn measure_trial_with(
-        &self,
-        backend: &mut dyn MeasureBackend,
-        params: &TuningParams,
-        cfg: &TrialConfig,
-        budget: &mut TrialBudget,
-    ) -> TrialResult {
-        let cores = params.threads.max(1);
-        let fallback = self.predict(params, cores).seconds_per_sweep;
-        run_trial(backend, params, fallback, cfg, budget)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use yasksite_engine::{tier_reason_degraded, ProfileReport, Tier, TuningParams};
+use yasksite_engine::{ProfileReport, Tier, TuningParams};
 use yasksite_telemetry::{Level, SpanGuard, Telemetry};
 
 use crate::cache::PredictionCache;
@@ -110,9 +110,11 @@ pub struct TuneResult {
     /// what the tuner allocates — so this matches what a native run of
     /// the winner executes).
     pub tier: Tier,
-    /// The planner's one-line justification for [`TuneResult::tier`];
-    /// [`yasksite_engine::tier_reason_degraded`] classifies it.
+    /// The planner's one-line justification for [`TuneResult::tier`].
     pub tier_reason: &'static str,
+    /// The planner's degraded flag for the winner, read through
+    /// [`TuneResult::tier_degraded`].
+    tier_degraded: bool,
 }
 
 impl TuneResult {
@@ -127,7 +129,7 @@ impl TuneResult {
     /// use the kernel the fold/layout asked for and fell back).
     #[must_use]
     pub fn tier_degraded(&self) -> bool {
-        tier_reason_degraded(self.tier_reason)
+        self.tier_degraded
     }
 }
 
@@ -251,34 +253,25 @@ impl Solution {
         match req.faults {
             Some(plan) => {
                 let mut backend = FaultyBackend::new(SolutionBackend::new(self), plan);
-                self.tune_engine(&mut backend, space, req)
+                self.tune_space_with_backend_req(&mut backend, space, req)
             }
             None => {
                 let mut backend = SolutionBackend::new(self);
-                self.tune_engine(&mut backend, space, req)
+                self.tune_space_with_backend_req(&mut backend, space, req)
             }
         }
     }
 
     /// [`Solution::tune_space_with`] against an arbitrary measurement
-    /// backend (the seam the fault-injection harness plugs into). The
-    /// request's own `faults` field is ignored here — wrap `backend`
-    /// yourself if you want both.
+    /// backend (the seam the fault-injection harness plugs into) — the
+    /// tuning engine every entry point funnels into. The request's own
+    /// `faults` field is ignored here — wrap `backend` yourself if you
+    /// want both. The request's budget is copied in; its final state is
+    /// [`TuneResult::budget`].
     ///
     /// # Errors
     /// Fails on an empty space.
     pub fn tune_space_with_backend_req(
-        &self,
-        backend: &mut dyn MeasureBackend,
-        space: &SearchSpace,
-        req: &TuneRequest,
-    ) -> Result<TuneResult, ToolError> {
-        self.tune_engine(backend, space, req)
-    }
-
-    /// The tuning engine every entry point funnels into. The request's
-    /// budget is copied in; its final state is [`TuneResult::budget`].
-    fn tune_engine(
         &self,
         backend: &mut dyn MeasureBackend,
         space: &SearchSpace,
@@ -364,9 +357,10 @@ impl Solution {
                 // query is pure and policy-aware, and the tuner always
                 // allocates shared-geometry grids, so it names the tier
                 // the engine ran (or, for simulated backends, would run).
-                let (tier, tier_reason) = self.plan_tier(&p);
+                let planned = self.plan_tier(&p);
+                let tier = planned.tier();
                 tel.inc(&format!("tier.ran.{tier}"));
-                if tier_reason_degraded(tier_reason) {
+                if planned.degraded {
                     tel.inc("tier.degraded");
                 }
                 tel.event(
@@ -375,8 +369,8 @@ impl Solution {
                     trial_span.id(),
                     &[
                         ("tier", tier.to_string().into()),
-                        ("tier_reason", tier_reason.into()),
-                        ("degraded", tier_reason_degraded(tier_reason).into()),
+                        ("tier_reason", planned.reason.into()),
+                        ("degraded", planned.degraded.into()),
                     ],
                 );
                 // Per-sweep throughput of trials that really executed —
@@ -436,7 +430,8 @@ impl Solution {
         // under the live tier policy: surfaced in the result, the trace
         // (a dedicated `winner` event `yasksite report` can digest), and
         // the counter registry.
-        let (winner_tier, winner_tier_reason) = self.plan_tier(&best);
+        let winner = self.plan_tier(&best);
+        let winner_tier = winner.tier();
         tel.inc(&format!("tier.winner.{winner_tier}"));
         tel.event(
             Level::Info,
@@ -446,8 +441,8 @@ impl Solution {
                 ("params", best.to_string().into()),
                 ("best_score_mlups", best_score.into()),
                 ("tier", winner_tier.to_string().into()),
-                ("tier_reason", winner_tier_reason.into()),
-                ("degraded", tier_reason_degraded(winner_tier_reason).into()),
+                ("tier_reason", winner.reason.into()),
+                ("degraded", winner.degraded.into()),
             ],
         );
         // Drift bookkeeping: every record and every per-stencil summary
@@ -612,7 +607,8 @@ impl Solution {
             drift: ledger,
             profile: profile_report,
             tier: winner_tier,
-            tier_reason: winner_tier_reason,
+            tier_reason: winner.reason,
+            tier_degraded: winner.degraded,
         })
     }
 }
@@ -656,13 +652,12 @@ mod tests {
     fn winner_carries_its_tier() {
         let r = solution().tune_with(&analytic_at(2)).unwrap();
         assert!(!r.tier_reason.is_empty());
-        // The reason string and the degraded classifier must agree with
-        // a direct planner query for the same winner.
-        let sol = solution();
-        let (tier, reason) = sol.plan_tier(&r.best);
-        assert_eq!(r.tier, tier);
-        assert_eq!(r.tier_reason, reason);
-        assert_eq!(r.tier_degraded(), tier_reason_degraded(reason));
+        // The reason string and the degraded flag must agree with a
+        // direct planner query for the same winner.
+        let planned = solution().plan_tier(&r.best);
+        assert_eq!(r.tier, planned.tier());
+        assert_eq!(r.tier_reason, planned.reason);
+        assert_eq!(r.tier_degraded(), planned.degraded);
     }
 
     #[test]

@@ -74,8 +74,7 @@ pub use pool::{ExecPool, PoolStats, ScopedJob};
 pub use profile::{IntervalStats, PhaseStat, PoolWindow, ProfileReport, SweepProfiler};
 pub use simulate::{apply_simulated, SimContext, SimulatedRun};
 pub use sweep::{
-    plan_kernel, tier_reason_degraded, Kernel, PlannedKernel, SweepReport, SweepRequest, Tier,
-    TierPolicy, FORCE_TIER_ENV,
+    plan_kernel, Kernel, PlannedKernel, SweepReport, SweepRequest, Tier, TierPolicy, FORCE_TIER_ENV,
 };
 pub use wavefront::{
     chain_runs_tiled, run_chain_simulated, run_wavefront_simulated, ChainLevel, PreparedChain,

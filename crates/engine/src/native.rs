@@ -314,6 +314,7 @@ impl<'a> PreparedSweep<'a> {
             threads_used,
             tier: self.planned.tier(),
             tier_reason: self.planned.reason,
+            degraded: self.planned.degraded,
             wavefront_depth: 1,
             finite: self.report_finite.then_some(scan.all_finite()),
         }

@@ -1,11 +1,9 @@
 //! The unified execution API: [`SweepRequest`] / [`SweepReport`].
 //!
-//! The native engine grew one entry point per execution dimension
-//! (pool × profiler × wavefront), and the vector-folded tier adds yet
-//! another. Instead of a seventh free function, every run is now
-//! constructed through one builder — mirroring the `TuneRequest` redesign
-//! on the tuning side — and returns a [`SweepReport`] that records not
-//! just the timing but *which tier actually executed and why*:
+//! Every native run is constructed through one builder — the engine's
+//! counterpart of `TuneRequest` — and returns a [`SweepReport`] that
+//! records not just the timing but *which tier actually executed and
+//! why*:
 //!
 //! ```
 //! use yasksite_engine::{SweepRequest, Tier, TierPolicy, TuningParams};
@@ -202,7 +200,7 @@ impl Kernel {
     }
 }
 
-/// A planner decision: the kernel and the one-line reason for it.
+/// A planner decision: the kernel, why, and whether it is a degradation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedKernel {
     /// The kernel the sweep runs on.
@@ -210,6 +208,8 @@ pub struct PlannedKernel {
     /// Why the planner picked it — in particular, why a fold or a forced
     /// policy was degraded.
     pub reason: &'static str,
+    /// Whether the sweep runs *below* the tier its fold or policy asked for.
+    pub degraded: bool,
 }
 
 impl PlannedKernel {
@@ -217,12 +217,6 @@ impl PlannedKernel {
     #[must_use]
     pub fn tier(&self) -> Tier {
         self.kernel.tier()
-    }
-
-    /// Whether the pick is a degradation (see [`tier_reason_degraded`]).
-    #[must_use]
-    pub fn degraded(&self) -> bool {
-        tier_reason_degraded(self.reason)
     }
 }
 
@@ -238,22 +232,29 @@ fn lane_count_supported(lanes: usize) -> bool {
 /// planner.
 fn plan_rows(params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
     let lanes = params.fold.x;
-    let (kernel, reason) = match policy {
-        TierPolicy::ForceScalar => (Kernel::ScalarRows, "tier forced to scalar"),
+    let (kernel, reason, degraded) = match policy {
+        TierPolicy::ForceScalar => (Kernel::ScalarRows, "tier forced to scalar", false),
         _ if lane_count_supported(lanes) => (
             Kernel::LaneRows(lanes),
             "row-major fold: folded lane kernel",
+            false,
         ),
         TierPolicy::ForceFolded => (
             Kernel::ScalarRows,
             "folded tier forced but fold.x has no supported lane count: scalar row kernels",
+            true,
         ),
         TierPolicy::Auto => (
             Kernel::ScalarRows,
             "fold.x has no supported lane count: scalar row kernels",
+            true,
         ),
     };
-    PlannedKernel { kernel, reason }
+    PlannedKernel {
+        kernel,
+        reason,
+        degraded,
+    }
 }
 
 /// Picks the kernel for a spatial sweep. `geometry_shared` says whether
@@ -266,40 +267,41 @@ pub(crate) fn plan_spatial(
     params: &TuningParams,
     policy: TierPolicy,
 ) -> PlannedKernel {
-    if let CompiledStencil::Tape(tape) = compiled {
-        return if params.row_major() {
-            PlannedKernel {
-                kernel: Kernel::TapeProgram(tape.instructions()),
-                reason: "non-linear stencil: row-vectorised register program",
-            }
-        } else {
-            PlannedKernel {
-                kernel: Kernel::PerPoint,
-                reason: "non-linear stencil on a multi-dimensional fold: per-point generic path",
-            }
-        };
-    }
-    if params.row_major() {
-        return plan_rows(params, policy);
-    }
     let elems = params.fold.elems();
-    let eligible = lane_count_supported(elems) && geometry_shared;
-    let (kernel, reason) = match policy {
-        TierPolicy::ForceScalar => (
+    let (kernel, reason, degraded) = match (compiled, policy) {
+        (CompiledStencil::Tape(tape), _) if params.row_major() => (
+            Kernel::TapeProgram(tape.instructions()),
+            "non-linear stencil: row-vectorised register program",
+            false,
+        ),
+        (CompiledStencil::Tape(_), _) => (
+            Kernel::PerPoint,
+            "non-linear stencil on a multi-dimensional fold: per-point generic path",
+            true,
+        ),
+        _ if params.row_major() => return plan_rows(params, policy),
+        (_, TierPolicy::ForceScalar) => (
             Kernel::PerPoint,
             "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
+            true,
         ),
-        _ if eligible => (
+        _ if lane_count_supported(elems) && geometry_shared => (
             Kernel::BrickGather(elems),
             "multi-dimensional fold: folded brick kernel",
+            false,
         ),
         _ => (
             Kernel::PerPoint,
             "multi-dimensional fold ineligible for the brick kernel \
              (unsupported lane count or mismatched grid layouts): generic path",
+            true,
         ),
     };
-    PlannedKernel { kernel, reason }
+    PlannedKernel {
+        kernel,
+        reason,
+        degraded,
+    }
 }
 
 /// Picks the kernel for the tile-plane updates of a wavefront sweep.
@@ -317,6 +319,7 @@ pub(crate) fn plan_wavefront(
     let per_point = |reason| PlannedKernel {
         kernel: Kernel::PerPoint,
         reason,
+        degraded: true,
     };
     if !compiled.is_linear() {
         per_point("non-linear stencil: per-point generic wavefront")
@@ -361,34 +364,9 @@ pub(crate) fn plan_shared_layout(
     }
 }
 
-/// The planner reasons that mean a sweep ran *below* the tier its fold
-/// or policy asked for (as opposed to simply naming the natural pick).
-/// Kept in lock-step with the literals in [`plan_rows`], [`plan_spatial`]
-/// and [`plan_wavefront`]; the observability layer turns these into
-/// `tier.degraded` counters.
-const DEGRADED_REASONS: [&str; 8] = [
-    "non-linear stencil on a multi-dimensional fold: per-point generic path",
-    "folded tier forced but fold.x has no supported lane count: scalar row kernels",
-    "fold.x has no supported lane count: scalar row kernels",
-    "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
-    "multi-dimensional fold ineligible for the brick kernel \
-     (unsupported lane count or mismatched grid layouts): generic path",
-    "non-linear stencil: per-point generic wavefront",
-    "ping-pong buffers have mismatched layouts: per-point generic wavefront",
-    "wavefront folded tier requires a row-major fold: per-point generic wavefront",
-];
-
-/// Whether a planner reason (from [`plan_kernel`] or
-/// [`SweepReport::tier_reason`]) records a degradation.
-#[must_use]
-pub fn tier_reason_degraded(reason: &str) -> bool {
-    DEGRADED_REASONS.contains(&reason)
-}
-
 /// Builder for one native sweep: spatial (`apply`) or temporally blocked
 /// (`run_wavefront`). The single configurable entry point to the native
-/// executors (the former free-function family was removed after its
-/// deprecation release).
+/// executors.
 ///
 /// Defaults: the process-global [`ExecPool`], no profiler, and the tier
 /// policy from [`TierPolicy::from_env`].
@@ -576,6 +554,7 @@ impl<'a> SweepRequest<'a> {
             threads_used: widest,
             tier: planned.tier(),
             tier_reason: planned.reason,
+            degraded: planned.degraded,
             wavefront_depth: self.params.wavefront,
             finite: self.report_finite.then_some(finite),
         })
@@ -610,6 +589,8 @@ pub struct SweepReport {
     /// Why the planner picked [`SweepReport::tier`] — in particular,
     /// why a forced tier was degraded.
     pub tier_reason: &'static str,
+    /// [`PlannedKernel::degraded`]; read it through [`SweepReport::degraded`].
+    pub(crate) degraded: bool,
     /// Time steps fused in this sweep (`1` for spatial sweeps).
     pub wavefront_depth: usize,
     /// Whether every value the sweep wrote is finite — `None` unless the
@@ -624,7 +605,7 @@ impl SweepReport {
     /// below what the fold or a forced policy asked for.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        tier_reason_degraded(self.tier_reason)
+        self.degraded
     }
 }
 
@@ -691,24 +672,43 @@ mod tests {
 
     #[test]
     fn degraded_reasons_are_classified() {
-        let s = heat3d(1);
-        // Natural picks are not degradations.
-        let row = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1));
-        let reason = plan_kernel(&s, &row, TierPolicy::Auto).reason;
-        assert!(!tier_reason_degraded(reason), "{reason}");
-        // An unsupported lane count is.
-        let odd = TuningParams::new([8, 8, 8], Fold::new(3, 1, 1));
-        let reason = plan_kernel(&s, &odd, TierPolicy::Auto).reason;
-        assert!(tier_reason_degraded(reason), "{reason}");
-        // Forcing scalar where it exists is a policy choice, not a
-        // degradation; forcing it where it cannot run is one.
-        let reason = plan_kernel(&s, &row, TierPolicy::ForceScalar).reason;
-        assert!(!tier_reason_degraded(reason), "{reason}");
-        let folded = TuningParams::new([8, 8, 8], Fold::new(4, 2, 1));
-        let planned = plan_kernel(&s, &folded, TierPolicy::ForceScalar);
-        assert_eq!(planned.tier(), Tier::Generic);
-        let reason = planned.reason;
-        assert!(tier_reason_degraded(reason), "{reason}");
+        use std::collections::{BTreeMap, BTreeSet};
+        // The oracle: every reason for a sweep below its asked-for tier.
+        const DEGRADED: [&str; 8] = [
+            "non-linear stencil on a multi-dimensional fold: per-point generic path",
+            "folded tier forced but fold.x has no supported lane count: scalar row kernels",
+            "fold.x has no supported lane count: scalar row kernels",
+            "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
+            "multi-dimensional fold ineligible for the brick kernel \
+             (unsupported lane count or mismatched grid layouts): generic path",
+            "non-linear stencil: per-point generic wavefront",
+            "ping-pong buffers have mismatched layouts: per-point generic wavefront",
+            "wavefront folded tier requires a row-major fold: per-point generic wavefront",
+        ];
+        let compiled =
+            [heat3d(1), inverter_chain_rhs(5.0, 1.0, 2.0)].map(|s| CompiledStencil::compile(&s));
+        let mut flags: BTreeMap<&str, bool> = BTreeMap::new();
+        for policy in [
+            TierPolicy::Auto,
+            TierPolicy::ForceScalar,
+            TierPolicy::ForceFolded,
+        ] {
+            for (x, y) in [(8, 1), (3, 1), (4, 2), (3, 2)] {
+                let p = TuningParams::new([8, 8, 8], Fold::new(x, y, 1));
+                for (c, shared) in compiled.iter().flat_map(|c| [(c, true), (c, false)]) {
+                    for planned in [
+                        plan_spatial(c, shared, &p, policy),
+                        plan_wavefront(c, shared, &p, policy),
+                    ] {
+                        let (r, d) = (planned.reason, planned.degraded);
+                        assert_eq!(d, DEGRADED.contains(&r), "{r}");
+                        assert_eq!(*flags.entry(r).or_insert(d), d, "both flags: {r}");
+                    }
+                }
+            }
+        }
+        let degraded: BTreeSet<&str> = flags.into_iter().filter(|f| f.1).map(|f| f.0).collect();
+        assert_eq!(degraded, BTreeSet::from(DEGRADED));
     }
 
     #[test]

@@ -39,14 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod ivps;
 mod plan;
 mod stepper;
 mod tableau;
 mod variants;
 
-pub use adaptive::{AdaptiveIntegrator, AdaptiveStats, EmbeddedPair};
 pub use ivps::Ivp;
 pub use plan::{compose_rhs, lincomb_stencil, StepOp, StepPlan};
 pub use stepper::{default_params, temporal_order, Integrator, OdeError};

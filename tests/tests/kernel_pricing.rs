@@ -145,7 +145,7 @@ fn host_picks_are_row_major_and_never_per_point() {
     let planned = plan_kernel(&stencil, &winner.best, TierPolicy::Auto);
     assert_ne!(planned.kernel, Kernel::PerPoint, "winner {}", winner.best);
     assert!(winner.best.row_major(), "winner {}", winner.best);
-    assert!(!planned.degraded(), "{}", planned.reason);
+    assert!(!planned.degraded, "{}", planned.reason);
 }
 
 /// `Offsite::tuned_params` turns the tiled step on exactly where it

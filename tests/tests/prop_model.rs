@@ -16,14 +16,82 @@ fn arb_machine() -> impl Strategy<Value = Machine> {
     ]
 }
 
+/// Predictions are finite and positive for arbitrary tiles and core
+/// counts. For a *fixed* single-core characterisation, the scaling
+/// curve `min(n·P₁, P_sat)` is monotone in `n`. (Across `predict_at`
+/// calls the curve may legitimately dip: more cores shrink the
+/// effective shared-cache share and can break a layer condition.)
+fn check_prediction_sane_and_monotone(
+    machine: &Machine,
+    n: usize,
+    ty: usize,
+    tz: usize,
+    r: usize,
+) -> Result<(), TestCaseError> {
+    let s = heat3d(r);
+    let fold = Fold::new(machine.lanes(), 1, 1);
+    let desc = KernelDesc::new(&s, [n, n, n]).tile([n, ty, tz]).fold(fold);
+    let model = EcmModel::new(machine);
+    let max = machine.cores_per_socket;
+    for cores in [1, 2.min(max), max] {
+        let p = model.predict_at(&desc, cores);
+        prop_assert!(p.t_ecm.is_finite() && p.t_ecm > 0.0);
+        prop_assert!(p.mlups_sat > 0.0);
+        // The fixed-characterisation scaling curve is monotone.
+        let mut last = 0.0;
+        for nn in 1..=max {
+            let perf = p.mlups(nn);
+            prop_assert!(perf.is_finite() && perf > 0.0);
+            prop_assert!(perf + 1e-9 >= last);
+            last = perf;
+        }
+    }
+    Ok(())
+}
+
+/// Traffic never increases toward memory: outer boundaries carry at
+/// most what inner boundaries carry.
+fn check_boundary_traffic_is_monotone(
+    machine: &Machine,
+    n: usize,
+    ty: usize,
+    r: usize,
+) -> Result<(), TestCaseError> {
+    let s = star3d(r, &vec![0.5; r + 1]);
+    let desc = KernelDesc::new(&s, [n, n, n]).tile([n, ty, ty]);
+    let p = EcmModel::new(machine).predict(&desc);
+    let lines = &p.traffic.per_boundary_lines;
+    for b in 1..lines.len() {
+        prop_assert!(
+            lines[b] <= lines[b - 1] + 1e-12,
+            "boundary {b} carries more than boundary {}: {lines:?}",
+            b - 1
+        );
+    }
+    Ok(())
+}
+
+// Cases the property runs once shrank to, pinned so they run on every
+// build.
+
+#[test]
+fn prediction_sane_and_monotone_host_n16_ty2_tz2_r1() {
+    check_prediction_sane_and_monotone(&Machine::host(), 16, 2, 2, 1).unwrap();
+}
+
+#[test]
+fn prediction_sane_and_monotone_cascade_lake_n220_ty52_tz3_r3() {
+    check_prediction_sane_and_monotone(&Machine::cascade_lake(), 220, 52, 3, 3).unwrap();
+}
+
+#[test]
+fn boundary_traffic_is_monotone_cascade_lake_n37_ty2_r3() {
+    check_boundary_traffic_is_monotone(&Machine::cascade_lake(), 37, 2, 3).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Predictions are finite and positive for arbitrary tiles and core
-    /// counts. For a *fixed* single-core characterisation, the scaling
-    /// curve `min(n·P₁, P_sat)` is monotone in `n`. (Across `predict_at`
-    /// calls the curve may legitimately dip: more cores shrink the
-    /// effective shared-cache share and can break a layer condition.)
     #[test]
     fn prediction_sane_and_monotone(
         machine in arb_machine(),
@@ -32,28 +100,9 @@ proptest! {
         tz in 2usize..64,
         r in 1usize..4,
     ) {
-        let s = heat3d(r);
-        let fold = Fold::new(machine.lanes(), 1, 1);
-        let desc = KernelDesc::new(&s, [n, n, n]).tile([n, ty, tz]).fold(fold);
-        let model = EcmModel::new(&machine);
-        let max = machine.cores_per_socket;
-        for cores in [1, 2.min(max), max] {
-            let p = model.predict_at(&desc, cores);
-            prop_assert!(p.t_ecm.is_finite() && p.t_ecm > 0.0);
-            prop_assert!(p.mlups_sat > 0.0);
-            // The fixed-characterisation scaling curve is monotone.
-            let mut last = 0.0;
-            for nn in 1..=max {
-                let perf = p.mlups(nn);
-                prop_assert!(perf.is_finite() && perf > 0.0);
-                prop_assert!(perf + 1e-9 >= last);
-                last = perf;
-            }
-        }
+        check_prediction_sane_and_monotone(&machine, n, ty, tz, r)?;
     }
 
-    /// Traffic never increases toward memory: outer boundaries carry at
-    /// most what inner boundaries carry.
     #[test]
     fn boundary_traffic_is_monotone(
         machine in arb_machine(),
@@ -61,17 +110,7 @@ proptest! {
         ty in 2usize..128,
         r in 1usize..5,
     ) {
-        let s = star3d(r, &vec![0.5; r + 1]);
-        let desc = KernelDesc::new(&s, [n, n, n]).tile([n, ty, ty]);
-        let p = EcmModel::new(&machine).predict(&desc);
-        let lines = &p.traffic.per_boundary_lines;
-        for b in 1..lines.len() {
-            prop_assert!(
-                lines[b] <= lines[b - 1] + 1e-12,
-                "boundary {b} carries more than boundary {}: {lines:?}",
-                b - 1
-            );
-        }
+        check_boundary_traffic_is_monotone(&machine, n, ty, r)?;
     }
 
     /// A bigger cache of the same geometry never produces more misses on

@@ -1,14 +1,12 @@
-//! Property-based tests of the fault-tolerant trial layer and the tuners
+//! Property-based tests of the fault-tolerant trial layer and the tuner
 //! built on it: under *any* seeded fault plan the public tuning API must
 //! terminate, never panic, never emit a non-finite estimate, and label
 //! every result with accurate provenance.
 
 use proptest::prelude::*;
-use yasksite::telemetry::Telemetry;
 use yasksite::{
-    run_trial, FallbackReason, FaultPlan, FaultyBackend, MeasureBackend, OnlineTuner,
-    PredictionCache, Provenance, SearchSpace, Solution, ToolError, TrialBudget, TrialConfig,
-    TuneRequest, TuneStrategy,
+    run_trial, FallbackReason, FaultPlan, FaultyBackend, MeasureBackend, Provenance, SearchSpace,
+    Solution, ToolError, TrialBudget, TrialConfig, TuneRequest, TuneStrategy,
 };
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
@@ -60,12 +58,11 @@ fn arb_cfg() -> impl Strategy<Value = TrialConfig> {
     })
 }
 
-fn small_setup() -> (Solution, SearchSpace, TuningParams) {
+fn small_setup() -> (Solution, SearchSpace) {
     let m = Machine::cascade_lake();
     let sol = Solution::new(heat2d(1), [64, 64, 1], m.clone());
     let space = SearchSpace::spatial_only(sol.stencil(), sol.domain(), &m);
-    let template = TuningParams::new([64, 8, 1], Fold::new(8, 1, 1)).threads(1);
-    (sol, space, template)
+    (sol, space)
 }
 
 proptest! {
@@ -122,49 +119,12 @@ proptest! {
         prop_assert_eq!(a.samples.len(), b.samples.len());
     }
 
-    /// The online tuner terminates under any fault plan, returns a
-    /// configuration from its own lattice, and accounts for every trial.
-    #[test]
-    fn online_tuner_survives_any_fault_plan(plan in arb_plan(), cfg in arb_cfg()) {
-        let (sol, space, template) = small_setup();
-        let mut tuner = OnlineTuner::new(&space, template).unwrap();
-        let mut backend = FaultyBackend::new(Synthetic, plan);
-        let mut budget = TrialBudget::unlimited();
-        let best = tuner
-            .run_to_convergence(
-                &sol,
-                &mut backend,
-                &cfg,
-                &mut budget,
-                PredictionCache::global(),
-                &Telemetry::disabled(),
-            )
-            .expect("tuning is total under faults");
-
-        // The pick is a real lattice point.
-        let in_lattice = space
-            .blocks()
-            .iter()
-            .any(|b| b[1] == best.block[1] && b[2] == best.block[2]);
-        prop_assert!(in_lattice, "{:?} not in lattice", best.block);
-        prop_assert!(tuner.trials() > 0);
-        prop_assert!(tuner.trials() <= tuner.lattice_size());
-        let s = tuner.summary();
-        prop_assert_eq!(s.trials, tuner.trials());
-        prop_assert!(s.fallbacks <= s.trials);
-        let prov = tuner.best_provenance().expect("winner was recorded");
-        if plan.fail_prob >= 1.0 {
-            prop_assert!(prov.is_fallback());
-            prop_assert_eq!(s.fallbacks, s.trials);
-        }
-    }
-
     /// The batch tuner ranks the *whole* space under any fault plan with
     /// finite scores and provenance for every candidate, and reproduces
     /// itself from the same seed.
     #[test]
     fn batch_tuner_ranks_everything_under_faults(plan in arb_plan()) {
-        let (sol, space, _) = small_setup();
+        let (sol, space) = small_setup();
         let cfg = TrialConfig { samples: 2, ..TrialConfig::default() };
         let once = |()| {
             let mut backend = FaultyBackend::new(Synthetic, plan);
@@ -191,7 +151,7 @@ proptest! {
     /// point is still ranked, the overflow on analytic fallbacks.
     #[test]
     fn budget_exhaustion_degrades_gracefully(plan in arb_plan(), max_runs in 1usize..30) {
-        let (sol, space, _) = small_setup();
+        let (sol, space) = small_setup();
         let mut backend = FaultyBackend::new(Synthetic, plan);
         let req = TuneRequest::new(TuneStrategy::Empirical).budget(TrialBudget::runs(max_runs));
         let r = sol

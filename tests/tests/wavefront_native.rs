@@ -344,7 +344,7 @@ fn a_priori_kernel_matches_the_report_of_running_every_standard_candidate() {
                 .unwrap();
                 assert_eq!(planned.tier(), report.tier, "{p} under {policy:?}");
                 assert_eq!(planned.reason, report.tier_reason, "{p} under {policy:?}");
-                assert_eq!(planned.degraded(), report.degraded(), "{p}");
+                assert_eq!(planned.degraded, report.degraded(), "{p}");
                 if p.wavefront > 1 && !p.row_major() {
                     assert_eq!(report.tier, Tier::Generic, "{p} under {policy:?}");
                     assert!(report.degraded(), "{p} under {policy:?}");
