@@ -35,7 +35,10 @@
 //! decomposition every other threaded path uses (bitwise reproducible
 //! for any pool width). Spatial blocking parameters are ignored here:
 //! bricks are visited in storage order, which is already the optimal
-//! streaming traversal for this layout.
+//! streaming traversal for this layout. This is the one native path that
+//! does not take its rows from the engine's walk (`crate::walk`), so it
+//! is also the one place the simulator's replay (the row walk of the
+//! fold's z-slabs) is not the native order.
 
 use yasksite_grid::Grid3;
 

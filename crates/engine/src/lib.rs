@@ -63,6 +63,7 @@ mod pool;
 mod profile;
 mod simulate;
 mod sweep;
+mod walk;
 mod wavefront;
 
 pub use codegen::{codegen, CodegenOutput};

@@ -20,10 +20,11 @@ use yasksite_stencil::{Stencil, StencilError};
 use crate::compile::{CompiledStencil, Tape};
 use crate::error::EngineError;
 use crate::fold_tier::brick_fast_path;
-use crate::params::{chunk_ranges, TuningParams};
+use crate::params::TuningParams;
 use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
 use crate::sweep::{plan_spatial, Kernel, PlannedKernel, SweepReport, TierPolicy};
+use crate::walk::{windows, Region, Walk};
 
 /// The opt-in "is every written value finite" scan of one sweep
 /// ([`crate::SweepRequest::report_finite`]), shared by the sweep's jobs.
@@ -278,10 +279,13 @@ impl<'a> PreparedSweep<'a> {
                 .linear_terms()
                 .expect("planner picked a linear kernel")
         };
+        let walk = Walk::new(out.n(), params);
+        let regions = walk.sweep(self.planned.kernel, params.threads);
         let threads_used = match self.planned.kernel {
             Kernel::LaneRows(_) | Kernel::ScalarRows => {
                 let kernel = self.rows.as_ref().expect("row plans are lowered");
-                linear_fast_path(pool, kernel, inputs, out, params, prof, scan)
+                let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
+                rows_on_pool(pool, kernel, &inputs, out, &walk, &regions, prof, scan)
             }
             Kernel::BrickGather(elems) => {
                 let (t, c) = linear();
@@ -297,11 +301,11 @@ impl<'a> PreparedSweep<'a> {
                 let CompiledStencil::Tape(tape) = &self.compiled else {
                     unreachable!("tape plan implies tape stencil")
                 };
-                tape_fast_path(pool, tape, inputs, out, params, prof, scan)
+                tape_fast_path(pool, tape, inputs, out, &walk, &regions, prof, scan)
             }
             Kernel::PerPoint => {
-                generic_path(&self.compiled, inputs, out, params, scan);
-                1
+                let scratch = &mut self.compiled.point_scratch();
+                per_point(&self.compiled, scratch, inputs, out, &walk, &regions, scan)
             }
         };
         let seconds = start.elapsed().as_secs_f64();
@@ -413,23 +417,20 @@ impl LinearKernel {
     }
 
     /// Applies the kernel to the input storage `inputs` (one slice per
-    /// input grid) over domain points `kr × jr × ir` with the YASK
-    /// block/sub-block traversal, writing through `sink`. The caller
-    /// guarantees the sink's window covers every written row.
-    #[allow(clippy::too_many_arguments)] // the loop nest's ranges and tiles
-    pub(crate) fn apply_blocked(
+    /// input grid) over every row segment of `region`, in walk order,
+    /// writing through `sink`, whose window covers the region. The sink
+    /// comes in as a `&mut` argument rather than a capture of the job's
+    /// closure: LLVM then knows nothing else writes its window and keeps
+    /// the window in registers across rows (a plain 256³ sweep ran ~30 %
+    /// slower with the capture).
+    pub(crate) fn apply(
         &self,
         inputs: &[&[f64]],
         sink: &mut Sink<'_>,
-        kr: (usize, usize),
-        jr: (usize, usize),
-        ir: (usize, usize),
-        block: [usize; 3],
-        sub: [usize; 3],
+        walk: &Walk,
+        region: &Region,
     ) {
-        blocked_nest(kr, jr, ir, block, sub, |k, j, i0, i1| {
-            self.row(inputs, sink, k, j, i0, i1);
-        });
+        walk.rows(region, |k, j, i0, i1| self.row(inputs, sink, k, j, i0, i1));
     }
 
     /// One output row segment, its terms walked in stripes of at most
@@ -551,133 +552,34 @@ pub(crate) struct Sink<'w> {
     pub(crate) scan: &'w FiniteScan,
 }
 
-/// The YASK block / sub-block loop nest over `kr × jr × ir`, invoking
-/// `row(k, j, i0, i1)` for every contiguous x-segment, x-innermost.
-#[inline]
-fn blocked_nest(
-    kr: (usize, usize),
-    jr: (usize, usize),
-    ir: (usize, usize),
-    block: [usize; 3],
-    sub: [usize; 3],
-    mut row: impl FnMut(usize, usize, usize, usize),
-) {
-    for kb in (kr.0..kr.1).step_by(block[2]) {
-        let kz1 = (kb + block[2]).min(kr.1);
-        for jb in (jr.0..jr.1).step_by(block[1]) {
-            let jy1 = (jb + block[1]).min(jr.1);
-            for ib in (ir.0..ir.1).step_by(block[0]) {
-                let ix1 = (ib + block[0]).min(ir.1);
-                for skb in (kb..kz1).step_by(sub[2]) {
-                    let skz = (skb + sub[2]).min(kz1);
-                    for sjb in (jb..jy1).step_by(sub[1]) {
-                        let sjy = (sjb + sub[1]).min(jy1);
-                        for sib in (ib..ix1).step_by(sub[0]) {
-                            let six = (sib + sub[0]).min(ix1);
-                            for k in skb..skz {
-                                for j in sjb..sjy {
-                                    row(k, j, sib, six);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A z-slab of the output: domain k-range plus the matching contiguous
-/// window of output storage.
-struct Slab<'w> {
-    win: &'w mut [f64],
-    win_base: isize,
-    k0: usize,
-    k1: usize,
-}
-
-/// Splits the output storage into per-slab contiguous plane windows, one
-/// per non-empty z-block range from [`chunk_ranges`]. The decomposition
-/// depends only on `(n, block, threads)`, never on the pool width.
-fn split_slabs<'w>(
-    data: &'w mut [f64],
-    out_geom: Geom,
-    n: [usize; 3],
-    block_z: usize,
-    threads: usize,
-) -> Vec<Slab<'w>> {
-    let nblocks_z = n[2].div_ceil(block_z);
-    let plane = (out_geom.ax * out_geom.ay) as usize;
-    let hz = out_geom.hz as usize;
-    let mut slabs = Vec::new();
-    let mut rest = data;
-    let mut consumed = 0usize; // storage planes consumed so far
-    for (kb0, kb1) in chunk_ranges(nblocks_z, threads) {
-        let k0 = kb0 * block_z;
-        let k1 = (kb1 * block_z).min(n[2]);
-        let first_plane = k0 + hz;
-        let last_plane = k1 + hz;
-        let skip = (first_plane - consumed) * plane;
-        let take = (last_plane - first_plane) * plane;
-        let (before, after) = rest.split_at_mut(skip + take);
-        rest = after;
-        consumed = last_plane;
-        slabs.push(Slab {
-            win: &mut before[skip..],
-            win_base: (first_plane * plane) as isize,
-            k0,
-            k1,
-        });
-    }
-    slabs
-}
-
-/// Linear combination over row-major storage: blocked loops, threaded
-/// over z-slabs on the pool. Returns the number of slabs that received
-/// work (= threads used).
-fn linear_fast_path(
+/// Runs `kernel` over `regions` of the walk on `pool`, one job per
+/// region writing its own window of `out`; reads the input storage
+/// `inputs` (one slice per input grid). Returns the number of regions
+/// (= threads used).
+#[allow(clippy::too_many_arguments)] // the pass's kernel, walk and sinks
+pub(crate) fn rows_on_pool(
     pool: &ExecPool,
     kernel: &LinearKernel,
-    inputs: &[&Grid3],
+    inputs: &[&[f64]],
     out: &mut Grid3,
-    params: &TuningParams,
+    walk: &Walk,
+    regions: &[Region],
     prof: &SweepProfiler,
     scan: &FiniteScan,
 ) -> usize {
-    let n = out.n();
-    let block = params.clipped_block(n);
-    let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
-    let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
-    let out_geom = Geom::of(out);
-    let slabs = split_slabs(out.as_mut_slice(), out_geom, n, block[2], params.threads);
-    let used = slabs.len();
-    let inputs = &inputs;
-    let jobs: Vec<ScopedJob<'_>> = slabs
-        .into_iter()
-        .map(|slab| {
+    let jobs: Vec<ScopedJob<'_>> = regions
+        .iter()
+        .zip(windows(out, regions, scan))
+        .map(|(region, mut sink)| {
             Box::new(move || {
                 let t0 = prof.start();
-                let mut sink = Sink {
-                    win: slab.win,
-                    base: slab.win_base,
-                    geom: out_geom,
-                    scan,
-                };
-                kernel.apply_blocked(
-                    inputs,
-                    &mut sink,
-                    (slab.k0, slab.k1),
-                    (0, n[1]),
-                    (0, n[0]),
-                    block,
-                    sub,
-                );
+                kernel.apply(inputs, &mut sink, walk, region);
                 prof.chunk_done(t0);
             }) as ScopedJob<'_>
         })
         .collect();
     pool.run(jobs);
-    used
+    regions.len()
 }
 
 /// Points per evaluation chunk of the tape tier: wide enough that the
@@ -686,25 +588,24 @@ fn linear_fast_path(
 /// instructions) stays cache-resident.
 const TAPE_CHUNK: usize = 256;
 
-/// Tape stencils on row-major storage: the same z-slab threading as the
-/// linear path; each row segment is evaluated [`TAPE_CHUNK`] points at a
-/// time by the register program, loading straight from the source row
-/// slices. The per-slab register file and access bases are allocated
-/// once per job, outside the loops.
+/// Tape stencils on row-major storage: the regions of the walk on the
+/// pool, as the row kernel runs them; each row segment is evaluated
+/// [`TAPE_CHUNK`] points at a time by the register program, loading
+/// straight from the source row slices. The per-region register file and
+/// access bases are allocated once per job, outside the loops.
+#[allow(clippy::too_many_arguments)] // the pass's program, walk and sinks
 fn tape_fast_path(
     pool: &ExecPool,
     tape: &Tape,
     inputs: &[&Grid3],
     out: &mut Grid3,
-    params: &TuningParams,
+    walk: &Walk,
+    regions: &[Region],
     prof: &SweepProfiler,
     scan: &FiniteScan,
 ) -> usize {
-    let n = out.n();
-    let block = params.clipped_block(n);
-    let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
     // No row segment is longer than a block.
-    let width = TAPE_CHUNK.min(block[0]);
+    let width = TAPE_CHUNK.min(walk.block()[0]);
     // Per access slot: geometry, element offset, source slice.
     let slots: Vec<(Geom, isize, &[f64])> = tape
         .accesses()
@@ -714,78 +615,62 @@ fn tape_fast_path(
             (ge, ge.offset_of(*o), inputs[*g].as_slice())
         })
         .collect();
-    let out_geom = Geom::of(out);
-    let slabs = split_slabs(out.as_mut_slice(), out_geom, n, block[2], params.threads);
-    let used = slabs.len();
     let slots = &slots;
-    let jobs: Vec<ScopedJob<'_>> = slabs
-        .into_iter()
-        .map(|slab| {
+    let jobs: Vec<ScopedJob<'_>> = regions
+        .iter()
+        .zip(windows(out, regions, scan))
+        .map(|(region, sink)| {
             Box::new(move || {
                 let t0 = prof.start();
                 let mut bases = vec![0usize; slots.len()];
                 let mut regs = tape.registers(width);
-                let win = slab.win;
-                blocked_nest(
-                    (slab.k0, slab.k1),
-                    (0, n[1]),
-                    (0, n[0]),
-                    block,
-                    sub,
-                    |k, j, i0, i1| {
-                        for (base, &(ge, off, _)) in bases.iter_mut().zip(slots) {
-                            *base = (ge.row_base(j as isize, k as isize) + off) as usize;
-                        }
-                        let ob =
-                            (out_geom.row_base(j as isize, k as isize) - slab.win_base) as usize;
-                        for (c, dst) in win[ob + i0..ob + i1].chunks_mut(width).enumerate() {
-                            let i = i0 + c * width;
-                            tape.run(&mut regs, width, |s| &slots[s].2[bases[s] + i..], dst);
-                            scan.check(dst);
-                        }
-                    },
-                );
+                walk.rows(region, |k, j, i0, i1| {
+                    let (j, k) = (j as isize, k as isize);
+                    for (base, &(ge, off, _)) in bases.iter_mut().zip(slots) {
+                        *base = (ge.row_base(j, k) + off) as usize;
+                    }
+                    let ob = (sink.geom.row_base(j, k) - sink.base) as usize;
+                    for (c, dst) in sink.win[ob + i0..ob + i1].chunks_mut(width).enumerate() {
+                        let i = i0 + c * width;
+                        tape.run(&mut regs, width, |s| &slots[s].2[bases[s] + i..], dst);
+                        scan.check(dst);
+                    }
+                });
                 prof.chunk_done(t0);
             }) as ScopedJob<'_>
         })
         .collect();
     pool.run(jobs);
-    used
+    regions.len()
 }
 
-/// Generic path: blocked loops through the layout-agnostic accessors.
-/// Single-threaded by design — folded layouts scatter a row across
-/// bricks, so there is no contiguous storage window to hand each worker
-/// (see [`crate::SweepReport::threads_used`]).
-fn generic_path(
+/// The per-point path: every point of `regions` evaluated through the
+/// layout-agnostic accessors, in walk order, with `scratch` from
+/// [`CompiledStencil::point_scratch`]. Single-threaded by design: folded
+/// layouts scatter a row across bricks, so there is no contiguous
+/// storage window to hand each worker, and the walk gives per-point
+/// kernels one region (see [`crate::SweepReport::threads_used`]).
+/// Returns the number of regions.
+pub(crate) fn per_point(
     compiled: &CompiledStencil,
+    scratch: &mut [f64],
     inputs: &[&Grid3],
     out: &mut Grid3,
-    params: &TuningParams,
+    walk: &Walk,
+    regions: &[Region],
     scan: &FiniteScan,
-) {
-    let n = out.n();
-    let block = params.clipped_block(n);
-    let mut scratch = compiled.point_scratch();
-    for kb in (0..n[2]).step_by(block[2]) {
-        let kz1 = (kb + block[2]).min(n[2]);
-        for jb in (0..n[1]).step_by(block[1]) {
-            let jy1 = (jb + block[1]).min(n[1]);
-            for ib in (0..n[0]).step_by(block[0]) {
-                let ix1 = (ib + block[0]).min(n[0]);
-                for k in kb..kz1 {
-                    for j in jb..jy1 {
-                        for i in ib..ix1 {
-                            let (i, j, k) = (i as isize, j as isize, k as isize);
-                            let v = compiled.eval_at_in(&mut scratch, inputs, i, j, k);
-                            out.set(i, j, k, v);
-                            scan.check(&[v]);
-                        }
-                    }
-                }
+) -> usize {
+    for region in regions {
+        walk.rows(region, |k, j, i0, i1| {
+            let (j, k) = (j as isize, k as isize);
+            for i in i0 as isize..i1 as isize {
+                let v = compiled.eval_at_in(scratch, inputs, i, j, k);
+                out.set(i, j, k, v);
+                scan.check(&[v]);
             }
-        }
+        });
     }
+    regions.len()
 }
 
 #[cfg(test)]

@@ -1,5 +1,12 @@
 //! Simulated execution backend: drives the cache-hierarchy simulator with
-//! the exact iteration order of the blocked kernel.
+//! the exact iteration order of the native kernels.
+//!
+//! The simulator is the second sink of the engine's one walk
+//! ([`crate::walk`]): core `t` replays the row segments native thread
+//! `t` computes, region for region and block for block, and charges the
+//! in-core cost of the kernel the planner picks. The native brick kernel
+//! is the one exception: it visits bricks in storage order, and a sweep
+//! on a brick fold is replayed as the row walk of its z-slabs.
 
 use yasksite_arch::Machine;
 use yasksite_ecm::incore::{incore_with_issue, InCore};
@@ -11,7 +18,8 @@ use yasksite_stencil::Stencil;
 
 use crate::error::EngineError;
 use crate::params::TuningParams;
-use crate::sweep::{plan_shared_layout, TierPolicy};
+use crate::sweep::{plan_shared_layout, Kernel, TierPolicy};
+use crate::walk::{Block, Region, Walk};
 
 /// A simulation context: the machine's cache hierarchy plus bookkeeping
 /// that persists across kernel applications (so multi-sweep workloads see
@@ -81,12 +89,10 @@ impl SimContext {
         &self.incore_cycles
     }
 
-    /// Accounts per-core in-core cycles for `units[c]` units of work.
-    pub(crate) fn add_incore(&mut self, units: &[u64], t_nol: f64, t_ol: f64) {
-        for (c, &u) in units.iter().enumerate() {
-            self.incore_cycles[c] += u as f64 * t_nol;
-            self.ol_cycles[c] += u as f64 * t_ol;
-        }
+    /// Accounts core `core`'s in-core cycles for `units` units of work.
+    pub(crate) fn add_incore(&mut self, core: usize, units: u64, t_nol: f64, t_ol: f64) {
+        self.incore_cycles[core] += units as f64 * t_nol;
+        self.ol_cycles[core] += units as f64 * t_ol;
     }
 
     /// Accounts simulated lattice updates.
@@ -135,23 +141,24 @@ pub struct SimulatedRun {
     pub mlups: f64,
 }
 
-/// In-core cycles per unit of work of a simulated spatial or wavefront
-/// sweep: the simulated backends charge the kernel the native planner
-/// would run, through the same [`crate::Kernel::issue`] the analytic
-/// predictor uses.
+/// The kernel the native planner would run a simulated spatial or
+/// wavefront sweep on, and its in-core cycles per unit of work: the
+/// simulated backends walk that kernel's regions and charge it through
+/// the same [`crate::Kernel::issue`] the analytic predictor uses.
 pub(crate) fn planned_incore(
     stencil: &Stencil,
     wavefront: bool,
     params: &TuningParams,
     machine: &Machine,
-) -> InCore {
+) -> (Kernel, InCore) {
     let kernel = plan_shared_layout(stencil, wavefront, params, TierPolicy::Auto).kernel;
-    incore_with_issue(
+    let incore = incore_with_issue(
         &stencil.info(),
         &machine.ports,
         params.fold,
         kernel.issue(machine),
-    )
+    );
+    (kernel, incore)
 }
 
 /// Read groups: per distinct `(grid, dy, dz)` row, the x-extent accessed.
@@ -176,6 +183,83 @@ impl Groups {
             }
         }
         Groups { read }
+    }
+}
+
+/// One level of a simulated pass: per piece of a row segment, each
+/// [`Groups`] read row of its input grids, then its output row, stored
+/// with `store`.
+pub(crate) struct Touches<'g> {
+    reads: Vec<(&'g Grid3, isize, isize, isize, isize)>,
+    out: &'g Grid3,
+    store: Access,
+}
+
+impl<'g> Touches<'g> {
+    pub(crate) fn of(
+        stencil: &Stencil,
+        inputs: &[&'g Grid3],
+        out: &'g Grid3,
+        store: Access,
+    ) -> Touches<'g> {
+        let reads = Groups::of(stencil).read.into_iter();
+        let reads = reads.map(|(g, dy, dz, lo, hi)| {
+            let [dy, dz, lo, hi] = [dy, dz, lo, hi].map(|e| e as isize);
+            (inputs[g], dy, dz, lo, hi)
+        });
+        Touches {
+            reads: reads.collect(),
+            out,
+            store,
+        }
+    }
+
+    /// The simulated sink of the walk: core `r.thread` replays region `r`
+    /// of `regions`, the cores taking one block each in turn (round-robin
+    /// by block, as the shared levels see them interleave).
+    /// `charge(ctx, core, units)` is told each block's units of in-core
+    /// work, one per 8-point piece.
+    pub(crate) fn replay(
+        &self,
+        ctx: &mut SimContext,
+        walk: &Walk,
+        regions: &[Region],
+        mut charge: impl FnMut(&mut SimContext, usize, u64),
+    ) {
+        let mut blocks: Vec<_> = regions.iter().map(|r| walk.blocks(r)).collect();
+        let mut busy = true;
+        while busy {
+            busy = false;
+            for (r, blocks) in regions.iter().zip(&mut blocks) {
+                if let Some(block) = blocks.next() {
+                    busy = true;
+                    let units = self.block(&mut ctx.hierarchy, walk, r.thread, &block);
+                    charge(ctx, r.thread, units);
+                }
+            }
+        }
+    }
+
+    /// Core `core`'s replay of `block`: every row segment in pieces of 8
+    /// points, each touching the read rows over its x-range widened by
+    /// each row's reach, then the output row; returns the pieces.
+    fn block(&self, h: &mut MemHierarchy, walk: &Walk, core: usize, block: &Block) -> u64 {
+        let mut units = 0;
+        walk.block_rows(core, block, |k, j, i0, i1| {
+            let (k, j, end) = (k as isize, j as isize, i1 as isize);
+            let mut i = i0 as isize;
+            while i < end {
+                let iend = (i + 8).min(end) - 1;
+                for &(g, dy, dz, lo, hi) in &self.reads {
+                    let [x0, x1, y, z] = [i + lo, iend + hi, j + dy, k + dz];
+                    touch_row(h, core, g, x0, x1, y, z, Access::Read);
+                }
+                touch_row(h, core, self.out, i, iend, j, k, self.store);
+                units += 1;
+                i = iend + 1;
+            }
+        });
+        units
     }
 }
 
@@ -236,15 +320,16 @@ fn walk_row(
     }
 }
 
-/// Simulates one application of `stencil` over the domain of `out` with
-/// the blocked loop structure, `params.threads` simulated cores
-/// (contiguous z-slabs, blocks interleaved round-robin on the shared
-/// levels), accumulating traffic into `ctx`.
+/// Simulates one application of `stencil` over the domain of `out`,
+/// accumulating traffic and in-core work into `ctx`: the walk of the
+/// native sweep on `params.threads` simulated cores, core `t` replaying
+/// native thread `t`'s z-slab (one core for a per-point plan), blocks
+/// interleaved round-robin on the shared levels. Outputs are stored
+/// non-temporally under `params.streaming_stores`.
 ///
 /// # Errors
 /// Returns binding/parameter errors; the context's core count must equal
 /// `params.threads`.
-#[allow(clippy::needless_range_loop)]
 pub fn apply_simulated(
     stencil: &Stencil,
     inputs: &[&Grid3],
@@ -265,92 +350,20 @@ pub fn apply_simulated(
             ),
         });
     }
-
     let n = out.n();
-    let block = params.clipped_block(n);
-    let groups = Groups::of(stencil);
-    let ic = planned_incore(stencil, false, params, ctx.machine());
-
-    // Split the block list into contiguous per-core chunks (OpenMP static
-    // schedule over the collapsed block loops): keeps each core's blocks
-    // spatially adjacent while still splitting work when only one z-block
-    // exists.
-    let mut all_blocks: Vec<(usize, usize, usize)> = Vec::new();
-    for kb in (0..n[2]).step_by(block[2]) {
-        for jb in (0..n[1]).step_by(block[1]) {
-            for ib in (0..n[0]).step_by(block[0]) {
-                all_blocks.push((kb, jb, ib));
-            }
-        }
-    }
-    let cores = ctx.cores();
-    let nb = all_blocks.len();
-    let mut per_core_blocks: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); cores];
-    for (c, chunk) in per_core_blocks.iter_mut().enumerate() {
-        chunk.extend(&all_blocks[c * nb / cores..(c + 1) * nb / cores]);
-    }
-    let rounds = per_core_blocks.iter().map(Vec::len).max().unwrap_or(0);
-    for r in 0..rounds {
-        for c in 0..ctx.cores() {
-            let Some(&(kb, jb, ib)) = per_core_blocks[c].get(r) else {
-                continue;
-            };
-            let kz1 = (kb + block[2]).min(n[2]);
-            let jy1 = (jb + block[1]).min(n[1]);
-            let ix1 = (ib + block[0]).min(n[0]);
-            let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
-            let mut units = 0u64;
-            for skb in (kb..kz1).step_by(sub[2]) {
-                let skz = (skb + sub[2]).min(kz1);
-                for sjb in (jb..jy1).step_by(sub[1]) {
-                    let sjy = (sjb + sub[1]).min(jy1);
-                    for sib in (ib..ix1).step_by(sub[0]) {
-                        let six = (sib + sub[0]).min(ix1);
-                        for k in skb..skz {
-                            for j in sjb..sjy {
-                                let mut i = sib;
-                                while i < six {
-                                    let iend = (i + 8).min(six) - 1;
-                                    for &(g, dy, dz, lo, hi) in &groups.read {
-                                        touch_row(
-                                            &mut ctx.hierarchy,
-                                            c,
-                                            inputs[g],
-                                            i as isize + lo as isize,
-                                            iend as isize + hi as isize,
-                                            j as isize + dy as isize,
-                                            k as isize + dz as isize,
-                                            Access::Read,
-                                        );
-                                    }
-                                    let store = if params.streaming_stores {
-                                        Access::WriteNt
-                                    } else {
-                                        Access::Write
-                                    };
-                                    touch_row(
-                                        &mut ctx.hierarchy,
-                                        c,
-                                        out,
-                                        i as isize,
-                                        iend as isize,
-                                        j as isize,
-                                        k as isize,
-                                        store,
-                                    );
-                                    units += 1;
-                                    i = iend + 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            ctx.incore_cycles[c] += units as f64 * ic.t_nol;
-            ctx.ol_cycles[c] += units as f64 * ic.t_ol;
-            ctx.updates += (kz1 - kb) as u64 * (jy1 - jb) as u64 * (ix1 - ib) as u64;
-        }
-    }
+    let (kernel, ic) = planned_incore(stencil, false, params, ctx.machine());
+    let store = if params.streaming_stores {
+        Access::WriteNt
+    } else {
+        Access::Write
+    };
+    let walk = Walk::new(n, params);
+    let regions = walk.sweep(kernel, params.threads);
+    let level = Touches::of(stencil, inputs, out, store);
+    level.replay(ctx, &walk, &regions, |ctx, c, units| {
+        ctx.add_incore(c, units, ic.t_nol, ic.t_ol);
+    });
+    ctx.add_updates((n[0] * n[1] * n[2]) as u64);
     Ok(())
 }
 

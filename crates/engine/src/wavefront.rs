@@ -33,12 +33,15 @@
 //! per-point fallback alike) and the simulated walk
 //! ([`run_chain_simulated`], [`run_wavefront_simulated`]) both follow it.
 //!
-//! A tile-plane runs through the same allocation-free linear row kernel
-//! as a spatial [`crate::PreparedSweep::run`], blocked in x by
-//! `params.block`, its rows split into `params.threads` chunks of one
-//! block height executed on the persistent [`ExecPool`]. The per-point
-//! operation order is identical to the op-by-op run's, so a tiled chain
-//! bitwise-matches its levels swept one after another.
+//! A tile-plane's rows are split into `params.threads` chunks of one
+//! block height, and each chunk is walked like a spatial sweep's slab
+//! ([`crate::walk`]): blocked in x and y by `params.block` and
+//! sub-blocked. The chunks run through the same allocation-free linear
+//! row kernel as a spatial [`crate::PreparedSweep::run`], on the
+//! persistent [`ExecPool`]; a per-point level walks the whole tile-plane
+//! on one thread. The per-point operation order is identical to the
+//! op-by-op run's, so a tiled chain bitwise-matches its levels swept one
+//! after another.
 
 use std::borrow::BorrowMut;
 
@@ -47,12 +50,13 @@ use yasksite_memsim::Access;
 use yasksite_stencil::Stencil;
 
 use crate::error::EngineError;
-use crate::native::{FiniteScan, Geom, GridGeometry, LinearKernel, PreparedSweep, Sink};
+use crate::native::{per_point, rows_on_pool, FiniteScan, GridGeometry, PreparedSweep};
 use crate::params::TuningParams;
-use crate::pool::{ExecPool, ScopedJob};
+use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
-use crate::simulate::{apply_simulated, planned_incore, touch_row, Groups, SimContext};
-use crate::sweep::{plan_wavefront, Kernel, PlannedKernel, TierPolicy};
+use crate::simulate::{apply_simulated, planned_incore, SimContext, Touches};
+use crate::sweep::{plan_shared_layout, plan_wavefront, Kernel, PlannedKernel, TierPolicy};
+use crate::walk::Walk;
 
 /// One level of a chain: the sweep it runs (an index into the chain's
 /// sweeps, or into the stencils of a simulated walk), the pool grids it
@@ -385,8 +389,7 @@ impl<'a> PreparedChain<'a> {
         // The sweeps share their request's profiler.
         let disabled = SweepProfiler::disabled();
         let prof = self.sweeps[0].profiler.unwrap_or(&disabled);
-        let params = &self.sweeps[0].params;
-        let n = self.sweeps[0].out.n;
+        let walk = Walk::new(self.sweeps[0].out.n, &self.sweeps[0].params);
         let scans = [FiniteScan::new(false), FiniteScan::new(true)];
         let mut scratch: Vec<Vec<f64>> = self
             .sweeps
@@ -401,24 +404,27 @@ impl<'a> PreparedChain<'a> {
             let sweep = &self.sweeps[level.sweep];
             let scan = &scans[usize::from(sweep.report_finite)];
             let (inputs, out) = bind(grids, level);
+            let regions = Walk::plane(schedule, &tp, sweep.planned.kernel);
             let t_plane = prof.start();
-            if let Some(kernel) = &sweep.rows {
-                let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
-                let used = tile_plane_rows(
-                    pool, kernel, &inputs, out, &tp, schedule, params, prof, scan,
-                );
-                widest = widest.max(used);
-            } else {
-                let scratch = &mut scratch[level.sweep];
-                let z = tp.z as isize;
-                for j in tp.rows.0 as isize..tp.rows.1 as isize {
-                    for i in 0..n[0] as isize {
-                        let v = sweep.compiled.eval_at_in(scratch, &inputs, i, j, z);
-                        out.set(i, j, z, v);
-                        scan.check(&[v]);
-                    }
+            let used = match &sweep.rows {
+                Some(kernel) => {
+                    let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
+                    rows_on_pool(pool, kernel, &inputs, out, &walk, &regions, prof, scan)
                 }
-            }
+                None => {
+                    let scratch = &mut scratch[level.sweep];
+                    per_point(
+                        &sweep.compiled,
+                        scratch,
+                        &inputs,
+                        out,
+                        &walk,
+                        &regions,
+                        scan,
+                    )
+                }
+            };
+            widest = widest.max(used);
             prof.plane_done(t_plane);
         }
         prof.phase_done("wavefront", t_pass);
@@ -521,74 +527,14 @@ pub(crate) fn execute_wavefront(
     Ok((widest, finite, planned))
 }
 
-/// One tile-plane update `dst[·, rows, z] = stencil(inputs)` through the
-/// linear row kernel: the schedule's row chunks, each blocked in x/y by
-/// `params.block` (and sub-blocked), run on the pool. Returns the number
-/// of chunks.
-#[allow(clippy::too_many_arguments)] // internal helper; one call site
-fn tile_plane_rows(
-    pool: &ExecPool,
-    kernel: &LinearKernel,
-    inputs: &[&[f64]],
-    dst: &mut Grid3,
-    tp: &TilePlane,
-    schedule: &Schedule,
-    params: &TuningParams,
-    prof: &SweepProfiler,
-    scan: &FiniteScan,
-) -> usize {
-    let n = dst.n();
-    let block = params.clipped_block(n);
-    let sub = params.sub_block.unwrap_or(block).map(|e| e.max(1));
-    let out_geom = Geom::of(dst);
-    let (ax, ay) = (out_geom.ax as usize, out_geom.ay as usize);
-    let (hy, hz) = (out_geom.hy as usize, out_geom.hz as usize);
-    let z = tp.z;
-    let plane_start = (z + hz) * ax * ay;
-    let plane = &mut dst.as_mut_slice()[plane_start..plane_start + ax * ay];
-    let mut jobs: Vec<ScopedJob<'_>> = Vec::new();
-    let mut rest = plane;
-    let mut consumed = 0usize; // storage rows of this plane handed out
-    for (_, j0, j1) in schedule.chunks(tp) {
-        let first_row = j0 + hy;
-        let last_row = j1 + hy;
-        let skip = (first_row - consumed) * ax;
-        let take = (last_row - first_row) * ax;
-        let (before, after) = rest.split_at_mut(skip + take);
-        rest = after;
-        consumed = last_row;
-        let win = &mut before[skip..];
-        let win_base = (plane_start + first_row * ax) as isize;
-        jobs.push(Box::new(move || {
-            let t0 = prof.start();
-            let mut sink = Sink {
-                win,
-                base: win_base,
-                geom: out_geom,
-                scan,
-            };
-            kernel.apply_blocked(
-                inputs,
-                &mut sink,
-                (z, z + 1),
-                (j0, j1),
-                (0, n[0]),
-                block,
-                sub,
-            );
-            prof.chunk_done(t0);
-        }) as ScopedJob<'_>);
-    }
-    let used = jobs.len();
-    pool.run(jobs);
-    used
-}
-
-/// Simulated counterpart of a tiled chain: walks the chain's schedule of
-/// y-tiles and tile-planes over `grids`, issuing the lines each level
-/// touches to the context's hierarchy; core `c` walks the row chunk
-/// native thread `c` runs. Level `l` applies `stencils[levels[l].sweep]`
-/// and is charged the in-core cost of the kernel its tile-planes run on.
+/// Simulated counterpart of [`PreparedChain`]: runs `levels` over `grids`
+/// as one tiled pass exactly where [`PreparedChain::new`] would
+/// ([`chain_runs_tiled`] over the kernels the planner picks for
+/// `stencils`), op by op through [`crate::apply_simulated`]'s walk
+/// otherwise. Tiled, it replays the native pass's y-tiles and
+/// tile-planes on the context's hierarchy: core `c` walks the rows native
+/// thread `c` runs, blocked and sub-blocked as the host walks them.
+/// Level `l` applies `stencils[levels[l].sweep]`.
 ///
 /// # Errors
 /// Binding errors of any level, a level naming a stencil or grid that
@@ -601,6 +547,25 @@ pub fn run_chain_simulated(
     params: &TuningParams,
     ctx: &mut SimContext,
 ) -> Result<(), EngineError> {
+    let kernels = stencils
+        .iter()
+        .map(|s| plan_shared_layout(s, false, params, TierPolicy::Auto).kernel);
+    let tiled = chain_runs_tiled(params, kernels);
+    simulate_chain(stencils, levels, grids, params, ctx, tiled)
+}
+
+/// [`run_chain_simulated`] as one tiled pass when `tiled`, op by op
+/// otherwise. The tiled pass replays each tile-plane's regions of the
+/// walk, as the native pass runs them, charged the in-core cost of the
+/// kernel its level plans as a wavefront sweep.
+fn simulate_chain(
+    stencils: &[&Stencil],
+    levels: &[ChainLevel],
+    grids: &[&Grid3],
+    params: &TuningParams,
+    ctx: &mut SimContext,
+    tiled: bool,
+) -> Result<(), EngineError> {
     let grid = |g: usize| {
         grids
             .get(g)
@@ -611,6 +576,7 @@ pub fn run_chain_simulated(
         return Ok(());
     };
     let n = grid(first.output)?.n();
+    let mut bound = Vec::with_capacity(levels.len());
     for level in levels {
         let stencil = stencils.get(level.sweep).ok_or_else(|| {
             bad_params(format!(
@@ -629,6 +595,7 @@ pub fn run_chain_simulated(
         if out.n() != n {
             return Err(bad_params("the chain's levels differ in domain".into()));
         }
+        bound.push((*stencil, inputs, out));
     }
     params.validate(n).map_err(bad_params)?;
     if ctx.cores() != params.threads {
@@ -638,58 +605,43 @@ pub fn run_chain_simulated(
             params.threads
         )));
     }
+    if !tiled {
+        for (stencil, inputs, out) in &bound {
+            apply_simulated(stencil, inputs, out, params, ctx)?;
+        }
+        return Ok(());
+    }
     let radius = largest_radius(stencils.iter().map(|s| s.info().radius));
     let schedule = Schedule::new(n, levels.len(), radius, params);
-    let groups: Vec<Groups> = stencils.iter().map(|s| Groups::of(s)).collect();
+    let walk = Walk::new(n, params);
+    let planned: Vec<_> = stencils
+        .iter()
+        .map(|s| planned_incore(s, true, params, ctx.machine()))
+        .collect();
+    let touches: Vec<Touches<'_>> = bound
+        .iter()
+        .map(|(stencil, inputs, out)| Touches::of(stencil, inputs, out, Access::Write))
+        .collect();
     let mut units = vec![vec![0u64; ctx.cores()]; stencils.len()];
     for tp in schedule.tile_planes() {
-        let level = &levels[tp.level];
-        let dst = grids[level.output];
-        let z = tp.z as isize;
-        for (c, j0, j1) in schedule.chunks(&tp) {
-            for j in j0 as isize..j1 as isize {
-                let mut i = 0usize;
-                while i < n[0] {
-                    let iend = (i + 8).min(n[0]) - 1;
-                    for &(g, dy, dz, lo, hi) in &groups[level.sweep].read {
-                        touch_row(
-                            &mut ctx.hierarchy,
-                            c,
-                            grids[level.inputs[g]],
-                            i as isize + lo as isize,
-                            iend as isize + hi as isize,
-                            j + dy as isize,
-                            z + dz as isize,
-                            Access::Read,
-                        );
-                    }
-                    touch_row(
-                        &mut ctx.hierarchy,
-                        c,
-                        dst,
-                        i as isize,
-                        iend as isize,
-                        j,
-                        z,
-                        Access::Write,
-                    );
-                    units[level.sweep][c] += 1;
-                    i = iend + 1;
-                }
-            }
-        }
+        let sweep = levels[tp.level].sweep;
+        let regions = Walk::plane(&schedule, &tp, planned[sweep].0);
+        touches[tp.level].replay(ctx, &walk, &regions, |_, c, u| {
+            units[sweep][c] += u;
+        });
     }
-    for (stencil, units) in stencils.iter().zip(&units) {
-        let ic = planned_incore(stencil, true, params, ctx.machine());
-        ctx.add_incore(units, ic.t_nol, ic.t_ol);
+    for ((_, ic), units) in planned.iter().zip(&units) {
+        for (c, &u) in units.iter().enumerate() {
+            ctx.add_incore(c, u, ic.t_nol, ic.t_ol);
+        }
     }
     ctx.add_updates(levels.len() as u64 * (n[0] * n[1] * n[2]) as u64);
     Ok(())
 }
 
 /// Simulated counterpart of [`crate::SweepRequest::run_wavefront`]: the
-/// depth-`params.wavefront` chain over `(a, b)` through
-/// [`run_chain_simulated`]; depth 1 is a plain spatial sweep.
+/// depth-`params.wavefront` chain over `(a, b)`, always as one tiled
+/// pass like the native wavefront; depth 1 is a plain spatial sweep.
 ///
 /// # Errors
 /// Same conditions as the native variant, plus a core-count mismatch
@@ -706,7 +658,7 @@ pub fn run_wavefront_simulated(
         return apply_simulated(stencil, &[a], b, params, ctx);
     }
     let levels = ping_pong_levels(params.wavefront, 0);
-    run_chain_simulated(&[stencil], &levels, &[a, b], params, ctx)
+    simulate_chain(&[stencil], &levels, &[a, b], params, ctx, true)
 }
 
 #[cfg(test)]

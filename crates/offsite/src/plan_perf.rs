@@ -4,8 +4,7 @@ use yasksite::{PredictionCache, Solution, ToolError};
 use yasksite_arch::Machine;
 use yasksite_ecm::layer::effective_capacity;
 use yasksite_engine::{
-    apply_simulated, chain_runs_tiled, plan_kernel, run_chain_simulated, SimContext, TierPolicy,
-    TuningParams,
+    chain_runs_tiled, plan_kernel, run_chain_simulated, SimContext, TierPolicy, TuningParams,
 };
 use yasksite_grid::Grid3;
 use yasksite_ode::StepPlan;
@@ -202,8 +201,9 @@ pub fn chain_tile_height(
 /// Measures one step of `plan` on the simulated hierarchy of `machine`:
 /// executes the plan's sweeps twice (warm-up step + steady-state step)
 /// against a grid pool with the plan's halos and the parameters' fold,
-/// and reports the steady-state step time. A step the native integrator
-/// runs as one tiled chain is walked as that chain.
+/// and reports the steady-state step time. The step is walked as the
+/// native integrator runs it ([`run_chain_simulated`]): as one tiled
+/// chain where it chains, op by op otherwise.
 ///
 /// # Errors
 /// Propagates engine errors (invalid parameters etc.).
@@ -216,21 +216,11 @@ pub fn measure_plan(
     let pool: Vec<Grid3> = (0..plan.num_grids)
         .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
         .collect();
-    let chained = runs_chained(plan, params);
     let stencils: Vec<_> = plan.ops.iter().map(|op| &op.stencil).collect();
     let levels = plan.chain_levels();
     let grids: Vec<&Grid3> = pool.iter().collect();
-    let step = |ctx: &mut SimContext| -> Result<(), ToolError> {
-        if chained {
-            return run_chain_simulated(&stencils, &levels, &grids, params, ctx)
-                .map_err(ToolError::Engine);
-        }
-        for op in &plan.ops {
-            let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
-            apply_simulated(&op.stencil, &inputs, &pool[op.output], params, ctx)
-                .map_err(ToolError::Engine)?;
-        }
-        Ok(())
+    let step = |ctx: &mut SimContext| {
+        run_chain_simulated(&stencils, &levels, &grids, params, ctx).map_err(ToolError::Engine)
     };
     step(&mut ctx)?;
     let warm = ctx.finish();

@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 use xtests::seeded_grid;
 use yasksite_arch::Machine;
-use yasksite_engine::{apply_simulated, SimContext, TuningParams};
+use yasksite_engine::{apply_simulated, SimContext, SweepRequest, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
-use yasksite_stencil::builders::star3d;
+use yasksite_memsim::HierarchyStats;
+use yasksite_stencil::builders::{inverter_chain_rhs, star3d};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -50,25 +51,88 @@ proptest! {
     }
 
     /// The per-core split covers all work: every active core issues
-    /// accesses when there are at least as many blocks as cores.
+    /// accesses when there are at least as many z-blocks as cores (core
+    /// `c` replays native thread `c`'s z-slab, whole z-blocks).
     #[test]
     fn every_core_participates(
         ny in 16usize..32,
-        nz in 16usize..32,
+        extra_z in 0usize..16,
         cores in 2usize..6,
     ) {
-        let m = Machine::cascade_lake();
-        let s = star3d(1, &[0.5, 0.1]);
-        let fold = Fold::new(8, 1, 1);
-        let n = [16, ny, nz];
-        let u = seeded_grid("u", n, [1, 1, 1], fold, 9);
-        let o = Grid3::new("o", n, [1, 1, 1], fold);
-        let p = TuningParams::new([16, 4, 4], fold).threads(cores);
-        let mut ctx = SimContext::new(&m, cores);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
-        let st = ctx.finish().stats;
+        let stats = four_block_sweep(ny, 4 * cores + extra_z, cores);
         for c in 0..cores {
-            prop_assert!(st.boundary_lines[0][c] > 0, "core {c} got no work");
+            prop_assert!(stats.boundary_lines[0][c] > 0, "core {c} got no work");
         }
     }
+
+    /// The counter-case: with fewer z-blocks than cores, exactly one core
+    /// per z-block issues accesses, the first ones, as on the host.
+    #[test]
+    fn only_cores_with_a_z_block_participate(
+        ny in 16usize..32,
+        nblocks_z in 1usize..5,
+        last_block in 1usize..5,
+        extra_cores in 1usize..3,
+    ) {
+        let cores = nblocks_z + extra_cores;
+        let stats = four_block_sweep(ny, 4 * (nblocks_z - 1) + last_block, cores);
+        for c in 0..cores {
+            prop_assert_eq!(stats.boundary_lines[0][c] > 0, c < nblocks_z, "core {}", c);
+        }
+    }
+
+    /// The simulator works on as many cores as the native sweep of the
+    /// same parameters reports threads: over the row kernel (8- and
+    /// 4-lane folds), the tape program and the per-point path (a
+    /// non-linear stencil on a 4x2x1 fold), any block, sub-block and
+    /// thread count.
+    #[test]
+    fn simulated_cores_at_work_match_native_threads_used(
+        kind in 0usize..4,
+        nx in 8usize..40,
+        ny in 2usize..20,
+        nz in 1usize..20,
+        block in (1usize..40, 1usize..12, 1usize..8),
+        sub in (1usize..16, 1usize..6, 1usize..4),
+        sub_blocked in any::<bool>(),
+        threads in 1usize..5,
+    ) {
+        let (s, fold) = match kind {
+            0 => (star3d(1, &[0.5, 0.1]), Fold::new(8, 1, 1)),
+            1 => (star3d(1, &[0.5, 0.1]), Fold::new(4, 1, 1)),
+            2 => (inverter_chain_rhs(5.0, 1.0, 2.0), Fold::new(8, 1, 1)),
+            _ => (inverter_chain_rhs(5.0, 1.0, 2.0), Fold::new(4, 2, 1)),
+        };
+        let n = [nx, ny, nz];
+        let u = seeded_grid("u", n, [1, 1, 1], fold, 3);
+        let mut o = Grid3::new("o", n, [1, 1, 1], fold);
+        let mut p = TuningParams::new([block.0, block.1, block.2], fold).threads(threads);
+        if sub_blocked {
+            p = p.sub_block([sub.0, sub.1, sub.2]);
+        }
+        let native = SweepRequest::new(&p)
+            .tier(TierPolicy::Auto)
+            .apply(&s, &[&u], &mut o)
+            .unwrap();
+        let mut ctx = SimContext::new(&Machine::cascade_lake(), threads);
+        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        let stats = ctx.finish().stats;
+        let working = (0..threads).filter(|&c| stats.boundary_lines[0][c] > 0).count();
+        prop_assert_eq!(working, native.threads_used, "{} {}", s.name(), p);
+    }
+}
+
+/// The per-core L1 traffic of a cold radius-1 star sweep over
+/// `16 × ny × nz` in `16x4x4` blocks on `cores` simulated cores.
+fn four_block_sweep(ny: usize, nz: usize, cores: usize) -> HierarchyStats {
+    let m = Machine::cascade_lake();
+    let s = star3d(1, &[0.5, 0.1]);
+    let fold = Fold::new(8, 1, 1);
+    let n = [16, ny, nz];
+    let u = seeded_grid("u", n, [1, 1, 1], fold, 9);
+    let o = Grid3::new("o", n, [1, 1, 1], fold);
+    let p = TuningParams::new([16, 4, 4], fold).threads(cores);
+    let mut ctx = SimContext::new(&m, cores);
+    apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+    ctx.finish().stats
 }
