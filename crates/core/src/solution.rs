@@ -5,9 +5,9 @@ use std::sync::OnceLock;
 
 use yasksite_arch::{Machine, MachineFileError, MachineKind};
 use yasksite_engine::{
-    apply_simulated, codegen, plan_kernel, run_wavefront_simulated, CodegenOutput, EngineError,
-    ExecPool, PlannedKernel, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier,
-    TierPolicy, TuningParams,
+    codegen, plan_kernel, ChainLevel, CodegenOutput, EngineError, ExecPool, PlannedKernel,
+    PreparedChain, ProfileReport, SimContext, SweepProfiler, SweepRequest, Tier, TierPolicy,
+    TuningParams,
 };
 use yasksite_grid::Grid3;
 use yasksite_memsim::HierarchyStats;
@@ -208,77 +208,34 @@ impl Solution {
     }
 
     /// Measures `params`: natively when the machine is the host model,
-    /// otherwise on the simulated hierarchy. One warm-up sweep is followed
-    /// by one measured steady-state sweep.
+    /// otherwise on the simulated hierarchy. One warm-up pass is followed
+    /// by one measured steady-state pass.
     ///
     /// # Errors
     /// Propagates engine errors (bad parameters, unsupported wavefront).
     pub fn measure(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
         if self.machine.kind == MachineKind::Host {
-            self.measure_native(params)
-        } else {
-            self.measure_simulated(params)
+            return self.measure_host(params, None);
         }
-    }
-
-    fn measure_native(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
-        let (mut inputs, mut out) = self.allocate_grids(params);
-        let pool = ExecPool::global();
-        let request = SweepRequest::new(params).pool(pool);
-        if params.wavefront > 1 {
-            let mut a = inputs.swap_remove(0);
-            // Warm-up.
-            request.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let report = request.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let secs = report.seconds / params.wavefront as f64;
-            return Ok(MeasuredPerf {
-                mlups: self.updates_per_sweep() as f64 / secs.max(1e-12) / 1e6,
-                seconds_per_sweep: secs,
-                stats: None,
-                simulated: false,
-                threads_used: report.threads_used,
-                tier: report.tier,
-                tier_reason: report.tier_reason,
-            });
-        }
-        let refs: Vec<&Grid3> = inputs.iter().collect();
-        let sweep = request.prepare(&self.stencil, &refs, &out)?;
-        sweep.run(pool, &refs, &mut out)?; // warm-up
-        let run = sweep.run(pool, &refs, &mut out)?;
-        Ok(MeasuredPerf {
-            mlups: run.mlups,
-            seconds_per_sweep: run.seconds,
-            stats: None,
-            simulated: false,
-            threads_used: run.threads_used,
-            tier: run.tier,
-            tier_reason: run.tier_reason,
-        })
-    }
-
-    fn measure_simulated(&self, params: &TuningParams) -> Result<MeasuredPerf, ToolError> {
         // The grids live in the context's own address space, so the
         // counters do not depend on other threads' allocations, and stay
         // unfilled: the simulator reads addresses, never values.
         let mut ctx = SimContext::new(&self.machine, params.threads);
-        let (inputs, out) =
+        let (mut grids, out) =
             self.grid_set(|name, halo| ctx.grid(name, self.domain, halo, params.fold));
-        let sweep = |ctx: &mut SimContext, a: &Grid3, b: &Grid3| -> Result<(), EngineError> {
-            if params.wavefront > 1 {
-                run_wavefront_simulated(&self.stencil, a, b, params, ctx)
-            } else {
-                let refs: Vec<&Grid3> = std::iter::once(a).chain(inputs.iter().skip(1)).collect();
-                apply_simulated(&self.stencil, &refs, b, params, ctx)
-            }
-        };
-        // Cold sweep warms the hierarchy, second sweep is steady state.
-        sweep(&mut ctx, &inputs[0], &out)?;
+        grids.push(out);
+        let request = SweepRequest::new(params).tier(TierPolicy::Auto);
+        let pass = self.prepare(&request, &grids)?;
+        // The cold pass warms the hierarchy, the second is steady state;
+        // it runs back from the output into the first input.
+        pass.simulate(&mut ctx, &grids)?;
         let warm = ctx.finish();
-        sweep(&mut ctx, &out, &inputs[0])?;
+        let last = grids.len() - 1;
+        grids.swap(0, last);
+        pass.simulate(&mut ctx, &grids)?;
         let total = ctx.finish();
         let steady = (total.time.seconds - warm.time.seconds).max(1e-12);
-        let sweeps = params.wavefront.max(1) as f64;
-        let per_sweep = steady / sweeps;
+        let per_sweep = steady / params.wavefront.max(1) as f64;
         // The simulator models traffic, not kernels; report the tier the
         // native planner would pick for these parameters so tier-mix
         // accounting stays meaningful for simulated machine models.
@@ -292,6 +249,65 @@ impl Solution {
             tier: planned.tier(),
             tier_reason: planned.reason,
         })
+    }
+
+    /// Measures `params` on this host: prepares under `profiler` (its
+    /// `"compile"` phase), runs the warm-up pass unprofiled and the
+    /// measured pass, back from the output into the first input, under
+    /// `profiler`.
+    fn measure_host(
+        &self,
+        params: &TuningParams,
+        profiler: Option<&SweepProfiler>,
+    ) -> Result<MeasuredPerf, ToolError> {
+        let (mut grids, out) = self.allocate_grids(params);
+        grids.push(out);
+        let pool = ExecPool::global();
+        let request = SweepRequest::new(params).pool(pool);
+        let request = match profiler {
+            Some(prof) => request.profiler(prof),
+            None => request,
+        };
+        let mut pass = self.prepare(&request, &grids)?;
+        pass.set_profiler(None);
+        pass.run(pool, &mut grids)?; // warm-up
+        let last = grids.len() - 1;
+        grids.swap(0, last);
+        pass.set_profiler(profiler);
+        let run = pass.run(pool, &mut grids)?;
+        Ok(MeasuredPerf {
+            mlups: run.mlups,
+            seconds_per_sweep: run.seconds / run.wavefront_depth as f64,
+            stats: None,
+            simulated: false,
+            threads_used: run.threads_used,
+            tier: run.tier,
+            tier_reason: run.tier_reason,
+        })
+    }
+
+    /// The one preparation of a measurement under `request`, over
+    /// `grids` (the inputs, then the output): the sweep from the inputs
+    /// into the output as a one-level chain, or, at a wavefront depth
+    /// above 1, the tiled chain over the ping-pong pair of the one input
+    /// and the output. The host runs it, the simulator replays it.
+    fn prepare<'p>(
+        &self,
+        request: &SweepRequest<'p>,
+        grids: &[Grid3],
+    ) -> Result<PreparedChain<'p>, EngineError> {
+        let (out, inputs) = grids.split_last().expect("a sweep writes one grid");
+        if request.params().wavefront > 1 {
+            return request.prepare_wavefront(&self.stencil, &grids[0], out);
+        }
+        let refs: Vec<&Grid3> = inputs.iter().collect();
+        let level = ChainLevel {
+            sweep: 0,
+            inputs: (0..inputs.len()).collect(),
+            output: inputs.len(),
+        };
+        let sweep = request.prepare(&self.stencil, &refs, out)?;
+        PreparedChain::new(vec![sweep], vec![level])
     }
 
     /// The planner's pick for a sweep of `params` — kernel, tier, reason
@@ -314,7 +330,7 @@ impl Solution {
     /// throughput and the profile report (phase times, chunk/plane
     /// timing, pool occupancy). Always runs natively regardless of the
     /// solution's machine model — profiling a simulated hierarchy would
-    /// time the simulator, not the kernel. A warm-up sweep runs
+    /// time the simulator, not the kernel. A warm-up pass runs
     /// unprofiled first.
     ///
     /// # Errors
@@ -323,42 +339,8 @@ impl Solution {
         &self,
         params: &TuningParams,
     ) -> Result<(MeasuredPerf, ProfileReport), ToolError> {
-        let (mut inputs, mut out) = self.allocate_grids(params);
-        let pool = ExecPool::global();
         let prof = SweepProfiler::enabled();
-        let warmup = SweepRequest::new(params).pool(pool);
-        let profiled = SweepRequest::new(params).pool(pool).profiler(&prof);
-        if params.wavefront > 1 {
-            let mut a = inputs.swap_remove(0);
-            warmup.run_wavefront(&self.stencil, &mut a, &mut out)?; // warm-up
-            let report = profiled.run_wavefront(&self.stencil, &mut a, &mut out)?;
-            let secs = report.seconds / params.wavefront as f64;
-            let perf = MeasuredPerf {
-                mlups: self.updates_per_sweep() as f64 / secs.max(1e-12) / 1e6,
-                seconds_per_sweep: secs,
-                stats: None,
-                simulated: false,
-                threads_used: report.threads_used,
-                tier: report.tier,
-                tier_reason: report.tier_reason,
-            };
-            return Ok((perf, prof.report()));
-        }
-        let refs: Vec<&Grid3> = inputs.iter().collect();
-        let mut sweep = profiled.prepare(&self.stencil, &refs, &out)?; // "compile"
-        sweep.set_profiler(None);
-        sweep.run(pool, &refs, &mut out)?; // warm-up
-        sweep.set_profiler(Some(&prof));
-        let run = sweep.run(pool, &refs, &mut out)?;
-        let perf = MeasuredPerf {
-            mlups: run.mlups,
-            seconds_per_sweep: run.seconds,
-            stats: None,
-            simulated: false,
-            threads_used: run.threads_used,
-            tier: run.tier,
-            tier_reason: run.tier_reason,
-        };
+        let perf = self.measure_host(params, Some(&prof))?;
         Ok((perf, prof.report()))
     }
 }

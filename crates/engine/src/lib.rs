@@ -8,7 +8,9 @@
 //! This crate reimplements that structure with three interchangeable
 //! execution backends:
 //!
-//! * **native** ([`SweepRequest::apply`], [`SweepRequest::run_wavefront`]):
+//! * **native** ([`SweepRequest::prepare`] / [`SweepRequest::prepare_wavefront`],
+//!   then [`PreparedSweep::run`] / [`PreparedChain::run`]; or in one call
+//!   [`SweepRequest::apply`], [`SweepRequest::run_wavefront`]):
 //!   really runs the kernel on the host through a specialisation ladder —
 //!   the explicitly vectorised folded tier, the scalar row rung, the
 //!   row-vectorised register program of a non-linear expression (the
@@ -18,11 +20,12 @@
 //!   sequence of prepared sweeps over a pool of grids as one pass, skewed
 //!   in z and tiled in y: a wavefront is a chain of equal sweeps, an ODE
 //!   step a chain of its stage sweeps.
-//! * **simulated** ([`apply_simulated`], [`run_chain_simulated`],
-//!   [`run_wavefront_simulated`]):
-//!   walks the *same* iteration order but issues the touched cache lines
-//!   to [`yasksite_memsim::MemHierarchy`], producing the "measured"
-//!   numbers for the paper's Cascade Lake and Rome configurations.
+//! * **simulated** ([`PreparedSweep::simulate`], [`PreparedChain::simulate`]):
+//!   the second sink of the same preparation — same checks, same kernel
+//!   plan, same tiled decision — walks the *same* iteration order but
+//!   issues the touched cache lines to [`yasksite_memsim::MemHierarchy`]
+//!   in a [`SimContext`], producing the "measured" numbers for the
+//!   paper's Cascade Lake and Rome configurations.
 //! * **codegen** ([`codegen`]): emits the C kernel source YASK would
 //!   generate for the configuration, for inspection and generation-cost
 //!   accounting.
@@ -73,10 +76,8 @@ pub use native::PreparedSweep;
 pub use params::TuningParams;
 pub use pool::{ExecPool, PoolStats, ScopedJob};
 pub use profile::{IntervalStats, PhaseStat, PoolWindow, ProfileReport, SweepProfiler};
-pub use simulate::{apply_simulated, SimContext, SimulatedRun};
+pub use simulate::{SimContext, SimulatedRun};
 pub use sweep::{
     plan_kernel, Kernel, PlannedKernel, SweepReport, SweepRequest, Tier, TierPolicy, FORCE_TIER_ENV,
 };
-pub use wavefront::{
-    chain_runs_tiled, run_chain_simulated, run_wavefront_simulated, ChainLevel, PreparedChain,
-};
+pub use wavefront::{chain_runs_tiled, ChainLevel, PreparedChain};

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use yasksite_grid::{all_finite, Fold, Grid3};
-use yasksite_stencil::{Stencil, StencilError};
+use yasksite_stencil::{Stencil, StencilError, StencilInfo};
 
 use crate::compile::{CompiledStencil, Tape};
 use crate::error::EngineError;
@@ -99,7 +99,9 @@ impl GridGeometry {
 /// phase), plans the kernel under the request's tier policy and, for the
 /// linear row kernel, resolves every term's offsets. [`PreparedSweep::run`]
 /// only checks that the grids it is handed have that geometry, binds
-/// their storage and executes (the `"sweep"` phase). An ODE integrator
+/// their storage and executes (the `"sweep"` phase);
+/// [`PreparedSweep::simulate`] runs the same checks and replays the
+/// planned kernel's walk on a simulated machine. An ODE integrator
 /// prepares each op once and runs it every step; rotating state storage
 /// between steps keeps every geometry, so the preparation stays valid.
 pub struct PreparedSweep<'a> {
@@ -107,8 +109,9 @@ pub struct PreparedSweep<'a> {
     pub(crate) planned: PlannedKernel,
     /// The lowered linear row kernel, when the plan runs on it.
     pub(crate) rows: Option<LinearKernel>,
-    /// The stencil's largest access offset per axis.
-    pub(crate) radius: [usize; 3],
+    /// The stencil's access pattern and operation counts: its radius
+    /// skews a chain, its offsets and counts drive the simulated sink.
+    pub(crate) info: StencilInfo,
     pub(crate) inputs: Vec<GridGeometry>,
     pub(crate) out: GridGeometry,
     pub(crate) params: TuningParams,
@@ -191,7 +194,7 @@ impl<'a> PreparedSweep<'a> {
             compiled,
             planned,
             rows,
-            radius: stencil.info().radius,
+            info: stencil.info(),
             inputs: inputs.iter().map(|g| GridGeometry::of(g)).collect(),
             out: GridGeometry::of(out),
             params: params.clone(),
@@ -677,6 +680,7 @@ pub(crate) fn per_point(
 mod tests {
     use super::*;
     use crate::sweep::{SweepRequest, Tier};
+    use crate::SimContext;
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{box3d, heat3d, inverter_chain_rhs, wave2d};
 
@@ -994,6 +998,8 @@ mod tests {
         // another domain with the same allocation (15 + 2 pads to 24
         // like 16 + 2), another halo, another fold (and so another
         // allocation), on an input or on the output, and the wrong arity.
+        // The simulated sink rejects each with the same variant and
+        // simulates nothing.
         let s = heat3d(1);
         let (n, halo, fold) = ([16, 4, 4], [1, 1, 1], Fold::new(8, 1, 1));
         let u = filled("u", n, halo, fold);
@@ -1001,6 +1007,7 @@ mod tests {
         let p = TuningParams::new([8, 4, 4], fold);
         let sweep = SweepRequest::new(&p).prepare(&s, &[&u], &out).unwrap();
         let pool = ExecPool::global();
+        let mut ctx = SimContext::new(&yasksite_arch::Machine::cascade_lake(), 1);
         let others = [
             filled("n", [15, 4, 4], halo, fold),
             filled("h", n, [2, 2, 2], fold),
@@ -1012,18 +1019,27 @@ mod tests {
             let mut o = out.clone();
             let err = sweep.run(pool, &[other], &mut o).unwrap_err();
             assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
+            let err = sweep.simulate(&mut ctx, &[other], &o).unwrap_err();
+            assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
             let mut wrong_out = other.clone();
             wrong_out.fill_all(0.5);
             let err = sweep.run(pool, &[&u], &mut wrong_out).unwrap_err();
             assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
             assert!(wrong_out.as_slice().iter().all(|&v| v == 0.5));
+            let err = sweep.simulate(&mut ctx, &[&u], &wrong_out).unwrap_err();
+            assert!(matches!(err, EngineError::BadParams { .. }), "{err}");
         }
         let mut o = out.clone();
         for inputs in [&[][..], &[&u, &u][..]] {
             let err = sweep.run(pool, inputs, &mut o).unwrap_err();
             assert!(matches!(err, EngineError::Binding(_)), "{err}");
+            let err = sweep.simulate(&mut ctx, inputs, &o).unwrap_err();
+            assert!(matches!(err, EngineError::Binding(_)), "{err}");
         }
         assert!(o.as_slice().iter().all(|&v| v == 0.0), "nothing ran");
+        assert_eq!(ctx.updates(), 0, "nothing was simulated");
+        sweep.simulate(&mut ctx, &[&u], &out).unwrap();
+        assert_eq!(ctx.updates(), 16 * 4 * 4);
         // The prepared grids themselves still run.
         sweep.run(pool, &[&u], &mut o).unwrap();
         assert!(o.max_abs_diff(&reference(&s, &[&u], n)).unwrap() < 1e-12);

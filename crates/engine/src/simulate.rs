@@ -1,12 +1,21 @@
 //! Simulated execution backend: drives the cache-hierarchy simulator with
 //! the exact iteration order of the native kernels.
 //!
-//! The simulator is the second sink of the engine's one walk
+//! Simulation is the second sink of what native preparation returns:
+//! [`PreparedSweep::simulate`] and [`PreparedChain::simulate`] run the
+//! same checks as their `run` and replay the regions of the kernel the
+//! preparation planned, charged that kernel's [`crate::Kernel::issue`];
+//! a chain is replayed tiled exactly where it runs tiled. A sweep meant
+//! for the simulator is prepared under [`crate::TierPolicy::Auto`], so
+//! its counters do not depend on `YASKSITE_FORCE_TIER`.
+//!
+//! The replay is the second sink of the engine's one walk
 //! ([`crate::walk`]): core `t` replays the row segments native thread
-//! `t` computes, region for region and block for block, and charges the
-//! in-core cost of the kernel the planner picks. The native brick kernel
-//! is the one exception: it visits bricks in storage order, and a sweep
-//! on a brick fold is replayed as the row walk of its z-slabs.
+//! `t` computes, region for region and block for block. The native brick
+//! kernel is the one exception: it visits bricks in storage order, and a
+//! sweep on a brick fold is replayed as the row walk of its z-slabs.
+
+use std::borrow::Borrow;
 
 use yasksite_arch::Machine;
 use yasksite_ecm::incore::{incore_with_issue, InCore};
@@ -14,12 +23,13 @@ use yasksite_grid::{AddressSpace, Fold, Grid3, ELEM_BYTES};
 use yasksite_memsim::{
     compose_time, Access, CoreWork, HierarchyStats, MemHierarchy, TimeBreakdown,
 };
-use yasksite_stencil::Stencil;
+use yasksite_stencil::StencilInfo;
 
 use crate::error::EngineError;
+use crate::native::PreparedSweep;
 use crate::params::TuningParams;
-use crate::sweep::{plan_shared_layout, Kernel, TierPolicy};
 use crate::walk::{Block, Region, Walk};
+use crate::wavefront::PreparedChain;
 
 /// A simulation context: the machine's cache hierarchy plus bookkeeping
 /// that persists across kernel applications (so multi-sweep workloads see
@@ -141,34 +151,13 @@ pub struct SimulatedRun {
     pub mlups: f64,
 }
 
-/// The kernel the native planner would run a simulated spatial or
-/// wavefront sweep on, and its in-core cycles per unit of work: the
-/// simulated backends walk that kernel's regions and charge it through
-/// the same [`crate::Kernel::issue`] the analytic predictor uses.
-pub(crate) fn planned_incore(
-    stencil: &Stencil,
-    wavefront: bool,
-    params: &TuningParams,
-    machine: &Machine,
-) -> (Kernel, InCore) {
-    let kernel = plan_shared_layout(stencil, wavefront, params, TierPolicy::Auto).kernel;
-    let incore = incore_with_issue(
-        &stencil.info(),
-        &machine.ports,
-        params.fold,
-        kernel.issue(machine),
-    );
-    (kernel, incore)
-}
-
 /// Read groups: per distinct `(grid, dy, dz)` row, the x-extent accessed.
 pub(crate) struct Groups {
     pub read: Vec<(usize, i32, i32, i32, i32)>,
 }
 
 impl Groups {
-    pub(crate) fn of(stencil: &Stencil) -> Groups {
-        let info = stencil.info();
+    pub(crate) fn of(info: &StencilInfo) -> Groups {
         let mut read: Vec<(usize, i32, i32, i32, i32)> = Vec::new();
         for (g, o) in &info.offsets {
             match read
@@ -197,12 +186,12 @@ pub(crate) struct Touches<'g> {
 
 impl<'g> Touches<'g> {
     pub(crate) fn of(
-        stencil: &Stencil,
+        info: &StencilInfo,
         inputs: &[&'g Grid3],
         out: &'g Grid3,
         store: Access,
     ) -> Touches<'g> {
-        let reads = Groups::of(stencil).read.into_iter();
+        let reads = Groups::of(info).read.into_iter();
         let reads = reads.map(|(g, dy, dz, lo, hi)| {
             let [dy, dz, lo, hi] = [dy, dz, lo, hi].map(|e| e as isize);
             (inputs[g], dy, dz, lo, hi)
@@ -320,59 +309,135 @@ fn walk_row(
     }
 }
 
-/// Simulates one application of `stencil` over the domain of `out`,
-/// accumulating traffic and in-core work into `ctx`: the walk of the
-/// native sweep on `params.threads` simulated cores, core `t` replaying
-/// native thread `t`'s z-slab (one core for a per-point plan), blocks
-/// interleaved round-robin on the shared levels. Outputs are stored
-/// non-temporally under `params.streaming_stores`.
-///
-/// # Errors
-/// Returns binding/parameter errors; the context's core count must equal
-/// `params.threads`.
-pub fn apply_simulated(
-    stencil: &Stencil,
-    inputs: &[&Grid3],
-    out: &Grid3,
-    params: &TuningParams,
-    ctx: &mut SimContext,
-) -> Result<(), EngineError> {
-    stencil.check_bindings(inputs, out)?;
-    params
-        .validate(out.n())
-        .map_err(|reason| EngineError::BadParams { reason })?;
-    if ctx.cores() != params.threads {
-        return Err(EngineError::BadParams {
-            reason: format!(
-                "context has {} cores, params ask for {}",
-                ctx.cores(),
-                params.threads
-            ),
-        });
+/// [`EngineError::BadParams`] unless `ctx` simulates as many cores as
+/// `params` ask threads.
+fn check_cores(ctx: &SimContext, params: &TuningParams) -> Result<(), EngineError> {
+    if ctx.cores() == params.threads {
+        return Ok(());
     }
-    let n = out.n();
-    let (kernel, ic) = planned_incore(stencil, false, params, ctx.machine());
-    let store = if params.streaming_stores {
-        Access::WriteNt
-    } else {
-        Access::Write
-    };
-    let walk = Walk::new(n, params);
-    let regions = walk.sweep(kernel, params.threads);
-    let level = Touches::of(stencil, inputs, out, store);
-    level.replay(ctx, &walk, &regions, |ctx, c, units| {
-        ctx.add_incore(c, units, ic.t_nol, ic.t_ol);
-    });
-    ctx.add_updates((n[0] * n[1] * n[2]) as u64);
-    Ok(())
+    Err(EngineError::BadParams {
+        reason: format!(
+            "context has {} cores, params ask for {}",
+            ctx.cores(),
+            params.threads
+        ),
+    })
+}
+
+impl PreparedSweep<'_> {
+    /// The simulated sink of [`PreparedSweep::run`]: one application over
+    /// the domain of `out`, accumulating traffic and in-core work into
+    /// `ctx`. Core `t` replays native thread `t`'s regions of the planned
+    /// kernel (one core for a per-point plan), blocks interleaved
+    /// round-robin on the shared levels, and is charged the planned
+    /// kernel's issue. Outputs are stored non-temporally under
+    /// `params.streaming_stores`. The simulator reads addresses only, so
+    /// the grids need no values.
+    ///
+    /// # Errors
+    /// [`PreparedSweep::run`]'s errors, and [`EngineError::BadParams`]
+    /// when the context's core count differs from `params.threads`.
+    pub fn simulate(
+        &self,
+        ctx: &mut SimContext,
+        inputs: &[&Grid3],
+        out: &Grid3,
+    ) -> Result<(), EngineError> {
+        self.check(inputs, out)?;
+        check_cores(ctx, &self.params)?;
+        self.replay(ctx, inputs, out);
+        Ok(())
+    }
+
+    /// The in-core cycles per unit of work of the planned kernel on the
+    /// context's machine.
+    fn incore(&self, ctx: &SimContext) -> InCore {
+        let machine = ctx.machine();
+        let issue = self.planned.kernel.issue(machine);
+        incore_with_issue(&self.info, &machine.ports, self.params.fold, issue)
+    }
+
+    /// [`PreparedSweep::simulate`] on grids its checks accepted.
+    fn replay(&self, ctx: &mut SimContext, inputs: &[&Grid3], out: &Grid3) {
+        let ic = self.incore(ctx);
+        let store = if self.params.streaming_stores {
+            Access::WriteNt
+        } else {
+            Access::Write
+        };
+        let walk = Walk::new(self.out.n, &self.params);
+        let regions = walk.sweep(self.planned.kernel, self.params.threads);
+        let level = Touches::of(&self.info, inputs, out, store);
+        level.replay(ctx, &walk, &regions, |ctx, c, units| {
+            ctx.add_incore(c, units, ic.t_nol, ic.t_ol);
+        });
+        ctx.add_updates(self.out.n.iter().product::<usize>() as u64);
+    }
+}
+
+impl PreparedChain<'_> {
+    /// The simulated sink of [`PreparedChain::run`]: every level once over
+    /// `grids`, on the context's hierarchy. A chain that runs tiled is
+    /// replayed as its one tiled pass: core `c` walks the rows native
+    /// thread `c` runs in each tile-plane, blocked and sub-blocked as the
+    /// host walks them, stores write-allocate, and each level's units are
+    /// charged its planned kernel's issue. Any other chain is replayed op
+    /// by op, each level as [`PreparedSweep::simulate`].
+    ///
+    /// # Errors
+    /// [`PreparedChain::run`]'s errors, and [`EngineError::BadParams`]
+    /// when the context's core count differs from `params.threads`.
+    pub fn simulate<G: Borrow<Grid3>>(
+        &self,
+        ctx: &mut SimContext,
+        grids: &[G],
+    ) -> Result<(), EngineError> {
+        let bound = self.check(grids)?;
+        let first = &self.sweeps[0];
+        check_cores(ctx, &first.params)?;
+        let Some(schedule) = &self.schedule else {
+            for (level, (inputs, out)) in self.levels.iter().zip(&bound) {
+                self.sweeps[level.sweep].replay(ctx, inputs, out);
+            }
+            return Ok(());
+        };
+        let walk = Walk::new(first.out.n, &first.params);
+        let touches: Vec<Touches<'_>> = self
+            .levels
+            .iter()
+            .zip(&bound)
+            .map(|(level, (inputs, out))| {
+                Touches::of(&self.sweeps[level.sweep].info, inputs, out, Access::Write)
+            })
+            .collect();
+        let mut units = vec![vec![0u64; ctx.cores()]; self.sweeps.len()];
+        for tp in schedule.tile_planes() {
+            let sweep = self.levels[tp.level].sweep;
+            let regions = Walk::plane(schedule, &tp, self.sweeps[sweep].planned.kernel);
+            touches[tp.level].replay(ctx, &walk, &regions, |_, c, u| {
+                units[sweep][c] += u;
+            });
+        }
+        for (sweep, units) in self.sweeps.iter().zip(&units) {
+            let ic = sweep.incore(ctx);
+            for (c, &u) in units.iter().enumerate() {
+                ctx.add_incore(c, u, ic.t_nol, ic.t_ol);
+            }
+        }
+        let points = first.out.n.iter().product::<usize>();
+        ctx.add_updates((self.levels.len() * points) as u64);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SweepRequest, TierPolicy};
     use proptest::prelude::*;
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{heat3d, star3d};
+    use yasksite_stencil::Stencil;
 
     /// CLX with every level shrunk (L1 2 KiB, L2 8 KiB, victim L3 56 KiB)
     /// and four cores, so short row sequences evict at every level.
@@ -414,7 +479,7 @@ mod tests {
                 touch_row(&mut run, core, &grids[g], x[0], x[1], j, k, access);
                 walk_row(&mut walk, core, &grids[g], x[0], x[1], j, k, access);
             };
-            let groups = Groups::of(&star3d(r, &vec![0.1; r + 1]));
+            let groups = Groups::of(&star3d(r, &vec![0.1; r + 1]).info());
             for k in 0..nz as isize {
                 let core = k as usize * cores / nz;
                 for j in 0..ny as isize {
@@ -440,6 +505,19 @@ mod tests {
         }
     }
 
+    /// One simulated application of `s`, prepared as the simulator's
+    /// callers prepare it.
+    fn simulate(
+        s: &Stencil,
+        inputs: &[&Grid3],
+        out: &Grid3,
+        p: &TuningParams,
+        ctx: &mut SimContext,
+    ) -> Result<(), EngineError> {
+        let request = SweepRequest::new(p).tier(TierPolicy::Auto);
+        request.prepare(s, inputs, out)?.simulate(ctx, inputs, out)
+    }
+
     fn grids(n: [usize; 3]) -> (Grid3, Grid3) {
         let fold = Fold::new(8, 1, 1);
         (
@@ -458,7 +536,7 @@ mod tests {
         let s = heat3d(1);
         let p = TuningParams::new([64, 8, 8], Fold::new(8, 1, 1));
         let mut ctx = SimContext::new(&m, 1);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
         let run = ctx.finish();
         assert_eq!(run.updates, (64 * 32 * 32) as u64);
         // Memory reads ≈ allocated footprint of both grids in lines.
@@ -479,9 +557,9 @@ mod tests {
         let s = heat3d(1);
         let p = TuningParams::new([64, 16, 16], Fold::new(8, 1, 1));
         let mut ctx = SimContext::new(&m, 1);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
         let cold = ctx.hierarchy.stats().mem_read_lines;
-        apply_simulated(&s, &[&o], &u, &p, &mut ctx).unwrap();
+        simulate(&s, &[&o], &u, &p, &mut ctx).unwrap();
         let warm = ctx.hierarchy.stats().mem_read_lines - cold;
         assert!(warm < cold / 4, "warm {warm} vs cold {cold}");
     }
@@ -494,7 +572,7 @@ mod tests {
         let s = heat3d(1);
         let p = TuningParams::new([64, 8, 8], Fold::new(8, 1, 1)).threads(4);
         let mut ctx = SimContext::new(&m, 4);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
         let run = ctx.finish();
         assert_eq!(run.updates, (64 * 16 * 32) as u64);
         // Every core moved some lines across its private boundary.
@@ -511,7 +589,7 @@ mod tests {
         let p = TuningParams::new([8, 8, 8], Fold::new(8, 1, 1)).threads(2);
         let mut ctx = SimContext::new(&m, 1);
         assert!(matches!(
-            apply_simulated(&s, &[&u], &o, &p, &mut ctx),
+            simulate(&s, &[&u], &o, &p, &mut ctx),
             Err(EngineError::BadParams { .. })
         ));
     }
@@ -530,7 +608,7 @@ mod tests {
             let mut p = TuningParams::new([64, 16, 16], fold);
             p.sub_block = sub;
             let mut ctx = SimContext::new(&m, 1);
-            apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+            simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
             let st = ctx.finish().stats;
             mem.push(st.mem_read_lines);
         }
@@ -551,7 +629,7 @@ mod tests {
             let (u, o) = grids(n);
             let p = TuningParams::new([256, 8, 8], Fold::new(8, 1, 1)).streaming_stores(nt);
             let mut ctx = SimContext::new(&m, 1);
-            apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+            simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
             reads.push(ctx.finish().stats.mem_read_lines);
         }
         // NT stores avoid reading the output stream: roughly one third of
@@ -575,7 +653,7 @@ mod tests {
             let (u, o) = grids(n);
             let p = TuningParams::new(block, fold);
             let mut ctx = SimContext::new(&m, 1);
-            apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+            simulate(&s, &[&u], &o, &p, &mut ctx).unwrap();
             traffic.push(ctx.finish().stats.boundary_total(1));
             drop((u, o));
         }

@@ -23,8 +23,6 @@
 //! # Ok::<(), yasksite_engine::EngineError>(())
 //! ```
 
-use std::time::Instant;
-
 use yasksite_arch::Machine;
 use yasksite_ecm::Issue;
 use yasksite_grid::Grid3;
@@ -32,11 +30,11 @@ use yasksite_stencil::Stencil;
 
 use crate::compile::CompiledStencil;
 use crate::error::EngineError;
-use crate::native::PreparedSweep;
+use crate::native::{GridGeometry, PreparedSweep};
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
-use crate::wavefront::execute_wavefront;
+use crate::wavefront::PreparedChain;
 
 /// Environment variable that overrides the default tier policy
 /// (`scalar` or `folded`); see [`TierPolicy::from_env`].
@@ -332,8 +330,8 @@ pub(crate) fn plan_wavefront(
     }
 }
 
-/// A-priori kernel query for the tuner, the ECM model and the simulator:
-/// which kernel *would* a sweep of `stencil` under `params` run on under
+/// A-priori kernel query for the tuner and the ECM model: which kernel
+/// *would* a sweep of `stencil` under `params` run on under
 /// `policy`, assuming identically laid-out grids (as
 /// `Solution::allocate_grids` produces)? Parameters with a wavefront
 /// depth above 1 are planned as the wavefront sweep they ask for, all
@@ -344,20 +342,8 @@ pub(crate) fn plan_wavefront(
 /// truth) when actual grid layouts differ.
 #[must_use]
 pub fn plan_kernel(stencil: &Stencil, params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
-    plan_shared_layout(stencil, params.wavefront > 1, params, policy)
-}
-
-/// The planner's pick for a wavefront or a spatial sweep on identically
-/// laid-out grids — [`plan_kernel`] with the kind of sweep stated by the
-/// caller (the simulated backends know which one they are walking).
-pub(crate) fn plan_shared_layout(
-    stencil: &Stencil,
-    wavefront: bool,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> PlannedKernel {
     let compiled = CompiledStencil::compile(stencil);
-    if wavefront {
+    if params.wavefront > 1 {
         plan_wavefront(&compiled, true, params, policy)
     } else {
         plan_spatial(&compiled, true, params, policy)
@@ -460,7 +446,7 @@ impl<'a> SweepRequest<'a> {
     /// the grids' geometry. The result captures the parameters, the
     /// profiler and [`SweepRequest::report_finite`]; run it with
     /// [`PreparedSweep::run`] on these grids or any of the same geometry,
-    /// as often as needed.
+    /// as often as needed, or replay it with [`PreparedSweep::simulate`].
     ///
     /// ```
     /// use yasksite_engine::{ExecPool, SweepRequest, TuningParams};
@@ -520,10 +506,67 @@ impl<'a> SweepRequest<'a> {
             .run(self.pool_ref(), inputs, out)
     }
 
+    /// Prepares `params.wavefront` time steps of `stencil` on the
+    /// ping-pong pair `[a, b]` as one tiled [`PreparedChain`]: even levels
+    /// sweep from `a` into `b`, odd ones back (one sweep is prepared per
+    /// direction when the two grids differ in geometry). Run it with
+    /// [`PreparedChain::run`] on this pair or any of the same geometries,
+    /// or replay it with [`PreparedChain::simulate`].
+    ///
+    /// Linear stencils on identically laid-out row-major grids run each
+    /// tile-plane's chunks through the linear row kernel, whichever of its
+    /// two rungs the planner names; anything else runs per point over the
+    /// same schedule.
+    ///
+    /// # Errors
+    /// Fails for multi-input stencils, binding problems, or invalid
+    /// parameters.
+    pub fn prepare_wavefront(
+        &self,
+        stencil: &Stencil,
+        a: &Grid3,
+        b: &Grid3,
+    ) -> Result<PreparedChain<'a>, EngineError> {
+        if stencil.num_inputs() != 1 {
+            return Err(EngineError::Unsupported {
+                reason: "wavefront needs a single-input (ping-pong) stencil".into(),
+            });
+        }
+        stencil.check_bindings(&[a], b)?;
+        stencil.check_bindings(&[b], a)?;
+        let params = &self.params;
+        params
+            .validate(a.n())
+            .map_err(|reason| EngineError::BadParams { reason })?;
+        let layouts_match = a.fold() == params.fold
+            && b.fold() == params.fold
+            && a.halo() == b.halo()
+            && a.alloc() == b.alloc();
+        let prepare = |from: &Grid3, to: &Grid3| {
+            PreparedSweep::lower(
+                stencil,
+                &[from],
+                to,
+                params,
+                self.profiler,
+                self.report_finite,
+                |compiled, _| plan_wavefront(compiled, layouts_match, params, self.tier),
+            )
+        };
+        let mut sweeps = vec![prepare(a, b)];
+        if GridGeometry::of(a) != GridGeometry::of(b) {
+            sweeps.push(prepare(b, a));
+        }
+        PreparedChain::ping_pong(sweeps, params.wavefront)
+    }
+
     /// Performs `wavefront` time steps of `stencil` on the ping-pong
-    /// pair `(a, b)` in one skewed sweep; on return `a` holds the newest
-    /// time level. `updates`/`mlups` in the report count all
-    /// `domain × depth` lattice updates the sweep performed.
+    /// pair `(a, b)` in one skewed sweep
+    /// ([`SweepRequest::prepare_wavefront`], then [`PreparedChain::run`]
+    /// on this request's pool); on return `a` holds the newest time level.
+    /// `updates`/`mlups` in the report count all `domain × depth` lattice
+    /// updates the sweep performed. Halo values of both buffers are left
+    /// untouched (fixed-value boundary), as the plain steppers treat them.
     ///
     /// # Errors
     /// Fails for multi-input stencils, binding problems, or invalid
@@ -534,30 +577,12 @@ impl<'a> SweepRequest<'a> {
         a: &mut Grid3,
         b: &mut Grid3,
     ) -> Result<SweepReport, EngineError> {
-        let updates = (a.domain_points() * self.params.wavefront) as u64;
-        let start = Instant::now();
-        let (widest, finite, planned) = execute_wavefront(
-            self.pool_ref(),
-            stencil,
-            a,
-            b,
-            &self.params,
-            self.profiler,
-            self.tier,
-            self.report_finite,
-        )?;
-        let seconds = start.elapsed().as_secs_f64();
-        Ok(SweepReport {
-            seconds,
-            mlups: updates as f64 / seconds.max(1e-12) / 1e6,
-            updates,
-            threads_used: widest,
-            tier: planned.tier(),
-            tier_reason: planned.reason,
-            degraded: planned.degraded,
-            wavefront_depth: self.params.wavefront,
-            finite: self.report_finite.then_some(finite),
-        })
+        let chain = self.prepare_wavefront(stencil, a, b)?;
+        let report = chain.run(self.pool_ref(), &mut [&mut *a, &mut *b])?;
+        if self.params.wavefront % 2 == 1 {
+            a.swap_data(b).expect("ping-pong pair has identical layout");
+        }
+        Ok(report)
     }
 }
 

@@ -8,9 +8,9 @@
 //!
 //! One walk, two sinks. The native row, tape and per-point executors
 //! compute the segments the walk hands them, thread `t` on region `t`;
-//! the simulated backends ([`crate::apply_simulated`],
-//! [`crate::run_chain_simulated`]) issue the segments' cache lines, core
-//! `t` replaying thread `t`'s region. What the simulator charges is what
+//! the simulated sink ([`crate::PreparedSweep::simulate`],
+//! [`crate::PreparedChain::simulate`]) issues the segments' cache lines,
+//! core `t` replaying thread `t`'s region. What the simulator charges is what
 //! the host runs. The one native path that does not take its rows from
 //! the walk is the brick kernel ([`crate::fold_tier`]): it visits bricks
 //! in storage order over brick-z slabs, and the simulator replays the
@@ -250,10 +250,7 @@ mod tests {
 
     use super::record::{segments, Segment};
     use crate::sweep::{plan_kernel, SweepRequest, TierPolicy};
-    use crate::{
-        apply_simulated, run_chain_simulated, run_wavefront_simulated, ChainLevel, ExecPool,
-        Kernel, PreparedChain, SimContext, TuningParams,
-    };
+    use crate::{ChainLevel, ExecPool, Kernel, PreparedChain, SimContext, TuningParams};
     use yasksite_arch::Machine;
     use yasksite_grid::{Fold, Grid3};
     use yasksite_stencil::builders::{heat3d, inverter_chain_rhs, star3d};
@@ -333,15 +330,19 @@ mod tests {
                 let u = grid("u", fold);
                 let mut out = Grid3::new("o", N, [1, 1, 1], fold);
                 let mut used = 0;
+                let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+                let sweep = request.prepare(&s, &[&u], &out).unwrap();
                 let native = segments(|| {
-                    let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
-                    used = request.apply(&s, &[&u], &mut out).unwrap().threads_used;
+                    used = sweep
+                        .run(ExecPool::global(), &[&u], &mut out)
+                        .unwrap()
+                        .threads_used;
                 });
                 let walked = same(
                     native,
                     &segments(|| {
                         let mut ctx = SimContext::new(&m, p.threads);
-                        apply_simulated(&s, &[&u], &out, &p, &mut ctx).unwrap();
+                        sweep.simulate(&mut ctx, &[&u], &out).unwrap();
                     }),
                 );
                 assert_eq!(walked.len(), used, "{} {p}", s.name());
@@ -364,17 +365,18 @@ mod tests {
                     let p = p.wavefront(depth);
                     assert_eq!(plan_kernel(&s, &p, TierPolicy::Auto).kernel, kind);
                     let (mut a, mut b) = (grid("a", fold), grid("b", fold));
+                    let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+                    let chain = request.prepare_wavefront(&s, &a, &b).unwrap();
                     let mut used = 0;
                     let native = segments(|| {
-                        let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
-                        let report = request.run_wavefront(&s, &mut a, &mut b).unwrap();
-                        used = report.threads_used;
+                        let pair = &mut [&mut a, &mut b];
+                        used = chain.run(ExecPool::global(), pair).unwrap().threads_used;
                     });
                     let walked = same(
                         native,
                         &segments(|| {
                             let mut ctx = SimContext::new(&m, p.threads);
-                            run_wavefront_simulated(&s, &a, &b, &p, &mut ctx).unwrap();
+                            chain.simulate(&mut ctx, &[&a, &b]).unwrap();
                         }),
                     );
                     assert_eq!(walked.len(), used, "{p}");
@@ -449,24 +451,22 @@ mod tests {
             for p in params(fold) {
                 let p = p.wavefront(wavefront);
                 let mut pool: Vec<Grid3> = (0..5).map(|g| grid(&format!("g{g}"), fold)).collect();
+                let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+                let sweeps = levels.iter().map(|l| {
+                    let inputs: Vec<&Grid3> = l.inputs.iter().map(|&g| &pool[g]).collect();
+                    request.prepare(&stencils[l.sweep], &inputs, &pool[l.output])
+                });
+                let sweeps = sweeps.collect::<Result<Vec<_>, _>>().unwrap();
+                let chain = PreparedChain::new(sweeps, levels.clone()).unwrap();
+                assert_eq!(chain.tiled(), wavefront > 1);
                 let native = segments(|| {
-                    let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
-                    let sweeps = levels.iter().map(|l| {
-                        let inputs: Vec<&Grid3> = l.inputs.iter().map(|&g| &pool[g]).collect();
-                        request.prepare(&stencils[l.sweep], &inputs, &pool[l.output])
-                    });
-                    let sweeps = sweeps.collect::<Result<Vec<_>, _>>().unwrap();
-                    let chain = PreparedChain::new(sweeps, levels.clone()).unwrap();
-                    assert_eq!(chain.tiled(), wavefront > 1);
                     chain.run(ExecPool::global(), &mut pool).unwrap();
                 });
                 let walked = same(
                     native,
                     &segments(|| {
                         let mut ctx = SimContext::new(&m, p.threads);
-                        let stencils: Vec<&Stencil> = stencils.iter().collect();
-                        let grids: Vec<&Grid3> = pool.iter().collect();
-                        run_chain_simulated(&stencils, &levels, &grids, &p, &mut ctx).unwrap();
+                        chain.simulate(&mut ctx, &pool).unwrap();
                     }),
                 );
                 assert_eq!(cover(&walked), levels.len() * N.iter().product::<usize>());

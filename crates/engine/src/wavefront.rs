@@ -4,7 +4,7 @@
 //! A chain is a list of *levels*, each a prepared sweep bound to a pool
 //! of grids: its own input grids, its own output grid. Two kinds of
 //! caller build one. A depth-`w` wavefront
-//! ([`crate::SweepRequest::run_wavefront`]) is `w` equal levels over a
+//! ([`crate::SweepRequest::prepare_wavefront`]) is `w` equal levels over a
 //! ping-pong pair, and an explicit ODE step is its stage and update
 //! sweeps, which read and rewrite several grids of a larger pool.
 //!
@@ -29,9 +29,12 @@
 //! writers' order. That covers the ping-pong pair of a wavefront and the
 //! grids an ODE step rewrites within a step; DESIGN.md "Tiled chains"
 //! has the argument. No level ever writes a halo. [`Schedule`] is the
-//! one statement of that order: the native executor (row kernels and
-//! per-point fallback alike) and the simulated walk
-//! ([`run_chain_simulated`], [`run_wavefront_simulated`]) both follow it.
+//! one statement of that order, and a [`PreparedChain`] has two sinks
+//! that follow it: [`PreparedChain::run`] executes the chain on the host
+//! (row kernels and per-point fallback alike), and
+//! [`PreparedChain::simulate`] replays the same tile-planes on a
+//! simulated machine. Both take the tiled decision, the levels' kernel
+//! plans and the binding checks from the one preparation.
 //!
 //! A tile-plane's rows are split into `params.threads` chunks of one
 //! block height, and each chunk is walked like a spatial sweep's slab
@@ -43,24 +46,22 @@
 //! op-by-op run's, so a tiled chain bitwise-matches its levels swept one
 //! after another.
 
-use std::borrow::BorrowMut;
+use std::borrow::{Borrow, BorrowMut};
+use std::time::Instant;
 
 use yasksite_grid::Grid3;
-use yasksite_memsim::Access;
-use yasksite_stencil::Stencil;
 
 use crate::error::EngineError;
-use crate::native::{per_point, rows_on_pool, FiniteScan, GridGeometry, PreparedSweep};
+use crate::native::{per_point, rows_on_pool, FiniteScan, PreparedSweep};
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
-use crate::simulate::{apply_simulated, planned_incore, SimContext, Touches};
-use crate::sweep::{plan_shared_layout, plan_wavefront, Kernel, PlannedKernel, TierPolicy};
+use crate::sweep::{Kernel, SweepReport};
 use crate::walk::Walk;
 
 /// One level of a chain: the sweep it runs (an index into the chain's
-/// sweeps, or into the stencils of a simulated walk), the pool grids it
-/// reads, in the stencil's input order, and the pool grid it writes.
+/// sweeps), the pool grids it reads, in the stencil's input order, and
+/// the pool grid it writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainLevel {
     /// Index of the level's sweep.
@@ -199,8 +200,24 @@ fn bad_params(reason: String) -> EngineError {
     EngineError::BadParams { reason }
 }
 
-/// The grids `level` reads and the grid it writes, out of `grids`. The
-/// indices are in range and the output is not among the inputs.
+/// The grids `level` reads and the grid it writes, out of `grids`;
+/// [`EngineError::BadParams`] names the first index out of range.
+fn bound<'g, G: Borrow<Grid3>>(
+    grids: &'g [G],
+    level: &ChainLevel,
+) -> Result<(Vec<&'g Grid3>, &'g Grid3), EngineError> {
+    let grid = |g: usize| {
+        grids
+            .get(g)
+            .map(Borrow::borrow)
+            .ok_or_else(|| bad_params(format!("the chain binds grid {g} of {}", grids.len())))
+    };
+    let inputs = level.inputs.iter().map(|&g| grid(g));
+    Ok((inputs.collect::<Result<_, _>>()?, grid(level.output)?))
+}
+
+/// [`bound`] for writing: the indices are in range and the output is not
+/// among the inputs.
 fn bind<'g, G: BorrowMut<Grid3>>(
     grids: &'g mut [G],
     level: &ChainLevel,
@@ -231,7 +248,8 @@ pub fn chain_runs_tiled(params: &TuningParams, kernels: impl IntoIterator<Item =
 /// [`PreparedChain::run`]: as one tiled pass when the sweeps' parameters
 /// ask for a wavefront (`params.wavefront > 1`) and every sweep runs on
 /// the linear row kernel, op by op otherwise. Both orders leave the same
-/// bits.
+/// bits. [`PreparedChain::simulate`] replays the same pass on a simulated
+/// machine.
 ///
 /// ```
 /// use yasksite_engine::{ChainLevel, ExecPool, PreparedChain, SweepRequest, TuningParams};
@@ -261,10 +279,10 @@ pub fn chain_runs_tiled(params: &TuningParams, kernels: impl IntoIterator<Item =
 /// # Ok::<(), yasksite_engine::EngineError>(())
 /// ```
 pub struct PreparedChain<'a> {
-    sweeps: Vec<PreparedSweep<'a>>,
-    levels: Vec<ChainLevel>,
+    pub(crate) sweeps: Vec<PreparedSweep<'a>>,
+    pub(crate) levels: Vec<ChainLevel>,
     /// The tiled pass's order; `None` runs the levels op by op.
-    schedule: Option<Schedule>,
+    pub(crate) schedule: Option<Schedule>,
 }
 
 impl<'a> PreparedChain<'a> {
@@ -275,10 +293,10 @@ impl<'a> PreparedChain<'a> {
     /// kernels; any other plan (a tape, a brick fold) runs op by op.
     ///
     /// # Errors
-    /// [`EngineError::BadParams`] when a level names a sweep that does
-    /// not exist or reads its own output, or when the sweeps differ in
-    /// parameters or domain; [`EngineError::Binding`] when a level binds
-    /// another number of inputs than its sweep reads.
+    /// [`EngineError::BadParams`] when there is no level, a level names a
+    /// sweep that does not exist or reads its own output, or the sweeps
+    /// differ in parameters or domain; [`EngineError::Binding`] when a
+    /// level binds another number of inputs than its sweep reads.
     pub fn new(
         sweeps: Vec<PreparedSweep<'a>>,
         levels: Vec<ChainLevel>,
@@ -289,11 +307,40 @@ impl<'a> PreparedChain<'a> {
         PreparedChain::build(sweeps, levels, tiled)
     }
 
+    /// The depth-`depth` wavefront over a ping-pong pair `[a, b]`, always
+    /// one tiled pass: even levels run `sweeps[0]` from `a` into `b`, odd
+    /// ones the last of `sweeps` from `b` into `a` (one sweep serves both
+    /// directions when the two grids share a geometry).
+    pub(crate) fn ping_pong(
+        sweeps: Vec<PreparedSweep<'a>>,
+        depth: usize,
+    ) -> Result<PreparedChain<'a>, EngineError> {
+        let backward = sweeps.len() - 1;
+        let levels = (0..depth)
+            .map(|level| {
+                let (sweep, from, to) = if level.is_multiple_of(2) {
+                    (0, 0, 1)
+                } else {
+                    (backward, 1, 0)
+                };
+                ChainLevel {
+                    sweep,
+                    inputs: vec![from],
+                    output: to,
+                }
+            })
+            .collect();
+        PreparedChain::build(sweeps, levels, true)
+    }
+
     fn build(
         sweeps: Vec<PreparedSweep<'a>>,
         levels: Vec<ChainLevel>,
         tiled: bool,
     ) -> Result<PreparedChain<'a>, EngineError> {
+        if levels.is_empty() {
+            return Err(bad_params("a chain runs at least one level".into()));
+        }
         for (l, level) in levels.iter().enumerate() {
             let sweep = sweeps.get(level.sweep).ok_or_else(|| {
                 bad_params(format!(
@@ -314,22 +361,18 @@ impl<'a> PreparedChain<'a> {
                 return Err(bad_params(format!("level {l} reads its own output")));
             }
         }
-        let schedule = match sweeps.first() {
-            Some(first) => {
-                if sweeps
-                    .iter()
-                    .any(|s| s.params != first.params || s.out.n != first.out.n)
-                {
-                    return Err(bad_params(
-                        "the chain's sweeps differ in parameters or domain".into(),
-                    ));
-                }
-                let radius = largest_radius(sweeps.iter().map(|s| s.radius));
-                (tiled && !levels.is_empty())
-                    .then(|| Schedule::new(first.out.n, levels.len(), radius, &first.params))
-            }
-            None => None,
-        };
+        let first = &sweeps[0];
+        if sweeps
+            .iter()
+            .any(|s| s.params != first.params || s.out.n != first.out.n)
+        {
+            return Err(bad_params(
+                "the chain's sweeps differ in parameters or domain".into(),
+            ));
+        }
+        let radius = largest_radius(sweeps.iter().map(|s| s.info.radius));
+        let schedule =
+            tiled.then(|| Schedule::new(first.out.n, levels.len(), radius, &first.params));
         Ok(PreparedChain {
             sweeps,
             levels,
@@ -344,10 +387,21 @@ impl<'a> PreparedChain<'a> {
         self.schedule.is_some()
     }
 
-    /// Runs every level once over `grids`, on `pool`. Returns whether
-    /// every value written by a sweep prepared with
-    /// [`crate::SweepRequest::report_finite`] is finite. Halos are never
-    /// written.
+    /// Sets the profiler later runs record to, on every sweep of the
+    /// chain (see [`PreparedSweep::set_profiler`]).
+    pub fn set_profiler(&mut self, profiler: Option<&'a SweepProfiler>) {
+        for sweep in &mut self.sweeps {
+            sweep.set_profiler(profiler);
+        }
+    }
+
+    /// Runs every level once over `grids`, on `pool`. Halos are never
+    /// written. The report counts every level's updates; its tier is the
+    /// plan of the first level's sweep (the levels of a wavefront plan
+    /// alike), its depth the number of levels a tiled pass fuses (1 op by
+    /// op), and [`SweepReport::finite`] covers every value written by a
+    /// sweep prepared with [`crate::SweepRequest::report_finite`] (`None`
+    /// when none was).
     ///
     /// # Errors
     /// [`EngineError::BadParams`] when a level's grid index is out of
@@ -357,19 +411,43 @@ impl<'a> PreparedChain<'a> {
         &self,
         pool: &ExecPool,
         grids: &mut [G],
-    ) -> Result<bool, EngineError> {
-        for level in &self.levels {
-            let indices = level.inputs.iter().chain(std::iter::once(&level.output));
-            if let Some(g) = indices.copied().find(|&g| g >= grids.len()) {
-                return Err(bad_params(format!(
-                    "the chain binds grid {g} of {}",
-                    grids.len()
-                )));
-            }
-            let (inputs, out) = bind(grids, level);
-            self.sweeps[level.sweep].check(&inputs, out)?;
-        }
-        Ok(self.execute(pool, grids).1)
+    ) -> Result<SweepReport, EngineError> {
+        self.check(&*grids)?;
+        let start = Instant::now();
+        let (widest, finite) = self.execute(pool, grids);
+        let seconds = start.elapsed().as_secs_f64();
+        let first = &self.sweeps[self.levels[0].sweep];
+        let updates = (self.levels.len() * first.out.n.iter().product::<usize>()) as u64;
+        let scanned = self.sweeps.iter().any(|s| s.report_finite);
+        Ok(SweepReport {
+            seconds,
+            mlups: updates as f64 / seconds.max(1e-12) / 1e6,
+            updates,
+            threads_used: widest,
+            tier: first.planned.tier(),
+            tier_reason: first.planned.reason,
+            degraded: first.planned.degraded,
+            wavefront_depth: if self.tiled() { self.levels.len() } else { 1 },
+            finite: scanned.then_some(finite),
+        })
+    }
+
+    /// The binding checks of [`PreparedChain::run`] and
+    /// [`PreparedChain::simulate`]: every level's grids are in range and
+    /// of the geometry its sweep was prepared against
+    /// ([`PreparedSweep::run`]'s checks). Returns each level's grids.
+    pub(crate) fn check<'g, G: Borrow<Grid3>>(
+        &self,
+        grids: &'g [G],
+    ) -> Result<Vec<(Vec<&'g Grid3>, &'g Grid3)>, EngineError> {
+        self.levels
+            .iter()
+            .map(|level| {
+                let (inputs, out) = bound(grids, level)?;
+                self.sweeps[level.sweep].check(&inputs, out)?;
+                Ok((inputs, out))
+            })
+            .collect()
     }
 
     /// Runs the chain on grids [`PreparedChain::run`]'s checks accepted;
@@ -433,242 +511,16 @@ impl<'a> PreparedChain<'a> {
     }
 }
 
-fn wavefront_checks(
-    stencil: &Stencil,
-    a: &Grid3,
-    b: &Grid3,
-    params: &TuningParams,
-) -> Result<(), EngineError> {
-    if stencil.num_inputs() != 1 {
-        return Err(EngineError::Unsupported {
-            reason: "wavefront needs a single-input (ping-pong) stencil".into(),
-        });
-    }
-    stencil.check_bindings(&[a], b)?;
-    stencil.check_bindings(&[b], a)?;
-    params
-        .validate(a.n())
-        .map_err(|reason| EngineError::BadParams { reason })
-}
-
-/// The levels of a depth-`depth` wavefront over the pair `[a, b]`: even
-/// levels run sweep 0 from `a` into `b`, odd ones sweep `backward` from
-/// `b` into `a`.
-fn ping_pong_levels(depth: usize, backward: usize) -> Vec<ChainLevel> {
-    (0..depth)
-        .map(|level| {
-            let (sweep, from, to) = if level.is_multiple_of(2) {
-                (0, 0, 1)
-            } else {
-                (backward, 1, 0)
-            };
-            ChainLevel {
-                sweep,
-                inputs: vec![from],
-                output: to,
-            }
-        })
-        .collect()
-}
-
-/// The wavefront executor behind [`crate::SweepRequest::run_wavefront`]:
-/// `params.wavefront` equal levels over the ping-pong pair `(a, b)` as
-/// one tiled chain, prepared once per call (once per direction when the
-/// two grids differ in geometry). Returns `(widest chunk count, every
-/// written value finite, planned kernel)`; the finiteness covers every
-/// level and is `true` without `scan`.
-///
-/// Linear stencils on matching row-major layouts run each tile-plane's
-/// chunks on the pool through the linear row kernel, whichever of its
-/// two rungs the planner named. Everything else falls back to the
-/// per-point generic loop over the same schedule. Halo values of both
-/// buffers are left untouched (fixed-value boundary), matching how the
-/// plain steppers treat them.
-#[allow(clippy::too_many_arguments)] // internal executor; one call site
-pub(crate) fn execute_wavefront(
-    pool: &ExecPool,
-    stencil: &Stencil,
-    a: &mut Grid3,
-    b: &mut Grid3,
-    params: &TuningParams,
-    profiler: Option<&SweepProfiler>,
-    policy: TierPolicy,
-    scan: bool,
-) -> Result<(usize, bool, PlannedKernel), EngineError> {
-    wavefront_checks(stencil, a, b, params)?;
-    // Tile-planes run the row kernel on identically laid-out row-major
-    // buffers only; any other pair runs per point.
-    let layouts_match = a.fold() == params.fold
-        && b.fold() == params.fold
-        && a.halo() == b.halo()
-        && a.alloc() == b.alloc();
-    let prepare = |from: &Grid3, to: &Grid3| {
-        PreparedSweep::lower(
-            stencil,
-            &[from],
-            to,
-            params,
-            profiler,
-            scan,
-            |compiled, _| plan_wavefront(compiled, layouts_match, params, policy),
-        )
-    };
-    let mut sweeps = vec![prepare(a, b)];
-    if GridGeometry::of(a) != GridGeometry::of(b) {
-        sweeps.push(prepare(b, a));
-    }
-    let planned = sweeps[0].planned;
-    let levels = ping_pong_levels(params.wavefront, sweeps.len() - 1);
-    let chain = PreparedChain::build(sweeps, levels, true)?;
-    let (widest, finite) = chain.execute(pool, &mut [&mut *a, &mut *b]);
-    if params.wavefront % 2 == 1 {
-        a.swap_data(b).expect("ping-pong pair has identical layout");
-    }
-    Ok((widest, finite, planned))
-}
-
-/// Simulated counterpart of [`PreparedChain`]: runs `levels` over `grids`
-/// as one tiled pass exactly where [`PreparedChain::new`] would
-/// ([`chain_runs_tiled`] over the kernels the planner picks for
-/// `stencils`), op by op through [`crate::apply_simulated`]'s walk
-/// otherwise. Tiled, it replays the native pass's y-tiles and
-/// tile-planes on the context's hierarchy: core `c` walks the rows native
-/// thread `c` runs, blocked and sub-blocked as the host walks them.
-/// Level `l` applies `stencils[levels[l].sweep]`.
-///
-/// # Errors
-/// Binding errors of any level, a level naming a stencil or grid that
-/// does not exist, levels over different domains, invalid parameters and
-/// a core-count mismatch between `ctx` and `params.threads`.
-pub fn run_chain_simulated(
-    stencils: &[&Stencil],
-    levels: &[ChainLevel],
-    grids: &[&Grid3],
-    params: &TuningParams,
-    ctx: &mut SimContext,
-) -> Result<(), EngineError> {
-    let kernels = stencils
-        .iter()
-        .map(|s| plan_shared_layout(s, false, params, TierPolicy::Auto).kernel);
-    let tiled = chain_runs_tiled(params, kernels);
-    simulate_chain(stencils, levels, grids, params, ctx, tiled)
-}
-
-/// [`run_chain_simulated`] as one tiled pass when `tiled`, op by op
-/// otherwise. The tiled pass replays each tile-plane's regions of the
-/// walk, as the native pass runs them, charged the in-core cost of the
-/// kernel its level plans as a wavefront sweep.
-fn simulate_chain(
-    stencils: &[&Stencil],
-    levels: &[ChainLevel],
-    grids: &[&Grid3],
-    params: &TuningParams,
-    ctx: &mut SimContext,
-    tiled: bool,
-) -> Result<(), EngineError> {
-    let grid = |g: usize| {
-        grids
-            .get(g)
-            .copied()
-            .ok_or_else(|| bad_params(format!("the chain binds grid {g} of {}", grids.len())))
-    };
-    let Some(first) = levels.first() else {
-        return Ok(());
-    };
-    let n = grid(first.output)?.n();
-    let mut bound = Vec::with_capacity(levels.len());
-    for level in levels {
-        let stencil = stencils.get(level.sweep).ok_or_else(|| {
-            bad_params(format!(
-                "level runs stencil {} of {}",
-                level.sweep,
-                stencils.len()
-            ))
-        })?;
-        let inputs = level
-            .inputs
-            .iter()
-            .map(|&g| grid(g))
-            .collect::<Result<Vec<_>, _>>()?;
-        let out = grid(level.output)?;
-        stencil.check_bindings(&inputs, out)?;
-        if out.n() != n {
-            return Err(bad_params("the chain's levels differ in domain".into()));
-        }
-        bound.push((*stencil, inputs, out));
-    }
-    params.validate(n).map_err(bad_params)?;
-    if ctx.cores() != params.threads {
-        return Err(bad_params(format!(
-            "context has {} cores, params ask for {}",
-            ctx.cores(),
-            params.threads
-        )));
-    }
-    if !tiled {
-        for (stencil, inputs, out) in &bound {
-            apply_simulated(stencil, inputs, out, params, ctx)?;
-        }
-        return Ok(());
-    }
-    let radius = largest_radius(stencils.iter().map(|s| s.info().radius));
-    let schedule = Schedule::new(n, levels.len(), radius, params);
-    let walk = Walk::new(n, params);
-    let planned: Vec<_> = stencils
-        .iter()
-        .map(|s| planned_incore(s, true, params, ctx.machine()))
-        .collect();
-    let touches: Vec<Touches<'_>> = bound
-        .iter()
-        .map(|(stencil, inputs, out)| Touches::of(stencil, inputs, out, Access::Write))
-        .collect();
-    let mut units = vec![vec![0u64; ctx.cores()]; stencils.len()];
-    for tp in schedule.tile_planes() {
-        let sweep = levels[tp.level].sweep;
-        let regions = Walk::plane(&schedule, &tp, planned[sweep].0);
-        touches[tp.level].replay(ctx, &walk, &regions, |_, c, u| {
-            units[sweep][c] += u;
-        });
-    }
-    for ((_, ic), units) in planned.iter().zip(&units) {
-        for (c, &u) in units.iter().enumerate() {
-            ctx.add_incore(c, u, ic.t_nol, ic.t_ol);
-        }
-    }
-    ctx.add_updates(levels.len() as u64 * (n[0] * n[1] * n[2]) as u64);
-    Ok(())
-}
-
-/// Simulated counterpart of [`crate::SweepRequest::run_wavefront`]: the
-/// depth-`params.wavefront` chain over `(a, b)`, always as one tiled
-/// pass like the native wavefront; depth 1 is a plain spatial sweep.
-///
-/// # Errors
-/// Same conditions as the native variant, plus a core-count mismatch
-/// between `ctx` and `params.threads`.
-pub fn run_wavefront_simulated(
-    stencil: &Stencil,
-    a: &Grid3,
-    b: &Grid3,
-    params: &TuningParams,
-    ctx: &mut SimContext,
-) -> Result<(), EngineError> {
-    wavefront_checks(stencil, a, b, params)?;
-    if params.wavefront == 1 {
-        return apply_simulated(stencil, &[a], b, params, ctx);
-    }
-    let levels = ping_pong_levels(params.wavefront, 0);
-    simulate_chain(&[stencil], &levels, &[a, b], params, ctx, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{SweepRequest, Tier};
+    use crate::sweep::{SweepRequest, Tier, TierPolicy};
+    use crate::SimContext;
     use proptest::prelude::*;
     use yasksite_arch::Machine;
     use yasksite_grid::Fold;
     use yasksite_stencil::builders::{heat3d, wave2d};
+    use yasksite_stencil::Stencil;
 
     /// One level of a random chain for the schedule oracle: the grid it
     /// writes and, per input, the grid it reads and the `(dy, dz)`
@@ -846,6 +698,7 @@ mod tests {
             output,
         };
         for (levels, binding) in [
+            (vec![], false),
             (vec![level(1, &[0], 1)], false),
             (vec![level(0, &[1], 1)], false),
             (vec![level(0, &[0, 2], 1)], true),
@@ -872,6 +725,7 @@ mod tests {
             PreparedChain::new(vec![sweep()], vec![level(0, &[0], 1), level(0, &[1], 2)]).unwrap();
         assert!(chain.tiled());
         let pool = ExecPool::global();
+        let mut ctx = SimContext::new(&Machine::cascade_lake(), p.threads);
         let mut wrong = grids.clone();
         wrong[2] = Grid3::new("wide", [16, 6, 5], [2, 2, 2], fold);
         let mut short = grids[..2].to_vec();
@@ -884,8 +738,16 @@ mod tests {
             for (g, b) in pool_grids.iter().zip(&before) {
                 assert_eq!(g.max_abs_diff(b).unwrap(), 0.0, "nothing ran");
             }
+            // The simulated sink rejects the same grids the same way.
+            assert!(matches!(
+                chain.simulate(&mut ctx, pool_grids),
+                Err(EngineError::BadParams { .. })
+            ));
         }
-        assert!(chain.run(pool, &mut grids.clone()).unwrap());
+        assert_eq!(ctx.updates(), 0, "nothing was simulated");
+        chain.run(pool, &mut grids.clone()).unwrap();
+        chain.simulate(&mut ctx, &grids).unwrap();
+        assert_eq!(ctx.updates(), 2 * 16 * 6 * 5);
     }
 
     /// Every level skews by the largest radius of any level: a radius-1
@@ -1169,15 +1031,18 @@ mod tests {
             let mut ctx = SimContext::new(&m, 1);
             // Equal total time steps: wf steps as either wf plain sweeps
             // or one wavefront sweep.
+            let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
             if depth == 1 {
                 let mut x = a.clone();
                 let mut y = b.clone();
+                let sweep = request.prepare(&s, &[&x], &y).unwrap();
                 for _ in 0..wf {
-                    apply_simulated(&s, &[&x], &y, &p, &mut ctx).unwrap();
+                    sweep.simulate(&mut ctx, &[&x], &y).unwrap();
                     x.swap_data(&mut y).unwrap();
                 }
             } else {
-                run_wavefront_simulated(&s, &a, &b, &p, &mut ctx).unwrap();
+                let chain = request.prepare_wavefront(&s, &a, &b).unwrap();
+                chain.simulate(&mut ctx, &[&a, &b]).unwrap();
             }
             let run = ctx.finish();
             assert_eq!(run.updates, (wf * n[0] * n[1] * n[2]) as u64);
@@ -1202,7 +1067,9 @@ mod tests {
             .wavefront(3)
             .threads(4);
         let mut ctx = SimContext::new(&m, 4);
-        run_wavefront_simulated(&s, &a, &b, &p, &mut ctx).unwrap();
+        let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+        let chain = request.prepare_wavefront(&s, &a, &b).unwrap();
+        chain.simulate(&mut ctx, &[&a, &b]).unwrap();
         let run = ctx.finish();
         assert_eq!(run.updates, (3 * 64 * 32 * 16) as u64);
         for c in 0..4 {

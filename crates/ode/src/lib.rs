@@ -47,6 +47,6 @@ mod variants;
 
 pub use ivps::Ivp;
 pub use plan::{compose_rhs, lincomb_stencil, StepOp, StepPlan};
-pub use stepper::{default_params, temporal_order, Integrator, OdeError};
+pub use stepper::{default_params, prepare_step, temporal_order, Integrator, OdeError};
 pub use tableau::Tableau;
 pub use variants::{erk_plan, pirk_plan, Variant};

@@ -66,6 +66,13 @@ impl StepPlan {
             .collect()
     }
 
+    /// The last op writing field `field`'s `next` grid: the op whose
+    /// output is that field's new state. `None` when no op writes it.
+    pub(crate) fn last_writer(&self, field: usize) -> Option<usize> {
+        let next = self.next_grids[field];
+        self.ops.iter().rposition(|op| op.output == next)
+    }
+
     /// Total lattice updates one step performs.
     #[must_use]
     pub fn updates_per_step(&self) -> u64 {

@@ -50,11 +50,11 @@ impl From<EngineError> for OdeError {
 /// Executes a [`StepPlan`] natively, step after step, managing the grid
 /// pool, boundary halos and state rotation. Each op's sweep is prepared
 /// once, against the pool grids it reads and writes, and the ops form one
-/// [`PreparedChain`]; a step only runs it. With `params.wavefront > 1`
-/// and every op on the linear row kernel the chain runs the whole step as
-/// one tiled pass, in tiles of `block[1] × threads` rows; otherwise (a
-/// tape op, a brick fold, `wavefront == 1`) it runs the ops one after
-/// another. Both leave the same bits.
+/// [`PreparedChain`] ([`prepare_step`]); a step only runs it. With
+/// `params.wavefront > 1` and every op on the linear row kernel the chain
+/// runs the whole step as one tiled pass, in tiles of `block[1] × threads`
+/// rows; otherwise (a tape op, a brick fold, `wavefront == 1`) it runs the
+/// ops one after another. Both leave the same bits.
 pub struct Integrator {
     plan: StepPlan,
     pool: Vec<Grid3>,
@@ -121,31 +121,11 @@ impl Integrator {
         for (fl, &g) in plan.state_grids.iter().enumerate() {
             pool[g].fill_with(|i, j, k| ivp.initial(fl, i, j, k));
         }
-        let mut scans_new_state = vec![false; plan.ops.len()];
-        let mut unswept_fields = Vec::new();
-        for (fl, &next) in plan.next_grids.iter().enumerate() {
-            match plan.ops.iter().rposition(|op| op.output == next) {
-                Some(last_writer) => scans_new_state[last_writer] = true,
-                None => unswept_fields.push(fl),
-            }
-        }
-        let request = SweepRequest::new(&params);
-        let sweeps = plan
-            .ops
-            .iter()
-            .zip(scans_new_state)
-            .map(|(op, scan)| {
-                let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
-                let request = if scan {
-                    request.clone().report_finite()
-                } else {
-                    request.clone()
-                };
-                request.prepare(&op.stencil, &inputs, &pool[op.output])
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let unswept_fields = (0..plan.next_grids.len())
+            .filter(|&fl| plan.last_writer(fl).is_none())
+            .collect();
         Ok(Integrator {
-            chain: PreparedChain::new(sweeps, plan.chain_levels())?,
+            chain: prepare_step(&plan, &pool, &SweepRequest::new(&params))?,
             plan,
             pool,
             exec: None,
@@ -202,7 +182,7 @@ impl Integrator {
             Some(p) => p,
             None => ExecPool::global(),
         };
-        let mut finite = self.chain.run(exec, &mut self.pool)?;
+        let mut finite = self.chain.run(exec, &mut self.pool)?.finite != Some(false);
         for (&s, &n) in self.plan.state_grids.iter().zip(&self.plan.next_grids) {
             let [a, b] = self
                 .pool
@@ -280,6 +260,39 @@ impl Integrator {
         }
         m
     }
+}
+
+/// One step of `plan` over `pool`, prepared under `request` as the chain
+/// [`Integrator`] runs: one sweep per op against its pool grids (the last
+/// writer of each field's `next` grid with
+/// [`SweepRequest::report_finite`]), chained by
+/// [`StepPlan::chain_levels`]. [`PreparedChain::run`] steps on the host;
+/// [`PreparedChain::simulate`] replays the step on a simulated machine.
+///
+/// # Errors
+/// The engine's error when an op does not bind to its grids.
+///
+/// # Panics
+/// If an op names a grid outside `pool` (a validated plan over
+/// `plan.num_grids` grids never does).
+pub fn prepare_step<'a>(
+    plan: &StepPlan,
+    pool: &[Grid3],
+    request: &SweepRequest<'a>,
+) -> Result<PreparedChain<'a>, EngineError> {
+    let scans: Vec<usize> = (0..plan.next_grids.len())
+        .filter_map(|fl| plan.last_writer(fl))
+        .collect();
+    let sweeps = plan.ops.iter().enumerate().map(|(o, op)| {
+        let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
+        let request = if scans.contains(&o) {
+            request.clone().report_finite()
+        } else {
+            request.clone()
+        };
+        request.prepare(&op.stencil, &inputs, &pool[op.output])
+    });
+    PreparedChain::new(sweeps.collect::<Result<_, _>>()?, plan.chain_levels())
 }
 
 /// Estimates the temporal convergence order of a method: integrates to

@@ -4,10 +4,10 @@ use yasksite::{PredictionCache, Solution, ToolError};
 use yasksite_arch::Machine;
 use yasksite_ecm::layer::effective_capacity;
 use yasksite_engine::{
-    chain_runs_tiled, plan_kernel, run_chain_simulated, SimContext, TierPolicy, TuningParams,
+    chain_runs_tiled, plan_kernel, SimContext, SweepRequest, TierPolicy, TuningParams,
 };
 use yasksite_grid::Grid3;
-use yasksite_ode::StepPlan;
+use yasksite_ode::{prepare_step, StepPlan};
 
 /// Core cycles one sweep costs before its first lattice update and after
 /// its last: binding and parameter checks, lowering the expression, tier
@@ -199,32 +199,30 @@ pub fn chain_tile_height(
 }
 
 /// Measures one step of `plan` on the simulated hierarchy of `machine`:
-/// executes the plan's sweeps twice (warm-up step + steady-state step)
-/// against a grid pool with the plan's halos and the parameters' fold,
-/// and reports the steady-state step time. The step is walked as the
-/// native integrator runs it ([`run_chain_simulated`]): as one tiled
-/// chain where it chains, op by op otherwise.
+/// simulates the step twice (warm-up step + steady-state step) against a
+/// grid pool with the plan's halos and the parameters' fold, and reports
+/// the steady-state step time. The step is the integrator's own chain
+/// ([`prepare_step`], replayed by `PreparedChain::simulate`): one tiled
+/// pass where the integrator chains, op by op otherwise.
 ///
 /// # Errors
-/// Propagates engine errors (invalid parameters etc.).
+/// [`ToolError::InvalidInput`] for a plan that fails validation;
+/// propagates engine errors (invalid parameters etc.).
 pub fn measure_plan(
     plan: &StepPlan,
     machine: &Machine,
     params: &TuningParams,
 ) -> Result<PlanMeasurement, ToolError> {
+    plan.validate().map_err(ToolError::InvalidInput)?;
     let mut ctx = SimContext::new(machine, params.threads);
     let pool: Vec<Grid3> = (0..plan.num_grids)
         .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
         .collect();
-    let stencils: Vec<_> = plan.ops.iter().map(|op| &op.stencil).collect();
-    let levels = plan.chain_levels();
-    let grids: Vec<&Grid3> = pool.iter().collect();
-    let step = |ctx: &mut SimContext| {
-        run_chain_simulated(&stencils, &levels, &grids, params, ctx).map_err(ToolError::Engine)
-    };
-    step(&mut ctx)?;
+    let request = SweepRequest::new(params).tier(TierPolicy::Auto);
+    let step = prepare_step(plan, &pool, &request)?;
+    step.simulate(&mut ctx, &pool)?;
     let warm = ctx.finish();
-    step(&mut ctx)?;
+    step.simulate(&mut ctx, &pool)?;
     let total = ctx.finish();
     let seconds = (total.time.seconds - warm.time.seconds).max(1e-12);
     let mem_bytes =

@@ -30,8 +30,9 @@ pub struct EvalOptions {
     /// [`TuneRequest::default_jobs`]. The report is identical for every
     /// value.
     pub jobs: Option<usize>,
-    /// Fault injection for plan measurements; `None` keeps whatever the
-    /// [`Offsite`] instance itself was configured with.
+    /// Fault injection for plan measurements (testing hook; each
+    /// measurement gets a decorrelated sub-stream of the plan); `None`
+    /// injects nothing.
     pub faults: Option<FaultPlan>,
     /// Prediction cache; `None` uses [`PredictionCache::global`].
     pub cache: Option<Arc<PredictionCache>>,
@@ -55,7 +56,7 @@ impl Default for EvalOptions {
 
 impl EvalOptions {
     /// The default options: single-shot trials, unlimited budget,
-    /// automatic jobs, no extra faults, the global cache.
+    /// automatic jobs, no faults, the global cache.
     #[must_use]
     pub fn new() -> Self {
         EvalOptions::default()
@@ -171,27 +172,13 @@ pub struct EvalReport {
 pub struct Offsite {
     machine: Machine,
     cores: usize,
-    faults: Option<FaultPlan>,
 }
 
 impl Offsite {
     /// Creates the tuner for `cores` active cores of `machine`.
     #[must_use]
     pub fn new(machine: Machine, cores: usize) -> Self {
-        Offsite {
-            machine,
-            cores,
-            faults: None,
-        }
-    }
-
-    /// Injects deterministic faults into every plan measurement this
-    /// tuner performs (testing hook; each measurement gets a decorrelated
-    /// sub-stream of `plan`).
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
+        Offsite { machine, cores }
     }
 
     /// The target machine.
@@ -333,7 +320,7 @@ impl Offsite {
         let cfg = &opts.trial;
         let mut budget = opts.budget;
         let budget = &mut budget;
-        let faults = opts.faults.or(self.faults);
+        let faults = opts.faults;
         let cache = opts.cache_ref();
         let tel = &opts.telemetry;
         let session = tel.span("eval_session");
@@ -668,9 +655,9 @@ mod tests {
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
         let eval = |seed: u64| {
+            let opts = EvalOptions::default().faults(FaultPlan::always_fail(seed));
             Offsite::new(Machine::cascade_lake(), 1)
-                .with_faults(FaultPlan::always_fail(seed))
-                .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
+                .evaluate_with(&ivp, &methods, 1e-5, &opts)
                 .unwrap()
         };
         let r = eval(7);
@@ -786,10 +773,12 @@ mod tests {
 
     #[test]
     fn noisy_faults_keep_the_report_finite() {
-        let offsite = Offsite::new(Machine::cascade_lake(), 1).with_faults(FaultPlan::noisy(42));
+        let offsite = Offsite::new(Machine::cascade_lake(), 1);
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
-        let opts = EvalOptions::default().trial(TrialConfig::default());
+        let opts = EvalOptions::default()
+            .trial(TrialConfig::default())
+            .faults(FaultPlan::noisy(42));
         let r = offsite.evaluate_with(&ivp, &methods, 1e-5, &opts).unwrap();
         assert_eq!(r.candidates.len(), 4);
         for c in &r.candidates {

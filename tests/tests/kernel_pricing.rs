@@ -7,9 +7,7 @@
 use yasksite::{predict_params, SearchSpace, Solution, TuneRequest, TuneStrategy};
 use yasksite_arch::Machine;
 use yasksite_ecm::incore::incore_with_issue;
-use yasksite_engine::{
-    apply_simulated, plan_kernel, run_wavefront_simulated, Kernel, SimContext, TierPolicy,
-};
+use yasksite_engine::{plan_kernel, Kernel, SimContext, SweepRequest, TierPolicy};
 use yasksite_grid::{Fold, Grid3};
 use yasksite_stencil::builders::{box3d, heat3d, paper_suite};
 use yasksite_stencil::Stencil;
@@ -100,11 +98,17 @@ fn predictor_and_simulator_charge_the_same_issue() {
                     .collect();
                 let out = Grid3::new("o", domain, halo, p.fold);
                 let mut ctx = SimContext::new(&machine, 1);
+                let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
                 if p.wavefront > 1 {
-                    run_wavefront_simulated(&stencil, &grids[0], &out, &p, &mut ctx).unwrap();
+                    let chain = request.prepare_wavefront(&stencil, &grids[0], &out);
+                    chain
+                        .unwrap()
+                        .simulate(&mut ctx, &[&grids[0], &out])
+                        .unwrap();
                 } else {
                     let inputs: Vec<&Grid3> = grids.iter().collect();
-                    apply_simulated(&stencil, &inputs, &out, &p, &mut ctx).unwrap();
+                    let sweep = request.prepare(&stencil, &inputs, &out).unwrap();
+                    sweep.simulate(&mut ctx, &inputs, &out).unwrap();
                 }
                 let units = (domain[0].div_ceil(8) * domain[1] * domain[2] * p.wavefront) as f64;
                 let want = units * priced.t_nol;

@@ -3,10 +3,12 @@
 
 use offsite::{measure_plan, predict_plan};
 use yasksite_arch::Machine;
-use yasksite_engine::{SweepRequest, TuningParams};
+use yasksite_engine::{SweepRequest, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 use yasksite_ode::ivps::{Bruss2d, Heat2d, Heat3d, InverterChain, Ivp, Wave2d};
-use yasksite_ode::{default_params, erk_plan, pirk_plan, Integrator, StepPlan, Tableau, Variant};
+use yasksite_ode::{
+    default_params, erk_plan, pirk_plan, prepare_step, Integrator, StepPlan, Tableau, Variant,
+};
 
 /// One hand-rolled RK4 step on the Heat2D system, as an independent
 /// reference for the plan machinery.
@@ -240,7 +242,7 @@ fn a_chained_step_reports_divergence_on_the_op_by_op_step() {
 #[test]
 fn a_simulated_chained_step_moves_fewer_memory_lines() {
     use offsite::chain_tile_height;
-    use yasksite_engine::{run_chain_simulated, SimContext};
+    use yasksite_engine::SimContext;
     let mut m = Machine::cascade_lake();
     m.kind = yasksite_arch::MachineKind::Custom;
     m.cores_per_socket = 4;
@@ -257,14 +259,15 @@ fn a_simulated_chained_step_moves_fewer_memory_lines() {
         let pool: Vec<Grid3> = (0..plan.num_grids)
             .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
             .collect();
-        let stencils: Vec<_> = plan.ops.iter().map(|op| &op.stencil).collect();
-        let grids: Vec<&Grid3> = pool.iter().collect();
         let p = if chained {
             params.clone()
         } else {
             params.clone().wavefront(1)
         };
-        run_chain_simulated(&stencils, &plan.chain_levels(), &grids, &p, &mut ctx).unwrap();
+        let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+        let step = prepare_step(&plan, &pool, &request).unwrap();
+        assert_eq!(step.tiled(), chained);
+        step.simulate(&mut ctx, &pool).unwrap();
         let run = ctx.finish();
         (
             run.stats.mem_read_lines + run.stats.mem_write_lines,
@@ -287,6 +290,51 @@ fn a_simulated_chained_step_moves_fewer_memory_lines() {
         tiled <= 0.7 * plain,
         "measure_plan: {tiled} vs {plain} bytes"
     );
+}
+
+/// `measure_plan` simulates the integrator's own step: on the simulated
+/// Cascade Lake it replays a step as one tiled pass exactly when
+/// `Integrator::chained()` says the host runs it as one, for rk4 in
+/// every variant and PIRK, on a linear and a tape IVP, at wavefront 1
+/// and 2, on a row-major and a brick fold. A tiled replay walks another
+/// order than the op-by-op one and reads another step time; an op-by-op
+/// replay under `wavefront = 2` is the `wavefront = 1` replay, bit for
+/// bit.
+#[test]
+fn measure_plan_tiles_exactly_when_the_integrator_chains() {
+    let m = Machine::cascade_lake();
+    let ivps: Vec<(Box<dyn Ivp>, f64)> = vec![
+        (Box::new(Heat3d::new(24)), 1e-4),
+        (Box::new(InverterChain::new(512, 5.0, 1.0, 0.5)), 1e-3),
+    ];
+    let mut chained_cases = 0;
+    for (ivp, h) in &ivps {
+        let (ivp, h) = (ivp.as_ref(), *h);
+        let mut plans: Vec<StepPlan> = Variant::all()
+            .into_iter()
+            .map(|v| erk_plan(&Tableau::rk4(), ivp, h, v))
+            .collect();
+        plans.push(pirk_plan(&Tableau::radau_iia2(), 3, ivp, h, Variant::A));
+        for plan in &plans {
+            for fold in [Fold::new(8, 1, 1), Fold::new(4, 2, 1)] {
+                let step = |p: &TuningParams| {
+                    let r = measure_plan(plan, &m, p).unwrap();
+                    (r.seconds_per_step, r.mem_bytes_per_step)
+                };
+                let mut op_by_op = default_params(ivp.domain());
+                op_by_op.fold = fold;
+                let reference = step(&op_by_op);
+                for wavefront in [1, 2] {
+                    let p = op_by_op.clone().wavefront(wavefront);
+                    let integ = Integrator::new(ivp, plan.clone(), h, p.clone()).unwrap();
+                    let case = format!("{} {} {fold} wf={wavefront}", ivp.name(), plan.name);
+                    assert_eq!(step(&p) != reference, integ.chained(), "{case}");
+                    chained_cases += usize::from(integ.chained());
+                }
+            }
+        }
+    }
+    assert_eq!(chained_cases, 5, "Heat3d on 8x1x1 at wavefront 2 chains");
 }
 
 #[test]

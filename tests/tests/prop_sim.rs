@@ -4,10 +4,19 @@
 use proptest::prelude::*;
 use xtests::seeded_grid;
 use yasksite_arch::Machine;
-use yasksite_engine::{apply_simulated, SimContext, SweepRequest, TierPolicy, TuningParams};
+use yasksite_engine::{ExecPool, SimContext, SweepRequest, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 use yasksite_memsim::HierarchyStats;
 use yasksite_stencil::builders::{inverter_chain_rhs, star3d};
+use yasksite_stencil::Stencil;
+
+/// One simulated sweep of `s` from `u` into `o`, prepared as the
+/// simulator's callers prepare it.
+fn simulate(s: &Stencil, u: &Grid3, o: &Grid3, p: &TuningParams, ctx: &mut SimContext) {
+    let request = SweepRequest::new(p).tier(TierPolicy::Auto);
+    let sweep = request.prepare(s, &[u], o).unwrap();
+    sweep.simulate(ctx, &[u], o).unwrap();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -33,7 +42,7 @@ proptest! {
         let o = Grid3::new("o", n, [r, r, r], fold);
         let p = TuningParams::new([nx, by, bz], fold).threads(cores);
         let mut ctx = SimContext::new(&m, cores);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        simulate(&s, &u, &o, &p, &mut ctx);
         let st = ctx.finish().stats;
 
         // Lower bound: every distinct input line must be fetched once.
@@ -110,12 +119,13 @@ proptest! {
         if sub_blocked {
             p = p.sub_block([sub.0, sub.1, sub.2]);
         }
-        let native = SweepRequest::new(&p)
+        let sweep = SweepRequest::new(&p)
             .tier(TierPolicy::Auto)
-            .apply(&s, &[&u], &mut o)
+            .prepare(&s, &[&u], &o)
             .unwrap();
+        let native = sweep.run(ExecPool::global(), &[&u], &mut o).unwrap();
         let mut ctx = SimContext::new(&Machine::cascade_lake(), threads);
-        apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+        sweep.simulate(&mut ctx, &[&u], &o).unwrap();
         let stats = ctx.finish().stats;
         let working = (0..threads).filter(|&c| stats.boundary_lines[0][c] > 0).count();
         prop_assert_eq!(working, native.threads_used, "{} {}", s.name(), p);
@@ -133,6 +143,6 @@ fn four_block_sweep(ny: usize, nz: usize, cores: usize) -> HierarchyStats {
     let o = Grid3::new("o", n, [1, 1, 1], fold);
     let p = TuningParams::new([16, 4, 4], fold).threads(cores);
     let mut ctx = SimContext::new(&m, cores);
-    apply_simulated(&s, &[&u], &o, &p, &mut ctx).unwrap();
+    simulate(&s, &u, &o, &p, &mut ctx);
     ctx.finish().stats
 }

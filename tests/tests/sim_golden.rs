@@ -8,7 +8,7 @@
 //! process allocates or runs meanwhile; the last test checks exactly that.
 
 use yasksite_arch::Machine;
-use yasksite_engine::{apply_simulated, run_wavefront_simulated, SimContext, TuningParams};
+use yasksite_engine::{SimContext, SweepRequest, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
 use yasksite_memsim::{HierarchyStats, LevelStats};
 use yasksite_stencil::builders::{heat3d, star3d};
@@ -125,11 +125,14 @@ fn measure(s: &Scenario, between: impl FnOnce()) -> HierarchyStats {
     let a = ctx.grid("a", s.n, r, params.fold);
     between();
     let b = ctx.grid("b", s.n, r, params.fold);
+    let request = SweepRequest::new(params).tier(TierPolicy::Auto);
     for (src, dst) in [(&a, &b), (&b, &a)] {
         if params.wavefront > 1 {
-            run_wavefront_simulated(&s.stencil, src, dst, params, &mut ctx).unwrap();
+            let chain = request.prepare_wavefront(&s.stencil, &a, &b).unwrap();
+            chain.simulate(&mut ctx, &[src, dst]).unwrap();
         } else {
-            apply_simulated(&s.stencil, &[src], dst, params, &mut ctx).unwrap();
+            let sweep = request.prepare(&s.stencil, &[&a], &b).unwrap();
+            sweep.simulate(&mut ctx, &[src], dst).unwrap();
         }
     }
     ctx.finish().stats
