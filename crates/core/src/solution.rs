@@ -82,8 +82,8 @@ pub struct MeasuredPerf {
     /// otherwise. Can be below `params.threads` on small domains.
     pub threads_used: usize,
     /// The specialisation-ladder tier that executed (native runs report
-    /// the engine's truth; simulated runs report the planner's pick for
-    /// these parameters under the live policy).
+    /// the engine's truth; simulated runs the plan of the pass they
+    /// replayed, prepared under [`TierPolicy::Auto`]).
     pub tier: Tier,
     /// Why the planner picked [`MeasuredPerf::tier`] — a static reason
     /// string, surfaced through traces, counters and the CLI.
@@ -236,10 +236,9 @@ impl Solution {
         let total = ctx.finish();
         let steady = (total.time.seconds - warm.time.seconds).max(1e-12);
         let per_sweep = steady / params.wavefront.max(1) as f64;
-        // The simulator models traffic, not kernels; report the tier the
-        // native planner would pick for these parameters so tier-mix
-        // accounting stays meaningful for simulated machine models.
-        let planned = self.plan_tier(params);
+        // The simulator charges the kernel the pass was prepared with
+        // (under `TierPolicy::Auto`); report that plan, as `run` does.
+        let planned = pass.planned();
         Ok(MeasuredPerf {
             mlups: self.updates_per_sweep() as f64 / per_sweep / 1e6,
             seconds_per_sweep: per_sweep,
@@ -359,6 +358,46 @@ mod tests {
         assert!(!m.simulated);
         assert!(m.mlups > 1.0, "host should exceed 1 MLUP/s: {}", m.mlups);
         assert_eq!(m.threads_used, 1);
+    }
+
+    /// A simulated measurement reports the plan of the pass it replayed,
+    /// prepared under `TierPolicy::Auto` whatever `YASKSITE_FORCE_TIER`
+    /// says: on a spatial sweep, a wavefront, a brick fold and a
+    /// non-linear stencil, its tier and reason are those of the pass
+    /// `Solution::prepare` builds under an `Auto` request.
+    #[test]
+    fn a_simulated_measurement_reports_the_plan_it_replayed() {
+        use yasksite_stencil::builders::inverter_chain_rhs;
+        let row = TuningParams::new([32, 8, 8], Fold::new(8, 1, 1));
+        let cases = [
+            (heat3d(1), [32, 16, 16], row.clone()),
+            (heat3d(1), [32, 16, 16], row.clone().wavefront(2)),
+            (
+                heat3d(1),
+                [32, 16, 16],
+                TuningParams::new([8, 8, 8], Fold::new(4, 2, 1)),
+            ),
+            (
+                inverter_chain_rhs(5.0, 1.0, 2.0),
+                [64, 1, 1],
+                TuningParams::new([64, 1, 1], Fold::new(8, 1, 1)),
+            ),
+        ];
+        for (stencil, domain, p) in cases {
+            let sol = Solution::new(stencil, domain, Machine::cascade_lake());
+            let m = sol.measure(&p).unwrap();
+            assert!(m.simulated);
+            let (mut grids, out) =
+                sol.grid_set(|name, halo| Grid3::new(name, domain, halo, p.fold));
+            grids.push(out);
+            let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+            let planned = sol.prepare(&request, &grids).unwrap().planned();
+            assert_eq!(
+                (m.tier, m.tier_reason),
+                (planned.tier(), planned.reason),
+                "{p}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::pool::{ExecPool, ScopedJob};
 use crate::profile::SweepProfiler;
 use crate::sweep::{plan_spatial, Kernel, PlannedKernel, SweepReport, TierPolicy};
 use crate::walk::{windows, Region, Walk};
+use crate::wavefront::Window;
 
 /// The opt-in "is every written value finite" scan of one sweep
 /// ([`crate::SweepRequest::report_finite`]), shared by the sweep's jobs.
@@ -74,8 +75,8 @@ impl FiniteScan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GridGeometry {
     pub(crate) n: [usize; 3],
-    halo: [usize; 3],
-    alloc: [usize; 3],
+    pub(crate) halo: [usize; 3],
+    pub(crate) alloc: [usize; 3],
     fold: Fold,
 }
 
@@ -87,6 +88,20 @@ impl GridGeometry {
             alloc: g.alloc(),
             fold: g.fold(),
         }
+    }
+
+    /// [`EngineError::BadParams`] unless `g` has this geometry.
+    pub(crate) fn check(self, g: &Grid3) -> Result<(), EngineError> {
+        let geometry = GridGeometry::of(g);
+        if geometry == self {
+            return Ok(());
+        }
+        Err(EngineError::BadParams {
+            reason: format!(
+                "grid '{}' has geometry {geometry:?}, the sweep was prepared for {self:?}",
+                g.name()
+            ),
+        })
     }
 }
 
@@ -249,15 +264,7 @@ impl<'a> PreparedSweep<'a> {
         }
         let bound = inputs.iter().map(|g| &**g).zip(&self.inputs);
         for (g, &prepared) in bound.chain(std::iter::once((out, &self.out))) {
-            let geometry = GridGeometry::of(g);
-            if geometry != prepared {
-                return Err(EngineError::BadParams {
-                    reason: format!(
-                        "grid '{}' has geometry {geometry:?}, the sweep was prepared for {prepared:?}",
-                        g.name()
-                    ),
-                });
-            }
+            prepared.check(g)?;
         }
         Ok(())
     }
@@ -288,7 +295,8 @@ impl<'a> PreparedSweep<'a> {
             Kernel::LaneRows(_) | Kernel::ScalarRows => {
                 let kernel = self.rows.as_ref().expect("row plans are lowered");
                 let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
-                rows_on_pool(pool, kernel, &inputs, out, &walk, &regions, prof, scan)
+                let sinks = windows(out, &regions, scan);
+                rows_on_pool(pool, kernel, &inputs, sinks, &walk, &regions, prof)
             }
             Kernel::BrickGather(elems) => {
                 let (t, c) = linear();
@@ -392,7 +400,19 @@ pub(crate) struct LinearKernel {
     coeffs: Vec<f64>,
     /// Input grid of each term: an index into the bound input storage.
     term_input: Vec<usize>,
+    /// Each term's access offset `(dx, dy, dz)`.
+    reach: Vec<[isize; 3]>,
     constant: f64,
+    /// Per input, the window a tiled chain keeps it in
+    /// ([`LinearKernel::read_through`]); empty when no input has one.
+    windows: Vec<Option<Window>>,
+    /// The rows the terms read through windows, one per distinct
+    /// `(input, dy, dz)`: each output row resolves them through their
+    /// window once, before its stripes.
+    mapped: Vec<(usize, isize, isize)>,
+    /// Per term, its row in `mapped` and its `dx`; `None` for a term on a
+    /// plain grid. Empty while no input is windowed.
+    term_rows: Vec<Option<(usize, isize)>>,
 }
 
 impl LinearKernel {
@@ -407,7 +427,11 @@ impl LinearKernel {
             offs: Vec::with_capacity(terms.len()),
             coeffs: Vec::with_capacity(terms.len()),
             term_input: Vec::with_capacity(terms.len()),
+            reach: Vec::with_capacity(terms.len()),
             constant,
+            windows: Vec::new(),
+            mapped: Vec::new(),
+            term_rows: Vec::new(),
         };
         for ((g, o), c) in terms {
             let ge = input_geoms[*g];
@@ -415,8 +439,46 @@ impl LinearKernel {
             k.offs.push(ge.offset_of(*o));
             k.coeffs.push(*c);
             k.term_input.push(*g);
+            k.reach.push(o.map(|e| e as isize));
         }
         k
+    }
+
+    /// Reads input `g` through `window` from now on: each of its terms
+    /// finds its row `(j + dy, k + dz)` through the window's map, once per
+    /// row, and then steps `dx` along it.
+    pub(crate) fn read_through(&mut self, g: usize, window: Window) {
+        if self.windows.len() <= g {
+            self.windows.resize(g + 1, None);
+        }
+        self.windows[g] = Some(window);
+        self.term_rows.resize(self.coeffs.len(), None);
+        for (t, &[dx, dy, dz]) in self.reach.iter().enumerate() {
+            if self.term_input[t] != g {
+                continue;
+            }
+            let row = (g, dy, dz);
+            let r = match self.mapped.iter().position(|&m| m == row) {
+                Some(r) => r,
+                None => {
+                    self.mapped.push(row);
+                    self.mapped.len() - 1
+                }
+            };
+            self.term_rows[t] = Some((r, dx));
+        }
+    }
+
+    /// The storage index of each `mapped` row's `x = 0` for output row
+    /// `(j, k)`.
+    #[inline]
+    fn resolve(&self, rows: &mut [isize], j: isize, k: isize) {
+        for (r, &(g, dy, dz)) in rows.iter_mut().zip(&self.mapped) {
+            let window = self.windows[g]
+                .as_ref()
+                .expect("a mapped input has a window");
+            *r = window.base(j + dy, k + dz);
+        }
     }
 
     /// Applies the kernel to the input storage `inputs` (one slice per
@@ -433,7 +495,18 @@ impl LinearKernel {
         walk: &Walk,
         region: &Region,
     ) {
-        walk.rows(region, |k, j, i0, i1| self.row(inputs, sink, k, j, i0, i1));
+        if self.mapped.is_empty() {
+            walk.rows(region, |k, j, i0, i1| self.row(inputs, sink, k, j, i0, i1));
+        } else {
+            let mut rows = vec![0; self.mapped.len()];
+            walk.rows(region, |k, j, i0, i1| {
+                let (j, k) = (j as isize, k as isize);
+                let ob = (sink.geom.row_base(j, k) - sink.base) as usize + i0;
+                let dst = &mut sink.win[ob..ob + (i1 - i0)];
+                self.mapped_row(inputs, &mut rows, dst, j, k, i0);
+                sink.scan.check(dst);
+            });
+        }
     }
 
     /// One output row segment, its terms walked in stripes of at most
@@ -454,65 +527,105 @@ impl LinearKernel {
         let (j, k) = (j as isize, k as isize);
         let ob = (sink.geom.row_base(j, k) - sink.base) as usize + i0;
         let dst = &mut sink.win[ob..ob + (i1 - i0)];
-        let mut t0 = self.next_stripe::<true>(inputs, dst, 0, j, k, i0);
+        let base = |t: usize| self.geoms[t].row_base(j, k) + self.offs[t];
+        let mut t0 = self.next_stripe::<true>(inputs, dst, 0, i0, base);
         while t0 < self.coeffs.len() {
-            t0 += self.next_stripe::<false>(inputs, dst, t0, j, k, i0);
+            t0 += self.next_stripe::<false>(inputs, dst, t0, i0, base);
         }
         sink.scan.check(dst);
+    }
+
+    /// [`LinearKernel::row`] of a kernel that reads some input through a
+    /// window: its `mapped` rows are resolved once into `rows`, and each
+    /// of their terms steps its `dx` from there.
+    #[inline]
+    fn mapped_row(
+        &self,
+        inputs: &[&[f64]],
+        rows: &mut [isize],
+        dst: &mut [f64],
+        j: isize,
+        k: isize,
+        i0: usize,
+    ) {
+        self.resolve(rows, j, k);
+        let rows = &*rows;
+        let base = |t: usize| match self.term_rows.get(t) {
+            Some(&Some((r, dx))) => rows[r] + dx,
+            _ => self.geoms[t].row_base(j, k) + self.offs[t],
+        };
+        let mut t0 = self.next_stripe::<true>(inputs, dst, 0, i0, base);
+        while t0 < self.coeffs.len() {
+            t0 += self.next_stripe::<false>(inputs, dst, t0, i0, base);
+        }
+    }
+
+    /// [`LinearKernel::apply`] writing a grid a tiled chain keeps in a
+    /// window: each row segment lands where the window maps its row.
+    pub(crate) fn apply_windowed(
+        &self,
+        inputs: &[&[f64]],
+        sink: &mut WindowSink<'_>,
+        walk: &Walk,
+        region: &Region,
+    ) {
+        let mut rows = vec![0; self.mapped.len()];
+        walk.rows(region, |k, j, i0, i1| {
+            let (j, k) = (j as isize, k as isize);
+            let scan = sink.scan;
+            let dst = sink.segment(j, k, i0, i1);
+            self.mapped_row(inputs, &mut rows, dst, j, k, i0);
+            scan.check(dst);
+        });
     }
 
     /// The next stripe from term `t0`: as many terms as are left, at
     /// most [`STRIPE`]; returns how many it took. The first stripe
     /// (`FIRST`) of a term-less stencil writes the constant. One match
-    /// arm per width below [`STRIPE`].
+    /// arm per width below [`STRIPE`]. `base(t)` is the storage index of
+    /// term `t`'s row at `x = 0`.
     #[inline]
     fn next_stripe<const FIRST: bool>(
         &self,
         inputs: &[&[f64]],
         dst: &mut [f64],
         t0: usize,
-        j: isize,
-        k: isize,
         i0: usize,
+        base: impl Fn(usize) -> isize,
     ) -> usize {
         match self.coeffs.len() - t0 {
-            0 => self.stripe::<0, FIRST>(inputs, dst, t0, j, k, i0),
-            1 => self.stripe::<1, FIRST>(inputs, dst, t0, j, k, i0),
-            2 => self.stripe::<2, FIRST>(inputs, dst, t0, j, k, i0),
-            3 => self.stripe::<3, FIRST>(inputs, dst, t0, j, k, i0),
-            4 => self.stripe::<4, FIRST>(inputs, dst, t0, j, k, i0),
-            5 => self.stripe::<5, FIRST>(inputs, dst, t0, j, k, i0),
-            6 => self.stripe::<6, FIRST>(inputs, dst, t0, j, k, i0),
-            7 => self.stripe::<7, FIRST>(inputs, dst, t0, j, k, i0),
-            _ => self.stripe::<STRIPE, FIRST>(inputs, dst, t0, j, k, i0),
+            0 => self.stripe::<0, FIRST>(inputs, dst, t0, i0, base),
+            1 => self.stripe::<1, FIRST>(inputs, dst, t0, i0, base),
+            2 => self.stripe::<2, FIRST>(inputs, dst, t0, i0, base),
+            3 => self.stripe::<3, FIRST>(inputs, dst, t0, i0, base),
+            4 => self.stripe::<4, FIRST>(inputs, dst, t0, i0, base),
+            5 => self.stripe::<5, FIRST>(inputs, dst, t0, i0, base),
+            6 => self.stripe::<6, FIRST>(inputs, dst, t0, i0, base),
+            7 => self.stripe::<7, FIRST>(inputs, dst, t0, i0, base),
+            _ => self.stripe::<STRIPE, FIRST>(inputs, dst, t0, i0, base),
         }
     }
 
-    /// Terms `t0..t0 + S` over the segment `dst` starting at column `i0`
-    /// of row `(j, k)`; returns `S`. Every term row is sliced to the
-    /// segment's length up front, and the points run in blocks of
-    /// [`POINTS`]: one accumulator array, vector registers to LLVM, takes
-    /// the `S` unrolled terms before it is stored. A scalar tail finishes
-    /// the last `len % POINTS` points in the same order.
+    /// Terms `t0..t0 + S` over the segment `dst` starting at column `i0`;
+    /// returns `S`. Every term row is sliced to the segment's length up
+    /// front, and the points run in blocks of [`POINTS`]: one accumulator
+    /// array, vector registers to LLVM, takes the `S` unrolled terms
+    /// before it is stored. A scalar tail finishes the last
+    /// `len % POINTS` points in the same order.
     #[inline]
     fn stripe<const S: usize, const FIRST: bool>(
         &self,
         inputs: &[&[f64]],
         dst: &mut [f64],
         t0: usize,
-        j: isize,
-        k: isize,
         i0: usize,
+        base: impl Fn(usize) -> isize,
     ) -> usize {
         let len = dst.len();
         let t = t0..t0 + S;
         let mut rows: [&[f64]; S] = [&[]; S];
-        let terms = self.geoms[t.clone()]
-            .iter()
-            .zip(&self.offs[t.clone()])
-            .zip(&self.term_input[t.clone()]);
-        for (row, ((ge, off), &g)) in rows.iter_mut().zip(terms) {
-            let base = (ge.row_base(j, k) + off) as usize + i0;
+        for (s, (row, &g)) in rows.iter_mut().zip(&self.term_input[t.clone()]).enumerate() {
+            let base = base(t0 + s) as usize + i0;
             *row = &inputs[g][base..base + len];
         }
         let mut coeffs = [0.0f64; S];
@@ -555,28 +668,69 @@ pub(crate) struct Sink<'w> {
     pub(crate) scan: &'w FiniteScan,
 }
 
+/// Where a row kernel job writes its region: a plain grid's storage
+/// window, or a chain's [`Window`].
+pub(crate) trait RowSink: Send {
+    /// Runs `kernel` over every row segment of `region`, writing here.
+    fn apply(&mut self, kernel: &LinearKernel, inputs: &[&[f64]], walk: &Walk, region: &Region);
+}
+
+impl RowSink for Sink<'_> {
+    #[inline]
+    fn apply(&mut self, kernel: &LinearKernel, inputs: &[&[f64]], walk: &Walk, region: &Region) {
+        kernel.apply(inputs, self, walk, region);
+    }
+}
+
+/// The output of a job writing a grid a tiled chain keeps in a
+/// [`Window`]: the job's rows of one tile-plane land in one run of ring
+/// rows and one run of strip rows, each a slice of the window's storage
+/// with the storage index of its first element (`usize::MAX` for an
+/// absent strip run).
+pub(crate) struct WindowSink<'w> {
+    pub(crate) runs: [(&'w mut [f64], usize); 2],
+    pub(crate) window: &'w Window,
+    pub(crate) scan: &'w FiniteScan,
+}
+
+impl WindowSink<'_> {
+    /// Segment `i0..i1` of output row `(j, k)`.
+    #[inline]
+    fn segment(&mut self, j: isize, k: isize, i0: usize, i1: usize) -> &mut [f64] {
+        let at = self.window.base(j, k) as usize + i0;
+        let (run, first) = &mut self.runs[usize::from(at >= self.runs[1].1)];
+        let at = at - *first;
+        &mut run[at..at + (i1 - i0)]
+    }
+}
+
+impl RowSink for WindowSink<'_> {
+    #[inline]
+    fn apply(&mut self, kernel: &LinearKernel, inputs: &[&[f64]], walk: &Walk, region: &Region) {
+        kernel.apply_windowed(inputs, self, walk, region);
+    }
+}
+
 /// Runs `kernel` over `regions` of the walk on `pool`, one job per
-/// region writing its own window of `out`; reads the input storage
-/// `inputs` (one slice per input grid). Returns the number of regions
-/// (= threads used).
-#[allow(clippy::too_many_arguments)] // the pass's kernel, walk and sinks
-pub(crate) fn rows_on_pool(
+/// region writing through its own sink of `sinks` (one per region, in
+/// order); reads the input storage `inputs` (one slice per input grid).
+/// Returns the number of regions (= threads used).
+pub(crate) fn rows_on_pool<S: RowSink>(
     pool: &ExecPool,
     kernel: &LinearKernel,
     inputs: &[&[f64]],
-    out: &mut Grid3,
+    sinks: impl Iterator<Item = S>,
     walk: &Walk,
     regions: &[Region],
     prof: &SweepProfiler,
-    scan: &FiniteScan,
 ) -> usize {
     let jobs: Vec<ScopedJob<'_>> = regions
         .iter()
-        .zip(windows(out, regions, scan))
+        .zip(sinks)
         .map(|(region, mut sink)| {
             Box::new(move || {
                 let t0 = prof.start();
-                kernel.apply(inputs, &mut sink, walk, region);
+                sink.apply(kernel, inputs, walk, region);
                 prof.chunk_done(t0);
             }) as ScopedJob<'_>
         })

@@ -29,7 +29,7 @@ use crate::error::EngineError;
 use crate::native::PreparedSweep;
 use crate::params::TuningParams;
 use crate::walk::{Block, Region, Walk};
-use crate::wavefront::PreparedChain;
+use crate::wavefront::{PreparedChain, Window};
 
 /// A simulation context: the machine's cache hierarchy plus bookkeeping
 /// that persists across kernel applications (so multi-sweep workloads see
@@ -175,20 +175,58 @@ impl Groups {
     }
 }
 
+/// A grid a simulated pass touches: its rows where the grid keeps them,
+/// or where the chain's [`Window`] maps them.
+#[derive(Clone, Copy)]
+pub(crate) struct Target<'g> {
+    pub(crate) grid: &'g Grid3,
+    pub(crate) window: Option<&'g Window>,
+}
+
+impl<'g> Target<'g> {
+    pub(crate) fn plain(grid: &'g Grid3) -> Target<'g> {
+        Target { grid, window: None }
+    }
+
+    /// [`touch_row`] of row `(j, k)` over x ∈ `[x0, x1]`, at the storage
+    /// row the window maps it to when there is one.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn touch(
+        &self,
+        h: &mut MemHierarchy,
+        core: usize,
+        x0: isize,
+        x1: isize,
+        j: isize,
+        k: isize,
+        access: Access,
+    ) {
+        match self.window {
+            None => touch_row(h, core, self.grid, x0, x1, j, k, access),
+            Some(w) => {
+                let (base, at) = (self.grid.base_addr(), w.base(j, k));
+                let addr = |x: isize| base + ((at + x) as usize * ELEM_BYTES) as u64;
+                touch_run(h, core, self.grid.fold(), addr, x0, x1, access);
+            }
+        }
+    }
+}
+
 /// One level of a simulated pass: per piece of a row segment, each
 /// [`Groups`] read row of its input grids, then its output row, stored
 /// with `store`.
 pub(crate) struct Touches<'g> {
-    reads: Vec<(&'g Grid3, isize, isize, isize, isize)>,
-    out: &'g Grid3,
+    reads: Vec<(Target<'g>, isize, isize, isize, isize)>,
+    out: Target<'g>,
     store: Access,
 }
 
 impl<'g> Touches<'g> {
     pub(crate) fn of(
         info: &StencilInfo,
-        inputs: &[&'g Grid3],
-        out: &'g Grid3,
+        inputs: &[Target<'g>],
+        out: Target<'g>,
         store: Access,
     ) -> Touches<'g> {
         let reads = Groups::of(info).read.into_iter();
@@ -241,9 +279,9 @@ impl<'g> Touches<'g> {
                 let iend = (i + 8).min(end) - 1;
                 for &(g, dy, dz, lo, hi) in &self.reads {
                     let [x0, x1, y, z] = [i + lo, iend + hi, j + dy, k + dz];
-                    touch_row(h, core, g, x0, x1, y, z, Access::Read);
+                    g.touch(h, core, x0, x1, y, z, Access::Read);
                 }
-                touch_row(h, core, self.out, i, iend, j, k, self.store);
+                self.out.touch(h, core, i, iend, j, k, self.store);
                 units += 1;
                 i = iend + 1;
             }
@@ -266,21 +304,36 @@ pub(crate) fn touch_row(
     k: isize,
     access: Access,
 ) {
+    touch_run(h, core, grid.fold(), |x| grid.addr(x, j, k), x0, x1, access);
+}
+
+/// [`touch_row`] of the row whose element `x` sits at `addr(x)`, in a
+/// grid of fold `fold`.
+#[inline]
+fn touch_run(
+    h: &mut MemHierarchy,
+    core: usize,
+    fold: Fold,
+    addr: impl Fn(isize) -> u64,
+    x0: isize,
+    x1: isize,
+    access: Access,
+) {
     // A fold that is 1 in y and z stores each row contiguously, and a walk
     // that steps at most one 64-byte line at a time visits every line
     // between the row's ends: one run issues the same accesses.
-    let fold = grid.fold();
     if fold.y == 1 && fold.z == 1 && fold.x * ELEM_BYTES <= 64 && h.machine().line_bytes() == 64 {
-        let first = grid.addr(x0, j, k);
+        let first = addr(x0);
         let last = first + (x1 - x0) as u64 * ELEM_BYTES as u64;
         h.access_run(core, first, last, access);
     } else {
-        walk_row(h, core, grid, x0, x1, j, k, access);
+        walk_addrs(h, core, fold, addr, x0, x1, access);
     }
 }
 
-/// The per-position form of [`touch_row`]: steps through the row at fold
-/// granularity and issues an access whenever the 64-byte line changes.
+/// [`walk_addrs`] of row `(j, k)` of `grid`: the reference
+/// [`touch_row`] is checked against.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn walk_row(
     h: &mut MemHierarchy,
@@ -292,11 +345,25 @@ fn walk_row(
     k: isize,
     access: Access,
 ) {
-    let step = grid.fold().x.max(1) as isize;
+    walk_addrs(h, core, grid.fold(), |x| grid.addr(x, j, k), x0, x1, access);
+}
+
+/// The per-position form of [`touch_run`]: steps through the row at fold
+/// granularity and issues an access whenever the 64-byte line changes.
+fn walk_addrs(
+    h: &mut MemHierarchy,
+    core: usize,
+    fold: Fold,
+    addr: impl Fn(isize) -> u64,
+    x0: isize,
+    x1: isize,
+    access: Access,
+) {
+    let step = fold.x.max(1) as isize;
     let mut last_line = u64::MAX;
     let mut x = x0;
     loop {
-        let a = grid.addr(x, j, k);
+        let a = addr(x);
         let line = a >> 6;
         if line != last_line {
             h.access_run(core, a, a, access);
@@ -367,7 +434,8 @@ impl PreparedSweep<'_> {
         };
         let walk = Walk::new(self.out.n, &self.params);
         let regions = walk.sweep(self.planned.kernel, self.params.threads);
-        let level = Touches::of(&self.info, inputs, out, store);
+        let inputs: Vec<Target<'_>> = inputs.iter().map(|g| Target::plain(g)).collect();
+        let level = Touches::of(&self.info, &inputs, Target::plain(out), store);
         level.replay(ctx, &walk, &regions, |ctx, c, units| {
             ctx.add_incore(c, units, ic.t_nol, ic.t_ol);
         });
@@ -407,7 +475,18 @@ impl PreparedChain<'_> {
             .iter()
             .zip(&bound)
             .map(|(level, (inputs, out))| {
-                Touches::of(&self.sweeps[level.sweep].info, inputs, out, Access::Write)
+                let target = |g: usize, grid| Target {
+                    grid,
+                    window: self.window(g),
+                };
+                let inputs: Vec<Target<'_>> = level
+                    .inputs
+                    .iter()
+                    .zip(inputs)
+                    .map(|(&g, grid)| target(g, grid))
+                    .collect();
+                let out = target(level.output, out);
+                Touches::of(&self.sweeps[level.sweep].info, &inputs, out, Access::Write)
             })
             .collect();
         let mut units = vec![vec![0u64; ctx.cores()]; self.sweeps.len()];

@@ -18,10 +18,10 @@
 
 use yasksite_grid::Grid3;
 
-use crate::native::{FiniteScan, Geom, Sink};
+use crate::native::{FiniteScan, Geom, Sink, WindowSink};
 use crate::params::{chunk_ranges, TuningParams};
 use crate::sweep::Kernel;
-use crate::wavefront::{Schedule, TilePlane};
+use crate::wavefront::{Schedule, TilePlane, Window};
 
 /// One thread's share of a pass: every x-row of the domain box
 /// `z × y`. Thread `thread` (a native pool job, or a simulated core)
@@ -196,6 +196,49 @@ pub(crate) fn windows<'w, 'r>(
             scan,
         }
     })
+}
+
+/// Hands each of `regions` (the row chunks of one tile-plane) its sinks
+/// into `out`, which holds `window`: the region's rows that live in the
+/// ring are consecutive storage rows, and so are those in the strip, and
+/// no two regions share a row, so the runs are cut from the storage in
+/// storage order.
+pub(crate) fn windowed<'w>(
+    out: &'w mut Grid3,
+    window: &'w Window,
+    regions: &[Region],
+    scan: &'w FiniteScan,
+) -> Vec<WindowSink<'w>> {
+    let nx = window.nx;
+    // Per region and part (ring, strip): the storage span of its rows.
+    let mut spans: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(2 * regions.len());
+    for (r, region) in regions.iter().enumerate() {
+        // A tile's ring rows come before its carry rows.
+        let (k, (j0, j1)) = (region.z.0 as isize, region.y);
+        let place = |j: usize| window.place(j as isize, k);
+        let carried = (j0..j1).rev().take_while(|&j| place(j).1 == 1).last();
+        let split = carried.unwrap_or(j1);
+        for (part, (a, b)) in [(j0, split), (split, j1)].into_iter().enumerate() {
+            if a < b {
+                spans.push((place(a).0, place(b - 1).0 + nx, r, part));
+            }
+        }
+    }
+    spans.sort_unstable();
+    let mut runs: Vec<[(&mut [f64], usize); 2]> = regions
+        .iter()
+        .map(|_| [(&mut [][..], 0), (&mut [][..], usize::MAX)])
+        .collect();
+    let mut rest = out.as_mut_slice();
+    let mut consumed = 0;
+    for (first, end, r, part) in spans {
+        let (before, after) = std::mem::take(&mut rest).split_at_mut(end - consumed);
+        runs[r][part] = (&mut before[first - consumed..], first);
+        (rest, consumed) = (after, end);
+    }
+    runs.into_iter()
+        .map(|runs| WindowSink { runs, window, scan })
+        .collect()
 }
 
 /// The oracle's recorder: every row segment the walks built on a

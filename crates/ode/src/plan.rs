@@ -73,6 +73,28 @@ impl StepPlan {
         self.ops.iter().rposition(|op| op.output == next)
     }
 
+    /// The grids that live only within a step: outside `state_grids`
+    /// and `next_grids`, written by exactly one op and read only by ops
+    /// after it, so no value of theirs outlives the step. Every stage
+    /// derivative `k` of an ERK plan is one; a grid rewritten within the
+    /// step (variant A's stage value, variant B's accumulator pair, the
+    /// PIRK buffers) is not. A step run as one tiled chain keeps each in a
+    /// window ([`crate::prepare_step`]).
+    #[must_use]
+    pub fn transients(&self) -> Vec<usize> {
+        let carried = |g: &usize| self.state_grids.contains(g) || self.next_grids.contains(g);
+        (0..self.num_grids)
+            .filter(|g| !carried(g))
+            .filter(|&g| {
+                let mut writers = self.ops.iter().enumerate().filter(|(_, op)| op.output == g);
+                match (writers.next(), writers.next()) {
+                    (Some((w, _)), None) => self.ops[..=w].iter().all(|op| !op.inputs.contains(&g)),
+                    _ => false,
+                }
+            })
+            .collect()
+    }
+
     /// Total lattice updates one step performs.
     #[must_use]
     pub fn updates_per_step(&self) -> u64 {

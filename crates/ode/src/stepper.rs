@@ -1,5 +1,14 @@
 //! Plan execution and time integration on the native engine.
+//!
+//! An [`Integrator`] prepares a plan's step once ([`prepare_step`]) and
+//! runs it every step. Run as one tiled chain, the step keeps the plan's
+//! transient stage grids ([`StepPlan::transients`]) in windows of a few
+//! planes and a carry strip per tile, allocated once in
+//! [`Integrator::new`]; only the grids the chain does not window are
+//! allocated whole. Op by op every grid is whole. Both leave the same
+//! bits.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -99,12 +108,20 @@ impl Integrator {
     ) -> Result<Self, OdeError> {
         plan.validate().map_err(OdeError::Plan)?;
         let f = ivp.fields();
+        // Every op is prepared against the pool's one geometry; only then
+        // is it known which grids the chain keeps in windows.
+        let geometry = Grid3::new("pool", plan.domain, plan.halo, params.fold);
+        let shapes = vec![&geometry; plan.num_grids];
+        let chain = prepare_step(&plan, &shapes, &SweepRequest::new(&params))?;
+        drop(geometry);
         let mut pool = Vec::with_capacity(plan.num_grids);
         for g in 0..plan.num_grids {
-            let mut grid = Grid3::new(&format!("pool{g}"), plan.domain, plan.halo, params.fold);
+            let (n, halo) = chain.window_extent(g).unwrap_or((plan.domain, plan.halo));
+            let mut grid = Grid3::new(&format!("pool{g}"), n, halo, params.fold);
             // State-carrying grids (current state, stage scratch, next)
             // hold solution values, so their halos carry the boundary
-            // value of their field; derivative grids keep zero halos.
+            // value of their field; derivative grids keep zero halos. A
+            // new grid is all +0.0 already.
             let halo_field = plan
                 .state_grids
                 .iter()
@@ -112,9 +129,12 @@ impl Integrator {
                 .or_else(|| plan.next_grids.iter().position(|&x| x == g))
                 .or_else(|| plan.scratch_grids.iter().position(|&x| x == g))
                 .map(|p| p % f.max(1));
-            match halo_field {
-                Some(fl) if fl < f => grid.fill_halo(ivp.boundary(fl)),
-                _ => grid.fill_halo(0.0),
+            let value = match halo_field {
+                Some(fl) if fl < f => ivp.boundary(fl),
+                _ => 0.0,
+            };
+            if value.to_bits() != 0 {
+                grid.fill_halo(value);
             }
             pool.push(grid);
         }
@@ -125,7 +145,7 @@ impl Integrator {
             .filter(|&fl| plan.last_writer(fl).is_none())
             .collect();
         Ok(Integrator {
-            chain: prepare_step(&plan, &pool, &SweepRequest::new(&params))?,
+            chain,
             plan,
             pool,
             exec: None,
@@ -159,6 +179,14 @@ impl Integrator {
     #[must_use]
     pub fn chained(&self) -> bool {
         self.chain.tiled()
+    }
+
+    /// The pool grids a chained step keeps in windows instead of whole
+    /// grids: the plan's transients when [`Integrator::chained`], none
+    /// otherwise.
+    #[must_use]
+    pub fn windowed(&self) -> Vec<usize> {
+        self.chain.windowed()
     }
 
     /// Current simulation time.
@@ -269,30 +297,38 @@ impl Integrator {
 /// [`StepPlan::chain_levels`]. [`PreparedChain::run`] steps on the host;
 /// [`PreparedChain::simulate`] replays the step on a simulated machine.
 ///
+/// A chain that runs tiled keeps the plan's
+/// [transients](StepPlan::transients) in windows
+/// ([`PreparedChain::with_windows`]): a run then binds at each windowed
+/// grid one of [`PreparedChain::window_extent`], or a whole pool grid,
+/// whose first rows the window uses. The grids `pool` holds there are
+/// read only for their geometry.
+///
 /// # Errors
 /// The engine's error when an op does not bind to its grids.
 ///
 /// # Panics
 /// If an op names a grid outside `pool` (a validated plan over
 /// `plan.num_grids` grids never does).
-pub fn prepare_step<'a>(
+pub fn prepare_step<'a, G: Borrow<Grid3>>(
     plan: &StepPlan,
-    pool: &[Grid3],
+    pool: &[G],
     request: &SweepRequest<'a>,
 ) -> Result<PreparedChain<'a>, EngineError> {
     let scans: Vec<usize> = (0..plan.next_grids.len())
         .filter_map(|fl| plan.last_writer(fl))
         .collect();
     let sweeps = plan.ops.iter().enumerate().map(|(o, op)| {
-        let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| &pool[g]).collect();
+        let inputs: Vec<&Grid3> = op.inputs.iter().map(|&g| pool[g].borrow()).collect();
         let request = if scans.contains(&o) {
             request.clone().report_finite()
         } else {
             request.clone()
         };
-        request.prepare(&op.stencil, &inputs, &pool[op.output])
+        request.prepare(&op.stencil, &inputs, pool[op.output].borrow())
     });
-    PreparedChain::new(sweeps.collect::<Result<_, _>>()?, plan.chain_levels())
+    PreparedChain::new(sweeps.collect::<Result<_, _>>()?, plan.chain_levels())?
+        .with_windows(&plan.transients())
 }
 
 /// Estimates the temporal convergence order of a method: integrates to

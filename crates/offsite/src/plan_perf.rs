@@ -203,7 +203,8 @@ pub fn chain_tile_height(
 /// grid pool with the plan's halos and the parameters' fold, and reports
 /// the steady-state step time. The step is the integrator's own chain
 /// ([`prepare_step`], replayed by `PreparedChain::simulate`): one tiled
-/// pass where the integrator chains, op by op otherwise.
+/// pass where the integrator chains, op by op otherwise, and the grids
+/// the chain keeps in windows are windows here too.
 ///
 /// # Errors
 /// [`ToolError::InvalidInput`] for a plan that fails validation;
@@ -215,11 +216,17 @@ pub fn measure_plan(
 ) -> Result<PlanMeasurement, ToolError> {
     plan.validate().map_err(ToolError::InvalidInput)?;
     let mut ctx = SimContext::new(machine, params.threads);
-    let pool: Vec<Grid3> = (0..plan.num_grids)
-        .map(|g| ctx.grid(&format!("pool{g}"), plan.domain, plan.halo, params.fold))
-        .collect();
     let request = SweepRequest::new(params).tier(TierPolicy::Auto);
-    let step = prepare_step(plan, &pool, &request)?;
+    // Prepared against the pool's one geometry, then bound to a pool in
+    // the context's address space, a window where the chain keeps one.
+    let geometry = Grid3::new("pool", plan.domain, plan.halo, params.fold);
+    let step = prepare_step(plan, &vec![&geometry; plan.num_grids], &request)?;
+    let pool: Vec<Grid3> = (0..plan.num_grids)
+        .map(|g| {
+            let (n, halo) = step.window_extent(g).unwrap_or((plan.domain, plan.halo));
+            ctx.grid(&format!("pool{g}"), n, halo, params.fold)
+        })
+        .collect();
     step.simulate(&mut ctx, &pool)?;
     let warm = ctx.finish();
     step.simulate(&mut ctx, &pool)?;

@@ -415,3 +415,140 @@ fn plan_prediction_orders_variants_like_simulation() {
         "prediction must rank the fastest variant first (pred {pred:?}, meas {meas:?})"
     );
 }
+
+/// The grids a chained step windows are its single-writer stage grids:
+/// for rk4, heun2 and euler in every variant and PIRK radauIIA2×3 in A
+/// and D, on Heat3d and Wave2d, `prepare_step` windows exactly the grids
+/// outside state and next that one op writes, and no op reads one of them
+/// before its writer (nothing of it is carried from step to step). Every
+/// rk4 plan has some; the PIRK buffers are all rewritten within a step.
+#[test]
+fn a_chained_step_windows_exactly_its_single_writer_grids() {
+    let ivps: Vec<Box<dyn Ivp>> = vec![Box::new(Heat3d::new(7)), Box::new(Wave2d::new(12, 1.0))];
+    for ivp in &ivps {
+        let ivp = ivp.as_ref();
+        let mut plans: Vec<StepPlan> = Vec::new();
+        for tab in [Tableau::rk4(), Tableau::heun2(), Tableau::euler()] {
+            plans.extend(Variant::all().map(|v| erk_plan(&tab, ivp, 1e-4, v)));
+        }
+        for v in [Variant::A, Variant::D] {
+            plans.push(pirk_plan(&Tableau::radau_iia2(), 3, ivp, 1e-4, v));
+        }
+        for plan in &plans {
+            let case = format!("{} {}", ivp.name(), plan.name);
+            let carried = [&plan.state_grids, &plan.next_grids];
+            let single_writer: Vec<usize> = (0..plan.num_grids)
+                .filter(|g| !carried.iter().any(|list| list.contains(g)))
+                .filter(|&g| plan.ops.iter().filter(|op| op.output == g).count() == 1)
+                .collect();
+            for &g in &single_writer {
+                let writer = plan.ops.iter().position(|op| op.output == g).unwrap();
+                let early = plan.ops[..=writer].iter().any(|op| op.inputs.contains(&g));
+                assert!(!early, "{case}: grid {g} is read before its writer");
+            }
+            assert_eq!(plan.transients(), single_writer, "{case}");
+            if plan.name.starts_with("rk4") {
+                assert!(
+                    !single_writer.is_empty(),
+                    "{case}: every rk4 stage is transient"
+                );
+            } else if plan.name.starts_with("pirk") {
+                assert!(
+                    single_writer.is_empty(),
+                    "{case}: every buffer is rewritten"
+                );
+            }
+            let params = default_params(ivp.domain()).wavefront(2);
+            let geometry = Grid3::new("g", plan.domain, plan.halo, params.fold);
+            let request = SweepRequest::new(&params).tier(TierPolicy::Auto);
+            let shapes = vec![&geometry; plan.num_grids];
+            let step = prepare_step(plan, &shapes, &request).unwrap();
+            assert!(step.tiled(), "{case}");
+            assert_eq!(step.windowed(), single_writer, "{case}");
+            let op_by_op = SweepRequest::new(&params.clone().wavefront(1)).tier(TierPolicy::Auto);
+            let step = prepare_step(plan, &shapes, &op_by_op).unwrap();
+            assert!(
+                step.windowed().is_empty(),
+                "{case}: op by op windows nothing"
+            );
+        }
+    }
+}
+
+/// Every case of `chained_integrator_steps_match_op_by_op_steps_bitwise`
+/// that chains keeps the plan's transients in windows (so that test's
+/// bits are the windowed step's), and one that runs op by op keeps none.
+#[test]
+fn every_chained_integrator_case_windows_its_transients() {
+    let ivps: Vec<(Box<dyn Ivp>, f64)> = vec![
+        (Box::new(Heat2d::new(12)), 1e-4),
+        (Box::new(Heat3d::new(7)), 1e-4),
+        (Box::new(Wave2d::new(12, 1.0)), 1e-3),
+        (Box::new(InverterChain::new(70, 5.0, 1.0, 0.5)), 1e-3),
+        (Box::new(Bruss2d::new(10)), 1e-3),
+    ];
+    let mut windowed = 0;
+    for (ivp, h) in &ivps {
+        let (ivp, h) = (ivp.as_ref(), *h);
+        let mut plans: Vec<StepPlan> = Variant::all()
+            .into_iter()
+            .map(|v| erk_plan(&Tableau::rk4(), ivp, h, v))
+            .collect();
+        for v in [Variant::A, Variant::D] {
+            plans.push(pirk_plan(&Tableau::radau_iia2(), 3, ivp, h, v));
+        }
+        let ny = ivp.domain()[1];
+        for plan in &plans {
+            for threads in 1..=3 {
+                for height in [1, 3, ny] {
+                    let mut params = default_params(ivp.domain()).threads(threads);
+                    params.block[1] = height;
+                    let op_by_op = Integrator::new(ivp, plan.clone(), h, params.clone()).unwrap();
+                    let chained =
+                        Integrator::new(ivp, plan.clone(), h, params.wavefront(2)).unwrap();
+                    let case = format!("{} {} t={threads} H={height}", ivp.name(), plan.name);
+                    assert!(op_by_op.windowed().is_empty(), "{case}");
+                    let want = if chained.chained() {
+                        plan.transients()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(chained.windowed(), want, "{case}");
+                    windowed += usize::from(!want.is_empty());
+                }
+            }
+        }
+    }
+    // Heat2d, Heat3d and Wave2d chain all four rk4 variants.
+    assert_eq!(windowed, 3 * 4 * 3 * 3);
+}
+
+/// Windows keep the stage grids in the tile: on the shrunken Cascade
+/// Lake of `a_simulated_chained_step_moves_fewer_memory_lines`, the
+/// steady-state rk4/E step of Heat3d(48) that `measure_plan` replays in
+/// the tiles Offsite sizes moves at most four grids' worth of memory
+/// lines: the state read, the new state's write-allocate and write-back,
+/// and what the windows spill. Whole stage grids moved about 8.4.
+#[test]
+fn a_windowed_chained_step_streams_at_most_four_grids() {
+    use offsite::chain_tile_height;
+    let mut m = Machine::cascade_lake();
+    m.kind = yasksite_arch::MachineKind::Custom;
+    m.cores_per_socket = 4;
+    m.caches[1].size_bytes = 128 * 1024;
+    m.caches[2].size_bytes = 1024 * 1024;
+    m.caches[2].assoc = 16;
+    m.validate().unwrap();
+    let ivp = Heat3d::new(48);
+    let plan = erk_plan(&Tableau::rk4(), &ivp, 1e-5, Variant::E);
+    let mut params = TuningParams::new(ivp.domain(), Fold::new(8, 1, 1)).wavefront(2);
+    params.block[1] = chain_tile_height(&plan, &m, &params).expect("the pool overflows the LLC");
+    let grid = Grid3::new("g", plan.domain, plan.halo, params.fold);
+    let streams =
+        measure_plan(&plan, &m, &params).unwrap().mem_bytes_per_step / grid.bytes() as f64;
+    assert!(
+        streams <= 4.0,
+        "{streams:.2} grid streams per step (tile height {})",
+        params.block[1]
+    );
+}
