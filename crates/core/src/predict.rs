@@ -16,8 +16,9 @@ pub struct PredictedPerf {
     pub seconds_per_sweep: f64,
     /// The underlying (wavefront-adjusted) ECM prediction.
     pub ecm: EcmPrediction,
-    /// Whether the wavefront adjustment was applied (depth > 1 and the
-    /// skewed working set fits the last-level cache).
+    /// Whether the wavefront adjustment was applied (depth > 1, the
+    /// planned kernel is the row kernel a tiled pass runs, and the skewed
+    /// working set fits the last-level cache).
     pub wavefront_effective: bool,
 }
 
@@ -27,9 +28,10 @@ pub struct PredictedPerf {
 ///
 /// Temporal blocking is modelled on top of the spatial ECM prediction:
 /// a wavefront of depth `w` divides the memory-boundary traffic by `w`
-/// provided the skewed working set (`w·shift + 2r` xy-planes of both
-/// buffers) fits the effective last-level-cache share; cache-boundary
-/// traffic is unchanged.
+/// provided it runs tiled (the planned kernel is the row kernel; any
+/// other wavefront runs op by op) and the skewed working set
+/// (`w·shift + 2r` xy-planes of both buffers) fits the effective
+/// last-level-cache share; cache-boundary traffic is unchanged.
 #[must_use]
 pub fn predict_params(
     stencil: &Stencil,
@@ -54,12 +56,11 @@ pub fn predict_params_resident(
     resident_bytes: Option<f64>,
 ) -> PredictedPerf {
     // The model charges the kernel the engine's planner would run these
-    // parameters on — spatial or wavefront — through the engine's one
-    // kernel → issue mapping, which the simulated backend prices by too.
-    // One lowering of the stencil serves the plan and the price.
-    let issue = plan_kernel(stencil, params, TierPolicy::Auto)
-        .kernel
-        .issue(machine);
+    // parameters on through the engine's one kernel → issue mapping,
+    // which the simulated backend prices by too, and discounts a
+    // wavefront only where that kernel tiles.
+    let kernel = plan_kernel(stencil, params, TierPolicy::Auto).kernel;
+    let issue = kernel.issue(machine);
     let mut desc = KernelDesc::new(stencil, domain)
         .tile(params.clipped_block(domain))
         .fold(params.fold)
@@ -73,7 +74,7 @@ pub fn predict_params_resident(
 
     let info = stencil.info();
     let mut wavefront_effective = false;
-    if params.wavefront > 1 && stencil.num_inputs() == 1 {
+    if params.wavefront > 1 && stencil.num_inputs() == 1 && kernel.runs_rows() {
         let shift = info.radius[2].max(1);
         let planes = params.wavefront * shift + 2 * info.radius[2];
         let plane_bytes =

@@ -276,7 +276,7 @@ impl Solution {
         let run = pass.run(pool, &mut grids)?;
         Ok(MeasuredPerf {
             mlups: run.mlups,
-            seconds_per_sweep: run.seconds / run.wavefront_depth as f64,
+            seconds_per_sweep: run.seconds / params.wavefront.max(1) as f64,
             stats: None,
             simulated: false,
             threads_used: run.threads_used,
@@ -310,12 +310,19 @@ impl Solution {
     }
 
     /// The planner's pick for a sweep of `params` — kernel, tier, reason
-    /// and whether it is degraded — under the live [`TierPolicy`]
-    /// (`YASKSITE_FORCE_TIER` wins over the default), assuming the shared
+    /// and whether it is degraded — under the policy
+    /// [`Solution::measure`] prepares with: the live [`TierPolicy`]
+    /// (`YASKSITE_FORCE_TIER` wins over the default) on the host,
+    /// [`TierPolicy::Auto`] on a simulated machine. It assumes the shared
     /// grid geometry [`Solution::allocate_grids`] produces.
     #[must_use]
     pub fn plan_tier(&self, params: &TuningParams) -> PlannedKernel {
-        plan_kernel(&self.stencil, params, TierPolicy::from_env())
+        let policy = if self.machine.kind == MachineKind::Host {
+            TierPolicy::from_env()
+        } else {
+            TierPolicy::Auto
+        };
+        plan_kernel(&self.stencil, params, policy)
     }
 
     /// Generates the kernel source for `params`.
@@ -397,6 +404,29 @@ mod tests {
                 (planned.tier(), planned.reason),
                 "{p}"
             );
+        }
+    }
+
+    /// A measurement's rate and time describe one sweep, whatever the
+    /// wavefront depth and however the pass ran: tiled (row-major, depth
+    /// 3) or op by op (a 4x2x1 brick fold, depth 2), on the host and on a
+    /// simulated machine.
+    #[test]
+    fn a_measurement_times_one_sweep_at_any_depth() {
+        let row = TuningParams::new([32, 8, 8], Fold::new(8, 1, 1));
+        let cases = [
+            row.clone(),
+            row.wavefront(3),
+            TuningParams::new([32, 8, 8], Fold::new(4, 2, 1)).wavefront(2),
+        ];
+        for machine in [Machine::host(), Machine::cascade_lake()] {
+            let sol = Solution::new(heat3d(1), [32, 16, 16], machine);
+            for p in &cases {
+                let m = sol.measure(p).unwrap();
+                let updates = m.mlups * m.seconds_per_sweep * 1e6;
+                let want = sol.updates_per_sweep() as f64;
+                assert!((updates - want).abs() <= 1e-9 * want, "{p}: {updates}");
+            }
         }
     }
 

@@ -687,6 +687,23 @@ mod tests {
         assert_eq!(r.ranked.len(), 3);
     }
 
+    /// A hybrid tune on a simulated machine names the tier the simulator
+    /// charged its winner, whatever `YASKSITE_FORCE_TIER` says: the
+    /// measurement is prepared under `TierPolicy::Auto`, and so is the
+    /// tier the result reports.
+    #[test]
+    fn a_simulated_tune_reports_the_tier_its_winner_was_measured_on() {
+        let sol = Solution::new(heat3d(1), [32, 16, 16], Machine::cascade_lake());
+        let space = SearchSpace::standard(sol.stencil(), sol.domain(), sol.machine());
+        let r = sol
+            .tune_space_with(&space, &single_shot(TuneStrategy::Hybrid { shortlist: 3 }))
+            .unwrap();
+        let measured = sol.measure(&r.best).unwrap();
+        assert!(measured.simulated);
+        assert_eq!(r.tier, measured.tier, "{}", r.best);
+        assert_eq!(r.tier_reason, measured.tier_reason, "{}", r.best);
+    }
+
     #[test]
     fn analytic_choice_is_near_empirical_optimum() {
         // The paper's key claim in miniature: the model-selected block is

@@ -18,8 +18,9 @@
 //!   and reports which tier executed; used for host measurements and as
 //!   the correctness oracle's subject. A [`PreparedChain`] runs a
 //!   sequence of prepared sweeps over a pool of grids as one pass, skewed
-//!   in z and tiled in y: a wavefront is a chain of equal sweeps, an ODE
-//!   step a chain of its stage sweeps.
+//!   in z and tiled in y, when every sweep runs the row kernel, and op by
+//!   op otherwise: a wavefront is a chain of equal sweeps, an ODE step a
+//!   chain of its stage sweeps.
 //! * **simulated** ([`PreparedSweep::simulate`], [`PreparedChain::simulate`]):
 //!   the second sink of the same preparation — same checks, same kernel
 //!   plan, same tiled decision — walks the *same* iteration order but

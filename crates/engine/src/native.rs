@@ -7,7 +7,9 @@
 //! gathered once per preparation, each row of output is produced from
 //! pre-sliced source rows, and a linear stencil of any arity runs
 //! through one row kernel that walks its terms in const-generic stripes
-//! LLVM unrolls and vectorises.
+//! LLVM unrolls and vectorises. That row kernel is also the one kernel a
+//! tiled chain runs its tile-planes on ([`crate::wavefront`]); the brick,
+//! tape and per-point kernels only ever sweep a whole domain.
 //! Threading goes through the persistent [`ExecPool`] instead of
 //! spawning OS threads per sweep.
 
@@ -162,34 +164,6 @@ impl<'a> PreparedSweep<'a> {
                 });
             }
         }
-        let plan = |compiled: &CompiledStencil, geometry_shared: bool| {
-            plan_spatial(compiled, geometry_shared, params, policy)
-        };
-        Ok(Self::lower(
-            stencil,
-            inputs,
-            out,
-            params,
-            profiler,
-            report_finite,
-            plan,
-        ))
-    }
-
-    /// Compiles `stencil`, plans its kernel with `plan` (handed the
-    /// compiled stencil and whether every input shares the output's
-    /// allocation and halo) and, for the linear row kernel, lowers it
-    /// against the geometry of `inputs`. The caller has checked the
-    /// bindings and the parameters.
-    pub(crate) fn lower(
-        stencil: &Stencil,
-        inputs: &[&Grid3],
-        out: &Grid3,
-        params: &TuningParams,
-        profiler: Option<&'a SweepProfiler>,
-        report_finite: bool,
-        plan: impl FnOnce(&CompiledStencil, bool) -> PlannedKernel,
-    ) -> PreparedSweep<'a> {
         let disabled = SweepProfiler::disabled();
         let prof = profiler.unwrap_or(&disabled);
         let t_compile = prof.start();
@@ -198,14 +172,14 @@ impl<'a> PreparedSweep<'a> {
         let geometry_shared = inputs
             .iter()
             .all(|g| g.alloc() == out.alloc() && g.halo() == out.halo());
-        let planned = plan(&compiled, geometry_shared);
+        let planned = plan_spatial(&compiled, geometry_shared, params, policy);
         let rows = planned.kernel.runs_rows().then(|| {
             let (terms, constant) = compiled
                 .linear_terms()
                 .expect("planner picked a linear kernel");
             LinearKernel::build(terms, constant, inputs)
         });
-        PreparedSweep {
+        Ok(PreparedSweep {
             compiled,
             planned,
             rows,
@@ -215,7 +189,7 @@ impl<'a> PreparedSweep<'a> {
             params: params.clone(),
             profiler,
             report_finite,
-        }
+        })
     }
 
     /// Sets the profiler later runs record their `"sweep"` phase, chunks
@@ -808,7 +782,7 @@ fn tape_fast_path(
 /// storage window to hand each worker, and the walk gives per-point
 /// kernels one region (see [`crate::SweepReport::threads_used`]).
 /// Returns the number of regions.
-pub(crate) fn per_point(
+fn per_point(
     compiled: &CompiledStencil,
     scratch: &mut [f64],
     inputs: &[&Grid3],

@@ -492,7 +492,7 @@ impl PreparedChain<'_> {
         let mut units = vec![vec![0u64; ctx.cores()]; self.sweeps.len()];
         for tp in schedule.tile_planes() {
             let sweep = self.levels[tp.level].sweep;
-            let regions = Walk::plane(schedule, &tp, self.sweeps[sweep].planned.kernel);
+            let regions = Walk::plane(schedule, &tp);
             touches[tp.level].replay(ctx, &walk, &regions, |_, c, u| {
                 units[sweep][c] += u;
             });

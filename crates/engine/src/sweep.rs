@@ -3,7 +3,10 @@
 //! Every native run is constructed through one builder — the engine's
 //! counterpart of `TuneRequest` — and returns a [`SweepReport`] that
 //! records not just the timing but *which tier actually executed and
-//! why*:
+//! why*. One planner picks the kernel of every sweep, each level of a
+//! wavefront included; a wavefront runs as one tiled pass when that
+//! kernel is the linear row kernel, and op by op otherwise
+//! ([`crate::chain_runs_tiled`]):
 //!
 //! ```
 //! use yasksite_engine::{SweepRequest, Tier, TierPolicy, TuningParams};
@@ -226,8 +229,7 @@ fn lane_count_supported(lanes: usize) -> bool {
 
 /// Row-major linear sweeps: lane rows when the fold's x-lane count is
 /// supported and the policy allows it, scalar rows otherwise; both name
-/// the linear row kernel. Shared by the spatial and the wavefront
-/// planner.
+/// the linear row kernel.
 fn plan_rows(params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
     let lanes = params.fold.x;
     let (kernel, reason, degraded) = match policy {
@@ -302,52 +304,19 @@ pub(crate) fn plan_spatial(
     }
 }
 
-/// Picks the kernel for the tile-plane updates of a wavefront sweep.
-/// The wavefront fast path hands each pool job a contiguous window of
-/// plane rows, so it needs a linear stencil on identically laid-out
-/// **row-major** buffers. Multi-dimensional folds scatter rows across
-/// bricks and fall back to the per-point loop (the brick kernel sweeps
-/// whole grids, not single planes), and so does the tape.
-pub(crate) fn plan_wavefront(
-    compiled: &CompiledStencil,
-    layouts_match: bool,
-    params: &TuningParams,
-    policy: TierPolicy,
-) -> PlannedKernel {
-    let per_point = |reason| PlannedKernel {
-        kernel: Kernel::PerPoint,
-        reason,
-        degraded: true,
-    };
-    if !compiled.is_linear() {
-        per_point("non-linear stencil: per-point generic wavefront")
-    } else if !layouts_match {
-        per_point("ping-pong buffers have mismatched layouts: per-point generic wavefront")
-    } else if !params.row_major() {
-        per_point("wavefront folded tier requires a row-major fold: per-point generic wavefront")
-    } else {
-        plan_rows(params, policy)
-    }
-}
-
 /// A-priori kernel query for the tuner and the ECM model: which kernel
 /// *would* a sweep of `stencil` under `params` run on under
 /// `policy`, assuming identically laid-out grids (as
-/// `Solution::allocate_grids` produces)? Parameters with a wavefront
-/// depth above 1 are planned as the wavefront sweep they ask for, all
-/// others as a spatial sweep — the same two planners the executors call,
-/// on one lowering of the stencil.
+/// `Solution::allocate_grids` produces)? Every sweep, each level of a
+/// wavefront included, is planned by the one planner the executors
+/// call, on one lowering of the stencil; a wavefront runs tiled exactly
+/// when that plan is the row kernel ([`crate::chain_runs_tiled`]).
 ///
 /// Execution may still degrade (and [`SweepReport::tier`] records the
 /// truth) when actual grid layouts differ.
 #[must_use]
 pub fn plan_kernel(stencil: &Stencil, params: &TuningParams, policy: TierPolicy) -> PlannedKernel {
-    let compiled = CompiledStencil::compile(stencil);
-    if params.wavefront > 1 {
-        plan_wavefront(&compiled, true, params, policy)
-    } else {
-        plan_spatial(&compiled, true, params, policy)
-    }
+    plan_spatial(&CompiledStencil::compile(stencil), true, params, policy)
 }
 
 /// Builder for one native sweep: spatial (`apply`) or temporally blocked
@@ -416,14 +385,6 @@ impl<'a> SweepRequest<'a> {
     #[must_use]
     pub fn report_finite(mut self) -> Self {
         self.report_finite = true;
-        self
-    }
-
-    /// Overrides the wavefront depth from the parameters (only
-    /// meaningful for [`SweepRequest::run_wavefront`]).
-    #[must_use]
-    pub fn wavefront(mut self, depth: usize) -> Self {
-        self.params.wavefront = depth;
         self
     }
 
@@ -507,20 +468,20 @@ impl<'a> SweepRequest<'a> {
     }
 
     /// Prepares `params.wavefront` time steps of `stencil` on the
-    /// ping-pong pair `[a, b]` as one tiled [`PreparedChain`]: even levels
-    /// sweep from `a` into `b`, odd ones back (one sweep is prepared per
-    /// direction when the two grids differ in geometry). Run it with
-    /// [`PreparedChain::run`] on this pair or any of the same geometries,
-    /// or replay it with [`PreparedChain::simulate`].
+    /// ping-pong pair `[a, b]` as one [`PreparedChain`]: even levels
+    /// sweep from `a` into `b`, odd ones back, each level a sweep
+    /// [`SweepRequest::prepare`] prepares (one per direction when the two
+    /// grids differ in geometry). Run it with [`PreparedChain::run`] on
+    /// this pair or any of the same geometries, or replay it with
+    /// [`PreparedChain::simulate`].
     ///
-    /// Linear stencils on identically laid-out row-major grids run each
-    /// tile-plane's chunks through the linear row kernel, whichever of its
-    /// two rungs the planner names; anything else runs per point over the
-    /// same schedule.
+    /// Like any chain, it runs as one tiled pass when its sweeps plan the
+    /// linear row kernel ([`crate::chain_runs_tiled`]), and op by op, on
+    /// the kernel the planner picks, otherwise; the bits are the same.
     ///
     /// # Errors
     /// Fails for multi-input stencils, binding problems, or invalid
-    /// parameters.
+    /// parameters, as [`SweepRequest::prepare`] does.
     pub fn prepare_wavefront(
         &self,
         stencil: &Stencil,
@@ -532,32 +493,11 @@ impl<'a> SweepRequest<'a> {
                 reason: "wavefront needs a single-input (ping-pong) stencil".into(),
             });
         }
-        stencil.check_bindings(&[a], b)?;
-        stencil.check_bindings(&[b], a)?;
-        let params = &self.params;
-        params
-            .validate(a.n())
-            .map_err(|reason| EngineError::BadParams { reason })?;
-        let layouts_match = a.fold() == params.fold
-            && b.fold() == params.fold
-            && a.halo() == b.halo()
-            && a.alloc() == b.alloc();
-        let prepare = |from: &Grid3, to: &Grid3| {
-            PreparedSweep::lower(
-                stencil,
-                &[from],
-                to,
-                params,
-                self.profiler,
-                self.report_finite,
-                |compiled, _| plan_wavefront(compiled, layouts_match, params, self.tier),
-            )
-        };
-        let mut sweeps = vec![prepare(a, b)];
+        let mut sweeps = vec![self.prepare(stencil, &[a], b)?];
         if GridGeometry::of(a) != GridGeometry::of(b) {
-            sweeps.push(prepare(b, a));
+            sweeps.push(self.prepare(stencil, &[b], a)?);
         }
-        PreparedChain::ping_pong(sweeps, params.wavefront)
+        PreparedChain::ping_pong(sweeps, self.params.wavefront)
     }
 
     /// Performs `wavefront` time steps of `stencil` on the ping-pong
@@ -699,16 +639,13 @@ mod tests {
     fn degraded_reasons_are_classified() {
         use std::collections::{BTreeMap, BTreeSet};
         // The oracle: every reason for a sweep below its asked-for tier.
-        const DEGRADED: [&str; 8] = [
+        const DEGRADED: [&str; 5] = [
             "non-linear stencil on a multi-dimensional fold: per-point generic path",
             "folded tier forced but fold.x has no supported lane count: scalar row kernels",
             "fold.x has no supported lane count: scalar row kernels",
             "tier forced to scalar but scalar row kernels need a row-major fold: generic path",
             "multi-dimensional fold ineligible for the brick kernel \
              (unsupported lane count or mismatched grid layouts): generic path",
-            "non-linear stencil: per-point generic wavefront",
-            "ping-pong buffers have mismatched layouts: per-point generic wavefront",
-            "wavefront folded tier requires a row-major fold: per-point generic wavefront",
         ];
         let compiled =
             [heat3d(1), inverter_chain_rhs(5.0, 1.0, 2.0)].map(|s| CompiledStencil::compile(&s));
@@ -721,14 +658,10 @@ mod tests {
             for (x, y) in [(8, 1), (3, 1), (4, 2), (3, 2)] {
                 let p = TuningParams::new([8, 8, 8], Fold::new(x, y, 1));
                 for (c, shared) in compiled.iter().flat_map(|c| [(c, true), (c, false)]) {
-                    for planned in [
-                        plan_spatial(c, shared, &p, policy),
-                        plan_wavefront(c, shared, &p, policy),
-                    ] {
-                        let (r, d) = (planned.reason, planned.degraded);
-                        assert_eq!(d, DEGRADED.contains(&r), "{r}");
-                        assert_eq!(*flags.entry(r).or_insert(d), d, "both flags: {r}");
-                    }
+                    let planned = plan_spatial(c, shared, &p, policy);
+                    let (r, d) = (planned.reason, planned.degraded);
+                    assert_eq!(d, DEGRADED.contains(&r), "{r}");
+                    assert_eq!(*flags.entry(r).or_insert(d), d, "both flags: {r}");
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! The walk: which thread computes which rows of a pass, in what order.
 //!
 //! Every pass over a domain (a spatial sweep, or one tile-plane of a
-//! tiled chain) is cut into per-thread [`Region`]s, boxes of whole
-//! x-rows, and each region is walked in the YASK block / sub-block order
-//! of [`Walk`]: block by block, and inside a block sub-block by
-//! sub-block, one `(k, j, i0, i1)` row segment at a time, x innermost.
+//! tiled chain, which only the row kernel runs) is cut into per-thread
+//! [`Region`]s, boxes of whole x-rows, and each region is walked in the
+//! YASK block / sub-block order of [`Walk`]: block by block, and inside a
+//! block sub-block by sub-block, one `(k, j, i0, i1)` row segment at a
+//! time, x innermost.
 //!
 //! One walk, two sinks. The native row, tape and per-point executors
 //! compute the segments the walk hands them, thread `t` on region `t`;
@@ -90,20 +91,12 @@ impl Walk {
             .collect()
     }
 
-    /// The regions of tile-plane `tp` of a chain whose level runs
-    /// `kernel`: the schedule's row chunks, one per thread; the per-point
-    /// kernel runs the whole tile-plane on one thread.
-    pub(crate) fn plane(schedule: &Schedule, tp: &TilePlane, kernel: Kernel) -> Vec<Region> {
+    /// The regions of tile-plane `tp` of a tiled chain: the schedule's
+    /// row chunks, one per thread.
+    pub(crate) fn plane(schedule: &Schedule, tp: &TilePlane) -> Vec<Region> {
         let z = (tp.z, tp.z + 1);
-        if kernel == Kernel::PerPoint {
-            return vec![Region {
-                thread: 0,
-                z,
-                y: tp.rows,
-            }];
-        }
-        let chunks = schedule.chunks(tp);
-        chunks
+        schedule
+            .chunks(tp)
             .map(|(thread, j0, j1)| Region {
                 thread,
                 z,
@@ -400,7 +393,7 @@ mod tests {
         for (fold, kind) in [
             (Fold::new(8, 1, 1), Kernel::LaneRows(8)),
             (Fold::new(4, 1, 1), Kernel::LaneRows(4)),
-            (Fold::new(4, 2, 1), Kernel::PerPoint),
+            (Fold::unit(), Kernel::ScalarRows),
         ] {
             let s = heat3d(1);
             for depth in 2..=4 {
@@ -410,6 +403,7 @@ mod tests {
                     let (mut a, mut b) = (grid("a", fold), grid("b", fold));
                     let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
                     let chain = request.prepare_wavefront(&s, &a, &b).unwrap();
+                    assert!(chain.tiled());
                     let mut used = 0;
                     let native = segments(|| {
                         let pair = &mut [&mut a, &mut b];

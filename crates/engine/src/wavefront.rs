@@ -6,7 +6,10 @@
 //! caller build one. A depth-`w` wavefront
 //! ([`crate::SweepRequest::prepare_wavefront`]) is `w` equal levels over a
 //! ping-pong pair, and an explicit ODE step is its stage and update
-//! sweeps, which read and rewrite several grids of a larger pool.
+//! sweeps, which read and rewrite several grids of a larger pool. Both
+//! follow one rule ([`chain_runs_tiled`]): a chain runs tiled when its
+//! parameters ask for a wavefront and every sweep plans the linear row
+//! kernel, and op by op, each sweep on its planned kernel, otherwise.
 //!
 //! Run op by op, each level sweeps the whole domain before the next one
 //! starts. Run tiled, the domain is cut into y-tiles of
@@ -30,9 +33,8 @@
 //! grids an ODE step rewrites within a step; DESIGN.md "Tiled chains"
 //! has the argument. No level ever writes a halo. [`Schedule`] is the
 //! one statement of that order, and a [`PreparedChain`] has two sinks
-//! that follow it: [`PreparedChain::run`] executes the chain on the host
-//! (row kernels and per-point fallback alike), and
-//! [`PreparedChain::simulate`] replays the same tile-planes on a
+//! that follow it: [`PreparedChain::run`] executes the chain on the host,
+//! and [`PreparedChain::simulate`] replays the same tile-planes on a
 //! simulated machine. Both take the tiled decision, the levels' kernel
 //! plans and the binding checks from the one preparation.
 //!
@@ -41,10 +43,9 @@
 //! ([`crate::walk`]): blocked in x and y by `params.block` and
 //! sub-blocked. The chunks run through the same allocation-free linear
 //! row kernel as a spatial [`crate::PreparedSweep::run`], on the
-//! persistent [`ExecPool`]; a per-point level walks the whole tile-plane
-//! on one thread. The per-point operation order is identical to the
-//! op-by-op run's, so a tiled chain bitwise-matches its levels swept one
-//! after another.
+//! persistent [`ExecPool`]. The per-point operation order is identical
+//! to the op-by-op run's, so a tiled chain bitwise-matches its levels
+//! swept one after another.
 //!
 //! A tiled chain may keep *transient* grids (one writer, read only by
 //! later levels) in a [`Window`] instead of a pool grid
@@ -61,7 +62,7 @@ use std::time::Instant;
 use yasksite_grid::{Fold, Grid3};
 
 use crate::error::EngineError;
-use crate::native::{per_point, rows_on_pool, FiniteScan, GridGeometry, PreparedSweep};
+use crate::native::{rows_on_pool, FiniteScan, GridGeometry, PreparedSweep};
 use crate::params::TuningParams;
 use crate::pool::ExecPool;
 use crate::profile::SweepProfiler;
@@ -319,6 +320,11 @@ impl Window {
         ([self.nx, self.rows, 1], [self.hx, 1, 0])
     }
 
+    /// The elements of a grid of [`Window::extent`].
+    fn len(&self) -> usize {
+        (self.rows + 2) * self.ax
+    }
+
     /// [`EngineError::BadParams`] unless `grid` can hold the window: rows
     /// stored one after another, as long as the window's and as many of
     /// them. A grid of [`Window::extent`] can, and so can any pool grid
@@ -396,17 +402,17 @@ fn bind<'g, G: BorrowMut<Grid3>>(
 
 /// Whether [`PreparedChain::new`] runs a chain under `params` whose
 /// sweeps plan `kernels` as one tiled pass: a wavefront is asked for and
-/// every sweep runs the linear row kernel. Any other chain runs op by op.
+/// every sweep runs the linear row kernel. Any other chain, a wavefront
+/// included, runs op by op. The one tiling rule of every chain.
 #[must_use]
 pub fn chain_runs_tiled(params: &TuningParams, kernels: impl IntoIterator<Item = Kernel>) -> bool {
     params.wavefront > 1 && kernels.into_iter().all(Kernel::runs_rows)
 }
 
 /// A chain of prepared sweeps over a pool of grids, run once per
-/// [`PreparedChain::run`]: as one tiled pass when the sweeps' parameters
-/// ask for a wavefront (`params.wavefront > 1`) and every sweep runs on
-/// the linear row kernel, op by op otherwise. Both orders leave the same
-/// bits. [`PreparedChain::simulate`] replays the same pass on a simulated
+/// [`PreparedChain::run`]: as one tiled pass when [`chain_runs_tiled`]
+/// holds, op by op otherwise. Both orders leave the same bits.
+/// [`PreparedChain::simulate`] replays the same pass on a simulated
 /// machine.
 ///
 /// ```
@@ -451,7 +457,8 @@ impl<'a> PreparedChain<'a> {
     /// [`crate::SweepRequest::prepare`] under one set of parameters, over
     /// one domain) on grids of a pool. The chain runs tiled when
     /// [`chain_runs_tiled`] holds for the sweeps' parameters and planned
-    /// kernels; any other plan (a tape, a brick fold) runs op by op.
+    /// kernels; any other plan (a tape, a brick fold, a per-point sweep)
+    /// runs op by op.
     ///
     /// # Errors
     /// [`EngineError::BadParams`] when there is no level, a level names a
@@ -461,43 +468,6 @@ impl<'a> PreparedChain<'a> {
     pub fn new(
         sweeps: Vec<PreparedSweep<'a>>,
         levels: Vec<ChainLevel>,
-    ) -> Result<PreparedChain<'a>, EngineError> {
-        let tiled = sweeps.first().is_some_and(|first| {
-            chain_runs_tiled(&first.params, sweeps.iter().map(|s| s.planned.kernel))
-        });
-        PreparedChain::build(sweeps, levels, tiled)
-    }
-
-    /// The depth-`depth` wavefront over a ping-pong pair `[a, b]`, always
-    /// one tiled pass: even levels run `sweeps[0]` from `a` into `b`, odd
-    /// ones the last of `sweeps` from `b` into `a` (one sweep serves both
-    /// directions when the two grids share a geometry).
-    pub(crate) fn ping_pong(
-        sweeps: Vec<PreparedSweep<'a>>,
-        depth: usize,
-    ) -> Result<PreparedChain<'a>, EngineError> {
-        let backward = sweeps.len() - 1;
-        let levels = (0..depth)
-            .map(|level| {
-                let (sweep, from, to) = if level.is_multiple_of(2) {
-                    (0, 0, 1)
-                } else {
-                    (backward, 1, 0)
-                };
-                ChainLevel {
-                    sweep,
-                    inputs: vec![from],
-                    output: to,
-                }
-            })
-            .collect();
-        PreparedChain::build(sweeps, levels, true)
-    }
-
-    fn build(
-        sweeps: Vec<PreparedSweep<'a>>,
-        levels: Vec<ChainLevel>,
-        tiled: bool,
     ) -> Result<PreparedChain<'a>, EngineError> {
         if levels.is_empty() {
             return Err(bad_params("a chain runs at least one level".into()));
@@ -531,6 +501,7 @@ impl<'a> PreparedChain<'a> {
                 "the chain's sweeps differ in parameters or domain".into(),
             ));
         }
+        let tiled = chain_runs_tiled(&first.params, sweeps.iter().map(|s| s.planned.kernel));
         let radius = largest_radius(sweeps.iter().map(|s| s.info.radius));
         let schedule =
             tiled.then(|| Schedule::new(first.out.n, levels.len(), radius, &first.params));
@@ -542,19 +513,47 @@ impl<'a> PreparedChain<'a> {
         })
     }
 
+    /// The depth-`depth` wavefront over a ping-pong pair `[a, b]`: even
+    /// levels run `sweeps[0]` from `a` into `b`, odd ones the last of
+    /// `sweeps` from `b` into `a` (one sweep serves both directions when
+    /// the two grids share a geometry).
+    pub(crate) fn ping_pong(
+        sweeps: Vec<PreparedSweep<'a>>,
+        depth: usize,
+    ) -> Result<PreparedChain<'a>, EngineError> {
+        let backward = sweeps.len() - 1;
+        let levels = (0..depth)
+            .map(|level| {
+                let (sweep, from, to) = if level.is_multiple_of(2) {
+                    (0, 0, 1)
+                } else {
+                    (backward, 1, 0)
+                };
+                ChainLevel {
+                    sweep,
+                    inputs: vec![from],
+                    output: to,
+                }
+            })
+            .collect();
+        PreparedChain::new(sweeps, levels)
+    }
+
     /// Keeps each of `grids` in a window when the chain runs tiled
     /// (an op-by-op chain keeps whole grids): ring planes and a carry
     /// strip sized by the tile instead of a whole pool grid, read and
     /// written through the window's map by both sinks. Each must be
     /// transient: written by exactly one level and read only by later
-    /// ones, by levels whose sweeps no other level runs. A windowed
-    /// grid's values do not outlive the pass, and [`PreparedChain::run`]
-    /// and [`PreparedChain::simulate`] take there a grid that holds the
-    /// window ([`PreparedChain::window_extent`]).
+    /// ones, by levels whose sweeps no other level runs. A grid whose
+    /// window would hold at least as many elements stays whole (tiles
+    /// shorter than the readers' reach carry more rows than such a grid
+    /// has). A windowed grid's values do not outlive the pass, and
+    /// [`PreparedChain::run`] and [`PreparedChain::simulate`] take there
+    /// a grid that holds the window ([`PreparedChain::window_extent`]).
     ///
     /// # Errors
     /// [`EngineError::BadParams`] when a grid is not transient, or a level
-    /// writing or reading it runs per point or shares its sweep.
+    /// reading it shares its sweep.
     pub fn with_windows(mut self, grids: &[usize]) -> Result<PreparedChain<'a>, EngineError> {
         let Some(schedule) = self.schedule.take() else {
             return Ok(self);
@@ -570,27 +569,23 @@ impl<'a> PreparedChain<'a> {
                     )))
                 }
             };
-            if self.sweeps[self.levels[writer].sweep].rows.is_none() {
-                return Err(bad_params(format!("grid {g} is written per point")));
-            }
             let readers = positions(&self.levels, reads);
+            let runs = |sweep: usize| self.levels.iter().filter(|m| m.sweep == sweep).count();
+            if let Some(l) = readers.iter().find(|&&l| runs(self.levels[l].sweep) > 1) {
+                return Err(bad_params(format!(
+                    "level {l} reads grid {g} on a shared sweep"
+                )));
+            }
             let last = readers.last().copied().unwrap_or(writer);
             let out = self.sweeps[self.levels[writer].sweep].out;
             let window = Window::new(&schedule, writer, last, &out);
+            if window.len() >= out.alloc.iter().product() {
+                continue;
+            }
             for l in readers {
                 let level = &self.levels[l];
-                let shared = self
-                    .levels
-                    .iter()
-                    .filter(|m| m.sweep == level.sweep)
-                    .count()
-                    > 1;
                 let kernel = self.sweeps[level.sweep].rows.as_mut();
-                let Some(kernel) = kernel.filter(|_| !shared) else {
-                    return Err(bad_params(format!(
-                        "level {l} reads grid {g} on a shared or per-point sweep"
-                    )));
-                };
+                let kernel = kernel.expect("a tiled chain's sweeps run the row kernel");
                 for (input, _) in level.inputs.iter().enumerate().filter(|(_, &i)| i == g) {
                     kernel.read_through(input, window.clone());
                 }
@@ -731,11 +726,6 @@ impl<'a> PreparedChain<'a> {
         let prof = self.sweeps[0].profiler.unwrap_or(&disabled);
         let walk = Walk::new(self.sweeps[0].out.n, &self.sweeps[0].params);
         let scans = [FiniteScan::new(false), FiniteScan::new(true)];
-        let mut scratch: Vec<Vec<f64>> = self
-            .sweeps
-            .iter()
-            .map(|s| s.compiled.point_scratch())
-            .collect();
         let mut widest = 1usize;
         prof.pool_window(pool.stats());
         let t_pass = prof.start();
@@ -743,34 +733,22 @@ impl<'a> PreparedChain<'a> {
             let level = &self.levels[tp.level];
             let sweep = &self.sweeps[level.sweep];
             let scan = &scans[usize::from(sweep.report_finite)];
+            let kernel = sweep
+                .rows
+                .as_ref()
+                .expect("a tiled chain's sweeps run the row kernel");
             let (inputs, out) = bind(grids, level);
-            let regions = Walk::plane(schedule, &tp, sweep.planned.kernel);
+            let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
+            let regions = Walk::plane(schedule, &tp);
             let t_plane = prof.start();
-            let used = match &sweep.rows {
-                Some(kernel) => {
-                    let inputs: Vec<&[f64]> = inputs.iter().map(|g| g.as_slice()).collect();
-                    match self.window(level.output) {
-                        Some(window) => {
-                            let sinks = windowed(out, window, &regions, scan).into_iter();
-                            rows_on_pool(pool, kernel, &inputs, sinks, &walk, &regions, prof)
-                        }
-                        None => {
-                            let sinks = windows(out, &regions, scan);
-                            rows_on_pool(pool, kernel, &inputs, sinks, &walk, &regions, prof)
-                        }
-                    }
+            let used = match self.window(level.output) {
+                Some(window) => {
+                    let sinks = windowed(out, window, &regions, scan).into_iter();
+                    rows_on_pool(pool, kernel, &inputs, sinks, &walk, &regions, prof)
                 }
                 None => {
-                    let scratch = &mut scratch[level.sweep];
-                    per_point(
-                        &sweep.compiled,
-                        scratch,
-                        &inputs,
-                        out,
-                        &walk,
-                        &regions,
-                        scan,
-                    )
+                    let sinks = windows(out, &regions, scan);
+                    rows_on_pool(pool, kernel, &inputs, sinks, &walk, &regions, prof)
                 }
             };
             widest = widest.max(used);
@@ -1119,61 +1097,78 @@ mod tests {
         assert_eq!(ctx.updates(), 2 * 16 * 6 * 5);
     }
 
-    /// A chain that keeps grids in windows leaves the op-by-op bits: grid
-    /// 1 (halo 0.5) is written by level 0 and read at radius 2 by levels 1
-    /// and 2, grid 2 is written by level 1 and read by level 2, and both
-    /// live in windows, bound as grids of the window's extent or as whole
-    /// grids, in tiles of one, three and all rows at 1–3 threads. The
-    /// halo value comes through where the grid's halo would. Only
-    /// transient grids are windowed, and only when the chain runs tiled.
-    #[test]
-    fn a_windowed_chain_matches_the_op_by_op_chain_bitwise() {
-        use yasksite_stencil::{at, c};
-        let (n, halo, fold) = ([16, 20, 6], [2, 2, 2], Fold::new(8, 1, 1));
-        let grid = |g: usize| {
-            let mut grid = Grid3::new(&format!("g{g}"), n, halo, fold);
-            grid.fill_halo([0.25, 0.5, 0.0, 0.0][g]);
-            grid
-        };
-        let mut pool: Vec<Grid3> = (0..4).map(grid).collect();
+    /// The pool of [`mixed_chain`] over domain `n`, halo 2: grid 0 holds
+    /// the initial values, grid `g`'s halo the value `HALOS[g]`.
+    fn mixed_pool(n: [usize; 3]) -> Vec<Grid3> {
+        let mut pool: Vec<Grid3> = (0..4)
+            .map(|g| {
+                let mut grid = Grid3::new(&format!("g{g}"), n, [2, 2, 2], Fold::new(8, 1, 1));
+                grid.fill_halo(HALOS[g]);
+                grid
+            })
+            .collect();
         pool[0].fill_with(|i, j, k| ((i * 3 + j * 5 + k * 7) % 11) as f64 * 0.1);
+        pool
+    }
+
+    const HALOS: [f64; 4] = [0.25, 0.5, 0.0, 0.0];
+
+    /// Three levels over [`mixed_pool`]: grid 1 is written by level 0 and
+    /// read at radius 2 by levels 1 and 2, grid 2 is written by level 1
+    /// and read by level 2, which writes grid 3; `windowed` are kept in
+    /// windows.
+    fn mixed_chain(
+        pool: &[Grid3],
+        p: &TuningParams,
+        windowed: &[usize],
+    ) -> Result<PreparedChain<'static>, EngineError> {
+        use yasksite_stencil::{at, c};
         let mix = at(0, 0, -2, 1) + c(0.5) * at(1, 1, 2, -2) + c(0.25) * at(0, 0, 0, 0);
         let stencils = [heat3d(1), heat3d(2), Stencil::new("mix", 3, 2, mix)];
         let levels = [(vec![0], 1), (vec![1], 2), (vec![1, 2], 3)];
-        let chain = |p: &TuningParams, windowed: &[usize]| {
-            let request = SweepRequest::new(p).tier(TierPolicy::Auto);
-            let sweeps = levels.iter().zip(&stencils).map(|((inputs, output), s)| {
-                let inputs: Vec<&Grid3> = inputs.iter().map(|&g| &pool[g]).collect();
-                request.prepare(s, &inputs, &pool[*output])
+        let request = SweepRequest::new(p).tier(TierPolicy::Auto);
+        let sweeps = levels.iter().zip(&stencils).map(|((inputs, output), s)| {
+            let inputs: Vec<&Grid3> = inputs.iter().map(|&g| &pool[g]).collect();
+            request.prepare(s, &inputs, &pool[*output])
+        });
+        let levels = levels
+            .iter()
+            .enumerate()
+            .map(|(sweep, (inputs, output))| ChainLevel {
+                sweep,
+                inputs: inputs.clone(),
+                output: *output,
             });
-            let levels = levels
-                .iter()
-                .enumerate()
-                .map(|(sweep, (inputs, output))| ChainLevel {
-                    sweep,
-                    inputs: inputs.clone(),
-                    output: *output,
-                });
-            PreparedChain::new(sweeps.collect::<Result<_, _>>().unwrap(), levels.collect())
-                .unwrap()
-                .with_windows(windowed)
-        };
+        PreparedChain::new(sweeps.collect::<Result<_, _>>()?, levels.collect())?
+            .with_windows(windowed)
+    }
+
+    /// A chain that keeps grids in windows leaves the op-by-op bits: both
+    /// transients of [`mixed_chain`] live in windows, bound as grids of
+    /// the window's extent or as whole grids, in tiles of one, three and
+    /// all rows at 1–3 threads. The halo value comes through where the
+    /// grid's halo would. Only transient grids are windowed, and only
+    /// when the chain runs tiled.
+    #[test]
+    fn a_windowed_chain_matches_the_op_by_op_chain_bitwise() {
+        let (n, fold) = ([16, 20, 6], Fold::new(8, 1, 1));
+        let pool = mixed_pool(n);
         let base = TuningParams::new([16, 1, 6], fold);
         let mut op_by_op = pool.clone();
-        let plain = chain(&base, &[1, 2]).unwrap();
+        let plain = mixed_chain(&pool, &base, &[1, 2]).unwrap();
         assert!(plain.windowed().is_empty(), "op by op keeps whole grids");
         plain.run(ExecPool::global(), &mut op_by_op).unwrap();
         for by in [1, 3, n[1]] {
             for threads in 1..=3 {
                 let mut p = base.clone().wavefront(2).threads(threads);
                 p.block[1] = by;
-                let tiled = chain(&p, &[1, 2]).unwrap();
+                let tiled = mixed_chain(&pool, &p, &[1, 2]).unwrap();
                 assert_eq!(tiled.windowed(), [1, 2]);
                 let mut windows = pool.clone();
                 for g in [1, 2] {
                     let (wn, wh) = tiled.window_extent(g).unwrap();
                     windows[g] = Grid3::new("w", wn, wh, fold);
-                    windows[g].fill_halo([0.25, 0.5, 0.0, 0.0][g]);
+                    windows[g].fill_halo(HALOS[g]);
                 }
                 let mut whole = pool.clone();
                 for grids in [&mut windows, &mut whole] {
@@ -1192,8 +1187,63 @@ mod tests {
         // Grid 0 is read first and written by nobody, grid 3 by the last
         // level after nothing reads it: only the latter is transient.
         let p = base.wavefront(2);
-        assert!(chain(&p, &[0]).is_err());
-        assert_eq!(chain(&p, &[3]).unwrap().windowed(), [3]);
+        assert!(mixed_chain(&pool, &p, &[0]).is_err());
+        assert_eq!(mixed_chain(&pool, &p, &[3]).unwrap().windowed(), [3]);
+    }
+
+    /// A window no smaller than the grid it would replace is not used.
+    /// On 16×7×6 (radius 2) in one-row blocks at three threads, grid 1
+    /// is written by level 0 and read by level 6: its readers reach back
+    /// 14 rows across 3-row tiles, so its window would keep six strip
+    /// buffers, 116 rows where the whole grid has 110. It stays whole,
+    /// with the op-by-op bits; in one tile as tall as the domain it is
+    /// windowed.
+    #[test]
+    fn a_window_no_smaller_than_its_grid_keeps_the_grid_whole() {
+        use yasksite_stencil::{at, c};
+        let fold = Fold::new(8, 1, 1);
+        let pool = mixed_pool([16, 7, 6]);
+        let mix = at(0, 0, -2, 1) + c(0.5) * at(1, 1, 2, -2);
+        let stencils = [heat3d(2), heat3d(2), Stencil::new("mix", 3, 2, mix)];
+        // (sweep, inputs, output): grids 2 and 3 ping-pong in between.
+        let levels = [
+            (0, vec![0], 1),
+            (1, vec![0], 2),
+            (1, vec![2], 3),
+            (1, vec![3], 2),
+            (1, vec![2], 3),
+            (1, vec![3], 2),
+            (2, vec![1, 2], 3),
+        ];
+        let chain = |p: &TuningParams| {
+            let request = SweepRequest::new(p).tier(TierPolicy::Auto);
+            let bindings = [(vec![0], 1), (vec![0], 2), (vec![1, 2], 3)];
+            let sweeps = bindings.iter().zip(&stencils).map(|((inputs, output), s)| {
+                let inputs: Vec<&Grid3> = inputs.iter().map(|&g| &pool[g]).collect();
+                request.prepare(s, &inputs, &pool[*output]).unwrap()
+            });
+            let levels = levels.iter().map(|(sweep, inputs, output)| ChainLevel {
+                sweep: *sweep,
+                inputs: inputs.clone(),
+                output: *output,
+            });
+            PreparedChain::new(sweeps.collect(), levels.collect())
+                .unwrap()
+                .with_windows(&[1])
+                .unwrap()
+        };
+        let p = TuningParams::new([16, 1, 6], fold).threads(3);
+        let mut op_by_op = pool.clone();
+        chain(&p).run(ExecPool::global(), &mut op_by_op).unwrap();
+        let tiled = chain(&p.clone().wavefront(2));
+        assert!(tiled.tiled());
+        assert_eq!(tiled.windowed(), Vec::<usize>::new());
+        let mut grids = pool.clone();
+        tiled.run(ExecPool::global(), &mut grids).unwrap();
+        assert_eq!(grids[3].max_abs_diff(&op_by_op[3]).unwrap(), 0.0);
+        let mut one_tile = p.wavefront(2).threads(1);
+        one_tile.block[1] = 7;
+        assert_eq!(chain(&one_tile).windowed(), [1]);
     }
 
     /// Every level skews by the largest radius of any level: a radius-1
@@ -1375,13 +1425,16 @@ mod tests {
         assert!(r.pool.is_some());
     }
 
+    /// The finite scan covers every level of a wavefront, tiled on the
+    /// row kernel and op by op on the brick and the per-point kernels.
     #[test]
     fn wavefront_finite_scan_covers_every_level_on_rows_and_per_point() {
         let s = heat3d(1);
         let n = [16, 6, 10];
         for (fold, tier) in [
             (Fold::new(8, 1, 1), Tier::Folded),
-            (Fold::new(4, 2, 1), Tier::Generic),
+            (Fold::new(4, 2, 1), Tier::Folded),
+            (Fold::new(3, 2, 1), Tier::Generic),
         ] {
             let run = |bad: Option<f64>, scan: bool| {
                 let mut a = Grid3::new("a", n, [1, 1, 1], fold);
@@ -1421,32 +1474,79 @@ mod tests {
         ));
     }
 
+    /// `b` allocates a wider halo than `a`: each direction is its own
+    /// sweep, lowered against its own grids, and the pair still runs as
+    /// one tiled pass of the row kernel, on both threads, with the bits
+    /// of the two plain sweeps.
     #[test]
-    fn mismatched_layouts_fall_back_to_generic_path() {
-        // b allocates a wider halo than a: the fast path's identical
-        // -layout precondition fails, the generic path must still give
-        // the right answer and the report must say so.
+    fn mismatched_halos_run_the_tiled_row_kernel_bitwise() {
         let s = heat3d(1);
         let n = [12, 6, 8];
-        let a0 = initial(n);
-        let want = stepper_reference(&s, &a0, 2);
-        let mut a = a0.clone();
-        let mut b = Grid3::new("b", n, [2, 2, 2], Fold::new(8, 1, 1));
+        let fold = Fold::new(8, 1, 1);
+        let mut a = initial(n);
+        let mut b = Grid3::new("b", n, [2, 2, 2], fold);
         b.fill_halo(0.0);
-        let p = TuningParams::new([12, 6, 8], Fold::new(8, 1, 1))
-            .wavefront(2)
-            .threads(2);
-        let report = SweepRequest::new(&p)
-            .tier(TierPolicy::Auto)
-            .run_wavefront(&s, &mut a, &mut b)
-            .unwrap();
-        assert_eq!(
-            report.threads_used, 1,
-            "generic fallback is single-threaded"
+        let (mut want_a, mut want_b) = (a.clone(), b.clone());
+        let plain = SweepRequest::new(&TuningParams::new([12, 6, 8], fold)).tier(TierPolicy::Auto);
+        plain.apply(&s, &[&want_a], &mut want_b).unwrap();
+        plain.apply(&s, &[&want_b], &mut want_a).unwrap();
+        let p = TuningParams::new([12, 3, 8], fold).wavefront(2).threads(2);
+        let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+        assert!(request.prepare_wavefront(&s, &a, &b).unwrap().tiled());
+        let report = request.run_wavefront(&s, &mut a, &mut b).unwrap();
+        assert_eq!(report.threads_used, 2);
+        assert_eq!(report.tier, Tier::Folded);
+        assert_eq!(report.wavefront_depth, 2);
+        assert_eq!(a.max_abs_diff(&want_a).unwrap(), 0.0);
+        assert!(
+            a.max_abs_diff(&stepper_reference(&s, &initial(n), 2))
+                .unwrap()
+                < 1e-12
         );
-        assert_eq!(report.tier, Tier::Generic);
-        assert!(report.tier_reason.contains("mismatched layouts"));
-        assert!(a.max_abs_diff(&want).unwrap() < 1e-12);
+    }
+
+    /// A wavefront whose plan is not the row kernel runs op by op on the
+    /// kernel the planner picks, with the bits of as many plain sweeps:
+    /// a single-input non-linear stencil on the tape at depth 3.
+    #[test]
+    fn a_tape_wavefront_runs_op_by_op_with_the_bits_of_plain_sweeps() {
+        use yasksite_stencil::{at, c};
+        let u = || at(0, 0, 0, 0);
+        let e = u() * u() * c(-0.5) + c(0.25) * (at(0, 1, 0, 0) + at(0, 0, -1, 1)) * u();
+        let s = Stencil::new("quad", 3, 1, e);
+        let n = [16, 6, 5];
+        let p = TuningParams::new([8, 2, 5], Fold::new(8, 1, 1))
+            .wavefront(3)
+            .threads(2);
+        let request = SweepRequest::new(&p).tier(TierPolicy::Auto);
+        let (mut a, mut b) = (initial(n), initial(n));
+        let chain = request.prepare_wavefront(&s, &a, &b).unwrap();
+        assert!(!chain.tiled());
+        let report = request.run_wavefront(&s, &mut a, &mut b).unwrap();
+        assert_eq!(report.tier, Tier::Tape);
+        assert_eq!(report.wavefront_depth, 1);
+        assert_eq!(report.updates, 3 * 16 * 6 * 5);
+        let (mut x, mut y) = (initial(n), initial(n));
+        let plain = TuningParams::new([8, 2, 5], Fold::new(8, 1, 1)).threads(2);
+        let sweep = SweepRequest::new(&plain).tier(TierPolicy::Auto);
+        for _ in 0..3 {
+            sweep.apply(&s, &[&x], &mut y).unwrap();
+            x.swap_data(&mut y).unwrap();
+        }
+        assert_eq!(a.max_abs_diff(&x).unwrap(), 0.0);
+    }
+
+    /// A wavefront's grids must carry the parameters' fold, as a spatial
+    /// sweep's must.
+    #[test]
+    fn a_wavefront_on_grids_of_another_fold_is_refused() {
+        let s = heat3d(1);
+        let (a, b) = (initial([16, 6, 5]), initial([16, 6, 5]));
+        let p = TuningParams::new([16, 6, 5], Fold::new(4, 1, 1)).wavefront(2);
+        assert!(matches!(
+            SweepRequest::new(&p).prepare_wavefront(&s, &a, &b),
+            Err(EngineError::BadParams { .. })
+        ));
     }
 
     /// A scaled-down Cascade-Lake-like machine whose LLC the test domain

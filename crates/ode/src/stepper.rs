@@ -182,8 +182,8 @@ impl Integrator {
     }
 
     /// The pool grids a chained step keeps in windows instead of whole
-    /// grids: the plan's transients when [`Integrator::chained`], none
-    /// otherwise.
+    /// grids: when [`Integrator::chained`], the plan's transients whose
+    /// window is smaller than a whole grid, none otherwise.
     #[must_use]
     pub fn windowed(&self) -> Vec<usize> {
         self.chain.windowed()

@@ -127,6 +127,37 @@ fn predictor_and_simulator_charge_the_same_issue() {
     assert_eq!(kinds.len(), 4);
 }
 
+/// The model discounts only what tiles: over every candidate of the
+/// standard space on three machines, a candidate the predictor credits
+/// with the wavefront discount plans the row kernel, the one kernel a
+/// tiled pass runs; any other wavefront runs op by op and is priced so.
+#[test]
+fn the_wavefront_discount_goes_only_to_row_kernels() {
+    let mut discounted = 0;
+    for machine in machines() {
+        for stencil in stencils() {
+            let domain = domain_for(&stencil, [128, 64, 64]);
+            let space = SearchSpace::standard(&stencil, domain, &machine);
+            for cores in [1, machine.cores_per_socket] {
+                for p in space.candidates(cores) {
+                    if !predict_params(&stencil, domain, &machine, &p, cores).wavefront_effective {
+                        continue;
+                    }
+                    let kernel = plan_kernel(&stencil, &p, TierPolicy::Auto).kernel;
+                    assert!(
+                        kernel.runs_rows(),
+                        "{} on {}: {p} ({kernel:?}) is discounted",
+                        stencil.name(),
+                        machine.tag(),
+                    );
+                    discounted += 1;
+                }
+            }
+        }
+    }
+    assert!(discounted > 100, "only {discounted} discounted candidates");
+}
+
 /// The host picks: the spatial pick behind `Offsite::tuned_params` is
 /// row-major, and the full-space analytic winner for heat-3d-r1 at 256³
 /// (model only) is a configuration the engine does not execute per point

@@ -418,10 +418,13 @@ fn plan_prediction_orders_variants_like_simulation() {
 
 /// The grids a chained step windows are its single-writer stage grids:
 /// for rk4, heun2 and euler in every variant and PIRK radauIIA2×3 in A
-/// and D, on Heat3d and Wave2d, `prepare_step` windows exactly the grids
-/// outside state and next that one op writes, and no op reads one of them
-/// before its writer (nothing of it is carried from step to step). Every
-/// rk4 plan has some; the PIRK buffers are all rewritten within a step.
+/// and D, on Heat3d and Wave2d, the plan's transients are exactly the
+/// grids outside state and next that one op writes, and no op reads one
+/// of them before its writer (nothing of it is carried from step to
+/// step). Every rk4 plan has some; the PIRK buffers are all rewritten
+/// within a step. In one tile, `prepare_step` windows every transient of
+/// the 3-D domain, and none of the 2-D one, whose one-tile window would
+/// hold every row of its one plane: no fewer than the grid.
 #[test]
 fn a_chained_step_windows_exactly_its_single_writer_grids() {
     let ivps: Vec<Box<dyn Ivp>> = vec![Box::new(Heat3d::new(7)), Box::new(Wave2d::new(12, 1.0))];
@@ -464,7 +467,12 @@ fn a_chained_step_windows_exactly_its_single_writer_grids() {
             let shapes = vec![&geometry; plan.num_grids];
             let step = prepare_step(plan, &shapes, &request).unwrap();
             assert!(step.tiled(), "{case}");
-            assert_eq!(step.windowed(), single_writer, "{case}");
+            let want = if plan.domain[2] > 1 {
+                single_writer
+            } else {
+                Vec::new()
+            };
+            assert_eq!(step.windowed(), want, "{case}");
             let op_by_op = SweepRequest::new(&params.clone().wavefront(1)).tier(TierPolicy::Auto);
             let step = prepare_step(plan, &shapes, &op_by_op).unwrap();
             assert!(
@@ -476,8 +484,12 @@ fn a_chained_step_windows_exactly_its_single_writer_grids() {
 }
 
 /// Every case of `chained_integrator_steps_match_op_by_op_steps_bitwise`
-/// that chains keeps the plan's transients in windows (so that test's
-/// bits are the windowed step's), and one that runs op by op keeps none.
+/// that chains keeps in windows those of the plan's transients whose
+/// window is smaller than a whole grid (so that test's bits are the
+/// windowed step's), and one that runs op by op keeps none. No window is
+/// ever larger than the grid it replaces, though short tiles on these
+/// small domains would need such windows; every Heat3d case in one tile
+/// windows all its transients.
 #[test]
 fn every_chained_integrator_case_windows_its_transients() {
     let ivps: Vec<(Box<dyn Ivp>, f64)> = vec![
@@ -487,7 +499,7 @@ fn every_chained_integrator_case_windows_its_transients() {
         (Box::new(InverterChain::new(70, 5.0, 1.0, 0.5)), 1e-3),
         (Box::new(Bruss2d::new(10)), 1e-3),
     ];
-    let mut windowed = 0;
+    let mut windowed = [0; 2];
     for (ivp, h) in &ivps {
         let (ivp, h) = (ivp.as_ref(), *h);
         let mut plans: Vec<StepPlan> = Variant::all()
@@ -505,22 +517,56 @@ fn every_chained_integrator_case_windows_its_transients() {
                     params.block[1] = height;
                     let op_by_op = Integrator::new(ivp, plan.clone(), h, params.clone()).unwrap();
                     let chained =
-                        Integrator::new(ivp, plan.clone(), h, params.wavefront(2)).unwrap();
+                        Integrator::new(ivp, plan.clone(), h, params.clone().wavefront(2)).unwrap();
                     let case = format!("{} {} t={threads} H={height}", ivp.name(), plan.name);
                     assert!(op_by_op.windowed().is_empty(), "{case}");
-                    let want = if chained.chained() {
-                        plan.transients()
-                    } else {
-                        Vec::new()
-                    };
-                    assert_eq!(chained.windowed(), want, "{case}");
-                    windowed += usize::from(!want.is_empty());
+                    let kept = chained.windowed();
+                    let transients = plan.transients();
+                    assert!(kept.iter().all(|g| transients.contains(g)), "{case}");
+                    assert!(chained.chained() || kept.is_empty(), "{case}");
+                    let params = params.wavefront(2);
+                    let whole = Grid3::new("g", plan.domain, plan.halo, params.fold);
+                    let shapes = vec![&whole; plan.num_grids];
+                    let request = SweepRequest::new(&params);
+                    let step = prepare_step(plan, &shapes, &request).unwrap();
+                    assert_eq!(step.windowed(), kept, "{case}");
+                    for &g in &kept {
+                        let (n, halo) = step.window_extent(g).unwrap();
+                        let window = Grid3::new("w", n, halo, params.fold);
+                        assert!(window.len() < whole.len(), "{case}: grid {g}");
+                    }
+                    if chained.chained() && plan.domain[2] > 1 && height == ny {
+                        assert_eq!(kept, transients, "{case}");
+                    }
+                    windowed[usize::from(kept.len() == transients.len())] += kept.len();
                 }
             }
         }
     }
-    // Heat2d, Heat3d and Wave2d chain all four rk4 variants.
-    assert_eq!(windowed, 3 * 4 * 3 * 3);
+    assert!(windowed[0] > 0, "some cases keep a transient whole");
+    assert!(windowed[1] > windowed[0], "most window all transients");
+}
+
+/// The tuned tiles are far taller than the readers' reach, so the size
+/// rule never keeps a stage grid whole there: rk4/E on Heat3d(48) in
+/// 8-row tiles windows all three of its stage grids, each in a window far
+/// smaller than the grid.
+#[test]
+fn a_tall_tile_windows_every_rk4_e_stage_grid() {
+    let ivp = Heat3d::new(48);
+    let plan = erk_plan(&Tableau::rk4(), &ivp, 1e-5, Variant::E);
+    let mut params = TuningParams::new(ivp.domain(), Fold::new(8, 1, 1)).wavefront(2);
+    params.block[1] = 8;
+    let whole = Grid3::new("g", plan.domain, plan.halo, params.fold);
+    let shapes = vec![&whole; plan.num_grids];
+    let request = SweepRequest::new(&params).tier(TierPolicy::Auto);
+    let step = prepare_step(&plan, &shapes, &request).unwrap();
+    assert_eq!(plan.transients().len(), 3);
+    assert_eq!(step.windowed(), plan.transients());
+    for g in step.windowed() {
+        let (n, halo) = step.window_extent(g).unwrap();
+        assert!(4 * Grid3::new("w", n, halo, params.fold).len() < whole.len());
+    }
 }
 
 /// Windows keep the stage grids in the tile: on the shrunken Cascade

@@ -278,8 +278,8 @@ proptest! {
     /// A tiled wavefront of an arbitrary linear stencil — y offsets
     /// asymmetric within radius 2, so the tile skew follows the stencil's
     /// own y radius — equals `depth` plain sweeps bit for bit, for any
-    /// block, thread count and depth, on the row kernels and (4x2x1) the
-    /// per-point fallback.
+    /// block, thread count and depth, on the row kernels and (4x2x1, op
+    /// by op) the brick kernel.
     #[test]
     fn tiled_wavefront_of_any_linear_stencil_matches_plain_stepper(
         stencil in arb_linear_stencil(),
@@ -312,9 +312,9 @@ proptest! {
 /// The a-priori kernel query names what runs: for every candidate of the
 /// standard space — spatial and wavefront, row-major and 4x2x1 / 2x4x1
 /// folds — under every tier policy, the planned tier, reason and degraded
-/// flag equal the report of actually executing the candidate. (Wavefront
-/// sweeps on a multi-dimensional fold used to be announced `folded` and
-/// executed per point.)
+/// flag equal the report of actually executing the candidate. A
+/// wavefront on a multi-dimensional fold runs op by op on the brick
+/// kernel, or per point where the scalar rung is forced.
 #[test]
 fn a_priori_kernel_matches_the_report_of_running_every_standard_candidate() {
     use yasksite::SearchSpace;
@@ -346,8 +346,13 @@ fn a_priori_kernel_matches_the_report_of_running_every_standard_candidate() {
                 assert_eq!(planned.reason, report.tier_reason, "{p} under {policy:?}");
                 assert_eq!(planned.degraded, report.degraded(), "{p}");
                 if p.wavefront > 1 && !p.row_major() {
-                    assert_eq!(report.tier, Tier::Generic, "{p} under {policy:?}");
-                    assert!(report.degraded(), "{p} under {policy:?}");
+                    assert_eq!(report.wavefront_depth, 1, "{p} under {policy:?}");
+                    let tier = match policy {
+                        TierPolicy::ForceScalar => Tier::Generic,
+                        _ => Tier::Folded,
+                    };
+                    assert_eq!(report.tier, tier, "{p} under {policy:?}");
+                    assert_eq!(report.degraded(), tier == Tier::Generic, "{p}");
                     wavefront_on_bricks += 1;
                 }
             }
