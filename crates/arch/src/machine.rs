@@ -103,18 +103,6 @@ impl CalibrationProvenance {
         }
         Ok(())
     }
-
-    /// Samples rejected as outliers, summed over all probes.
-    #[must_use]
-    pub fn rejected_total(&self) -> usize {
-        self.measurements.iter().map(|m| m.rejected).sum()
-    }
-
-    /// Valid samples, summed over all probes.
-    #[must_use]
-    pub fn samples_total(&self) -> usize {
-        self.measurements.iter().map(|m| m.samples).sum()
-    }
 }
 
 /// A complete machine model: topology, cache hierarchy, in-core resources

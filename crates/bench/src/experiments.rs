@@ -4,8 +4,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use offsite::{EvalOptions, MethodSpec, Offsite};
-use yasksite::{PredictionCache, SearchSpace, Solution, TuneRequest, TuneStrategy};
+use offsite::{MethodSpec, Offsite};
+use yasksite::{PredictionCache, SearchSpace, Solution, TrialConfig, TuneRequest, TuneStrategy};
 use yasksite_arch::{machine_table, Machine};
 use yasksite_ecm::roofline_mlups;
 use yasksite_engine::TuningParams;
@@ -412,16 +412,21 @@ pub fn e11_work_precision(machine: &Machine, scale: Scale) -> String {
     )
 }
 
+/// The Offsite experiments' session: one sample per plan measurement.
+fn single_shot() -> TuneRequest {
+    TuneRequest::default().trial(TrialConfig::single_shot())
+}
+
 fn eval_ivp(
     offsite: &Offsite,
     ivp: &dyn Ivp,
     methods: &[MethodSpec],
     h: f64,
-    opts: &EvalOptions,
+    req: &TuneRequest,
     t: &mut Table,
 ) -> offsite::EvalReport {
     let r = offsite
-        .evaluate_with(ivp, methods, h, opts)
+        .evaluate_with(ivp, methods, h, req)
         .expect("evaluation succeeds");
     for c in &r.candidates {
         t.row(vec![
@@ -442,9 +447,9 @@ pub fn e7_prediction_accuracy(machine: &Machine, scale: Scale, jobs: Option<usiz
     let offsite = Offsite::new(machine.clone(), 1);
     let (n2, n3, ni) = scale.ode_sizes();
     let methods = MethodSpec::paper_set();
-    let mut opts = EvalOptions::default().cache(Arc::new(PredictionCache::new()));
+    let mut req = single_shot().cache(Arc::new(PredictionCache::new()));
     if let Some(j) = jobs {
-        opts = opts.jobs(j);
+        req = req.jobs(j);
     }
     let mut t = Table::new(&[
         "ivp",
@@ -462,7 +467,7 @@ pub fn e7_prediction_accuracy(machine: &Machine, scale: Scale, jobs: Option<usiz
         (&heat3d as &dyn Ivp, 1e-6),
         (&inv as &dyn Ivp, 1e-4),
     ] {
-        let r = eval_ivp(&offsite, ivp, &methods, h, &opts, &mut t);
+        let r = eval_ivp(&offsite, ivp, &methods, h, &req, &mut t);
         let _ = writeln!(
             lines,
             "{:<14} mean err {:>3.0}%  max err {:>3.0}%  predicted pick = measured rank {}{}",
@@ -500,7 +505,7 @@ pub fn e8_speedups(machine: &Machine, scale: Scale) -> String {
         (&inv as &dyn Ivp, 1e-4),
     ] {
         let r = offsite
-            .evaluate_with(ivp, &methods, h, &EvalOptions::default())
+            .evaluate_with(ivp, &methods, h, &single_shot())
             .expect("evaluation succeeds");
         for (m, sp) in &r.speedups {
             t.row(vec![ivp.name().to_string(), m.clone(), format!("{sp:.2}x")]);
@@ -567,12 +572,12 @@ pub fn e9_tuning_cost(machine: &Machine, scale: Scale, jobs: Option<usize>) -> S
     let offsite = Offsite::new(machine.clone(), 1);
     let (n2, _, _) = scale.ode_sizes();
     let ivp = Heat2d::new(n2);
-    let mut opts = EvalOptions::default();
+    let mut req = single_shot();
     if let Some(j) = jobs {
-        opts = opts.jobs(j);
+        req = req.jobs(j);
     }
     let r = offsite
-        .evaluate_with(&ivp, &MethodSpec::paper_set(), 1e-7, &opts)
+        .evaluate_with(&ivp, &MethodSpec::paper_set(), 1e-7, &req)
         .expect("offsite evaluation");
     let mut extra = String::new();
     let _ = writeln!(

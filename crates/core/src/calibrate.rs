@@ -467,31 +467,17 @@ pub fn calibrate(cfg: &CalibrateConfig, tel: &Telemetry) -> Result<CalibrationOu
         } else {
             native_kernel(probe, stream_seed)
         };
-        let mut backend = ProbeBackend { kernel };
         let fallback_seconds = probe.seconds_of(probe.nominal);
-        let trial = match cfg.faults {
-            Some(plan) => {
-                let mut faulty = FaultyBackend::new(backend, plan.stream(i as u64));
-                run_trial_observed(
-                    &mut faulty,
-                    &dummy,
-                    fallback_seconds,
-                    &cfg.trial,
-                    &mut budget,
-                    tel,
-                    Some(&span),
-                )
-            }
-            None => run_trial_observed(
-                &mut backend,
-                &dummy,
-                fallback_seconds,
-                &cfg.trial,
-                &mut budget,
-                tel,
-                Some(&span),
-            ),
-        };
+        let faults = cfg.faults.unwrap_or_else(FaultPlan::none).stream(i as u64);
+        let trial = run_trial_observed(
+            &mut FaultyBackend::new(ProbeBackend { kernel }, faults),
+            &dummy,
+            fallback_seconds,
+            &cfg.trial,
+            &mut budget,
+            tel,
+            Some(&span),
+        );
         let record = measurement_of(probe, &trial);
         cost.engine_runs += trial.attempts;
         if trial.provenance.is_fallback() {

@@ -200,12 +200,8 @@ pub fn trials_from_flags(
 /// # Errors
 /// Returns a message on malformed values or an unknown strategy.
 pub fn request_from_flags(flags: &HashMap<String, String>) -> Result<TuneRequest, String> {
-    let strategy = match flags.get("strategy").map(String::as_str) {
-        None | Some("analytic") => TuneStrategy::Analytic,
-        Some("hybrid") => TuneStrategy::Hybrid { shortlist: 3 },
-        Some("empirical") => TuneStrategy::Empirical,
-        Some(other) => return Err(format!("unknown strategy '{other}'")),
-    };
+    let name = flags.get("strategy").map_or("analytic", String::as_str);
+    let strategy = TuneStrategy::parse(name).ok_or_else(|| format!("unknown strategy '{name}'"))?;
     let cores: usize = flags.get("cores").map_or(Ok(1), |c| {
         c.parse().map_err(|_| format!("bad --cores '{c}'"))
     })?;

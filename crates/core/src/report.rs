@@ -87,19 +87,7 @@ fn digest(trace: &str) -> Result<TraceDigest, String> {
             d.skipped += 1;
             continue;
         };
-        match j.get("v").and_then(Json::as_u64) {
-            Some(1) => {}
-            Some(v) => {
-                return Err(format!(
-                    "trace schema mismatch: line {lineno} has version {v}, expected 1"
-                ));
-            }
-            None => {
-                return Err(format!(
-                    "trace schema mismatch: line {lineno} missing \"v\""
-                ));
-            }
-        }
+        yasksite_telemetry::check_schema_version(&j, lineno)?;
         let Some(ev) = j.get("ev").and_then(Json::as_str) else {
             return Err(format!("line {lineno}: missing \"ev\""));
         };

@@ -660,12 +660,9 @@ impl ServeState {
         parent: &SpanGuard,
     ) -> Result<String, String> {
         let (sol, machine, domain) = solution_from_request(req)?;
-        let strategy = match get_str(req, "strategy").unwrap_or("analytic") {
-            "analytic" => TuneStrategy::Analytic,
-            "hybrid" => TuneStrategy::Hybrid { shortlist: 3 },
-            "empirical" => TuneStrategy::Empirical,
-            other => return Err(format!("unknown strategy '{other}'")),
-        };
+        let name = get_str(req, "strategy").unwrap_or("analytic");
+        let strategy =
+            TuneStrategy::parse(name).ok_or_else(|| format!("unknown strategy '{name}'"))?;
         let tenant = get_str(req, "tenant").unwrap_or("anonymous").to_string();
 
         // Admission control: reject before any work when the tenant has

@@ -285,6 +285,16 @@ pub trait MeasureBackend {
     fn prepare(&mut self, _params: &TuningParams, _runs: usize) {}
 }
 
+impl<B: MeasureBackend + ?Sized> MeasureBackend for &mut B {
+    fn run_sample(&mut self, params: &TuningParams) -> Result<f64, ToolError> {
+        (**self).run_sample(params)
+    }
+
+    fn prepare(&mut self, params: &TuningParams, runs: usize) {
+        (**self).prepare(params, runs);
+    }
+}
+
 /// One prepared run's outcome, waiting for its `run_sample`.
 type PreparedRun = (TuningParams, Result<f64, ToolError>);
 

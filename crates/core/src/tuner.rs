@@ -39,8 +39,8 @@ use crate::request::TuneRequest;
 use crate::solution::{Solution, ToolError};
 use crate::space::SearchSpace;
 use crate::trial::{
-    run_trial_observed, FaultyBackend, MeasureBackend, Provenance, SolutionBackend, TrialBudget,
-    TrialSummary,
+    run_trial_observed, FaultPlan, FaultyBackend, MeasureBackend, Provenance, SolutionBackend,
+    TrialBudget, TrialSummary,
 };
 
 /// How to pick the best point in the search space.
@@ -70,6 +70,20 @@ impl TuneStrategy {
             TuneStrategy::Empirical => "empirical",
             TuneStrategy::Hybrid { .. } => "hybrid",
         }
+    }
+
+    /// The strategy [`TuneStrategy::label`] names, as the CLI and the
+    /// daemon spell it: `hybrid` verifies the model's top 3 candidates.
+    /// `None` for an unknown name.
+    #[must_use]
+    pub fn parse(label: &str) -> Option<TuneStrategy> {
+        [
+            TuneStrategy::Analytic,
+            TuneStrategy::Hybrid { shortlist: 3 },
+            TuneStrategy::Empirical,
+        ]
+        .into_iter()
+        .find(|s| s.label() == label)
     }
 }
 
@@ -250,24 +264,15 @@ impl Solution {
         space: &SearchSpace,
         req: &TuneRequest,
     ) -> Result<TuneResult, ToolError> {
-        match req.faults {
-            Some(plan) => {
-                let mut backend = FaultyBackend::new(SolutionBackend::new(self), plan);
-                self.tune_space_with_backend_req(&mut backend, space, req)
-            }
-            None => {
-                let mut backend = SolutionBackend::new(self);
-                self.tune_space_with_backend_req(&mut backend, space, req)
-            }
-        }
+        self.tune_space_with_backend_req(&mut SolutionBackend::new(self), space, req)
     }
 
     /// [`Solution::tune_space_with`] against an arbitrary measurement
-    /// backend (the seam the fault-injection harness plugs into) — the
-    /// tuning engine every entry point funnels into. The request's own
-    /// `faults` field is ignored here — wrap `backend` yourself if you
-    /// want both. The request's budget is copied in; its final state is
-    /// [`TuneResult::budget`].
+    /// backend (the seam tests plug scripted backends into) — the tuning
+    /// engine every entry point funnels into. The request's `faults` are
+    /// injected into `backend` here, one stream for the whole session, so
+    /// a request means the same on every entry point. The request's
+    /// budget is copied in; its final state is [`TuneResult::budget`].
     ///
     /// # Errors
     /// Fails on an empty space.
@@ -284,6 +289,7 @@ impl Solution {
         let cache = req.cache_ref();
         let jobs = req.effective_jobs();
         let tel = &req.telemetry;
+        let mut backend = FaultyBackend::new(backend, req.faults.unwrap_or_else(FaultPlan::none));
         let session = tel.span("tune_session");
         let candidates = space.candidates(cores);
         if candidates.is_empty() {
@@ -338,7 +344,15 @@ impl Solution {
                 tel.inc("tune.cache_misses");
             }
             let fallback = pred.seconds_per_sweep;
-            let r = run_trial_observed(backend, &p, fallback, cfg, budget, tel, Some(&trial_span));
+            let r = run_trial_observed(
+                &mut backend,
+                &p,
+                fallback,
+                cfg,
+                budget,
+                tel,
+                Some(&trial_span),
+            );
             cost.engine_runs += r.attempts;
             tel.add("tune.engine_runs", r.attempts as u64);
             if r.provenance.is_fallback() {
@@ -616,7 +630,7 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::{FaultPlan, TrialConfig};
+    use crate::trial::TrialConfig;
     use std::sync::Arc;
     use yasksite_arch::Machine;
     use yasksite_stencil::builders::heat3d;
@@ -632,6 +646,20 @@ mod tests {
     /// One run per measured candidate, no retries, unlimited budget.
     fn single_shot(strategy: TuneStrategy) -> TuneRequest {
         TuneRequest::new(strategy).trial(TrialConfig::single_shot())
+    }
+
+    #[test]
+    fn strategy_names_parse_back() {
+        for s in [
+            TuneStrategy::Analytic,
+            TuneStrategy::Hybrid { shortlist: 3 },
+            TuneStrategy::Empirical,
+        ] {
+            assert_eq!(TuneStrategy::parse(s.label()), Some(s));
+        }
+        for name in ["", "Analytic", "hybrid(3)", "exhaustive"] {
+            assert_eq!(TuneStrategy::parse(name), None, "{name}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! 1. a method step is compiled to a [`yasksite_ode::StepPlan`];
 //! 2. every sweep in the plan is predicted by the `yasksite` tool layer
-//!    ([`predict_plan`]), after YaskSite's analytic tuner has chosen the
+//!    ([`predict_plan_cached`]), after YaskSite's analytic tuner has chosen the
 //!    block/fold parameters for the dominant kernel — and, when the step's
 //!    grid pool overflows the last-level cache, a step run as one tiled
 //!    pass over its ops with an L2-sized tile height
@@ -22,16 +22,16 @@
 //! # Examples
 //!
 //! ```
-//! use offsite::{EvalOptions, MethodSpec, Offsite};
+//! use offsite::{MethodSpec, Offsite};
+//! use yasksite::{TrialConfig, TuneRequest};
 //! use yasksite_arch::Machine;
 //! use yasksite_ode::ivps::Heat2d;
 //!
 //! let offsite = Offsite::new(Machine::cascade_lake(), 2);
 //! let ivp = Heat2d::new(64);
 //! let methods = [MethodSpec::erk(yasksite_ode::Tableau::heun2())];
-//! let report = offsite
-//!     .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
-//!     .unwrap();
+//! let req = TuneRequest::default().trial(TrialConfig::single_shot());
+//! let report = offsite.evaluate_with(&ivp, &methods, 1e-5, &req).unwrap();
 //! assert!(!report.candidates.is_empty());
 //! ```
 
@@ -44,7 +44,7 @@ mod tuner;
 
 pub use method::MethodSpec;
 pub use plan_perf::{
-    chain_tile_bytes, chain_tile_height, measure_plan, predict_plan, predict_plan_cached,
-    PlanBackend, PlanMeasurement, PlanPrediction,
+    chain_tile_bytes, chain_tile_height, measure_plan, predict_plan_cached, PlanBackend,
+    PlanMeasurement, PlanPrediction,
 };
-pub use tuner::{CandidateReport, EvalOptions, EvalReport, Offsite, WorkPrecisionEntry};
+pub use tuner::{CandidateReport, EvalReport, Offsite, WorkPrecisionEntry};

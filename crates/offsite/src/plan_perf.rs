@@ -51,22 +51,10 @@ pub struct PlanMeasurement {
 /// so a variant that trades fewer sweeps for heavier ones ranks as it
 /// runs.
 ///
-/// Predictions are served through the process-wide
-/// [`PredictionCache::global`] — ERK plans reuse the same handful of
-/// stencils across stages and methods, so repeated plan predictions are
-/// mostly cache hits. Use [`predict_plan_cached`] to supply a private
-/// cache.
-#[must_use]
-pub fn predict_plan(
-    plan: &StepPlan,
-    machine: &Machine,
-    params: &TuningParams,
-    cores: usize,
-) -> PlanPrediction {
-    predict_plan_cached(plan, machine, params, cores, PredictionCache::global())
-}
-
-/// [`predict_plan`] against an explicit [`PredictionCache`].
+/// Predictions are served through `cache` — ERK plans reuse the same
+/// handful of stencils across stages and methods, so repeated plan
+/// predictions are mostly cache hits ([`PredictionCache::global`] shares
+/// them across a process).
 #[must_use]
 pub fn predict_plan_cached(
     plan: &StepPlan,
@@ -281,7 +269,7 @@ mod tests {
     #[test]
     fn prediction_covers_every_op() {
         let (_ivp, plan, params, m) = setup();
-        let p = predict_plan(&plan, &m, &params, 1);
+        let p = predict_plan_cached(&plan, &m, &params, 1, &PredictionCache::new());
         assert_eq!(p.per_op.len(), plan.ops.len());
         let sum: f64 = p.per_op.iter().map(|(_, s)| s).sum();
         assert!((sum - p.seconds_per_step).abs() < 1e-12);
@@ -353,17 +341,20 @@ mod tests {
         let ivp = Heat2d::new(128);
         let params = TuningParams::new([128, 16, 1], Fold::new(8, 1, 1));
         let m = Machine::cascade_lake();
-        let a = predict_plan(
+        let cache = PredictionCache::new();
+        let a = predict_plan_cached(
             &erk_plan(&Tableau::rk4(), &ivp, 1e-5, Variant::A),
             &m,
             &params,
             1,
+            &cache,
         );
-        let d = predict_plan(
+        let d = predict_plan_cached(
             &erk_plan(&Tableau::rk4(), &ivp, 1e-5, Variant::D),
             &m,
             &params,
             1,
+            &cache,
         );
         assert!(
             d.seconds_per_step < a.seconds_per_step,
@@ -405,7 +396,8 @@ mod tests {
     fn prediction_within_factor_three_of_measurement() {
         // The paper's headline accuracy claim, loosely checked.
         let (_ivp, plan, params, m) = setup();
-        let pred = predict_plan(&plan, &m, &params, 1).seconds_per_step;
+        let pred =
+            predict_plan_cached(&plan, &m, &params, 1, &PredictionCache::new()).seconds_per_step;
         let meas = measure_plan(&plan, &m, &params).unwrap().seconds_per_step;
         let ratio = pred / meas;
         assert!(

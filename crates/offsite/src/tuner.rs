@@ -1,8 +1,6 @@
 //! The Offsite evaluation loop: enumerate, predict, rank, validate.
 
-use std::sync::Arc;
-
-use yasksite::telemetry::{Level, SpanGuard, Telemetry};
+use yasksite::telemetry::{Level, SpanGuard};
 use yasksite::{
     run_trial_observed, FaultPlan, FaultyBackend, PredictionCache, Provenance, SearchSpace,
     Solution, ToolError, TrialBudget, TrialConfig, TrialResult, TrialSummary, TuneCost,
@@ -13,105 +11,7 @@ use yasksite_engine::TuningParams;
 use yasksite_ode::{erk_plan, Ivp, StepPlan, Tableau, Variant};
 
 use crate::method::MethodSpec;
-use crate::plan_perf::{chain_tile_height, predict_plan, predict_plan_cached, PlanBackend};
-
-/// Builder-style options for [`Offsite::evaluate_with`] — the offsite
-/// mirror of the core [`TuneRequest`], consolidating the trial protocol,
-/// budget, worker count, fault injection and cache choice behind one
-/// type so the CLI and library share a single configuration path.
-#[derive(Debug, Clone)]
-pub struct EvalOptions {
-    /// Measurement protocol for every plan measurement.
-    pub trial: TrialConfig,
-    /// Session-wide measurement budget; the final state comes back in
-    /// [`EvalReport::budget`].
-    pub budget: TrialBudget,
-    /// Worker threads for the analytic tuning phase; `None` resolves via
-    /// [`TuneRequest::default_jobs`]. The report is identical for every
-    /// value.
-    pub jobs: Option<usize>,
-    /// Fault injection for plan measurements (testing hook; each
-    /// measurement gets a decorrelated sub-stream of the plan); `None`
-    /// injects nothing.
-    pub faults: Option<FaultPlan>,
-    /// Prediction cache; `None` uses [`PredictionCache::global`].
-    pub cache: Option<Arc<PredictionCache>>,
-    /// Telemetry handle the evaluation records into; disabled by default
-    /// and purely observational (the report is identical either way).
-    pub telemetry: Telemetry,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            trial: TrialConfig::single_shot(),
-            budget: TrialBudget::unlimited(),
-            jobs: None,
-            faults: None,
-            cache: None,
-            telemetry: Telemetry::disabled(),
-        }
-    }
-}
-
-impl EvalOptions {
-    /// The default options: single-shot trials, unlimited budget,
-    /// automatic jobs, no faults, the global cache.
-    #[must_use]
-    pub fn new() -> Self {
-        EvalOptions::default()
-    }
-
-    /// Sets the measurement protocol.
-    #[must_use]
-    pub fn trial(mut self, trial: TrialConfig) -> Self {
-        self.trial = trial;
-        self
-    }
-
-    /// Sets the session budget.
-    #[must_use]
-    pub fn budget(mut self, budget: TrialBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Pins the analytic worker count.
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Injects faults into every plan measurement.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Uses a private prediction cache instead of the global one.
-    #[must_use]
-    pub fn cache(mut self, cache: Arc<PredictionCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Records the evaluation into `telemetry` (spans, events, metrics).
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The cache these options resolve to.
-    #[must_use]
-    pub fn cache_ref(&self) -> &PredictionCache {
-        self.cache
-            .as_deref()
-            .unwrap_or_else(|| PredictionCache::global())
-    }
-}
+use crate::plan_perf::{chain_tile_height, predict_plan_cached, PlanBackend};
 
 /// One evaluated `(method, variant)` candidate.
 #[derive(Debug, Clone)]
@@ -198,33 +98,28 @@ impl Offsite {
     /// # Errors
     /// Propagates tool errors.
     pub fn tuned_params(&self, ivp: &dyn Ivp) -> Result<(TuningParams, TuneCost), ToolError> {
-        self.tuned_params_with(ivp, &EvalOptions::default())
+        self.tune_rhs(ivp, &TuneRequest::default())
     }
 
-    /// [`Offsite::tuned_params`] under explicit [`EvalOptions`] (worker
-    /// count and cache choice; the trial knobs are irrelevant to the
-    /// purely analytic tuning phase).
-    ///
-    /// # Errors
-    /// Propagates tool errors.
-    pub fn tuned_params_with(
+    /// [`Offsite::tuned_params`] with the worker count, prediction cache
+    /// and telemetry of `req`. Every other field is fixed: the tune is
+    /// analytic, single-shot and on `self.cores`, and it never profiles.
+    fn tune_rhs(
         &self,
         ivp: &dyn Ivp,
-        opts: &EvalOptions,
+        req: &TuneRequest,
     ) -> Result<(TuningParams, TuneCost), ToolError> {
         let rhs = ivp.rhs(0);
         let sol = Solution::new(rhs, ivp.domain(), self.machine.clone());
         let space = SearchSpace::spatial_only(sol.stencil(), ivp.domain(), &self.machine);
-        let mut req = TuneRequest::new(TuneStrategy::Analytic)
-            .cores(self.cores)
-            .trial(TrialConfig::single_shot())
-            .telemetry(opts.telemetry.clone());
-        if let Some(jobs) = opts.jobs {
-            req = req.jobs(jobs);
-        }
-        if let Some(cache) = &opts.cache {
-            req = req.cache(cache.clone());
-        }
+        let req = TuneRequest {
+            jobs: req.jobs,
+            cache: req.cache.clone(),
+            telemetry: req.telemetry.clone(),
+            ..TuneRequest::new(TuneStrategy::Analytic)
+                .cores(self.cores)
+                .trial(TrialConfig::single_shot())
+        };
         let r = sol.tune_space_with(&space, &req)?;
         let mut params = r.best;
         params.threads = self.cores;
@@ -249,9 +144,9 @@ impl Offsite {
         .threads(self.cores)
     }
 
-    /// One robust trial of a whole step plan: the plan backend is wrapped
-    /// in the fault harness when faults are configured, and the analytic
-    /// prediction serves as the fallback estimate.
+    /// One robust trial of a whole step plan under `req`'s protocol and
+    /// fault plan (sub-stream `stream` of it), with the analytic
+    /// prediction as the fallback estimate.
     #[allow(clippy::too_many_arguments)]
     fn measure_step_trial(
         &self,
@@ -259,36 +154,20 @@ impl Offsite {
         params: &TuningParams,
         fallback_seconds: f64,
         stream: u64,
-        faults: Option<FaultPlan>,
-        cfg: &TrialConfig,
+        req: &TuneRequest,
         budget: &mut TrialBudget,
-        telemetry: &Telemetry,
-        parent: Option<&SpanGuard>,
+        parent: &SpanGuard,
     ) -> TrialResult {
-        let backend = PlanBackend::new(plan, &self.machine);
-        match faults {
-            Some(f) => run_trial_observed(
-                &mut FaultyBackend::new(backend, f.stream(stream)),
-                params,
-                fallback_seconds,
-                cfg,
-                budget,
-                telemetry,
-                parent,
-            ),
-            None => {
-                let mut backend = backend;
-                run_trial_observed(
-                    &mut backend,
-                    params,
-                    fallback_seconds,
-                    cfg,
-                    budget,
-                    telemetry,
-                    parent,
-                )
-            }
-        }
+        let faults = req.faults.unwrap_or_else(FaultPlan::none).stream(stream);
+        run_trial_observed(
+            &mut FaultyBackend::new(PlanBackend::new(plan, &self.machine), faults),
+            params,
+            fallback_seconds,
+            &req.trial,
+            budget,
+            &req.telemetry,
+            Some(parent),
+        )
     }
 
     /// Evaluates every `(method, variant)` candidate on `ivp` with step
@@ -296,12 +175,19 @@ impl Offsite {
     /// and reports prediction accuracy, ranking quality, per-method
     /// speedups over the naive baseline, and both cost ledgers.
     ///
-    /// Every plan measurement (candidates and naive baselines) runs under
-    /// the options' trial protocol against the options' budget, falling
-    /// back to the analytic prediction when sampling fails or the budget
-    /// runs out. The analytic tuning phase fans out over the options'
-    /// worker count and serves predictions from the options' cache; the
-    /// report is identical for every worker count.
+    /// The session reads its configuration from `req`. Every plan
+    /// measurement (candidates and naive baselines) runs under the
+    /// request's `trial` protocol against its `budget`, with its `faults`
+    /// injected (each measurement on its own sub-stream of the plan), and
+    /// falls back to the analytic prediction when sampling fails or the
+    /// budget runs out; the final budget comes back in
+    /// [`EvalReport::budget`]. Plan predictions come from the request's
+    /// `cache`, and the session records into its `telemetry`. The
+    /// parameter phase is [`Offsite::tuned_params`] under the request's
+    /// `jobs`, `cache` and `telemetry`: an analytic, single-shot tune on
+    /// the cores this tuner was built for, so the request's `strategy`,
+    /// `cores`, `profile` and `drift_cap` do not apply. The report is
+    /// identical for every worker count.
     ///
     /// # Errors
     /// Returns [`ToolError::InvalidInput`] for an empty method list or a
@@ -312,17 +198,15 @@ impl Offsite {
         ivp: &dyn Ivp,
         methods: &[MethodSpec],
         h: f64,
-        opts: &EvalOptions,
+        req: &TuneRequest,
     ) -> Result<EvalReport, ToolError> {
         if methods.is_empty() {
             return Err(ToolError::InvalidInput("no methods to evaluate".into()));
         }
-        let cfg = &opts.trial;
-        let mut budget = opts.budget;
+        let mut budget = req.budget;
         let budget = &mut budget;
-        let faults = opts.faults;
-        let cache = opts.cache_ref();
-        let tel = &opts.telemetry;
+        let cache = req.cache_ref();
+        let tel = &req.telemetry;
         let session = tel.span("eval_session");
         tel.event(
             Level::Info,
@@ -337,7 +221,7 @@ impl Offsite {
         let mut select_cost = TuneCost::default();
         let mut validate_cost = TuneCost::default();
         let mut trials = TrialSummary::default();
-        let (params, tune_cost) = self.tuned_params_with(ivp, opts)?;
+        let (params, tune_cost) = self.tune_rhs(ivp, req)?;
         select_cost += tune_cost;
 
         let mut candidates = Vec::new();
@@ -360,11 +244,9 @@ impl Offsite {
                     &params,
                     pred.seconds_per_step,
                     stream,
-                    faults,
-                    cfg,
+                    req,
                     budget,
-                    tel,
-                    Some(&session),
+                    &session,
                 );
                 stream += 1;
                 validate_cost.engine_runs += r.attempts;
@@ -406,11 +288,9 @@ impl Offsite {
                 &naive,
                 base_pred.seconds_per_step,
                 stream,
-                faults,
-                cfg,
+                req,
                 budget,
-                tel,
-                Some(&session),
+                &session,
             );
             stream += 1;
             validate_cost.engine_runs += base.attempts;
@@ -542,7 +422,13 @@ impl Offsite {
             let steps = (t_end / h).ceil().max(1.0);
             for v in m.variants() {
                 let plan = m.plan(ivp, h, v);
-                let pred = predict_plan(&plan, &self.machine, &params, self.cores);
+                let pred = predict_plan_cached(
+                    &plan,
+                    &self.machine,
+                    &params,
+                    self.cores,
+                    PredictionCache::global(),
+                );
                 out.push(WorkPrecisionEntry {
                     method: m.name(),
                     variant: v,
@@ -560,8 +446,15 @@ impl Offsite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use yasksite::telemetry::Telemetry;
     use yasksite_ode::ivps::{Heat2d, Heat3d};
     use yasksite_ode::Tableau;
+
+    /// The protocol the experiments evaluate under: one sample per plan.
+    fn single_shot() -> TuneRequest {
+        TuneRequest::default().trial(TrialConfig::single_shot())
+    }
 
     #[test]
     fn evaluate_heat2d_small() {
@@ -569,7 +462,7 @@ mod tests {
         let ivp = Heat2d::new(48);
         let methods = [MethodSpec::erk(Tableau::heun2())];
         let r = offsite
-            .evaluate_with(&ivp, &methods, 1e-5, &EvalOptions::default())
+            .evaluate_with(&ivp, &methods, 1e-5, &single_shot())
             .unwrap();
         assert_eq!(r.candidates.len(), 4); // variants A, B, D, E
         assert!(r.mean_rel_err.is_finite());
@@ -638,7 +531,7 @@ mod tests {
         let offsite = Offsite::new(Machine::cascade_lake(), 1);
         let ivp = Heat2d::new(16);
         let err = offsite
-            .evaluate_with(&ivp, &[], 1e-5, &EvalOptions::default())
+            .evaluate_with(&ivp, &[], 1e-5, &single_shot())
             .unwrap_err();
         assert!(matches!(err, ToolError::InvalidInput(_)), "{err}");
         let methods = [MethodSpec::erk(Tableau::euler())];
@@ -655,9 +548,9 @@ mod tests {
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
         let eval = |seed: u64| {
-            let opts = EvalOptions::default().faults(FaultPlan::always_fail(seed));
+            let req = single_shot().faults(FaultPlan::always_fail(seed));
             Offsite::new(Machine::cascade_lake(), 1)
-                .evaluate_with(&ivp, &methods, 1e-5, &opts)
+                .evaluate_with(&ivp, &methods, 1e-5, &req)
                 .unwrap()
         };
         let r = eval(7);
@@ -695,7 +588,7 @@ mod tests {
                     &ivp,
                     &methods,
                     1e-5,
-                    &EvalOptions::new()
+                    &single_shot()
                         .jobs(jobs)
                         .cache(Arc::new(PredictionCache::new())),
                 )
@@ -723,10 +616,10 @@ mod tests {
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
         let offsite = Offsite::new(Machine::cascade_lake(), 1);
-        let opts = EvalOptions::new().cache(Arc::new(PredictionCache::new()));
-        let cold = offsite.evaluate_with(&ivp, &methods, 1e-5, &opts).unwrap();
+        let req = single_shot().cache(Arc::new(PredictionCache::new()));
+        let cold = offsite.evaluate_with(&ivp, &methods, 1e-5, &req).unwrap();
         assert!(cold.select_cost.cache_misses > 0);
-        let warm = offsite.evaluate_with(&ivp, &methods, 1e-5, &opts).unwrap();
+        let warm = offsite.evaluate_with(&ivp, &methods, 1e-5, &req).unwrap();
         assert_eq!(warm.select_cost.cache_misses, 0, "second run fully cached");
         assert!(warm.select_cost.cache_hits > 0);
         for (x, y) in cold.candidates.iter().zip(&warm.candidates) {
@@ -744,7 +637,7 @@ mod tests {
                 &ivp,
                 &methods,
                 1e-5,
-                &EvalOptions::new().cache(Arc::new(PredictionCache::new())),
+                &single_shot().cache(Arc::new(PredictionCache::new())),
             )
             .unwrap();
         let (tel, sink) = Telemetry::recording(Level::Debug);
@@ -753,7 +646,7 @@ mod tests {
                 &ivp,
                 &methods,
                 1e-5,
-                &EvalOptions::new()
+                &single_shot()
                     .cache(Arc::new(PredictionCache::new()))
                     .telemetry(tel.clone()),
             )
@@ -776,10 +669,8 @@ mod tests {
         let offsite = Offsite::new(Machine::cascade_lake(), 1);
         let ivp = Heat2d::new(32);
         let methods = [MethodSpec::erk(Tableau::heun2())];
-        let opts = EvalOptions::default()
-            .trial(TrialConfig::default())
-            .faults(FaultPlan::noisy(42));
-        let r = offsite.evaluate_with(&ivp, &methods, 1e-5, &opts).unwrap();
+        let req = TuneRequest::default().faults(FaultPlan::noisy(42));
+        let r = offsite.evaluate_with(&ivp, &methods, 1e-5, &req).unwrap();
         assert_eq!(r.candidates.len(), 4);
         for c in &r.candidates {
             assert!(c.measured_s.is_finite() && c.measured_s > 0.0);

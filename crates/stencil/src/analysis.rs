@@ -37,12 +37,6 @@ impl StencilInfo {
         self.adds + self.muls + self.negs
     }
 
-    /// Number of distinct read offsets touching input grid `g`.
-    #[must_use]
-    pub fn reads_of_grid(&self, g: GridId) -> usize {
-        self.offsets.iter().filter(|(gi, _)| *gi == g).count()
-    }
-
     /// Largest access offset along the given dimension for grid `g`
     /// (`(min, max)` as signed values).
     #[must_use]

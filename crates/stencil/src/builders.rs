@@ -131,18 +131,6 @@ pub fn heat3d_rhs(n: usize) -> Stencil {
     Stencil::new("heat3d-rhs", 3, 1, e)
 }
 
-/// Right-hand side of the 2-D wave IVP written as a first-order system is
-/// handled in the ODE crate; this is the plain Laplacian used there.
-#[must_use]
-pub fn laplacian2d(n: usize) -> Stencil {
-    let h = 1.0 / (n as f64 + 1.0);
-    let ih2 = 1.0 / (h * h);
-    let e = c(ih2)
-        * (at(0, -1, 0, 0) + at(0, 1, 0, 0) + at(0, 0, -1, 0) + at(0, 0, 1, 0)
-            - c(4.0) * at(0, 0, 0, 0));
-    Stencil::new("laplacian-2d", 2, 1, e)
-}
-
 /// Right-hand side of the "inverter chain" IVP: a 1-D chain of CMOS
 /// inverters where stage `i` is driven by stage `i-1`,
 /// `du_i/dt = k1*(u_op - u_i) - k2 * u_{i-1}^2 * u_i`.

@@ -478,13 +478,22 @@ fn trace_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
         .filter(|(_, l)| !l.trim().is_empty())
 }
 
-/// Parses one trace line and checks the schema version. The error wording
-/// ("trace schema mismatch") is load-bearing: the CLI error classifier
-/// keys on it.
+/// Parses one trace line and checks the schema version.
 fn parse_trace_line(line: &str, lineno: usize) -> Result<Json, String> {
     let j = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
+    check_schema_version(&j, lineno)?;
+    Ok(j)
+}
+
+/// Checks that parsed trace line `lineno` carries [`SCHEMA_VERSION`] in
+/// its `"v"` field. The error wording ("trace schema mismatch") is
+/// load-bearing: the CLI error classifier keys on it.
+///
+/// # Errors
+/// Names the line and the version it has, or says it has none.
+pub fn check_schema_version(j: &Json, lineno: usize) -> Result<(), String> {
     match j.get("v").and_then(Json::as_u64) {
-        Some(v) if v == SCHEMA_VERSION => Ok(j),
+        Some(v) if v == SCHEMA_VERSION => Ok(()),
         Some(v) => Err(format!(
             "trace schema mismatch: line {lineno} has version {v}, expected {SCHEMA_VERSION}"
         )),

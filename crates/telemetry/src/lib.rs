@@ -44,7 +44,7 @@ mod window;
 
 pub use check::{check_trace, TraceStats};
 pub use export::{
-    chrome_trace_from_spans, chrome_trace_from_trace, histogram_percentiles,
+    check_schema_version, chrome_trace_from_spans, chrome_trace_from_trace, histogram_percentiles,
     percentiles_from_buckets, prometheus_from_trace, prometheus_text, sanitize_metric_name,
     summary_from_trace, PercentileSummary,
 };

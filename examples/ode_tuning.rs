@@ -11,7 +11,8 @@
 use yasksite_repro::arch::Machine;
 use yasksite_repro::ode::ivps::Heat2d;
 use yasksite_repro::ode::Tableau;
-use yasksite_repro::offsite::{EvalOptions, MethodSpec, Offsite};
+use yasksite_repro::offsite::{MethodSpec, Offsite};
+use yasksite_repro::yasksite::{TrialConfig, TuneRequest};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = Machine::cascade_lake();
@@ -28,12 +29,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tuning Heat2D(256) on {} with {cores} cores...",
         offsite.machine().tag()
     );
-    // The options builder mirrors YaskSite's `TuneRequest`: `jobs`
-    // parallelises the analytic rankings (results are jobs-invariant),
-    // and repeated predictions of the shared stage stencils are served
-    // from the memoized prediction cache (see `select_cost` below).
-    let opts = EvalOptions::default().jobs(2);
-    let report = offsite.evaluate_with(&ivp, &methods, 1e-6, &opts)?;
+    // One sample per plan measurement; `jobs` parallelises the analytic
+    // rankings (results are jobs-invariant), and repeated predictions of
+    // the shared stage stencils are served from the memoized prediction
+    // cache (see `select_cost` below).
+    let req = TuneRequest::default()
+        .trial(TrialConfig::single_shot())
+        .jobs(2);
+    let report = offsite.evaluate_with(&ivp, &methods, 1e-6, &req)?;
 
     println!(
         "\n{:<24} {:>13} {:>13} {:>6}",

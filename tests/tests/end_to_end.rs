@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests spanning all crates: model ↔ simulator
 //! agreement, tuner quality, and the Offsite integration.
 
-use offsite::{EvalOptions, MethodSpec, Offsite};
+use offsite::{MethodSpec, Offsite};
 use yasksite::{SearchSpace, Solution, TrialConfig, TuneRequest, TuneStrategy};
 use yasksite_arch::Machine;
 use yasksite_engine::TuningParams;
@@ -84,9 +84,8 @@ fn offsite_pipeline_on_heat2d() {
         MethodSpec::erk(Tableau::heun2()),
         MethodSpec::erk(Tableau::rk4()),
     ];
-    let r = offsite
-        .evaluate_with(&ivp, &methods, 1e-6, &EvalOptions::default())
-        .unwrap();
+    let req = TuneRequest::default().trial(TrialConfig::single_shot());
+    let r = offsite.evaluate_with(&ivp, &methods, 1e-6, &req).unwrap();
     assert_eq!(r.candidates.len(), 8);
     assert!(
         r.rank_of_pick <= 2,

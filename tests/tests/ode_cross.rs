@@ -1,7 +1,8 @@
 //! Cross-crate ODE tests: plans executed by the engine vs hand-rolled
 //! reference steps, threading invariance, and simulated plan costs.
 
-use offsite::{measure_plan, predict_plan};
+use offsite::{measure_plan, predict_plan_cached};
+use yasksite::PredictionCache;
 use yasksite_arch::Machine;
 use yasksite_engine::{SweepRequest, TierPolicy, TuningParams};
 use yasksite_grid::{Fold, Grid3};
@@ -395,11 +396,12 @@ fn plan_prediction_orders_variants_like_simulation() {
     let m = Machine::rome();
     let params = TuningParams::new([512, 16, 1], Fold::new(4, 1, 1));
     let h = 1e-7;
+    let cache = PredictionCache::new();
     let mut pred = Vec::new();
     let mut meas = Vec::new();
     for v in [Variant::A, Variant::D, Variant::E] {
         let plan = erk_plan(&Tableau::rk4(), &ivp, h, v);
-        pred.push(predict_plan(&plan, &m, &params, 1).seconds_per_step);
+        pred.push(predict_plan_cached(&plan, &m, &params, 1, &cache).seconds_per_step);
         meas.push(measure_plan(&plan, &m, &params).unwrap().seconds_per_step);
     }
     let argmin = |v: &[f64]| {

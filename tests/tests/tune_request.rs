@@ -255,10 +255,10 @@ fn prepared_simulated_samples_match_a_serial_session() {
                             sol.tune_space_with_backend_req(backend, &space, &fresh())
                                 .expect("tuning succeeds")
                         };
-                        let reference = match faults {
-                            Some(plan) => tune(&mut FaultyBackend::new(Inline(&sol), plan)),
-                            None => tune(&mut Inline(&sol)),
-                        };
+                        let reference = tune(&mut FaultyBackend::new(
+                            Inline(&sol),
+                            faults.unwrap_or_else(FaultPlan::none),
+                        ));
                         let mut req = fresh();
                         req.faults = faults;
                         let production =
@@ -283,6 +283,24 @@ fn prepared_simulated_samples_match_a_serial_session() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn request_faults_reach_a_bare_backend_as_they_reach_the_solution() {
+    let (sol, space) = setup();
+    for plan in [FaultPlan::noisy(7), FaultPlan::always_fail(3)] {
+        let req = TuneRequest::new(TuneStrategy::Hybrid { shortlist: 3 })
+            .cores(2)
+            .faults(plan);
+        let fresh = || req.clone().cache(Arc::new(PredictionCache::new()));
+        let via_solution = sol
+            .tune_space_with(&space, &fresh())
+            .expect("tuning succeeds");
+        let via_backend = sol
+            .tune_space_with_backend_req(&mut SolutionBackend::new(&sol), &space, &fresh())
+            .expect("tuning succeeds");
+        assert_same_session(&via_solution, &via_backend, &format!("{plan:?}"));
     }
 }
 
